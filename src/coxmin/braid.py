@@ -390,7 +390,7 @@ def good_min_element(record: ConjugacyClassRecord, angles=None,
     """
     rep = record.representative
     eig = eigen_decomposition(rep, dft_check=False)
-    rep = eig.owner  # possibly rebound to a larger field
+    rep = eig.owner  # possibly viewed over a larger field
     use_angles = list(eig.angles) if angles is None else list(angles)
     filt = admissible_filtration(rep, use_angles, eig=eig)
     chamber = good_position_chamber(rep, filt, start_index)

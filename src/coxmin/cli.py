@@ -25,9 +25,9 @@ from .braid import good_min_element, verify_quasi_elliptic_divisibility
 from .conjugacy import (approx_partition, enumerate_classes, path_graph,
                         strong_partition, verify_arrow_reduction,
                         verify_elliptic_approx, verify_tau_surjective)
-from .coxeter import (Chamber, CoxeterMatrix, DiagramTwist, build_system,
-                      enumerate_twists, load_or_build, named_matrix,
-                      TwistedElement)
+from .coxeter import (Chamber, CoxeterMatrix, CoxeterSystem, DiagramTwist,
+                      build_system, enumerate_twists, load_or_build,
+                      named_matrix, TwistedElement)
 from .eigen import eigen_decomposition
 from .errors import (CoxminError, HypothesisFailed, NoRegularPoint, NotFinite,
                      SearchBound, TheoremViolation, TooLarge, WalkStuck)
@@ -123,9 +123,8 @@ def _emit(config: JobConfig, payload: dict, csv_rows: list[dict] | None) -> None
 # classes
 
 
-def _class_rows(label: str, matrix: CoxeterMatrix, twist: DiagramTwist,
+def _class_rows(label: str, system: CoxeterSystem, twist: DiagramTwist,
                 config: JobConfig) -> list[dict]:
-    system = load_or_build(matrix, cache_dir=config.cache_dir)
     records = enumerate_classes(system, twist, max_order=config.max_group_order)
     rows = []
     for rec in records:
@@ -148,9 +147,11 @@ def _class_rows(label: str, matrix: CoxeterMatrix, twist: DiagramTwist,
 def cmd_classes(config: JobConfig) -> int:
     rows = []
     for label, matrix in zip(config.labels, config.matrices):
-        for twist in _twists_for(config, matrix):
+        twists = _twists_for(config, matrix)
+        system = load_or_build(matrix, cache_dir=config.cache_dir)
+        for twist in twists:
             try:
-                rows.extend(_class_rows(label, matrix, twist, config))
+                rows.extend(_class_rows(label, system, twist, config))
             except TooLarge as exc:
                 rows.append({"type": label,
                              "twist": ",".join(str(i + 1) for i in twist.perm),
@@ -220,7 +221,10 @@ def _check_class(rec, checks: list[str], seed: int) -> list[dict]:
                     idx = (rec.class_id * 7919 + j * 104729 + seed) % table.size
                     chamber = Chamber(system, table.element(idx))
                     result = descent_walk(rep, chamber, start_index=seed)
-                    assert result.end_chamber.contains_in_closure(result.regular_point)
+                    if not result.end_chamber.contains_in_closure(result.regular_point):
+                        raise TheoremViolation(
+                            f"walk from chamber {idx} ends in a chamber whose "
+                            "closure misses the regular point")
                     done += 1
                 row(check, "pass", f"{done} walks certified")
             elif check == "formulas":
@@ -264,7 +268,9 @@ def cmd_verify(config: JobConfig) -> int:
     had_fail = False
     had_bound_skip = False
     for label, matrix in zip(config.labels, config.matrices):
-        for twist in _twists_for(config, matrix):
+        twists = _twists_for(config, matrix)
+        system = None
+        for twist in twists:
             twist_label = ",".join(str(i + 1) for i in twist.perm)
             if matrix.group_order() > config.max_group_order:
                 all_rows.append({"type": label, "twist": twist_label,
@@ -274,7 +280,8 @@ def cmd_verify(config: JobConfig) -> int:
                                            f"exceeds bound {config.max_group_order}"})
                 had_bound_skip = True
                 continue
-            system = load_or_build(matrix, cache_dir=config.cache_dir)
+            if system is None:
+                system = load_or_build(matrix, cache_dir=config.cache_dir)
             records = enumerate_classes(system, twist,
                                         max_order=config.max_group_order)
             if config.jobs > 1:

@@ -34,6 +34,33 @@ from .eigen import (elliptic_parabolic_certificate, is_elliptic,
 from .errors import SearchBound, TheoremViolation
 
 
+def _find(parent, x: int) -> int:
+    """Root of x in a union-find forest (a list or a dict), compressing the path."""
+    root = x
+    while parent[root] != root:
+        root = parent[root]
+    while parent[x] != root:
+        parent[x], x = root, parent[x]
+    return root
+
+
+def _union(parent, a: int, b: int) -> bool:
+    """Join the sets of a and b under the smaller root; False if already one."""
+    ra, rb = _find(parent, a), _find(parent, b)
+    if ra == rb:
+        return False
+    parent[max(ra, rb)] = min(ra, rb)
+    return True
+
+
+def _blocks(parent, items: Sequence[int]) -> list[list[int]]:
+    """The sets of the forest, each listed in the order of `items`."""
+    buckets: dict[int, list[int]] = {}
+    for x in items:
+        buckets.setdefault(_find(parent, x), []).append(x)
+    return list(buckets.values())
+
+
 class TwistedCoset:
     """The coset W d^k with table-backed conjugation by simple reflections."""
 
@@ -55,7 +82,8 @@ class TwistedCoset:
         return self.table.length[x]
 
     def element(self, x: int) -> TwistedElement:
-        return TwistedElement(self.system, self.twist, self.k, self.table.element(x))
+        body = GroupElement(self.system, self.table.perms[x])
+        return TwistedElement(self.system, self.twist, self.k, body)
 
     def index(self, w: TwistedElement) -> int:
         assert w.k == self.k and w.twist == self.twist
@@ -69,14 +97,8 @@ class TwistedCoset:
         return t.index[compose(twisted_inv, compose(t.perms[x], pg))]
 
     def _twist_body(self, perm: tuple[int, ...]) -> tuple[int, ...]:
-        m = (-self.k) % self.twist.order
-        if m == 0:
-            return perm
-        rp = self.system.twist_root_perm(self.twist)
-        fwd = rp
-        for _ in range(m - 1):
-            fwd = compose(rp, fwd)
-        return compose(fwd, compose(perm, invert_perm(fwd)))
+        """Permutation of d^-k g d^k."""
+        return self.system.twist_conj(perm, self.twist, -self.k)
 
 
 @dataclass
@@ -115,28 +137,12 @@ def enumerate_classes(system: CoxeterSystem, twist: DiagramTwist | None = None,
     t = coset.table
     size = t.size
     parent = list(range(size))
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
     for x in range(size):
         for i in range(system.rank):
-            y = coset.conj(x, i)
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[max(rx, ry)] = min(rx, ry)
+            _union(parent, x, coset.conj(x, i))
 
-    buckets: dict[int, list[int]] = {}
-    for x in range(size):
-        buckets.setdefault(find(x), []).append(x)
-
-    classes = sorted(buckets.values(), key=lambda els: (min(t.length[x] for x in els),
-                                                        len(els), els[0]))
+    classes = sorted(_blocks(parent, range(size)),
+                     key=lambda els: (min(t.length[x] for x in els), len(els), els[0]))
     records = []
     for cid, els in enumerate(classes):
         mlen = min(t.length[x] for x in els)
@@ -287,19 +293,6 @@ def verify_arrow_reduction(record: ConjugacyClassRecord) -> bool:
 # Partitions of O_min.
 
 
-def _blocks_from_unionfind(items: Sequence[int], parent: dict[int, int]) -> list[list[int]]:
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    buckets: dict[int, list[int]] = {}
-    for x in items:
-        buckets.setdefault(find(x), []).append(x)
-    return sorted(buckets.values())
-
-
 def approx_partition(record: ConjugacyClassRecord,
                      elements: Sequence[int] | None = None) -> list[list[int]]:
     """Blocks of O_min (body indices) under equal-length simple conjugation."""
@@ -309,22 +302,13 @@ def approx_partition(record: ConjugacyClassRecord,
     assert len(level) == 1, "approx partition needs elements of equal length"
     members = set(items)
     parent = {x: x for x in items}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for x in items:
         lx = coset.length(x)
         for i in range(coset.system.rank):
             y = coset.conj(x, i)
             if y in members and coset.length(y) == lx:
-                rx, ry = find(x), find(y)
-                if rx != ry:
-                    parent[max(rx, ry)] = min(rx, ry)
-    return _blocks_from_unionfind(items, parent)
+                _union(parent, x, y)
+    return sorted(_blocks(parent, items))
 
 
 def elementary_strong_targets(coset: TwistedCoset, x: int,
@@ -423,24 +407,10 @@ def strong_partition(record: ConjugacyClassRecord,
     coset = record.coset
     items = list(elements) if elements is not None else list(record.o_min)
     parent = {x: x for x in items}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-            return True
-        return False
-
     nblocks = len(items)
     for block in approx_partition(record, items):
         for other in block[1:]:
-            if union(block[0], other):
+            if _union(parent, block[0], other):
                 nblocks -= 1
 
     members = set(items)
@@ -451,18 +421,9 @@ def strong_partition(record: ConjugacyClassRecord,
         # block searched already is not tracked, so just search every x whose
         # block is still not alone; correctness over speed.
         for y in elementary_strong_targets(coset, x, bound, pruned):
-            if y in members and union(x, y):
+            if y in members and _union(parent, x, y):
                 nblocks -= 1
-    return _blocks_from_unionfind(items, parent)
-
-
-def verify_strong_single_block(record: ConjugacyClassRecord,
-                               bound: int | None = None) -> bool:
-    blocks = strong_partition(record, bound=bound)
-    if len(blocks) != 1:
-        raise TheoremViolation(
-            f"class {record.class_id}: O_min splits into {len(blocks)} strong blocks")
-    return True
+    return sorted(_blocks(parent, items))
 
 
 def verify_elliptic_approx(record: ConjugacyClassRecord) -> bool:

@@ -4,7 +4,11 @@ A system is built from a Coxeter matrix.  V is the span of the simple roots
 with the bilinear form B(a_i, a_j) = -cos(pi/m_ij); positive definiteness of
 B is the finiteness test.  The full root set is the orbit closure of the
 simple roots under the simple reflections, stored as exact vectors over
-Q(2cos(pi/L)) with L = lcm of the finite bond labels.
+Q(2cos(pi/L)) with L = lcm of the finite bond labels.  Orbit closure, sign
+coherence and positive definiteness are proved once per matrix: a larger
+field is a view of the same system (with_field_level), its roots embedded
+coordinate by coordinate, with the base's reflection tables, twist
+permutations and group table.
 
 Group elements are stored as permutations of the root index set (positive
 roots first, the negative of root r at index r + N).  This gives O(1)
@@ -262,19 +266,33 @@ class CoxeterSystem:
     """A finite Coxeter group in its exact geometric representation."""
 
     def __init__(self, matrix: CoxeterMatrix, field: ScalarField,
-                 pos_roots: Matrix, reflections: list[tuple[int, ...]]):
+                 pos_roots: Matrix,
+                 reflections: list[tuple[int, ...]] | None = None):
+        """Without `reflections`, the tables are derived from the roots."""
         self.matrix = matrix
         self.rank = matrix.rank
         self.field = field
         self.pos_roots = pos_roots          # index r in [0, N): vector of root r
         self.npos = len(pos_roots)
         self.nroots = 2 * self.npos
-        self.reflections = reflections      # generator i -> permutation of all roots
         self.bilinear = _bilinear_matrix(matrix, field)
         self._identity_perm = tuple(range(self.nroots))
-        self._table: GroupTable | None = None
-        self._twist_root_perms: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._pairing_rows: list[Vector | None] = [None] * self.npos
+        self._root_lookup: dict[Vector, int] = {}
+        for idx, v in enumerate(pos_roots):
+            self._root_lookup[v] = idx
+            self._root_lookup[tuple(-c for c in v)] = idx + self.npos
+        if reflections is None:
+            reflections = [tuple(self.root_index(self.simple_reflect(i, self.root_vector(r)))
+                                 for r in range(self.nroots))
+                           for i in range(self.rank)]
+        self.reflections = reflections      # generator i -> permutation of all roots
+        # Field-independent data lives on the base system and is shared by
+        # every lift of it to a larger field (see with_field_level).
+        self._base = self
+        self._lifts: dict[int, CoxeterSystem] = {}
+        self._table: GroupTable | None = None
+        self._twist_root_perms: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
 
     # -- roots ----------------------------------------------------------------
 
@@ -362,41 +380,64 @@ class CoxeterSystem:
         return e
 
     def table(self, max_order: int = 10 ** 6) -> "GroupTable":
-        if self._table is None:
+        """The group table of the base system, shared by all its lifts."""
+        base = self._base
+        if base._table is None:
             order = self.matrix.group_order()
             if order > max_order:
                 raise TooLarge(f"group order {order} exceeds bound {max_order}")
-            self._table = GroupTable(self)
-        return self._table
+            base._table = GroupTable(base)
+        return base._table
 
     def with_field_level(self, L: int) -> "CoxeterSystem":
-        """A fresh system over a field of level lcm(L, current).
+        """This system viewed over the field of level lcm(L, current).
 
-        Root indices and reflection tables are identical to this system's, so
-        group elements carry over verbatim.
+        The view (a lift) is built once per level and memoized on the base
+        system; lifting a lift resolves through the base.  Its roots are the
+        base roots embedded coordinate by coordinate (the fields nest), so
+        root indices, reflection tables, twist permutations and the group
+        table are the base's own and group elements carry over verbatim.
         """
+        base = self._base
         target = math.lcm(self.field.L, L)
-        if target == self.field.L:
-            return self
-        sys2 = build_system(self.matrix, L_hint=target)
-        assert sys2.npos == self.npos and sys2.reflections == self.reflections
-        return sys2
+        if target == base.field.L:
+            return base
+        lift = base._lifts.get(target)
+        if lift is None:
+            field = get_field(target)
+            roots = [tuple(field.embed_from(c) for c in v) for v in base.pos_roots]
+            lift = CoxeterSystem(base.matrix, field, roots, base.reflections)
+            lift._base = base
+            base._lifts[target] = lift
+        return lift
 
-    def twist_root_perm(self, twist: "DiagramTwist") -> tuple[int, ...]:
-        key = twist.perm
-        cached = self._twist_root_perms.get(key)
+    def twist_root_perm(self, twist: "DiagramTwist", m: int = 1) -> tuple[int, ...]:
+        """Root permutation of d^m, memoized on the base system."""
+        m %= twist.order
+        key = (twist.perm, m)
+        cache = self._base._twist_root_perms
+        cached = cache.get(key)
         if cached is None:
-            inv = [0] * self.rank
-            for i, im in enumerate(twist.perm):
-                inv[im] = i
-            perm = []
-            for r in range(self.nroots):
-                v = self.root_vector(r)
-                img = tuple(v[inv[i]] for i in range(self.rank))
-                perm.append(self.root_index(img))
-            cached = tuple(perm)
-            self._twist_root_perms[key] = cached
+            if m == 0:
+                cached = self._identity_perm
+            elif m == 1:
+                inv = invert_perm(twist.perm)
+                cached = tuple(
+                    self.root_index(tuple(v[inv[i]] for i in range(self.rank)))
+                    for v in map(self.root_vector, range(self.nroots)))
+            else:
+                cached = compose(self.twist_root_perm(twist),
+                                 self.twist_root_perm(twist, m - 1))
+            cache[key] = cached
         return cached
+
+    def twist_conj(self, perm: tuple[int, ...], twist: "DiagramTwist",
+                   m: int) -> tuple[int, ...]:
+        """Permutation of d^m w d^-m for the body permutation of w."""
+        if m % twist.order == 0:
+            return perm
+        return compose(self.twist_root_perm(twist, m),
+                       compose(perm, self.twist_root_perm(twist, -m)))
 
     def __repr__(self):
         names = "x".join(name for name, _ in self.matrix.classify())
@@ -463,7 +504,7 @@ def build_system(matrix: CoxeterMatrix, L_hint: int | None = None,
         return tuple(out)
 
     pos: Matrix = []
-    lookup: dict[tuple, int] = {}
+    lookup: dict[Vector, int] = {}
 
     def root_sign(v: Vector) -> int:
         signs = {c.sign() for c in v if not c.is_zero()}
@@ -493,24 +534,7 @@ def build_system(matrix: CoxeterMatrix, L_hint: int | None = None,
                 pos.append(img)
                 nxt.append(img)
         frontier = nxt
-
-    npos = len(pos)
-    final_lookup: dict[tuple, int] = {}
-    for idx, v in enumerate(pos):
-        final_lookup[tuple(v)] = idx
-        final_lookup[tuple(-c for c in v)] = idx + npos
-
-    reflections = []
-    for i in range(n):
-        perm = []
-        for r in range(2 * npos):
-            v = pos[r] if r < npos else tuple(-c for c in pos[r - npos])
-            perm.append(final_lookup[tuple(refl(i, v))])
-        reflections.append(tuple(perm))
-
-    system = CoxeterSystem(matrix, field, pos, reflections)
-    system._root_lookup = final_lookup
-    return system
+    return CoxeterSystem(matrix, field, pos)
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +644,8 @@ class DiagramTwist:
     def __init__(self, matrix: CoxeterMatrix, perm: Sequence[int]):
         p = tuple(perm)
         n = matrix.rank
-        assert sorted(p) == list(range(n)), "not a permutation of the index set"
+        if sorted(p) != list(range(n)):
+            raise ValueError(f"twist {p} is not a permutation of 0..{n - 1}")
         for i in range(n):
             for j in range(n):
                 if matrix[p[i], p[j]] != matrix[i, j]:
@@ -636,9 +661,6 @@ class DiagramTwist:
 
     def is_identity(self) -> bool:
         return self.perm == tuple(range(self.matrix.rank))
-
-    def inverse_perm(self) -> tuple[int, ...]:
-        return invert_perm(self.perm)
 
     def power_perm(self, k: int) -> tuple[int, ...]:
         k %= self.order
@@ -698,19 +720,9 @@ class TwistedElement:
         self.k = k % twist.order
         self.body = body
 
-    def _twist_conj_perm(self, perm: tuple[int, ...], m: int) -> tuple[int, ...]:
-        """Permutation of d^m w d^-m."""
-        m %= self.twist.order
-        if m == 0:
-            return perm
-        rp = self.system.twist_root_perm(self.twist)
-        fwd = rp
-        for _ in range(m - 1):
-            fwd = compose(rp, fwd)
-        return compose(fwd, compose(perm, invert_perm(fwd)))
-
     def twist_conj_body(self, g: GroupElement, m: int) -> GroupElement:
-        return GroupElement(self.system, self._twist_conj_perm(g.perm, m))
+        """d^m g d^-m."""
+        return GroupElement(self.system, self.system.twist_conj(g.perm, self.twist, m))
 
     def __mul__(self, other: "TwistedElement") -> "TwistedElement":
         assert other.twist == self.twist
@@ -741,11 +753,7 @@ class TwistedElement:
 
     def root_perm(self) -> tuple[int, ...]:
         """Action on the root index set (body first, then the twist)."""
-        rp = self.system.twist_root_perm(self.twist)
-        out = self.body.perm
-        for _ in range(self.k):
-            out = compose(rp, out)
-        return out
+        return compose(self.system.twist_root_perm(self.twist, self.k), self.body.perm)
 
     def apply(self, v: Vector) -> Vector:
         w = self.body.apply(v)
@@ -1012,21 +1020,10 @@ class GroupTable:
     def index_of(self, g: GroupElement) -> int:
         return self.index[g.perm]
 
-    def mult(self, x: int, y: int) -> int:
-        """General product via the permutations (not table-backed)."""
-        return self.index[compose(self.perms[x], self.perms[y])]
-
-    def inverse_of(self, x: int) -> int:
-        return self.index[invert_perm(self.perms[x])]
-
     def twist_index_map(self, twist: DiagramTwist, k: int = 1) -> list[int]:
         """x -> index of d^k x d^-k."""
-        rp = self.system.twist_root_perm(twist)
-        fwd = self.system._identity_perm
-        for _ in range(k % twist.order):
-            fwd = compose(rp, fwd)
-        inv = invert_perm(fwd)
-        return [self.index[compose(fwd, compose(p, inv))] for p in self.perms]
+        conj = self.system.twist_conj
+        return [self.index[conj(p, twist, k)] for p in self.perms]
 
 
 # ---------------------------------------------------------------------------
@@ -1056,13 +1053,7 @@ def system_from_json(data: dict) -> CoxeterSystem:
     pos = [tuple(field.scalar([Fraction(a, b) for a, b in coeffs]) for coeffs in vec)
            for vec in data["positive_roots"]]
     reflections = [tuple(p) for p in data["reflections"]]
-    system = CoxeterSystem(matrix, field, pos, reflections)
-    lookup: dict[tuple, int] = {}
-    for idx, v in enumerate(pos):
-        lookup[tuple(v)] = idx
-        lookup[tuple(-c for c in v)] = idx + len(pos)
-    system._root_lookup = lookup
-    return system
+    return CoxeterSystem(matrix, field, pos, reflections)
 
 
 def cache_key(matrix: CoxeterMatrix, L: int) -> str:

@@ -3,8 +3,10 @@
 Angles are rationals q in [0, 1] standing for theta = q*pi.  The eigenspace
 V^theta = ker(M + M^-1 - 2cos(theta) I) is computed by exact Gaussian
 elimination; expressing 2cos(2*pi*k/d) may require a larger field, in which
-case the system is transparently rebuilt at level lcm(L, d) (root indices
-are stable, so elements carry over).
+case the element is carried over to the system's view at level lcm(L, d)
+(CoxeterSystem.with_field_level: the same roots embedded in the larger field,
+the same root indices and group table).  Every vector the decomposition
+returns lives in that view's field.
 
 The kernel ranks are the primary multiplicities.  A redundant cross-check
 recomputes them as the discrete Fourier transform of the trace sequence
@@ -114,7 +116,11 @@ def _matrix_plus_inverse(w: TwistedElement, system: CoxeterSystem) -> Matrix:
 
 
 def eigen_decomposition(w: TwistedElement, dft_check: bool = True) -> EigenDecomposition:
-    """Exact eigen-angle decomposition, raising the field level as needed."""
+    """Exact eigen-angle decomposition, raising the field level as needed.
+
+    `owner` and `system` are w and its system, viewed over the raised field
+    when 2cos(2pi/d) is not in the current one.
+    """
     d = order(w)
     system = w.system
     try:
@@ -377,9 +383,6 @@ class Filtration:
     def irredundant(self) -> tuple[Angle, ...]:
         return tuple(self.angles[i - 1] for i in self.irredundant_indices)
 
-    def subgroup_generators(self, i: int) -> list[int]:
-        return sorted(self.hyperplane_sets[i])
-
 
 def admissible_filtration(w: TwistedElement, angles,
                           eig: EigenDecomposition | None = None) -> Filtration:
@@ -480,10 +483,3 @@ def _good_position_holds(chamber: Chamber, filtration: Filtration,
             if s != 0 and s != chamber.sign(r):
                 return False
     return True
-
-
-def good_position_chamber_full(w: TwistedElement, start_index: int = 0) -> Chamber:
-    """Good position with respect to the full angle sequence of w."""
-    eig = eigen_decomposition(w, dft_check=False)
-    filt = admissible_filtration(eig.owner, eig.angles)
-    return good_position_chamber(eig.owner, filt, start_index)

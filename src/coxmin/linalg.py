@@ -49,10 +49,6 @@ def zero_vector(field: ScalarField, n: int) -> Vector:
     return (field.zero,) * n
 
 
-def mat_apply(rows: Matrix, v: Vector) -> Vector:
-    return tuple(vec_dot(r, v) for r in rows)
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     bt = list(zip(*b))
     return [tuple(vec_dot(row, col) for col in bt) for row in a]
@@ -203,13 +199,12 @@ class Cone:
     """Generator form of a polyhedral cone: lineality basis plus rays."""
 
     def __init__(self, field: ScalarField, dim: int, lines: Matrix, rays: Matrix,
-                 tight: list[set[int]], nconstraints: int):
+                 tight: list[set[int]]):
         self.field = field
         self.dim = dim
         self.lines = lines
         self.rays = rays
         self._tight = tight
-        self._nconstraints = nconstraints
 
     def span(self) -> Matrix:
         red, _ = rref(list(self.lines) + list(self.rays))
@@ -282,7 +277,7 @@ def cone_from_constraints(field: ScalarField, dim: int, constraints: Sequence[Ve
                 new_tight.append(z12 | {idx})
         rays, tight = new_rays, new_tight
 
-    return Cone(field, dim, lines, rays, tight, len(constraints))
+    return Cone(field, dim, lines, rays, tight)
 
 
 def cone_point_avoiding(cone: Cone, avoid: Sequence[Vector],

@@ -124,24 +124,12 @@ def _fpoly_eval(p: Sequence[Fraction], x: Fraction) -> Fraction:
     return acc
 
 
-def _fpoly_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = list(a)
-    while len(a) >= len(b) and a:
-        coef = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        for j, bj in enumerate(b):
-            a[shift + j] -= coef * bj
-        while a and a[-1] == 0:
-            a.pop()
-    return a
-
-
 def _sturm_chain(p: Sequence[Fraction]) -> list[list[Fraction]]:
     chain = [list(p)]
     dp = [i * c for i, c in enumerate(p)][1:]
     chain.append(dp)
     while len(chain[-1]) > 1:
-        r = _fpoly_rem(chain[-2], chain[-1])
+        r = _fpoly_divmod(chain[-2], chain[-1])[1]
         if not r:
             break
         chain.append([-c for c in r])

@@ -56,20 +56,8 @@ class FlowCurve:
     start: Vector
     components: dict[Fraction, Vector]
 
-    def limit_component(self) -> Vector:
-        return self.components[self.eigen.theta0]
-
     def rate(self, q: Fraction) -> float:
         return 4.0 * (1.0 - math.cos(float(q) * math.pi))
-
-    def float_value(self, t: float) -> list[float]:
-        n = self.eigen.system.rank
-        out = [0.0] * n
-        for q, comp in self.components.items():
-            scale = math.exp(self.rate(q) * t)
-            for i in range(n):
-                out[i] += scale * float(comp[i])
-        return out
 
 
 def flow_curve(w: TwistedElement, v: Vector,
@@ -388,13 +376,6 @@ def _certified_curve_signs(system: CoxeterSystem, angles, comps,
 # Length formulas.
 
 
-def _embed_matrix(system: CoxeterSystem, mat: Matrix) -> Matrix:
-    """Re-express vectors in the system's field (levels nest by construction)."""
-    if not mat or mat[0][0].field.L == system.field.L:
-        return mat
-    return [tuple(system.field.embed_from(c) for c in v) for v in mat]
-
-
 def _angle_of_invariant_subspace(w: TwistedElement, eig: EigenDecomposition,
                                  basis: Matrix) -> Fraction:
     """The q with span(basis) inside V^{q pi}; checks w-stability."""
@@ -415,15 +396,13 @@ def special_length_formula(w: TwistedElement, basis: Matrix, chamber: Chamber,
 
     Hypotheses verified exactly: A and w(A) in one H_K-component, and the
     closure of A contains a nonzero v in K such that any hyperplane through
-    both v and w(v) contains K (a regular point of K is such a v).
+    both v and w(v) contains K (a regular point of K is such a v).  The
+    basis and the witness are over eigen_decomposition(w).system.field.
     """
     eig = eigen_decomposition(w, dft_check=False)
     system = eig.system
     w = eig.owner
     chamber = Chamber(system, GroupElement(system, chamber.x.perm))
-    basis = _embed_matrix(system, basis)
-    if witness is not None:
-        witness = _embed_matrix(system, [witness])[0]
     q = _angle_of_invariant_subspace(w, eig, basis)
     h_k = hyperplanes_containing(system, basis)
     image = chamber.image_under(w)
@@ -462,12 +441,14 @@ def special_length_formula(w: TwistedElement, basis: Matrix, chamber: Chamber,
 
 def decompose_at_regular(w: TwistedElement, chamber: Chamber, basis: Matrix
                          ) -> tuple[TwistedElement, GroupElement, tuple[int, ...]]:
-    """w_A = w_{K,A} u with u in W_J, J = I(K, A), and additive lengths."""
+    """w_A = w_{K,A} u with u in W_J, J = I(K, A), and additive lengths.
+
+    The basis of K is over eigen_decomposition(w).system.field.
+    """
     eig = eigen_decomposition(w, dft_check=False)
     system = eig.system
     w = eig.owner
     chamber = Chamber(system, GroupElement(system, chamber.x.perm))
-    basis = _embed_matrix(system, basis)
     q = _angle_of_invariant_subspace(w, eig, basis)
     h_k = hyperplanes_containing(system, basis)
     try:
@@ -507,13 +488,13 @@ def component_length(w: TwistedElement, basis: Matrix, component: Chamber) -> in
     """Hyperplanes of H_K separating a component U from w(U).
 
     The component is named by any chamber inside it; only the signs at the
-    hyperplanes containing K matter, and those are constant on U.
+    hyperplanes containing K matter, and those are constant on U.  The basis
+    of K is over eigen_decomposition(w).system.field.
     """
     eig = eigen_decomposition(w, dft_check=False)
     system = eig.system
     w = eig.owner
     component = Chamber(system, GroupElement(system, component.x.perm))
-    basis = _embed_matrix(system, basis)
     _angle_of_invariant_subspace(w, eig, basis)  # checks stability
     h_k = hyperplanes_containing(system, basis)
     perm_inv = GroupElement(system, w.root_perm()).inv_perm

@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 from coxmin.cli import main
 
@@ -41,6 +44,9 @@ def test_usage_errors(capsys):
     assert code == 2 and "error" in err
     code, _, err = run(capsys, "classes")
     assert code == 2
+    # A twist that is not a permutation is a usage error, not a violation.
+    code, _, err = run(capsys, "classes", "--type", "A2", "--twist", "1,1")
+    assert code == 2 and "not a permutation" in err
 
 
 def test_verify_small_all_pass(capsys):
@@ -156,3 +162,42 @@ def test_violation_exit_code(capsys, monkeypatch):
     results = json.loads(out)["results"]
     assert any(r["status"] == "fail" and "injected" in r["detail"]
                for r in results)
+
+
+def test_system_built_once_per_type(capsys, monkeypatch):
+    # Every twist of --twist auto shares one root system and group table.
+    import coxmin.cli as cli
+    calls = []
+    real = cli.load_or_build
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_or_build", counting)
+    code, out, _ = run(capsys, "verify", "--type", "A3", "--twist", "auto",
+                       "--checks", "gp1")
+    assert code == 0
+    assert {r["twist"] for r in json.loads(out)["results"]} == {"1,2,3", "3,2,1"}
+    assert len(calls) == 1
+    code, _, _ = run(capsys, "classes", "--type", "A3", "--twist", "auto")
+    assert code == 0 and len(calls) == 2
+
+
+def test_walk_end_check_survives_optimize():
+    # The walk end check must not live in an assert: under python -O a
+    # chamber that misses the regular point still fails the verification.
+    script = (
+        "import sys\n"
+        "from coxmin import cli, coxeter\n"
+        "coxeter.Chamber.contains_in_closure = lambda self, v: False\n"
+        "sys.exit(cli.main(['verify', '--type', 'A2', '--checks', 'walk']))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stderr
+    results = json.loads(proc.stdout)["results"]
+    assert all(r["status"] == "fail" for r in results)

@@ -5,11 +5,13 @@ import random
 import pytest
 
 from coxmin.coxeter import (Chamber, CoxeterMatrix, TwistedElement,
-                            build_system, cache_key, conjugate_by_chamber,
-                            coset_decompose, enumerate_twists,
+                            build_system, cache_key, compose,
+                            conjugate_by_chamber, coset_decompose,
+                            enumerate_twists, invert_perm,
                             is_minimal_double_coset_rep, load_or_build,
                             named_matrix, parabolic_max, system_from_json,
                             system_to_json, untwisted)
+from coxmin.eigen import eigen_decomposition, order
 from coxmin.errors import NotFinite
 
 
@@ -248,3 +250,52 @@ def test_with_field_level_preserves_combinatorics():
     assert big.field.L == 8
     assert big.reflections == b2.reflections
     assert big.npos == b2.npos
+    # One lift per level, memoized on the base; a lift of a lift resolves
+    # through the base, and lifting to the current level is the identity.
+    assert b2.with_field_level(8) is big
+    assert big.with_field_level(8) is big
+    assert big.with_field_level(4) is big
+    assert big.with_field_level(3) is b2.with_field_level(24)
+    assert b2.with_field_level(2) is b2
+    # The combinatorial core is the base's own object.
+    assert big.reflections is b2.reflections
+    assert big.table() is b2.table()
+    assert big.table().system is b2
+    # Two elements that need the same larger field share one view of D4.
+    d4 = build_system(named_matrix("D4"))
+    tbl = d4.table()
+    order4 = [w for w in map(untwisted, map(tbl.element, range(tbl.size)))
+              if order(w) == 4][:2]
+    assert len(order4) == 2 and order4[0] != order4[1]
+    first, second = (eigen_decomposition(w, dft_check=False) for w in order4)
+    assert first.system is second.system is d4.with_field_level(4)
+    assert first.system.field.L == 12
+
+
+@pytest.mark.parametrize("name,L", [("B2", 8), ("A3", 12), ("H3", 30), ("F4", 24)])
+def test_lift_roots_match_orbit_closure(name, L):
+    """Embedded roots equal the roots built by orbit closure at that level."""
+    base = build_system(named_matrix(name))
+    lift = base.with_field_level(L)
+    ref = build_system(named_matrix(name), L_hint=L)
+    assert lift.field is ref.field
+    assert lift.pos_roots == ref.pos_roots
+    assert ref.reflections == base.reflections
+    for twist in enumerate_twists(base.matrix):
+        assert lift.twist_root_perm(twist) == ref.twist_root_perm(twist)
+
+
+@pytest.mark.parametrize("name", ["A3", "D4", "E6", "F4"])
+def test_twist_root_perm_powers(name):
+    """Memoized powers against repeated composition of the root permutation."""
+    system = build_system(named_matrix(name))
+    p = system.reflections[0]
+    for twist in enumerate_twists(system.matrix):
+        rp = system.twist_root_perm(twist)
+        power = system.identity.perm
+        for m in range(2 * twist.order + 1):
+            assert system.twist_root_perm(twist, m) == power
+            assert system.twist_root_perm(twist, -m) == invert_perm(power)
+            assert system.twist_conj(p, twist, m) == \
+                compose(power, compose(p, invert_perm(power)))
+            power = compose(rp, power)

@@ -67,7 +67,7 @@ def test_eigen_exactness_and_orthogonality():
 
 def test_field_raise_on_demand():
     # D4 is built over Q (L = 3 covers the bonds); an order-4 element needs
-    # cos(pi/2)-level angles 2*pi*k/4, so the system is rebuilt at lcm(3, 4).
+    # cos(pi/2)-level angles 2*pi*k/4, so it is viewed at level lcm(3, 4).
     d4 = build_system(named_matrix("D4"))
     assert d4.field.L == 3
     tbl = d4.table()
