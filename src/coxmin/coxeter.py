@@ -107,10 +107,15 @@ class CoxeterMatrix:
         return order
 
     def field_level(self) -> int:
+        """Least L with every 2cos(pi/m) of a bond label m in Q(2cos(pi/L)).
+
+        2cos(pi/2) = 0 and 2cos(pi/3) = 1 are rational, so only labels
+        m >= 4 count: A/D/E give 1, B/F 4, H 5, G2 6 and I2(m) m.
+        """
         L = 1
         for i in range(self.rank):
             for j in range(i + 1, self.rank):
-                if self.entries[i][j] >= 3:
+                if self.entries[i][j] >= 4:
                     L = math.lcm(L, self.entries[i][j])
         return L
 

@@ -3,7 +3,9 @@
 Angles are rationals q in [0, 1] standing for theta = q*pi.  The eigenspace
 V^theta = ker(M + M^-1 - 2cos(theta) I) is computed by exact Gaussian
 elimination; expressing 2cos(2*pi*k/d) may require a larger field, in which
-case the element is carried over to the system's view at level lcm(L, d)
+case the element is carried over to the system's view at level lcm(L, e),
+e the denominator of 2/d (d/2 for even d: 2cos(2*pi*k/d) lies in the real
+subfield of the d-th cyclotomic field, of degree phi(d)/2)
 (CoxeterSystem.with_field_level: the same roots embedded in the larger field,
 the same root indices and group table).  Every vector the decomposition
 returns lives in that view's field.
@@ -124,9 +126,10 @@ def eigen_decomposition(w: TwistedElement, dft_check: bool = True) -> EigenDecom
     d = order(w)
     system = w.system
     try:
-        system.field.two_cos(Fraction(2, d) if d > 1 else Fraction(0))
+        system.field.two_cos(Fraction(2, d))
     except FieldTooSmall:
-        system = system.with_field_level(d)
+        # Every angle 2k/d has its denominator dividing that of 2/d.
+        system = system.with_field_level(Fraction(2, d).denominator)
         w = TwistedElement(system, w.twist, w.k,
                            GroupElement(system, w.body.perm))
     field = system.field

@@ -20,8 +20,9 @@ class SearchBound(CoxminError):
 class FieldTooSmall(CoxminError):
     """The current field level cannot express a required cosine.
 
-    Raised internally; callers that can raise the field level catch it
-    and retry at lcm(L, d).
+    Raised by ScalarField.two_cos when the reduced angle q (for 2cos(q*pi))
+    has a denominator above 3 that does not divide L; callers that can
+    raise the field level catch it and retry at lcm(L, denominator of q).
     """
 
 

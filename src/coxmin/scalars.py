@@ -28,6 +28,10 @@ Coeffs = tuple[Fraction, ...]
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+# 2cos(q*pi) for the q in [0, 1] where it is rational.
+_RATIONAL_TWO_COS = {Fraction(0): 2, Fraction(1, 3): 1, Fraction(1, 2): 0,
+                     Fraction(2, 3): -1, Fraction(1): -2}
+
 
 # ---------------------------------------------------------------------------
 # Integer polynomial helpers (coefficient lists, index = degree).
@@ -233,13 +237,21 @@ class ScalarField:
         return self.scalar([Fraction(q)])
 
     def two_cos(self, q: Fraction) -> AlgebraicScalar:
-        """The scalar 2cos(q*pi); requires q*L to be an integer."""
+        """The scalar 2cos(q*pi).
+
+        Rational at any level when q (reduced to [0, 1]) has denominator at
+        most 3; otherwise that denominator must divide L.
+        """
         q = Fraction(q) % 2
         if q > 1:
             q = 2 - q
         cached = self._two_cos_cache.get(q)
         if cached is not None:
             return cached
+        if q in _RATIONAL_TWO_COS:
+            acc = self.from_rational(_RATIONAL_TWO_COS[q])
+            self._two_cos_cache[q] = acc
+            return acc
         j = q * self.L
         if j.denominator != 1:
             raise FieldTooSmall(f"2cos({q}*pi) not expressible at level L={self.L}")

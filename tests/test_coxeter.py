@@ -261,15 +261,25 @@ def test_with_field_level_preserves_combinatorics():
     assert big.reflections is b2.reflections
     assert big.table() is b2.table()
     assert big.table().system is b2
-    # Two elements that need the same larger field share one view of D4.
-    d4 = build_system(named_matrix("D4"))
-    tbl = d4.table()
-    order4 = [w for w in map(untwisted, map(tbl.element, range(tbl.size)))
-              if order(w) == 4][:2]
-    assert len(order4) == 2 and order4[0] != order4[1]
-    first, second = (eigen_decomposition(w, dft_check=False) for w in order4)
-    assert first.system is second.system is d4.with_field_level(4)
-    assert first.system.field.L == 12
+    # Two elements that need the same larger field share one view of A4.
+    a4 = build_system(named_matrix("A4"))
+    tbl = a4.table()
+    order5 = [w for w in map(untwisted, map(tbl.element, range(tbl.size)))
+              if order(w) == 5][:2]
+    assert len(order5) == 2 and order5[0] != order5[1]
+    first, second = (eigen_decomposition(w, dft_check=False) for w in order5)
+    assert first.system is second.system is a4.with_field_level(5)
+    assert first.system.field.L == 5
+
+
+# 2cos(pi/m) is rational for m = 2, 3, so only bond labels m >= 4 count.
+@pytest.mark.parametrize("name,L", [
+    ("A1", 1), ("A3", 1), ("A4", 1), ("D4", 1), ("E6", 1), ("E7", 1), ("E8", 1),
+    ("B2", 4), ("B3", 4), ("B4", 4), ("F4", 4), ("H3", 5), ("H4", 5),
+    ("G2", 6), ("I2(5)", 5), ("I2(7)", 7), ("I2(8)", 8), ("I2(12)", 12),
+])
+def test_field_level_by_type(name, L):
+    assert named_matrix(name).field_level() == L
 
 
 @pytest.mark.parametrize("name,L", [("B2", 8), ("A3", 12), ("H3", 30), ("F4", 24)])

@@ -65,24 +65,44 @@ def test_eigen_exactness_and_orthogonality():
                     assert system.inner(u, v).is_zero()
 
 
+def _first_of_order(system, d):
+    tbl = system.table()
+    return next(w for w in map(untwisted, map(tbl.element, range(tbl.size)))
+                if order(w) == d)
+
+
 def test_field_raise_on_demand():
-    # D4 is built over Q (L = 3 covers the bonds); an order-4 element needs
-    # cos(pi/2)-level angles 2*pi*k/4, so it is viewed at level lcm(3, 4).
+    # D4 is built over Q (L = 1: every bond has 2cos(pi/3) = 1).  An
+    # order-4 element has angles 2*pi*k/4 with 2cos in {2, 0, -2}, so it
+    # stays on the base system.
     d4 = build_system(named_matrix("D4"))
-    assert d4.field.L == 3
-    tbl = d4.table()
-    w = None
-    for idx in range(tbl.size):
-        cand = untwisted(tbl.element(idx))
-        if order(cand) == 4:
-            w = cand
-            break
-    assert w is not None
+    assert d4.field.L == 1
+    w = _first_of_order(d4, 4)
     eig = eigen_decomposition(w)
-    assert eig.system.field.L == 12
-    assert (2 * eig.system.field.L) % 4 == 0
+    assert eig.system is d4
+    assert eig.system.field.L == 1
+    assert eig.owner.body.perm == w.body.perm
+    # A4 is built over Q too; an order-5 element needs 2cos(2*pi/5), so it
+    # is viewed at level 5.
+    a4 = build_system(named_matrix("A4"))
+    assert a4.field.L == 1
+    w = _first_of_order(a4, 5)
+    eig = eigen_decomposition(w)
+    assert eig.system is a4.with_field_level(5)
+    assert eig.system.field.L == 5
     # Elements carry over verbatim to the raised system.
     assert eig.owner.body.perm == w.body.perm
+
+
+def test_h4_eigen_levels():
+    # 2cos(2*pi*k/d) lies in Q(2cos(pi/e)), e the denominator of 2/d; H4 is
+    # built at level 5, so the views are at lcm(5, e).
+    h4 = build_system(named_matrix("H4"))
+    assert h4.field.L == 5
+    for d, L in [(4, 5), (12, 30), (20, 10), (30, 15)]:
+        eig = eigen_decomposition(_first_of_order(h4, d), dft_check=False)
+        assert eig.system.field.L == L
+        assert eig.system is h4.with_field_level(L)
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "H3"])

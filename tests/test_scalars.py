@@ -40,6 +40,19 @@ def test_two_cos(L, q):
     assert abs(float(s) - 2 * math.cos(float(q) * math.pi)) < 1e-12
 
 
+@pytest.mark.parametrize("L", [1, 4, 5])
+@pytest.mark.parametrize("q,value", [(Fraction(0), 2), (Fraction(1, 3), 1),
+                                     (Fraction(1, 2), 0), (Fraction(2, 3), -1),
+                                     (Fraction(1), -2)])
+def test_two_cos_rational_at_any_level(L, q, value):
+    f = get_field(L)
+    s = f.two_cos(q)
+    assert s == f.from_rational(value)
+    assert s.as_fraction() == value
+    # The same value for the angle folded into [0, 1].
+    assert f.two_cos(q + 2) == s and f.two_cos(2 - q) == s
+
+
 def test_two_cos_needs_field_level():
     f = get_field(3)
     with pytest.raises(FieldTooSmall):
