@@ -10,7 +10,8 @@ and braid-power theorems exhaustively on desk-scale groups.
 __version__ = "0.1.0"
 
 from .errors import (CoxminError, NotFinite, TooLarge, SearchBound,
-                     FieldTooSmall, MultiplicityMismatch, NoRegularPoint,
+                     FieldTooSmall, FieldMismatch, ScalarDomainError,
+                     MultiplicityMismatch, NoRegularPoint,
                      NotAdmissible, ConstructionFailed, HypothesisFailed,
                      IdentityFailed, TheoremViolation, WalkStuck)
 from .scalars import AlgebraicScalar, ScalarField, get_field, minpoly_two_cos_pi_over

@@ -26,6 +26,17 @@ class FieldTooSmall(CoxminError):
     """
 
 
+class FieldMismatch(CoxminError):
+    """Scalars of different field levels met in one operation, or a scalar
+    was embedded into a field whose level its own level does not divide."""
+
+
+class ScalarDomainError(CoxminError, ArithmeticError):
+    """A scalar operation outside its domain: the inverse of zero, the
+    rational value of an irrational scalar, more coefficients than the field
+    degree, or a field level below 1."""
+
+
 class MultiplicityMismatch(CoxminError):
     """Trace-DFT multiplicities disagree with exact kernel ranks."""
 

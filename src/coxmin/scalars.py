@@ -3,12 +3,27 @@
 Every geometric quantity in the package (root coordinates, inner products,
 eigenvector entries) lives in such a field for a suitable level L.  A scalar
 is a polynomial in c with rational coefficients, reduced modulo the minimal
-polynomial of c, stored as a fixed-length coefficient tuple.  Equality with
-zero is therefore a syntactic check, and the sign of a nonzero scalar is
-determined by evaluating its polynomial on a shrinking rational interval
-that isolates c among the roots of the minimal polynomial (Sturm isolation
-once per field, plain sign-change bisection afterwards).  Sign queries are
-total: they never return "unknown".
+polynomial of c, stored as integer coefficients over one denominator:
+num = (n_0, ..., n_{m-1}) and den > 0 stand for (n_0 + n_1 c + ... +
+n_{m-1} c^{m-1}) / den, with gcd(n_0, ..., n_{m-1}, den) = 1 and zero as
+0/1.  c is an algebraic integer (its minimal polynomial is monic with
+integer coefficients), so the table that reduces c^k for k >= m is integral
+and a sum or product costs integer operations plus one gcd (Cohen, A Course
+in Computational Algebraic Number Theory, GTM 138).  The normal form is
+unique, so equality, and equality with zero, is a syntactic check.  The
+sign of a nonzero scalar is determined by evaluating num on a shrinking
+rational interval that isolates c among the roots of the minimal polynomial
+(Sturm isolation once per field, plain sign-change bisection afterwards);
+den > 0 does not change it.  Sign queries are total: they never return
+"unknown".
+
+Levels.  For q in [0, 1] in lowest terms, 2cos(q*pi) is rational (2, 1, 0,
+-1 or -2) when the denominator of q is at most 3, and otherwise lies in
+Q(2cos(pi/L)) when that denominator divides L.  So a Coxeter group needs
+the lcm of its bond labels m >= 4, and the eigenvalues 2cos(2*pi*k/d) of an
+element of order d need the denominator of 2/d: they lie in the real
+subfield of the d-th cyclotomic field, of degree phi(d)/2 (Washington,
+Introduction to Cyclotomic Fields), which is Q(2cos(pi/(d/2))) for even d.
 
 Fields of different levels nest: L | L' gives Q(c_L) into Q(c_L') via
 c_L = D_{L'/L}(c_L'), where D_k is the degree-k Dickson polynomial with
@@ -17,11 +32,12 @@ D_k(2cos t) = 2cos(kt).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .errors import FieldTooSmall
+from .errors import FieldMismatch, FieldTooSmall, ScalarDomainError
 
 Coeffs = tuple[Fraction, ...]
 
@@ -57,21 +73,23 @@ def _poly_divmod_exact(num: Sequence[int], den: Sequence[int]) -> list[int]:
     num = list(num)
     q = [0] * (len(num) - len(den) + 1)
     for k in range(len(q) - 1, -1, -1):
-        coef = num[k + len(den) - 1]
-        assert coef % den[-1] == 0
-        coef //= den[-1]
+        coef, rem = divmod(num[k + len(den) - 1], den[-1])
+        if rem:
+            raise ArithmeticError("inexact integer polynomial division")
         q[k] = coef
         if coef:
             for j, dj in enumerate(den):
                 num[k + j] -= coef * dj
-    assert all(x == 0 for x in num)
+    if any(num):
+        raise ArithmeticError("inexact integer polynomial division")
     return q
 
 
 @lru_cache(maxsize=None)
 def cyclotomic(n: int) -> tuple[int, ...]:
     """Integer coefficients of the n-th cyclotomic polynomial."""
-    assert n >= 1
+    if n < 1:
+        raise ValueError(f"cyclotomic index must be >= 1, not {n}")
     p = [-1] + [0] * (n - 1) + [1]  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
@@ -100,20 +118,20 @@ def minpoly_two_cos_pi_over(L: int) -> Coeffs:
     the minimal polynomial is obtained by folding the (palindromic)
     cyclotomic polynomial of index 2L through y = x + 1/x.
     """
-    assert L >= 1
+    if L < 1:
+        raise ScalarDomainError(f"field level must be >= 1, not {L}")
     if L == 1:
         return (Fraction(2), _ONE)  # y + 2, root -2
     phi = cyclotomic(2 * L)
-    d = len(phi) - 1
-    assert d % 2 == 0 and phi[0] == phi[d]
-    half = d // 2
+    half = (len(phi) - 1) // 2
     out = [0] * (half + 1)
     out[0] = phi[half]
     for k in range(1, half + 1):
         dk = _dickson(k)
         for i, coef in enumerate(dk):
             out[i] += phi[half + k] * coef
-    assert out[-1] == 1
+    if out[-1] != 1:
+        raise ArithmeticError(f"folded cyclotomic polynomial of 2cos(pi/{L}) is not monic")
     return tuple(Fraction(x) for x in out)
 
 
@@ -149,15 +167,6 @@ def _sturm_variations(chain: list[list[Fraction]], x: Fraction) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _interval_eval(p: Sequence[Fraction], lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Interval Horner evaluation of p on [lo, hi]."""
-    rl = rh = p[-1] if p else _ZERO
-    for c in reversed(p[:-1]):
-        cands = (rl * lo, rl * hi, rh * lo, rh * hi)
-        rl, rh = min(cands) + c, max(cands) + c
-    return rl, rh
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -167,28 +176,35 @@ class ScalarField:
     def __init__(self, L: int):
         self.L = L
         self.minpoly = minpoly_two_cos_pi_over(L)
-        self.degree = len(self.minpoly) - 1
-        # Reduction table: x^k mod minpoly for k = degree .. 2*degree - 2.
-        m = self.degree
-        red: list[Coeffs] = []
-        cur = [-c for c in self.minpoly[:-1]]  # x^m
-        red.append(tuple(cur))
+        self._mp = mp = tuple(int(c) for c in self.minpoly)  # monic, integral
+        m = self.degree = len(mp) - 1
+        # Reduction table: c^k mod minpoly for k = m .. 2m - 2, integral
+        # because the minimal polynomial is monic; kept as the nonzero
+        # (index, coefficient) pairs of each row.
+        rows = [[-c for c in mp[:-1]]]
         for _ in range(m - 2):
-            cur = [_ZERO] + cur
+            cur = [0] + rows[-1]
             top = cur.pop()
-            if top:
-                cur = [a + top * b for a, b in zip(cur, red[0])]
-            red.append(tuple(cur))
-        self._red = red
-        self.zero = AlgebraicScalar(self, (_ZERO,) * m)
-        self.one = AlgebraicScalar(self, ((_ONE,) + (_ZERO,) * (m - 1))[:m])
+            rows.append([a + top * b for a, b in zip(cur, rows[0])])
+        self._red = [tuple((i, c) for i, c in enumerate(row) if c) for row in rows]
+        self._tail = (0,) * (m - 1)
+        self.zero = AlgebraicScalar(self, (0,) * m)
+        self.one = AlgebraicScalar(self, (1,) + self._tail)
         if m == 1:
-            self.gen = self.from_rational(-self.minpoly[0])
-            self._lo = self._hi = -self.minpoly[0]
+            self.gen = self.from_rational(-mp[0])
+            self._lo = self._hi = Fraction(-mp[0])
         else:
-            self.gen = AlgebraicScalar(self, (_ZERO, _ONE) + (_ZERO,) * (m - 2))
+            self.gen = AlgebraicScalar(self, (0, 1) + (0,) * (m - 2))
             self._isolate_generator()
         self._two_cos_cache: dict[Fraction, AlgebraicScalar] = {}
+
+    def _set_dyadic(self) -> None:
+        # The isolating interval starts at [-3, 2] and only ever halves, so
+        # its ends are dyadic: lo = _ilo / 2^_k and hi = _ihi / 2^_k.
+        lo, hi = self._lo, self._hi
+        self._k = k = max(lo.denominator, hi.denominator).bit_length() - 1
+        self._ilo = lo.numerator << (k - lo.denominator.bit_length() + 1)
+        self._ihi = hi.numerator << (k - hi.denominator.bit_length() + 1)
 
     def __repr__(self) -> str:
         return f"ScalarField(L={self.L})"
@@ -208,6 +224,7 @@ class ScalarField:
             else:
                 hi = mid
         self._lo, self._hi = lo, hi
+        self._set_dyadic()
 
     def refine(self) -> None:
         """Halve the isolating interval of the generator."""
@@ -223,18 +240,27 @@ class ScalarField:
             self._hi = mid
         else:
             self._lo = mid
-        assert self._hi - self._lo == (hi - lo) / 2
+        self._set_dyadic()
 
     # -- constructors -------------------------------------------------------
 
     def scalar(self, coeffs: Iterable[Fraction | int]) -> AlgebraicScalar:
+        """The scalar sum coeffs[i] c^i; at most `degree` coefficients."""
         cs = [Fraction(c) for c in coeffs]
-        assert len(cs) <= self.degree
-        cs += [_ZERO] * (self.degree - len(cs))
-        return AlgebraicScalar(self, tuple(cs))
+        if len(cs) > self.degree:
+            raise ScalarDomainError(
+                f"{len(cs)} coefficients for a field of degree {self.degree}")
+        # Over the lcm of the reduced denominators the numerators are
+        # already coprime to it: the normal form needs no gcd.
+        den = math.lcm(*(c.denominator for c in cs))
+        num = [c.numerator * (den // c.denominator) for c in cs]
+        num += [0] * (self.degree - len(cs))
+        return AlgebraicScalar(self, tuple(num), den)
 
     def from_rational(self, q) -> AlgebraicScalar:
-        return self.scalar([Fraction(q)])
+        if not isinstance(q, (int, Fraction)):
+            q = Fraction(q)
+        return AlgebraicScalar(self, (q.numerator,) + self._tail, q.denominator)
 
     def two_cos(self, q: Fraction) -> AlgebraicScalar:
         """The scalar 2cos(q*pi).
@@ -258,56 +284,70 @@ class ScalarField:
         dick = _dickson(int(j))
         acc = self.zero
         for coef in reversed(dick):
-            acc = acc * self.gen + self.from_rational(coef)
+            acc = acc * self.gen + coef
         self._two_cos_cache[q] = acc
         return acc
 
     def embed_from(self, s: "AlgebraicScalar") -> AlgebraicScalar:
         """Re-express a scalar from a field of level dividing self.L."""
         src = s.field
-        if src is self or src.L == self.L:
-            return self.scalar(s.coeffs)
-        assert self.L % src.L == 0
+        if src.L == self.L:
+            return AlgebraicScalar(self, s.num, s.den)
+        if self.L % src.L:
+            raise FieldMismatch(
+                f"cannot embed level {src.L} into level {self.L}: {src.L} does not divide {self.L}")
+        # c_src is an algebraic integer of this field, so the image of num
+        # is integral and the denominator carries over.
         image = self.two_cos(Fraction(1, src.L))
         acc = self.zero
-        for coef in reversed(s.coeffs):
-            acc = acc * image + self.from_rational(coef)
-        return acc
+        for coef in reversed(s.num):
+            acc = acc * image + coef
+        return _normal(self, acc.num, s.den)
 
-    # -- internal arithmetic -------------------------------------------------
+    # -- certified signs and intervals -----------------------------------------
 
-    def _reduce(self, prod: list[Fraction]) -> Coeffs:
-        m = self.degree
-        out = prod[:m] + [_ZERO] * (m - len(prod))
-        for k in range(m, len(prod)):
-            coef = prod[k]
-            if coef:
-                rk = self._red[k - m]
-                for i in range(m):
-                    out[i] += coef * rk[i]
-        return tuple(out)
+    def _horner(self, num: Sequence[int]) -> tuple[int, int, int]:
+        """(l, h, K) with [l, h] / 2^K the interval Horner value of num.
 
-    def sign_of(self, coeffs: Coeffs) -> int:
-        if all(c == 0 for c in coeffs):
+        The same interval as Horner's rule in rationals on [lo, hi] (degree
+        >= 2 only): every intermediate is scaled by a power of 2^_k, which
+        keeps the order of the candidates and makes them integers.
+        """
+        a, b, k = self._ilo, self._ihi, self._k
+        rl = rh = num[-1]
+        shift = 0
+        for c in num[-2::-1]:
+            shift += k
+            cands = (rl * a, rl * b, rh * a, rh * b)
+            c <<= shift
+            rl, rh = min(cands) + c, max(cands) + c
+        return rl, rh, shift
+
+    def sign_of(self, num: Sequence[int]) -> int:
+        """Sign of sum num[i] c^i (any positive denominator keeps it)."""
+        if not any(num):
             return 0
         if self.degree == 1:
-            return 1 if coeffs[0] > 0 else -1
+            return 1 if num[0] > 0 else -1
         while True:
-            lo, hi = _interval_eval(coeffs, self._lo, self._hi)
+            lo, hi, _ = self._horner(num)
             if lo > 0:
                 return 1
             if hi < 0:
                 return -1
             self.refine()
 
-    def interval_of(self, coeffs: Coeffs, eps: Fraction) -> tuple[Fraction, Fraction]:
+    def interval_of(self, num: Sequence[int], eps: Fraction,
+                    den: int = 1) -> tuple[Fraction, Fraction]:
+        """An interval of width < eps around (sum num[i] c^i) / den, den > 0."""
         if self.degree == 1:
-            v = coeffs[0]
+            v = Fraction(num[0], den)
             return v, v
         while True:
-            lo, hi = _interval_eval(coeffs, self._lo, self._hi)
-            if hi - lo < eps:
-                return lo, hi
+            lo, hi, shift = self._horner(num)
+            # (hi - lo) / (den 2^shift) < eps, cleared of denominators.
+            if (hi - lo) * eps.denominator < (eps.numerator * den) << shift:
+                return Fraction(lo, den << shift), Fraction(hi, den << shift)
             self.refine()
 
 
@@ -316,68 +356,141 @@ def get_field(L: int) -> ScalarField:
     return ScalarField(L)
 
 
+def _normal(field: ScalarField, num: tuple[int, ...], den: int) -> "AlgebraicScalar":
+    """The scalar num/den (den != 0) in normal form."""
+    g = math.gcd(den, *num)
+    if den < 0:
+        g = -g
+    if g != 1:
+        num = tuple([n // g for n in num])
+        den //= g
+    return AlgebraicScalar(field, num, den)
+
+
 class AlgebraicScalar:
-    """An element of Q(2cos(pi/L)), as a reduced coefficient tuple."""
+    """An element of Q(2cos(pi/L)): integer coefficients over one denominator.
 
-    __slots__ = ("field", "coeffs", "_hash", "_sign", "_float")
+    `num` and `den` are in normal form (den > 0, gcd of all of them 1, zero
+    as 0/1); ScalarField.scalar and from_rational build scalars from
+    rational coefficients.
+    """
 
-    def __init__(self, field: ScalarField, coeffs: Coeffs):
+    __slots__ = ("field", "num", "den", "_hash", "_sign", "_float")
+
+    def __init__(self, field: ScalarField, num: tuple[int, ...], den: int = 1):
         self.field = field
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
         self._hash = None
         self._sign = None
         self._float = None
+
+    @property
+    def coeffs(self) -> Coeffs:
+        """The rational coefficients num[i] / den, lowest terms."""
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.num)
 
     # -- ring operations ----------------------------------------------------
 
     def _coerce(self, other) -> "AlgebraicScalar":
         if isinstance(other, AlgebraicScalar):
-            assert other.field.L == self.field.L, "mixed field levels"
+            if other.field is not self.field and other.field.L != self.field.L:
+                raise FieldMismatch(
+                    f"scalars of levels {self.field.L} and {other.field.L} combined")
             return other
         return self.field.from_rational(other)
 
     def __add__(self, other):
-        o = self._coerce(other)
-        return AlgebraicScalar(self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        o = other if type(other) is AlgebraicScalar and other.field is self.field \
+            else self._coerce(other)
+        a, b, da, db = self.num, o.num, self.den, o.den
+        if da == db:
+            num = tuple([x + y for x, y in zip(a, b)])
+            if da == 1:
+                return AlgebraicScalar(self.field, num)
+            return _normal(self.field, num, da)
+        return _normal(self.field, tuple([x * db + y * da for x, y in zip(a, b)]), da * db)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        return AlgebraicScalar(self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        o = other if type(other) is AlgebraicScalar and other.field is self.field \
+            else self._coerce(other)
+        a, b, da, db = self.num, o.num, self.den, o.den
+        if da == db:
+            num = tuple([x - y for x, y in zip(a, b)])
+            if da == 1:
+                return AlgebraicScalar(self.field, num)
+            return _normal(self.field, num, da)
+        return _normal(self.field, tuple([x * db - y * da for x, y in zip(a, b)]), da * db)
 
     def __rsub__(self, other):
         return self._coerce(other).__sub__(self)
 
     def __neg__(self):
-        return AlgebraicScalar(self.field, tuple(-a for a in self.coeffs))
+        return AlgebraicScalar(self.field, tuple([-x for x in self.num]), self.den)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        a, b = self.coeffs, o.coeffs
-        prod = [_ZERO] * (2 * len(a) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] += ai * bj
-        return AlgebraicScalar(self.field, self.field._reduce(prod))
+        field = self.field
+        if type(other) is AlgebraicScalar and other.field is field:
+            o = other
+        elif isinstance(other, (int, Fraction)):
+            return _normal(field, tuple([x * other.numerator for x in self.num]),
+                           self.den * other.denominator)
+        else:
+            o = self._coerce(other)
+        a, b = self.num, o.num
+        m = field.degree
+        if m == 1:
+            num = (a[0] * b[0],)
+        else:
+            # Integer convolution, then c^k -> row k - m of the reduction table.
+            prod = [0] * (2 * m - 1)
+            for i, ai in enumerate(a):
+                if ai:
+                    for j, bj in enumerate(b):
+                        if bj:
+                            prod[i + j] += ai * bj
+            out = prod[:m]
+            for k, row in enumerate(field._red, m):
+                ck = prod[k]
+                if ck:
+                    for i, r in row:
+                        out[i] += ck * r
+            num = tuple(out)
+        den = self.den * o.den
+        if den == 1:
+            return AlgebraicScalar(field, num)
+        return _normal(field, num, den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "AlgebraicScalar":
-        """Multiplicative inverse via the extended Euclidean algorithm."""
-        assert not self.is_zero()
-        # Work in Q[x]: find u with u*self + v*minpoly = 1.
-        r0 = list(self.field.minpoly)
-        r1 = _poly_trim(list(self.coeffs))
+        """Multiplicative inverse: closed forms up to degree 2, else the
+        extended Euclidean algorithm."""
+        if self.is_zero():
+            raise ScalarDomainError("inverse of zero")
+        field, a, den = self.field, self.num, self.den
+        if field.degree == 1:
+            return _normal(field, (den,), a[0])
+        if field.degree == 2:
+            # With c^2 + p1 c + p0 = 0 and c' the conjugate root (c + c' = -p1,
+            # c c' = p0): 1/(a0 + a1 c) = (a0 + a1 c') / norm.
+            p0, p1 = field._mp[0], field._mp[1]
+            a0, a1 = a
+            norm = a0 * a0 - a0 * a1 * p1 + a1 * a1 * p0
+            return _normal(field, ((a0 - a1 * p1) * den, -a1 * den), norm)
+        # (num/den)^-1 = den * u for u with u*num + v*minpoly = 1 in Q[x].
+        r0 = list(field.minpoly)
+        r1 = _poly_trim([Fraction(n) for n in self.num])
         s0, s1 = [], [_ONE]
         while len(r1) > 1:
             q, rem = _fpoly_divmod(r0, r1)
             r0, r1 = r1, rem
             s0, s1 = s1, _fpoly_sub(s0, _poly_trim(_poly_mul(q, s1)))
-        c = r1[0]
-        return self.field.scalar([x / c for x in s1])
+        scale = den / r1[0]
+        return field.scalar([x * scale for x in s1])
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -385,37 +498,35 @@ class AlgebraicScalar:
     def __rtruediv__(self, other):
         return self._coerce(other) * self.inverse()
 
-    def __pow__(self, k: int):
-        assert k >= 0
-        acc = self.field.one
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base
-            k >>= 1
-        return acc
-
     # -- predicates and order -----------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
+
+    def _is_rational(self) -> bool:
+        return not any(self.num[1:])
 
     def sign(self) -> int:
         if self._sign is None:
-            self._sign = self.field.sign_of(self.coeffs)
+            self._sign = self.field.sign_of(self.num)
         return self._sign
 
     def __eq__(self, other):
         if isinstance(other, AlgebraicScalar):
-            return self.field.L == other.field.L and self.coeffs == other.coeffs
+            return (self.field.L == other.field.L and self.den == other.den
+                    and self.num == other.num)
         if isinstance(other, (int, Fraction)):
-            return self.coeffs == self.field.from_rational(other).coeffs
+            return (self._is_rational() and self.num[0] == other.numerator
+                    and self.den == other.denominator)
         return NotImplemented
 
     def __hash__(self):
+        # A rational scalar hashes as its Fraction, as it compares equal to it.
         if self._hash is None:
-            self._hash = hash(self.coeffs)
+            if self._is_rational():
+                self._hash = hash(Fraction(self.num[0], self.den))
+            else:
+                self._hash = hash((self.num, self.den))
         return self._hash
 
     def __lt__(self, other):
@@ -436,7 +547,7 @@ class AlgebraicScalar:
     # -- numeric views --------------------------------------------------------
 
     def interval(self, eps: Fraction = Fraction(1, 10**12)) -> tuple[Fraction, Fraction]:
-        return self.field.interval_of(self.coeffs, eps)
+        return self.field.interval_of(self.num, eps, self.den)
 
     def __float__(self):
         if self._float is None:
@@ -445,8 +556,9 @@ class AlgebraicScalar:
         return self._float
 
     def as_fraction(self) -> Fraction:
-        assert all(c == 0 for c in self.coeffs[1:]), "scalar is irrational"
-        return self.coeffs[0]
+        if not self._is_rational():
+            raise ScalarDomainError(f"{self!r} is irrational")
+        return Fraction(self.num[0], self.den)
 
     def __repr__(self):
         terms = []

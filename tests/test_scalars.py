@@ -1,11 +1,12 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from coxmin.scalars import cyclotomic, get_field, minpoly_two_cos_pi_over
-from coxmin.errors import FieldTooSmall
+from coxmin.errors import FieldMismatch, FieldTooSmall, ScalarDomainError
 
 
 def test_cyclotomic_small():
@@ -124,3 +125,164 @@ def test_interval_brackets_value():
     assert lo <= Fraction(float(s)).limit_denominator(10 ** 12) <= hi or \
         float(hi - lo) < 1e-8
     assert hi - lo < Fraction(1, 10 ** 9)
+
+
+# ---------------------------------------------------------------------------
+# Differential test: the integer-vector scalars against plain Fraction
+# polynomials reduced modulo the minimal polynomial.
+
+
+def _ref_reduce(p, mp):
+    p = list(p)
+    m = len(mp) - 1
+    for k in range(len(p) - 1, m - 1, -1):
+        top = p[k]
+        if top:
+            for i in range(m + 1):
+                p[k - m + i] -= top * mp[i]
+    return tuple(p[:m]) + (Fraction(0),) * (m - len(p))
+
+
+def _ref_mul(a, b, mp):
+    prod = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return _ref_reduce(prod, mp)
+
+
+def _ref_inverse(a, mp):
+    """Solve a * x = 1 by Gaussian elimination on the multiplication matrix."""
+    m = len(a)
+    cols = []
+    basis_img = list(a)
+    for _ in range(m):  # column j holds a * c^j
+        cols.append(basis_img)
+        basis_img = _ref_reduce([Fraction(0)] + list(basis_img), mp)
+    rows = [[cols[j][i] for j in range(m)] + [Fraction(int(i == 0))]
+            for i in range(m)]
+    for c in range(m):
+        piv = next(r for r in range(c, m) if rows[r][c] != 0)
+        rows[c], rows[piv] = rows[piv], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(m):
+            if r != c and rows[r][c] != 0:
+                f = rows[r][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return tuple(row[m] for row in rows)
+
+
+def _ref_interval(coeffs, lo, hi):
+    """Interval Horner in rationals on [lo, hi]."""
+    rl = rh = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        cands = (rl * lo, rl * hi, rh * lo, rh * hi)
+        rl, rh = min(cands) + c, max(cands) + c
+    return rl, rh
+
+
+def _mpf(x):
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+def _ref_value(coeffs, L):
+    c = 2 * mpmath.cos(mpmath.pi / L)
+    return sum(_mpf(x) * c ** i for i, x in enumerate(coeffs))
+
+
+def _assert_normal(s):
+    assert s.den > 0
+    assert math.gcd(s.den, *s.num) == 1
+    assert len(s.num) == s.field.degree
+    assert all(type(n) is int for n in s.num)
+    # Another construction of the same value: equal, with an equal hash.
+    again = s.field.scalar(s.coeffs)
+    assert again == s and hash(again) == hash(s)
+    if not any(s.num[1:]):
+        assert s == s.as_fraction() and hash(s) == hash(s.as_fraction())
+
+
+LEVELS = [1, 4, 5, 10, 12, 30, 60]
+small = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_differential_against_fraction_polynomials(data):
+    L = data.draw(st.sampled_from(LEVELS))
+    f = get_field(L)
+    m, mp = f.degree, f.minpoly
+    xs = tuple(data.draw(st.lists(small, min_size=m, max_size=m)))
+    ys = tuple(data.draw(st.lists(small, min_size=m, max_size=m)))
+    a, b = f.scalar(xs), f.scalar(ys)
+    assert a.coeffs == xs and b.coeffs == ys
+    cases = {
+        "add": (a + b, tuple(x + y for x, y in zip(xs, ys))),
+        "sub": (a - b, tuple(x - y for x, y in zip(xs, ys))),
+        "mul": (a * b, _ref_mul(xs, ys, mp)),
+    }
+    if any(ys):
+        cases["inverse"] = (b.inverse(), _ref_inverse(ys, mp))
+        cases["div"] = (a / b, _ref_mul(xs, _ref_inverse(ys, mp), mp))
+    for name, (got, want) in cases.items():
+        assert got.coeffs == want, name
+        assert got == f.scalar(want), name
+        _assert_normal(got)
+    for s, coeffs in [(a, xs), (a * b, cases["mul"][1])]:
+        eps = Fraction(1, 10 ** data.draw(st.integers(3, 30)))
+        lo, hi = s.interval(eps)
+        assert lo <= hi and hi - lo < eps
+        # The same interval as the rational Horner on the current isolating
+        # interval, and it brackets the value.
+        if m > 1:
+            assert (lo, hi) == _ref_interval(coeffs, f._lo, f._hi)
+        with mpmath.workdps(80):
+            value = _ref_value(coeffs, L)
+            tol = mpmath.mpf(10) ** -70
+            assert _mpf(lo) - tol <= value <= _mpf(hi) + tol
+            want_sign = 0 if not any(coeffs) else (1 if value > 0 else -1)
+        assert s.sign() == want_sign
+
+
+@pytest.mark.parametrize("L", LEVELS)
+def test_normal_form_and_hash(L):
+    f = get_field(L)
+    assert f.zero.num == (0,) * f.degree and f.zero.den == 1
+    half = f.from_rational(Fraction(1, 2))
+    assert (half + half) == f.one and (half + half).den == 1
+    assert hash(f.one) == hash(1) and f.one == 1 and f.one == Fraction(1)
+    assert hash(half) == hash(Fraction(1, 2))
+    x = f.gen * Fraction(2, 6) + Fraction(1, 3)
+    assert x.den in (1, 3) and math.gcd(x.den, *x.num) == 1
+    assert (x - x).num == (0,) * f.degree and (x - x).den == 1
+    assert -(x - x) == f.zero
+
+
+# ---------------------------------------------------------------------------
+# Typed errors on malformed scalar operations (no assert: they hold under -O).
+
+
+def test_mixed_levels_raise_typed_error():
+    a, b = get_field(4).gen, get_field(5).gen
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: a / b,
+               lambda: a < b):
+        with pytest.raises(FieldMismatch):
+            op()
+    assert a != b
+
+
+def test_scalar_domain_errors():
+    f = get_field(5)
+    with pytest.raises(ScalarDomainError):
+        f.zero.inverse()
+    with pytest.raises(ScalarDomainError):
+        f.one / f.zero
+    with pytest.raises(ScalarDomainError):
+        f.gen.as_fraction()
+    with pytest.raises(ScalarDomainError):
+        f.scalar([1, 2, 3])
+    with pytest.raises(ScalarDomainError):
+        get_field(0)
+    with pytest.raises(FieldMismatch):
+        get_field(10).embed_from(get_field(4).gen)
+    assert get_field(10).embed_from(f.gen) == get_field(10).two_cos(Fraction(1, 5))

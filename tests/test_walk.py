@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -306,3 +310,35 @@ def test_strongly_connected_hypothesis_gate():
     C = Chamber.fundamental(a2)
     with pytest.raises(HypothesisFailed):
         strongly_connected_step(ident, C, C.cross(0))
+
+
+def test_mixed_levels_typed_error_survives_optimize():
+    # An order-5 element of A5 with a fixed line: the base system is over Q
+    # (L = 1) and its eigen view at L = 5.  A basis over the base field
+    # handed to component_length meets the view's scalars; the level check
+    # must raise its typed error with and without python -O (an assert
+    # would vanish under -O, and zip would truncate the coefficients).
+    script = (
+        "from coxmin.coxeter import Chamber, build_system, named_matrix, untwisted\n"
+        "from coxmin.eigen import fixed_space, order\n"
+        "from coxmin.errors import FieldMismatch\n"
+        "from coxmin.walk import component_length\n"
+        "system = build_system(named_matrix('A5'))\n"
+        "tbl = system.table()\n"
+        "w = next(w for w in map(untwisted, map(tbl.element, range(tbl.size)))\n"
+        "         if order(w) == 5 and fixed_space(w))\n"
+        "if system.field.L != 1:\n"
+        "    raise SystemExit('A5 is not built over Q')\n"
+        "try:\n"
+        "    component_length(w, fixed_space(w), Chamber.fundamental(system))\n"
+        "except FieldMismatch as exc:\n"
+        "    print('FieldMismatch', exc)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("FieldMismatch"), (flags, proc.stdout)
