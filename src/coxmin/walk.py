@@ -158,10 +158,12 @@ def _good_start_points(eig: EigenDecomposition, chamber: Chamber,
                        start_index: int):
     """Interior points of the chamber whose limit direction is usable.
 
-    Yields (y, components, x, signs) with the theta_0 component x nonzero
-    and regular in V_w.  Candidates come from the deterministic tuple
-    enumerator around the chamber's canonical interior point, so the stream
-    (and every downstream walk) is reproducible.
+    Yields (y, pairings, x, signs) with the theta_0 component x nonzero
+    and regular in V_w; pairings[q][r] = <alpha_r, component q of y> for
+    every nonzero component, computed once per start point.  Candidates
+    come from the deterministic tuple enumerator around the chamber's
+    canonical interior point, so the stream (and every downstream walk) is
+    reproducible.
     """
     system = eig.system
     npos = system.npos
@@ -175,13 +177,18 @@ def _good_start_points(eig: EigenDecomposition, chamber: Chamber,
         x_dir = comps.get(eig.theta0)
         if x_dir is None:
             return None
-        sgn_x = []
+        x_col, sgn_x = [], []
         for r in range(npos):
-            s = system.pair_root(r, x_dir).sign()
+            p = system.pair_root(r, x_dir)
+            s = p.sign()
             if s == 0 and r not in h_vwt:
                 return None  # p(y) is not regular in V_w
+            x_col.append(p)
             sgn_x.append(s)
-        return comps, x_dir, sgn_x
+        pairings = {q: x_col if q == eig.theta0 else
+                    [system.pair_root(r, c) for r in range(npos)]
+                    for q, c in comps.items()}
+        return pairings, x_dir, sgn_x
 
     if start_index == 0:
         res = check(base)
@@ -207,18 +214,17 @@ def _good_start_points(eig: EigenDecomposition, chamber: Chamber,
 
 
 def _walk_once(w: TwistedElement, eig: EigenDecomposition, start: Chamber,
-               y: Vector, comps: dict, x_dir: Vector,
+               y: Vector, pairings: dict, x_dir: Vector,
                sgn_x: list[int]) -> WalkResult:
     system = eig.system
     npos = system.npos
     theta0 = eig.theta0
 
     # Float guidance, decay rates shifted so the theta_0 term is constant.
-    angles = sorted(comps)
+    angles = sorted(pairings)
     lam0 = 4.0 * (1.0 - math.cos(float(theta0) * math.pi))
     rates = [4.0 * (1.0 - math.cos(float(q) * math.pi)) - lam0 for q in angles]
-    coeff = [[float(system.pair_root(r, comps[q])) for q in angles]
-             for r in range(npos)]
+    coeff = [[float(pairings[q][r]) for q in angles] for r in range(npos)]
     scale_ref = max(max(abs(c) for c in row) for row in coeff) or 1.0
 
     def float_vals(s: float) -> list[float]:
@@ -226,7 +232,7 @@ def _walk_once(w: TwistedElement, eig: EigenDecomposition, start: Chamber,
         return [sum(c * d for c, d in zip(row, decay)) for row in coeff]
 
     def interval_signs(s: float, prec: int) -> list[int | None]:
-        return _certified_curve_signs(system, angles, comps, theta0, s, prec)
+        return _certified_curve_signs(system, angles, pairings, theta0, s, prec)
 
     cur_ch = start
     cur_wt = conjugate_by_chamber(w, start)
@@ -331,11 +337,12 @@ def _iv_frac(iv, f: Fraction):
     return iv.mpf(f.numerator) / f.denominator
 
 
-def _certified_curve_signs(system: CoxeterSystem, angles, comps,
+def _certified_curve_signs(system: CoxeterSystem, angles, pairings,
                            theta0, s: float, prec: int) -> list[int | None]:
     """Certified signs of <alpha_r, P(s)> for every positive root.
 
-    P is the time-reversed flow with the theta_0 decay factored out; each
+    P is the time-reversed flow with the theta_0 decay factored out, and
+    pairings[q][r] the exact <alpha_r, component q> of its start point; each
     entry is +-1 when the interval evaluation at the given precision excludes
     zero, None on a straddle (the caller doubles the precision or falls back
     to trying the flipped walls directly).
@@ -358,7 +365,7 @@ def _certified_curve_signs(system: CoxeterSystem, angles, comps,
         for r in range(system.npos):
             acc = iv.mpf(0)
             for qi, q in enumerate(angles):
-                clo, chi = system.pair_root(r, comps[q]).interval(eps)
+                clo, chi = pairings[q][r].interval(eps)
                 c_iv = iv.mpf([_iv_frac(iv, clo).a, _iv_frac(iv, chi).b])
                 acc += c_iv * decay[qi]
             if acc.a > 0:

@@ -134,8 +134,10 @@ def test_certified_curve_signs_match_floats():
     theta0 = eig.theta0
     lam0 = 4.0 * (1.0 - math.cos(float(theta0) * math.pi))
     rates = [4.0 * (1.0 - math.cos(float(q) * math.pi)) - lam0 for q in angles]
+    pairings = {q: [system.pair_root(r, c) for r in range(system.npos)]
+                for q, c in comps.items()}
     for s in (0.0, 0.37, 1.5):
-        certified = _certified_curve_signs(system, angles, comps, theta0, s, 128)
+        certified = _certified_curve_signs(system, angles, pairings, theta0, s, 128)
         for r in range(system.npos):
             val = sum(float(system.pair_root(r, comps[q])) * math.exp(-rt * s)
                       for q, rt in zip(angles, rates))
