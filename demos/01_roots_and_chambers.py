@@ -8,7 +8,8 @@ from coxmin import (Chamber, build_system, conjugate_by_chamber,
                     coset_decompose, named_matrix, parabolic_max, untwisted)
 
 # ---------------------------------------------------------------------------
-# Build a few systems.  The field level L is the lcm of the bond labels.
+# Build a few systems.  The field level L is the lcm of the bond labels
+# m >= 4: A2 lives over Q, since 2cos(pi/3) = 1.
 
 for name in ("A2", "B2", "H3", "F4"):
     system = build_system(named_matrix(name))
@@ -16,7 +17,7 @@ for name in ("A2", "B2", "H3", "F4"):
           f"|W| = {system.matrix.group_order()}")
 
 # H3 lives over the golden-ratio field: the highest root has irrational
-# coordinates, stored as polynomials in c = 2cos(pi/15).
+# coordinates, stored as polynomials in c = 2cos(pi/5).
 h3 = build_system(named_matrix("H3"))
 print("\nH3 last positive root (coordinates in the simple basis):")
 print("  ", [str(c) for c in h3.pos_roots[-1]])

@@ -20,7 +20,7 @@ eig = eigen_decomposition(cox)
 print("H3 Coxeter element eigen-angles (theta = q*pi):")
 for q, dim, _ in eig.entries:
     print(f"  q = {q}   dim V^theta = {dim}")
-print(f"theta_0 = {eig.theta0}; field level raised to L = {eig.system.field.L}")
+print(f"theta_0 = {eig.theta0}; eigenvectors over the field of level L = {eig.system.field.L}")
 
 # ---------------------------------------------------------------------------
 # The flow curve through an interior point of the fundamental chamber.

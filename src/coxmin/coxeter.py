@@ -4,7 +4,8 @@ A system is built from a Coxeter matrix.  V is the span of the simple roots
 with the bilinear form B(a_i, a_j) = -cos(pi/m_ij); positive definiteness of
 B is the finiteness test.  The full root set is the orbit closure of the
 simple roots under the simple reflections, stored as exact vectors over
-Q(2cos(pi/L)) with L = lcm of the finite bond labels.  Orbit closure, sign
+Q(2cos(pi/L)) with L = lcm of the bond labels m >= 4 (2cos(pi/2) = 0 and
+2cos(pi/3) = 1 are rational; see CoxeterMatrix.field_level).  Orbit closure, sign
 coherence and positive definiteness are proved once per matrix: a larger
 field is a view of the same system (with_field_level), its roots embedded
 coordinate by coordinate, with the base's reflection tables, twist

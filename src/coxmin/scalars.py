@@ -198,14 +198,6 @@ class ScalarField:
             self._isolate_generator()
         self._two_cos_cache: dict[Fraction, AlgebraicScalar] = {}
 
-    def _set_dyadic(self) -> None:
-        # The isolating interval starts at [-3, 2] and only ever halves, so
-        # its ends are dyadic: lo = _ilo / 2^_k and hi = _ihi / 2^_k.
-        lo, hi = self._lo, self._hi
-        self._k = k = max(lo.denominator, hi.denominator).bit_length() - 1
-        self._ilo = lo.numerator << (k - lo.denominator.bit_length() + 1)
-        self._ihi = hi.numerator << (k - hi.denominator.bit_length() + 1)
-
     def __repr__(self) -> str:
         return f"ScalarField(L={self.L})"
 
@@ -242,6 +234,14 @@ class ScalarField:
             self._lo = mid
         self._set_dyadic()
 
+    def _set_dyadic(self) -> None:
+        # The isolating interval starts at [-3, 2] and only ever halves, so
+        # its ends are dyadic: lo = _ilo / 2^_k and hi = _ihi / 2^_k.
+        lo, hi = self._lo, self._hi
+        self._k = k = max(lo.denominator, hi.denominator).bit_length() - 1
+        self._ilo = lo.numerator << (k - lo.denominator.bit_length() + 1)
+        self._ihi = hi.numerator << (k - hi.denominator.bit_length() + 1)
+
     # -- constructors -------------------------------------------------------
 
     def scalar(self, coeffs: Iterable[Fraction | int]) -> AlgebraicScalar:
@@ -276,15 +276,13 @@ class ScalarField:
             return cached
         if q in _RATIONAL_TWO_COS:
             acc = self.from_rational(_RATIONAL_TWO_COS[q])
-            self._two_cos_cache[q] = acc
-            return acc
-        j = q * self.L
-        if j.denominator != 1:
-            raise FieldTooSmall(f"2cos({q}*pi) not expressible at level L={self.L}")
-        dick = _dickson(int(j))
-        acc = self.zero
-        for coef in reversed(dick):
-            acc = acc * self.gen + coef
+        else:
+            j = q * self.L
+            if j.denominator != 1:
+                raise FieldTooSmall(f"2cos({q}*pi) not expressible at level L={self.L}")
+            acc = self.zero
+            for coef in reversed(_dickson(int(j))):
+                acc = acc * self.gen + coef
         self._two_cos_cache[q] = acc
         return acc
 

@@ -1,10 +1,14 @@
+import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 from coxmin.cli import main
+from coxmin.coxeter import (CACHE_SCHEMA, build_system, named_matrix,
+                            system_from_json, system_to_json)
 
 
 def run(capsys, *argv):
@@ -201,3 +205,40 @@ def test_walk_end_check_survives_optimize():
     assert proc.returncode == 1, proc.stderr
     results = json.loads(proc.stdout)["results"]
     assert all(r["status"] == "fail" for r in results)
+
+
+# sha256 of the reports, captured on the commit before scalars became
+# integer vectors and systems moved to the smallest field level; any change
+# in arithmetic or field level must leave these bytes alone.
+REPORT_DIGESTS = {
+    ("verify", "--type", "H3,B3,A4,I2(5)", "--twist", "auto"):
+        "9022d21f945135fb755f7c971e3eef4e65102f2a58e03bb46e686608cdb764b0",
+    ("classes", "--type", "E6,A3", "--twist", "auto"):
+        "3f6de20b80048e4544a8d711dafcfdafe60f6198a6516535293dc4050385530e",
+}
+
+
+def test_report_digests_pinned(capsys):
+    for argv, digest in REPORT_DIGESTS.items():
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_cache_roundtrip_b3(tmp_path, capsys):
+    # The CLI writes the cache through system_to_json; reading it back gives
+    # the built system, and re-encoding gives the same document.
+    code, _, _ = run(capsys, "classes", "--type", "B3", "--cache-dir", str(tmp_path))
+    assert code == 0
+    (path,) = tmp_path.glob("rootsys-*.json")
+    data = json.loads(path.read_text())
+    assert data["schema"] == CACHE_SCHEMA and data["L"] == 4
+    back = system_from_json(data)
+    built = build_system(named_matrix("B3"))
+    assert back.pos_roots == built.pos_roots
+    assert back.reflections == built.reflections
+    assert system_to_json(back) == data
+    for vec in data["positive_roots"]:
+        for coeffs in vec:
+            assert len(coeffs) == back.field.degree
+            assert all(d > 0 and math.gcd(n, d) == 1 for n, d in coeffs)
