@@ -123,7 +123,10 @@ def minpoly_two_cos_pi_over(L: int) -> Coeffs:
     if L == 1:
         return (Fraction(2), _ONE)  # y + 2, root -2
     phi = cyclotomic(2 * L)
-    half = (len(phi) - 1) // 2
+    d = len(phi) - 1
+    if d % 2 or phi[0] != phi[d]:
+        raise ArithmeticError(f"cyclotomic polynomial {2 * L} is not palindromic of even degree")
+    half = d // 2
     out = [0] * (half + 1)
     out[0] = phi[half]
     for k in range(1, half + 1):
@@ -232,6 +235,8 @@ class ScalarField:
             self._hi = mid
         else:
             self._lo = mid
+        if self._hi - self._lo != (hi - lo) / 2:
+            raise ArithmeticError("isolating interval did not halve")
         self._set_dyadic()
 
     def _set_dyadic(self) -> None:
