@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -286,3 +290,28 @@ def test_scalar_domain_errors():
     with pytest.raises(FieldMismatch):
         get_field(10).embed_from(get_field(4).gen)
     assert get_field(10).embed_from(f.gen) == get_field(10).two_cos(Fraction(1, 5))
+
+
+def test_scalar_errors_survive_optimize():
+    # The same typed errors under python -O, where an assert would vanish.
+    script = (
+        "from coxmin.errors import FieldMismatch, ScalarDomainError\n"
+        "from coxmin.scalars import get_field\n"
+        "cases = [(FieldMismatch, lambda: get_field(4).gen + get_field(5).gen),\n"
+        "         (FieldMismatch, lambda: get_field(10).embed_from(get_field(4).gen)),\n"
+        "         (ScalarDomainError, lambda: get_field(5).zero.inverse()),\n"
+        "         (ScalarDomainError, lambda: get_field(5).gen.as_fraction()),\n"
+        "         (ScalarDomainError, lambda: get_field(5).scalar([1, 2, 3]))]\n"
+        "for err, call in cases:\n"
+        "    try:\n"
+        "        call()\n"
+        "    except err:\n"
+        "        print(err.__name__)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["FieldMismatch"] * 2 + ["ScalarDomainError"] * 3
