@@ -6,9 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from coxmin.cli import main
 from coxmin.coxeter import (CACHE_SCHEMA, build_system, named_matrix,
                             system_from_json, system_to_json)
+from coxmin.errors import FieldMismatch, ScalarDomainError
+from coxmin.scalars import AlgebraicScalar
 
 
 def run(capsys, *argv):
@@ -166,6 +170,30 @@ def test_violation_exit_code(capsys, monkeypatch):
     results = json.loads(out)["results"]
     assert any(r["status"] == "fail" and "injected" in r["detail"]
                for r in results)
+
+
+@pytest.mark.parametrize("error", [FieldMismatch, ScalarDomainError, ArithmeticError])
+def test_scalar_fault_is_a_fail_row(capsys, monkeypatch, error):
+    # A fault in the scalar layer fails the check it occurs in; the run goes
+    # on and still writes its report.
+    import coxmin.cli as cli
+    real = cli.descent_walk
+
+    def raising_mul(self, other):
+        raise error("injected scalar fault")
+
+    def faulty_walk(*args, **kwargs):
+        monkeypatch.setattr(AlgebraicScalar, "__mul__", raising_mul)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "descent_walk", faulty_walk)
+    code, out, _ = run(capsys, "verify", "--type", "A2", "--checks", "gp1,walk")
+    assert code == 1
+    results = json.loads(out)["results"]
+    assert {r["class_id"] for r in results} == {0, 1, 2}
+    assert all(r["status"] == "pass" for r in results if r["check"] == "gp1")
+    assert any(r["check"] == "walk" and r["status"] == "fail"
+               and "injected scalar fault" in r["detail"] for r in results)
 
 
 def test_system_built_once_per_type(capsys, monkeypatch):
