@@ -341,7 +341,7 @@ class ScalarField:
             self.refine()
 
     def interval_of(self, num: Sequence[int], eps: Fraction,
-                    den: int = 1) -> tuple[Fraction, Fraction]:
+                    den: int) -> tuple[Fraction, Fraction]:
         """An interval of width < eps around (sum num[i] c^i) / den, den > 0."""
         if self.degree == 1:
             v = Fraction(num[0], den)
@@ -405,8 +405,7 @@ class AlgebraicScalar:
         return self.field.from_rational(other)
 
     def __add__(self, other):
-        o = other if type(other) is AlgebraicScalar and other.field is self.field \
-            else self._coerce(other)
+        o = self._coerce(other)
         a, b, da, db = self.num, o.num, self.den, o.den
         if da == db:
             num = tuple([x + y for x, y in zip(a, b)])
@@ -418,31 +417,17 @@ class AlgebraicScalar:
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = other if type(other) is AlgebraicScalar and other.field is self.field \
-            else self._coerce(other)
-        a, b, da, db = self.num, o.num, self.den, o.den
-        if da == db:
-            num = tuple([x - y for x, y in zip(a, b)])
-            if da == 1:
-                return AlgebraicScalar(self.field, num)
-            return _normal(self.field, num, da)
-        return _normal(self.field, tuple([x * db - y * da for x, y in zip(a, b)]), da * db)
+        return self + -other
 
     def __rsub__(self, other):
-        return self._coerce(other).__sub__(self)
+        return -self + other
 
     def __neg__(self):
         return AlgebraicScalar(self.field, tuple([-x for x in self.num]), self.den)
 
     def __mul__(self, other):
         field = self.field
-        if type(other) is AlgebraicScalar and other.field is field:
-            o = other
-        elif isinstance(other, (int, Fraction)):
-            return _normal(field, tuple([x * other.numerator for x in self.num]),
-                           self.den * other.denominator)
-        else:
-            o = self._coerce(other)
+        o = self._coerce(other)
         a, b = self.num, o.num
         m = field.degree
         if m == 1:
@@ -470,18 +455,17 @@ class AlgebraicScalar:
     __rmul__ = __mul__
 
     def inverse(self) -> "AlgebraicScalar":
-        """Multiplicative inverse: closed forms up to degree 2, else the
+        """Multiplicative inverse: a closed form in degree 2, else the
         extended Euclidean algorithm."""
         if self.is_zero():
             raise ScalarDomainError("inverse of zero")
-        field, a, den = self.field, self.num, self.den
-        if field.degree == 1:
-            return _normal(field, (den,), a[0])
+        field, den = self.field, self.den
         if field.degree == 2:
             # With c^2 + p1 c + p0 = 0 and c' the conjugate root (c + c' = -p1,
-            # c c' = p0): 1/(a0 + a1 c) = (a0 + a1 c') / norm.
+            # c c' = p0): 1/(a0 + a1 c) = (a0 + a1 c') / norm.  Most inverses
+            # are pivots of rref over H3, B3, F4 and G2, all of degree 2.
             p0, p1 = field._mp[0], field._mp[1]
-            a0, a1 = a
+            a0, a1 = self.num
             norm = a0 * a0 - a0 * a1 * p1 + a1 * a1 * p0
             return _normal(field, ((a0 - a1 * p1) * den, -a1 * den), norm)
         # (num/den)^-1 = den * u for u with u*num + v*minpoly = 1 in Q[x].

@@ -218,12 +218,15 @@ def test_differential_against_fraction_polynomials(data):
     m, mp = f.degree, f.minpoly
     xs = tuple(data.draw(st.lists(small, min_size=m, max_size=m)))
     ys = tuple(data.draw(st.lists(small, min_size=m, max_size=m)))
+    r = data.draw(small)
     a, b = f.scalar(xs), f.scalar(ys)
     assert a.coeffs == xs and b.coeffs == ys
     cases = {
         "add": (a + b, tuple(x + y for x, y in zip(xs, ys))),
         "sub": (a - b, tuple(x - y for x, y in zip(xs, ys))),
         "mul": (a * b, _ref_mul(xs, ys, mp)),
+        "rational mul": (r * a, tuple(r * x for x in xs)),
+        "rational sub": (r - a, (r - xs[0],) + tuple(-x for x in xs[1:])),
     }
     if any(ys):
         cases["inverse"] = (b.inverse(), _ref_inverse(ys, mp))
