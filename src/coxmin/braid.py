@@ -337,11 +337,12 @@ def certify_good(w: TwistedElement, filtration: Filtration,
     exponents: list[int] = []
     for j in range(len(retained)):
         e = (qs[j + 1] - qs[j]) * d
-        assert e.denominator == 1 and e >= 0
+        if e.denominator != 1 or e < 0 or e % 2:
+            raise TheoremViolation(
+                f"good-element exponent {e} is not a non-negative even integer")
         e = int(e)
         if e == 0:
             continue  # a leading zero angle contributes an empty factor
-        assert e % 2 == 0, "good-element exponents must be even"
         subsets.append(chain[j])
         exponents.append(e)
     assert all(len(a) > len(b) for a, b in zip(subsets, subsets[1:]))
@@ -353,7 +354,8 @@ def certify_good(w: TwistedElement, filtration: Filtration,
     for m, e in zip(maxes, exponents):
         rhs = rhs.mul(GarsideNormalForm(context, 0, (m,)).power(e))
     # Letter-count conservation: both sides spell d*l(w) letters.
-    assert lhs.letter_count() == d * w.length()
+    if lhs.letter_count() != d * w.length():
+        raise TheoremViolation("the power w^d does not spell d*l(w) letters")
     if rhs.letter_count() != d * w.length():
         raise IdentityFailed("exponent arithmetic does not conserve letters")
     if lhs != rhs:

@@ -150,8 +150,9 @@ def enumerate_classes(system: CoxeterSystem, twist: DiagramTwist | None = None,
         rep = coset.element(o_min[0])
         ell = is_elliptic(rep)
         if certify_elliptic:
-            crit = elliptic_parabolic_certificate(rep, els, t)
-            assert crit == ell, "parabolic criterion disagrees with the fixed-space test"
+            if elliptic_parabolic_certificate(rep, els, t) != ell:
+                raise TheoremViolation(
+                    "parabolic criterion disagrees with the fixed-space test")
         records.append(ConjugacyClassRecord(
             coset=coset, class_id=cid, elements=els, o_min=o_min,
             min_length=mlen, elliptic=ell,
@@ -175,7 +176,10 @@ class ReductionChain:
         cur = w
         for i, delta in self.steps:
             nxt = cur.conjugate_by_simple(i)
-            assert nxt.length() - cur.length() == delta
+            if nxt.length() - cur.length() != delta:
+                raise TheoremViolation(
+                    f"conjugating by s_{i} changes the length by "
+                    f"{nxt.length() - cur.length()}, the chain records {delta}")
             cur = nxt
         return cur
 

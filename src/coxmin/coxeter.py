@@ -33,7 +33,7 @@ import os
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import NotFinite, TooLarge
+from .errors import NotFinite, TheoremViolation, TooLarge
 from .linalg import Matrix, Vector, rref
 from .scalars import AlgebraicScalar, ScalarField, get_field
 
@@ -514,7 +514,8 @@ def build_system(matrix: CoxeterMatrix, L_hint: int | None = None,
 
     def root_sign(v: Vector) -> int:
         signs = {c.sign() for c in v if not c.is_zero()}
-        assert signs in ({1}, {-1}), "root is not sign-coherent"
+        if signs not in ({1}, {-1}):
+            raise TheoremViolation("root is not sign-coherent")
         return 1 if signs == {1} else -1
 
     # Track positive roots only; a reflection image landing on the negative
@@ -1053,7 +1054,8 @@ def system_to_json(system: CoxeterSystem) -> dict:
 
 
 def system_from_json(data: dict) -> CoxeterSystem:
-    assert data["schema"] == CACHE_SCHEMA
+    if data.get("schema") != CACHE_SCHEMA:
+        raise ValueError(f"root-system cache schema is not {CACHE_SCHEMA}")
     matrix = CoxeterMatrix(data["matrix"])
     field = get_field(data["L"])
     pos = [tuple(field.scalar([Fraction(a, b) for a, b in coeffs]) for coeffs in vec)

@@ -12,8 +12,9 @@ returns lives in that view's field.
 
 The kernel ranks are the primary multiplicities.  A redundant cross-check
 recomputes them as the discrete Fourier transform of the trace sequence
-tr(M^j), evaluated in certified interval arithmetic (mpmath.iv) and rounded;
-a disagreement signals an arithmetic bug, not a property of the input.
+tr(M^j), exactly in the same field: every 2cos(2*pi*jk/d) is a polynomial
+in 2cos(2*pi/d).  A disagreement signals an arithmetic bug, not a property
+of the input.
 
 Also here: deterministic regular points of subspaces (with or without a
 chamber constraint), the reflection subgroup of a subspace, the elliptic and
@@ -26,11 +27,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from .coxeter import Chamber, CoxeterSystem, GroupElement, TwistedElement
 from .errors import (ConstructionFailed, FieldTooSmall, MultiplicityMismatch,
-                     NoRegularPoint, NotAdmissible)
+                     NoRegularPoint, NotAdmissible, TheoremViolation)
 from .linalg import (Matrix, Vector, cone_from_constraints, cone_point_avoiding,
                      kernel_basis, mat_mul, rational_tuples, rref, solve_in_span,
                      vec_add, vec_is_zero, vec_scale, zero_vector)
@@ -164,7 +163,14 @@ def eigen_decomposition(w: TwistedElement, dft_check: bool = True) -> EigenDecom
 
 def _dft_crosscheck(w: TwistedElement, system: CoxeterSystem, d: int,
                     entries: list[tuple[Angle, int, Matrix]]) -> None:
-    """Recompute multiplicities from tr(M^j) by an interval-arithmetic DFT."""
+    """Recompute multiplicities from tr(M^j) by an exact DFT.
+
+    The eigenvalue e^{2 pi i k/d} has multiplicity
+    (1/d) sum_j tr(M^j) cos(2 pi jk/d), so each k is checked as the field
+    identity sum_j tr(M^j) 2cos(2 pi jk/d) = 2d * multiplicity.  No field
+    raise is needed: the field already holds 2cos(2 pi/d), hence every
+    2cos(2 pi jk/d).
+    """
     field = system.field
     n = system.rank
     traces = []
@@ -178,39 +184,18 @@ def _dft_crosscheck(w: TwistedElement, system: CoxeterSystem, d: int,
         traces.append(tr)
         acc = mat_mul(acc, m)
 
-    iv = mpmath.iv
-    old_prec = iv.prec
-    iv.prec = 120
-    try:
-        eps = Fraction(1, 10 ** 12)
-        tr_iv = []
-        for t in traces:
-            lo, hi = t.interval(eps)
-            lo_iv = iv.mpf(lo.numerator) / lo.denominator
-            hi_iv = iv.mpf(hi.numerator) / hi.denominator
-            tr_iv.append(iv.mpf([lo_iv.a, hi_iv.b]))
-        by_angle = {q: dim for q, dim, _ in entries}
-        for k in range(d // 2 + 1):
-            q = Fraction(2 * k, d)
-            if q > 1:
-                break
-            mk = iv.mpf(0)
-            for j in range(d):
-                mk += tr_iv[j] * iv.cos(2 * iv.pi * j * k / d)
-            mk /= d
-            width = float(mpmath.mpf(mk.b) - mpmath.mpf(mk.a))
-            if width / 2 >= 1e-6:
-                raise MultiplicityMismatch(
-                    f"DFT interval too wide ({width}) at angle {q}")
-            val = round(float(mpmath.mpf(mk.a) + mpmath.mpf(mk.b)) / 2)
-            expected = by_angle.get(q, 0)
-            if q not in (0, 1):
-                expected //= 2  # kernel dim counts the conjugate pair
-            if val != expected:
-                raise MultiplicityMismatch(
-                    f"DFT multiplicity {val} != kernel rank {expected} at angle {q}")
-    finally:
-        iv.prec = old_prec
+    by_angle = {q: dim for q, dim, _ in entries}
+    for k in range(d // 2 + 1):
+        q = Fraction(2 * k, d)
+        dim = by_angle.get(q, 0)
+        # For 0 < q < 1 the kernel holds the conjugate pair e^{+-i q pi}.
+        target = 2 * d * dim if q in (0, 1) else d * dim
+        total = field.zero
+        for j, t in enumerate(traces):
+            total = total + t * field.two_cos(Fraction(2 * j * k, d))
+        if total != field.from_rational(target):
+            raise MultiplicityMismatch(
+                f"DFT sum {total!r} != {target} for kernel rank {dim} at angle {q}")
 
 
 # ---------------------------------------------------------------------------
@@ -426,41 +411,43 @@ def good_position_chamber(w: TwistedElement, filtration: Filtration,
     n = system.rank
     field = system.field
 
-    for attempt in range(8):
-        seed = start_index + attempt
-        points: list[Vector] = []
-        for i in range(1, len(filtration.f_bases)):
-            if len(filtration.f_bases[i]) > len(filtration.f_bases[i - 1]):
-                points.append(regular_point(system, filtration.f_bases[i],
-                                            start_index=seed))
-        ident = [tuple(field.one if i == j else field.zero for j in range(n))
-                 for i in range(n)]
-        points.append(regular_point(system, ident, start_index=seed))
+    points: list[Vector] = []
+    for i in range(1, len(filtration.f_bases)):
+        if len(filtration.f_bases[i]) > len(filtration.f_bases[i - 1]):
+            points.append(regular_point(system, filtration.f_bases[i],
+                                        start_index=start_index))
+    ident = [tuple(field.one if i == j else field.zero for j in range(n))
+             for i in range(n)]
+    points.append(regular_point(system, ident, start_index=start_index))
 
-        def lex_sign(root_idx: int, pts: list[Vector]) -> int:
-            for p in pts:
-                s = system.pair_root(root_idx, p).sign()
-                if s:
-                    return s
-            return 0
+    def lex_sign(root_idx: int, pts: list[Vector]) -> int:
+        for p in pts:
+            s = system.pair_root(root_idx, p).sign()
+            if s:
+                return s
+        return 0
 
-        # Walk the symbolic point into the fundamental chamber.
-        pts = list(points)
-        g = system.identity
-        guard = 0
-        while True:
-            i = next((i for i in range(n) if lex_sign(i, pts) < 0), None)
-            if i is None:
-                break
-            pts = [system.simple_reflect(i, p) for p in pts]
-            g = system.generator(i) * g
-            guard += 1
-            assert guard <= system.npos + 1, "sign walk failed to terminate"
-        chamber = Chamber(system, g.inverse())
+    # Walk the symbolic point into the fundamental chamber; each step
+    # lowers the number of roots it pairs negatively with, so at most npos.
+    pts = list(points)
+    g = system.identity
+    guard = 0
+    while True:
+        i = next((i for i in range(n) if lex_sign(i, pts) < 0), None)
+        if i is None:
+            break
+        pts = [system.simple_reflect(i, p) for p in pts]
+        g = system.generator(i) * g
+        guard += 1
+        if guard > system.npos:
+            raise TheoremViolation("lexicographic sign walk failed to terminate")
+    chamber = Chamber(system, g.inverse())
 
-        if _good_position_holds(chamber, filtration, points):
-            return chamber
-    raise ConstructionFailed("good-position construction failed; existence is guaranteed")
+    # With regular points x_i the construction is in good position; the
+    # exact witness check confirms it.
+    if not _good_position_holds(chamber, filtration, points):
+        raise TheoremViolation("lexicographic chamber is not in good position")
+    return chamber
 
 
 def _good_position_holds(chamber: Chamber, filtration: Filtration,

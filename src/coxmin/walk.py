@@ -7,14 +7,14 @@ collapses onto the direction of the minimal-angle component, crossing
 chamber walls with never-increasing conjugate length; the walk ends in a
 chamber whose closure contains a regular point of V_w.
 
-The curve itself is transcendental, so wall selection is guided numerically
-(floats, escalating to certified mpmath intervals on a straddle), while
-every accepted step and the end condition are certified in exact arithmetic:
-a step is kept only if the group-side length comparison l(w_{A'}) <= l(w_A)
-holds, and the end test evaluates the exact signs of the limit direction
-against the chamber.  On unresolvable numerical ambiguity the walk falls
-back to trying the flipped walls directly, and finally restarts from a
-perturbed start point (deterministic enumeration, so walks are reproducible).
+The curve itself is transcendental, so wall selection is guided by floats
+only, while every accepted step and the end condition are certified in
+exact arithmetic: a step is kept only if the group-side length comparison
+l(w_{A'}) <= l(w_A) holds, and the end test evaluates the exact signs of
+the limit direction against the chamber.  When float bisection cannot
+isolate a single wall the walk tries the flipped walls directly, and finally
+restarts from a perturbed start point (deterministic enumeration, so walks
+are reproducible).
 
 The length-formula operations verify their hypotheses exactly before
 asserting the formulas; a hypothesis that cannot be verified raises
@@ -30,10 +30,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from .conjugacy import ReductionChain, parabolic_subsystem
-from .coxeter import (Chamber, CoxeterSystem, GroupElement, TwistedElement,
+from .coxeter import (Chamber, GroupElement, TwistedElement,
                       conjugate_by_chamber, coset_decompose,
                       normalizes_parabolic)
 from .eigen import (EigenDecomposition, eigen_decomposition,
@@ -135,15 +133,19 @@ class _RetryWalk(Exception):
     pass
 
 
+# Start points tried before a walk gives up with WalkStuck.
+_START_ATTEMPTS = 8
+
+
 def descent_walk(w: TwistedElement, chamber: Chamber,
-                 start_index: int = 0, retries: int = 8) -> WalkResult:
+                 start_index: int = 0) -> WalkResult:
     """Walk from `chamber` to one whose closure holds a regular point of V_w."""
     eig = eigen_decomposition(w, dft_check=False)
     system = eig.system
     w = eig.owner
     chamber = Chamber(system, GroupElement(system, chamber.x.perm))
     starts = _good_start_points(eig, chamber, start_index)
-    for _ in range(retries):
+    for _ in range(_START_ATTEMPTS):
         state = next(starts, None)
         if state is None:
             break
@@ -231,9 +233,6 @@ def _walk_once(w: TwistedElement, eig: EigenDecomposition, start: Chamber,
         decay = [math.exp(-rt * s) for rt in rates]
         return [sum(c * d for c, d in zip(row, decay)) for row in coeff]
 
-    def interval_signs(s: float, prec: int) -> list[int | None]:
-        return _certified_curve_signs(system, angles, pairings, theta0, s, prec)
-
     cur_ch = start
     cur_wt = conjugate_by_chamber(w, start)
     steps: list[WalkStep] = []
@@ -301,26 +300,9 @@ def _walk_once(w: TwistedElement, eig: EigenDecomposition, start: Chamber,
                     s0 = mid
                 else:
                     s1, flips, tiny = mid, flips_m, tiny_m
-            if len(flips) == 1 and not tiny:
-                candidates = flips
-                s_after = s1
-                break
-            # Escalate to certified intervals at s1, doubling precision.
-            prec = 128
-            resolved = None
-            while prec <= 4096:
-                signs = interval_signs(s1, prec)
-                if all(sg is not None for sg in signs):
-                    resolved = [r for r in range(npos)
-                                if (signs[r] > 0) != (cur_signs[r] > 0)]
-                    break
-                prec *= 2
-            if resolved is not None and len(resolved) == 1:
-                candidates = resolved
-                s_after = s1
-                break
-            # Ambiguity: fall back to trying every flipped wall.
-            candidates = sorted(set(flips) | set(tiny))
+            # The isolated wall, or else every flipped or near-zero wall in
+            # turn: the exact length comparison certifies the crossing.
+            candidates = sorted(flips + tiny)
             s_after = s1
             break
         if candidates is None:
@@ -331,52 +313,6 @@ def _walk_once(w: TwistedElement, eig: EigenDecomposition, start: Chamber,
             if not any(try_cross(r) for r in range(npos)):
                 raise _RetryWalk
         s_anchor = s_after
-
-
-def _iv_frac(iv, f: Fraction):
-    return iv.mpf(f.numerator) / f.denominator
-
-
-def _certified_curve_signs(system: CoxeterSystem, angles, pairings,
-                           theta0, s: float, prec: int) -> list[int | None]:
-    """Certified signs of <alpha_r, P(s)> for every positive root.
-
-    P is the time-reversed flow with the theta_0 decay factored out, and
-    pairings[q][r] the exact <alpha_r, component q> of its start point; each
-    entry is +-1 when the interval evaluation at the given precision excludes
-    zero, None on a straddle (the caller doubles the precision or falls back
-    to trying the flipped walls directly).
-    """
-    iv = mpmath.iv
-    old = iv.prec
-    iv.prec = prec
-    try:
-        sf = Fraction(s).limit_denominator(10 ** 12)
-        s_iv = _iv_frac(iv, sf)
-        eps = Fraction(1, 2 ** (prec // 2))
-        base = 4 - 2 * system.field.two_cos(Fraction(theta0))
-        decay = []
-        for q in angles:
-            lam = (4 - 2 * system.field.two_cos(Fraction(q))) - base
-            llo, lhi = lam.interval(eps)
-            lam_iv = iv.mpf([_iv_frac(iv, llo).a, _iv_frac(iv, lhi).b])
-            decay.append(iv.exp(-lam_iv * s_iv))
-        out: list[int | None] = []
-        for r in range(system.npos):
-            acc = iv.mpf(0)
-            for qi, q in enumerate(angles):
-                clo, chi = pairings[q][r].interval(eps)
-                c_iv = iv.mpf([_iv_frac(iv, clo).a, _iv_frac(iv, chi).b])
-                acc += c_iv * decay[qi]
-            if acc.a > 0:
-                out.append(1)
-            elif acc.b < 0:
-                out.append(-1)
-            else:
-                out.append(None)
-        return out
-    finally:
-        iv.prec = old
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +378,10 @@ def special_length_formula(w: TwistedElement, basis: Matrix, chamber: Chamber,
     if int(value) != direct:
         raise TheoremViolation(
             f"special length formula gives {value}, direct count {direct}")
-    assert direct == conjugate_by_chamber(w, chamber).length()
+    length = conjugate_by_chamber(w, chamber).length()
+    if direct != length:
+        raise TheoremViolation(
+            f"#H(A, wA) = {direct} but l(w_A) = {length}")
     return int(value)
 
 

@@ -290,8 +290,8 @@ def test_criterion_9_eigenstructure(sweep):
             k = 1 if not twist.is_identity() else 0
             w = TwistedElement(system, twist, k,
                                table.element(rng.randrange(table.size)))
-            # dft_check=True: interval half-width < 1e-6 and integer match
-            # against kernel ranks are asserted inside.
+            # dft_check=True: the exact trace-DFT multiplicities must equal
+            # the kernel ranks (MultiplicityMismatch otherwise).
             eig = eigen_decomposition(w, dft_check=True)
             dims = [d for _, d, _ in eig.entries]
             assert sum(dims) == system.rank

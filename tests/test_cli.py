@@ -140,6 +140,19 @@ def test_env_cache_dir(tmp_path, capsys, monkeypatch):
     assert any(name.startswith("rootsys-") for name in os.listdir(tmp_path))
 
 
+def test_cache_with_wrong_schema_is_a_usage_error(tmp_path, capsys):
+    # A cache file of another schema is rejected with exit 2 (the check is
+    # a raise, so it also holds under python -O).
+    code, _, _ = run(capsys, "classes", "--type", "A2", "--cache-dir", str(tmp_path))
+    assert code == 0
+    (path,) = tmp_path.iterdir()
+    data = json.loads(path.read_text())
+    data["schema"] = "coxmin/rootsys-v0"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "classes", "--type", "A2", "--cache-dir", str(tmp_path))
+    assert code == 2 and CACHE_SCHEMA in err
+
+
 def test_matrix_file(tmp_path, capsys):
     path = tmp_path / "mat.json"
     path.write_text(json.dumps({"matrix": [[1, 2], [2, 1]]}))
@@ -233,6 +246,26 @@ def test_walk_end_check_survives_optimize():
     assert proc.returncode == 1, proc.stderr
     results = json.loads(proc.stdout)["results"]
     assert all(r["status"] == "fail" for r in results)
+
+
+def test_verify_same_report_under_optimize():
+    # No verification lives in an assert, so python -O changes no verdict
+    # and no byte of the report.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    script = ("import sys\n"
+              "from coxmin import cli\n"
+              "sys.exit(cli.main(['verify', '--type', 'A3,B3', '--twist', 'auto']))\n")
+    outs = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert any(r["status"] == "pass" for r in json.loads(outs[0])["results"])
 
 
 # sha256 of the reports, captured on the commit before scalars became

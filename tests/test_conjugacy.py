@@ -1,9 +1,14 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from coxmin.conjugacy import (TwistedCoset, approx_partition, arrow_reduce,
-                              arrow_reachable_set, elementary_strong_targets,
+from coxmin.conjugacy import (ReductionChain, TwistedCoset, approx_partition,
+                              arrow_reduce, arrow_reachable_set,
+                              elementary_strong_targets,
                               enumerate_classes, partial_conjugation_transfer,
                               path_graph, strong_partition,
                               verify_arrow_reduction, verify_elliptic_approx,
@@ -11,7 +16,7 @@ from coxmin.conjugacy import (TwistedCoset, approx_partition, arrow_reduce,
 from coxmin.coxeter import (build_system, enumerate_twists, named_matrix,
                             untwisted, is_minimal_double_coset_rep,
                             normalizes_parabolic, parabolic_max)
-from coxmin.errors import TooLarge
+from coxmin.errors import TheoremViolation, TooLarge
 
 
 def test_class_counts():
@@ -200,3 +205,35 @@ def test_class_record_flags_match_eigen():
         assert rec.quasi_elliptic == is_quasi_elliptic(rec.representative)
         if rec.elliptic:
             assert rec.quasi_elliptic
+
+
+def test_reduction_chain_checks_length_deltas():
+    a2 = build_system(named_matrix("A2"))
+    w = untwisted(a2.element_from_word([0, 1]))
+    # Conjugating the Coxeter element s_1 s_2 by s_1 keeps its length.
+    assert ReductionChain([(0, 0)]).apply(w).length() == 2
+    with pytest.raises(TheoremViolation):
+        ReductionChain([(0, -2)]).apply(w)
+
+
+def test_elliptic_cross_check_survives_optimize():
+    # A parabolic certificate that contradicts the fixed-space test must
+    # stop enumerate_classes under python -O too (an assert would vanish).
+    script = (
+        "from coxmin import conjugacy, coxeter, eigen\n"
+        "from coxmin.errors import TheoremViolation\n"
+        "conjugacy.elliptic_parabolic_certificate = (\n"
+        "    lambda w, bodies, table: not eigen.is_elliptic(w))\n"
+        "system = coxeter.build_system(coxeter.named_matrix('A2'))\n"
+        "try:\n"
+        "    conjugacy.enumerate_classes(system)\n"
+        "except TheoremViolation as exc:\n"
+        "    print('TheoremViolation', exc)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("TheoremViolation"), proc.stdout

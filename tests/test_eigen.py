@@ -11,7 +11,8 @@ from coxmin.eigen import (admissible_filtration, eigen_decomposition,
                           good_position_chamber, hyperplanes_containing,
                           is_elliptic, is_quasi_elliptic, order,
                           reflection_subgroup, regular_point)
-from coxmin.errors import NoRegularPoint, NotAdmissible
+from coxmin.errors import (MultiplicityMismatch, NoRegularPoint, NotAdmissible,
+                           TheoremViolation)
 from coxmin.linalg import cone_from_constraints, cone_point_avoiding
 
 
@@ -103,6 +104,37 @@ def test_h4_eigen_levels():
         eig = eigen_decomposition(_first_of_order(h4, d), dft_check=False)
         assert eig.system.field.L == L
         assert eig.system is h4.with_field_level(L)
+
+
+def test_exact_dft_h4_coxeter_element():
+    # The Coxeter element of H4 has order h = 30 and exponents 1, 11, 19,
+    # 29: angles 2/30 and 22/30 (times pi), each with a 2-dimensional
+    # kernel, checked by the exact DFT in the level-15 view.
+    h4 = build_system(named_matrix("H4"))
+    w = untwisted(h4.element_from_word([0, 1, 2, 3]))
+    assert order(w) == 30
+    eig = eigen_decomposition(w, dft_check=True)
+    assert eig.system.field.L == 15
+    assert eig.angles == [Fraction(1, 15), Fraction(11, 15)]
+    assert [d for _, d, _ in eig.entries] == [2, 2]
+
+
+def test_dft_crosscheck_detects_wrong_dimension():
+    from coxmin.eigen import _dft_crosscheck
+    h4 = build_system(named_matrix("H4"))
+    b3 = build_system(named_matrix("B3"))
+    # The H4 Coxeter element has only inner angles; a B3 reflection has
+    # angles 0 and 1, where the kernel counts a single eigenvalue.
+    for w in (untwisted(h4.element_from_word([0, 1, 2, 3])),
+              untwisted(b3.generator(0))):
+        eig = eigen_decomposition(w, dft_check=False)
+        d = order(w)
+        _dft_crosscheck(eig.owner, eig.system, d, eig.entries)
+        for i, (q, dim, basis) in enumerate(eig.entries):
+            entries = list(eig.entries)
+            entries[i] = (q, dim + 2, basis)
+            with pytest.raises(MultiplicityMismatch):
+                _dft_crosscheck(eig.owner, eig.system, d, entries)
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
@@ -247,6 +279,19 @@ def test_good_position_chamber_predicate(name):
         filt = admissible_filtration(eig.owner, eig.angles, eig=eig)
         ch = good_position_chamber(eig.owner, filt)
         assert good_position_predicate(ch, filt)
+
+
+def test_good_position_failure_is_a_violation(monkeypatch):
+    # The lexicographic chamber is built once; a failed witness check
+    # contradicts the construction and raises instead of retrying.
+    import coxmin.eigen as eigen_mod
+    a3 = build_system(named_matrix("A3"))
+    w = untwisted(a3.element_from_word([0, 1, 2]))
+    eig = eigen_decomposition(w, dft_check=False)
+    filt = admissible_filtration(w, eig.angles, eig)
+    monkeypatch.setattr(eigen_mod, "_good_position_holds", lambda *a: False)
+    with pytest.raises(TheoremViolation):
+        good_position_chamber(w, filt)
 
 
 def test_good_position_w0_a2():

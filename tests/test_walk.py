@@ -117,34 +117,6 @@ def test_walk_soundness_and_chain():
                 assert r in h_vwt
 
 
-def test_certified_curve_signs_match_floats():
-    """The interval escalation agrees with float guidance away from walls."""
-    import math
-    from coxmin.walk import _certified_curve_signs
-    b3 = build_system(named_matrix("B3"))
-    tbl = b3.table()
-    w = untwisted(tbl.element(33))
-    eig = eigen_decomposition(w, dft_check=False)
-    system = eig.system
-    C = Chamber.fundamental(system)
-    y = C.interior_point()
-    comps = {q: c for q, c in eig.project(y).items()
-             if any(not x.is_zero() for x in c)}
-    angles = sorted(comps)
-    theta0 = eig.theta0
-    lam0 = 4.0 * (1.0 - math.cos(float(theta0) * math.pi))
-    rates = [4.0 * (1.0 - math.cos(float(q) * math.pi)) - lam0 for q in angles]
-    pairings = {q: [system.pair_root(r, c) for r in range(system.npos)]
-                for q, c in comps.items()}
-    for s in (0.0, 0.37, 1.5):
-        certified = _certified_curve_signs(system, angles, pairings, theta0, s, 128)
-        for r in range(system.npos):
-            val = sum(float(system.pair_root(r, comps[q])) * math.exp(-rt * s)
-                      for q, rt in zip(angles, rates))
-            if abs(val) > 1e-9:
-                assert certified[r] == (1 if val > 0 else -1)
-
-
 def test_walk_deterministic():
     b3 = build_system(named_matrix("B3"))
     tbl = b3.table()
@@ -344,3 +316,29 @@ def test_mixed_levels_typed_error_survives_optimize():
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("FieldMismatch"), (flags, proc.stdout)
+
+
+def test_engine_imports_no_mpmath():
+    # Every check is exact over Q(2cos(pi/L)): importing coxmin, the DFT
+    # cross-check and a descent walk leave mpmath unimported.
+    script = (
+        "import sys\n"
+        "import coxmin\n"
+        "from coxmin.coxeter import Chamber, build_system, named_matrix, untwisted\n"
+        "from coxmin.eigen import eigen_decomposition\n"
+        "from coxmin.walk import descent_walk\n"
+        "h3 = build_system(named_matrix('H3'))\n"
+        "w = untwisted(h3.element_from_word([0, 1, 2]))\n"
+        "eigen_decomposition(w, dft_check=True)\n"
+        "res = descent_walk(w, Chamber(h3, h3.element_from_word([2, 1, 0, 1])))\n"
+        "print(len(res.steps), 'mpmath' in sys.modules)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    steps, imported = proc.stdout.split()
+    assert int(steps) > 0
+    assert imported == "False"
