@@ -323,7 +323,8 @@ def certify_good(w: TwistedElement, filtration: Filtration,
     system = filtration.system
     if context is None:
         context = BraidContext(system, w.twist)
-    assert w.system is system, "element and filtration must share one system"
+    if w.system is not system:
+        raise ValueError("element and filtration must share one system")
     d = order(w)
     for q in filtration.angles:
         if (Fraction(q) * d / 2).denominator != 1:
@@ -345,7 +346,9 @@ def certify_good(w: TwistedElement, filtration: Filtration,
             continue  # a leading zero angle contributes an empty factor
         subsets.append(chain[j])
         exponents.append(e)
-    assert all(len(a) > len(b) for a, b in zip(subsets, subsets[1:]))
+    if not all(len(a) > len(b) for a, b in zip(subsets, subsets[1:])):
+        raise TheoremViolation(
+            f"parabolic chain {subsets} does not strictly decrease")
 
     lhs = lift(w, context).power(d).normal_form()
     sigma = (w.k * d) % w.twist.order
@@ -422,8 +425,7 @@ def verify_rotation_identity(w: TwistedElement, q, d: int | None = None,
     """
     q = Fraction(q)
     eig = eigen_decomposition(w, dft_check=False)
-    w = eig.owner
-    system = eig.system
+    system, w = eig.system, eig.owner
     if context is None:
         context = BraidContext(system, w.twist)
     if d is None:
@@ -473,7 +475,8 @@ def verify_rotation_identity(w: TwistedElement, q, d: int | None = None,
 
 def verify_quasi_elliptic_divisibility(record: ConjugacyClassRecord) -> bool:
     """Corollary: quasi-elliptic classes have w^d left-divisible by Delta^2."""
-    assert record.quasi_elliptic
+    if not record.quasi_elliptic:
+        raise ValueError(f"class {record.class_id} is not quasi-elliptic")
     rep = record.representative
     eig = eigen_decomposition(rep, dft_check=False)
     nonzero = [q for q in eig.angles if q != 0]

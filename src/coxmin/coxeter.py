@@ -299,6 +299,10 @@ class CoxeterSystem:
         self._lifts: dict[int, CoxeterSystem] = {}
         self._table: GroupTable | None = None
         self._twist_root_perms: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
+        # Geometry memoized per view, since its vectors live in the view's
+        # field (see eigen.eigen_decomposition and eigen.regular_point).
+        self._eigen: dict[tuple, list] = {}
+        self._regular_points: dict[tuple, Vector] = {}
 
     # -- roots ----------------------------------------------------------------
 
@@ -775,6 +779,11 @@ class TwistedElement:
         cols = [sys.root_vector(perm[j]) for j in range(sys.rank)]
         return [tuple(cols[j][i] for j in range(sys.rank)) for i in range(sys.rank)]
 
+    def over(self, system: CoxeterSystem) -> "TwistedElement":
+        """This element over another field view of its system."""
+        return TwistedElement(system, self.twist, self.k,
+                              GroupElement(system, self.body.perm))
+
     def __eq__(self, other):
         return (isinstance(other, TwistedElement) and self.k == other.k
                 and self.body == other.body and self.twist == other.twist)
@@ -845,6 +854,10 @@ class Chamber:
         """An exact interior point (image of the standard dominant point)."""
         rho = _dominant_point(self.system)
         return self.x.apply(rho)
+
+    def over(self, system: CoxeterSystem) -> "Chamber":
+        """This chamber over another field view of its system."""
+        return Chamber(system, GroupElement(system, self.x.perm))
 
     def contains_in_closure(self, v: Vector) -> bool:
         sys = self.system

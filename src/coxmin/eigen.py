@@ -19,6 +19,13 @@ of the input.
 Also here: deterministic regular points of subspaces (with or without a
 chamber constraint), the reflection subgroup of a subspace, the elliptic and
 quasi-elliptic predicates, admissible filtrations and good-position chambers.
+
+Both pure geometric constructions are memoized on the system view they are
+called with, in plain dicts set up by CoxeterSystem.__init__: the
+decomposition of an element (with a flag recording whether its DFT check
+has run, so a later call that asks for the check still runs it once) and
+the unconstrained regular point of a basis and start index (successes
+only).  A lift has its own dicts, as its vectors live in another field.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coxeter import Chamber, CoxeterSystem, GroupElement, TwistedElement
+from .coxeter import Chamber, CoxeterSystem, TwistedElement
 from .errors import (ConstructionFailed, FieldTooSmall, MultiplicityMismatch,
                      NoRegularPoint, NotAdmissible, TheoremViolation)
 from .linalg import (Matrix, Vector, cone_from_constraints, cone_point_avoiding,
@@ -84,7 +91,8 @@ class EigenDecomposition:
         field = self.system.field
         basis = self.full_basis()
         coords = solve_in_span(basis, v, field)
-        assert coords is not None
+        if coords is None:
+            raise TheoremViolation("the eigenspaces do not span V")
         out: dict[Angle, Vector] = {}
         pos = 0
         for q, dim, _ in self.entries:
@@ -120,8 +128,24 @@ def eigen_decomposition(w: TwistedElement, dft_check: bool = True) -> EigenDecom
     """Exact eigen-angle decomposition, raising the field level as needed.
 
     `owner` and `system` are w and its system, viewed over the raised field
-    when 2cos(2pi/d) is not in the current one.
+    when 2cos(2pi/d) is not in the current one.  Memoized on w.system; the
+    same object is returned for the same element, so callers must not
+    mutate it.  A hit still runs the DFT check if it is asked for and has
+    not run on that entry.
     """
+    key = (w.twist.perm, w.k, w.body.perm)
+    cache = w.system._eigen
+    entry = cache.get(key)
+    if entry is None:
+        entry = cache[key] = [_decompose(w), False]
+    eig, checked = entry
+    if dft_check and not checked:
+        _dft_crosscheck(eig.owner, eig.system, order(eig.owner), eig.entries)
+        entry[1] = True
+    return eig
+
+
+def _decompose(w: TwistedElement) -> EigenDecomposition:
     d = order(w)
     system = w.system
     try:
@@ -129,8 +153,7 @@ def eigen_decomposition(w: TwistedElement, dft_check: bool = True) -> EigenDecom
     except FieldTooSmall:
         # Every angle 2k/d has its denominator dividing that of 2/d.
         system = system.with_field_level(Fraction(2, d).denominator)
-        w = TwistedElement(system, w.twist, w.k,
-                           GroupElement(system, w.body.perm))
+        w = w.over(system)
     field = system.field
     n = system.rank
     s = _matrix_plus_inverse(w, system)
@@ -151,9 +174,6 @@ def eigen_decomposition(w: TwistedElement, dft_check: bool = True) -> EigenDecom
     if total != n:
         raise MultiplicityMismatch(
             f"eigenspace dimensions sum to {total}, expected {n}")
-
-    if dft_check:
-        _dft_crosscheck(w, system, d, entries)
 
     theta0 = entries[0][0]
     v_wt = entries[0][2]
@@ -224,10 +244,17 @@ def regular_point(system: CoxeterSystem, basis: Matrix,
     For each hyperplane H either K lies inside H or the point avoids H.  With
     `inside`, the point is additionally constrained to the closed chamber;
     NoRegularPoint is raised exactly when that combination is infeasible.
+    Without it, a found point is memoized on the system per (basis,
+    start_index).
     """
     field = system.field
     if not basis or all(vec_is_zero(b) for b in basis):
         raise NoRegularPoint("the zero subspace has no regular points")
+    if inside is None:
+        key = (tuple(basis), start_index)
+        cached = system._regular_points.get(key)
+        if cached is not None:
+            return cached
     h_k = hyperplanes_containing(system, basis)
     avoid_roots = [r for r in range(system.npos) if r not in h_k]
 
@@ -256,6 +283,7 @@ def regular_point(system: CoxeterSystem, basis: Matrix,
                 if c:
                     v = vec_add(v, vec_scale(field.from_rational(c), bvec))
             if not vec_is_zero(v):
+                system._regular_points[key] = v
                 return v
         raise ConstructionFailed("regular point search exhausted")
 
@@ -376,7 +404,8 @@ def admissible_filtration(w: TwistedElement, angles,
                           eig: EigenDecomposition | None = None) -> Filtration:
     """Build F_i = sum of V^theta_j for j <= i and the W_{F_i} chain."""
     qs = tuple(Fraction(q) for q in angles)
-    assert all(a < b for a, b in zip(qs, qs[1:])), "angles must strictly increase"
+    if not all(a < b for a, b in zip(qs, qs[1:])):
+        raise ValueError(f"angles {qs} must strictly increase")
     if eig is None or eig.owner != w:
         eig = eigen_decomposition(w, dft_check=False)
     system = eig.system

@@ -141,9 +141,7 @@ def descent_walk(w: TwistedElement, chamber: Chamber,
                  start_index: int = 0) -> WalkResult:
     """Walk from `chamber` to one whose closure holds a regular point of V_w."""
     eig = eigen_decomposition(w, dft_check=False)
-    system = eig.system
-    w = eig.owner
-    chamber = Chamber(system, GroupElement(system, chamber.x.perm))
+    w, chamber = eig.owner, chamber.over(eig.system)
     starts = _good_start_points(eig, chamber, start_index)
     for _ in range(_START_ATTEMPTS):
         state = next(starts, None)
@@ -226,12 +224,17 @@ def _walk_once(w: TwistedElement, eig: EigenDecomposition, start: Chamber,
     angles = sorted(pairings)
     lam0 = 4.0 * (1.0 - math.cos(float(theta0) * math.pi))
     rates = [4.0 * (1.0 - math.cos(float(q) * math.pi)) - lam0 for q in angles]
-    coeff = [[float(pairings[q][r]) for q in angles] for r in range(npos)]
-    scale_ref = max(max(abs(c) for c in row) for row in coeff) or 1.0
+    cols = [[float(p) for p in pairings[q]] for q in angles]
+    scale_ref = max(max(abs(c) for c in col) for col in cols) or 1.0
 
     def float_vals(s: float) -> list[float]:
-        decay = [math.exp(-rt * s) for rt in rates]
-        return [sum(c * d for c, d in zip(row, decay)) for row in coeff]
+        # Column by column in angle order: each root's sum takes the same
+        # float operations in the same order as a left-to-right sum.
+        vals = [0.0] * npos
+        for rt, col in zip(rates, cols):
+            d = math.exp(-rt * s)
+            vals = [v + c * d for v, c in zip(vals, col)]
+        return vals
 
     cur_ch = start
     cur_wt = conjugate_by_chamber(w, start)
@@ -343,9 +346,8 @@ def special_length_formula(w: TwistedElement, basis: Matrix, chamber: Chamber,
     basis and the witness are over eigen_decomposition(w).system.field.
     """
     eig = eigen_decomposition(w, dft_check=False)
-    system = eig.system
-    w = eig.owner
-    chamber = Chamber(system, GroupElement(system, chamber.x.perm))
+    system, w = eig.system, eig.owner
+    chamber = chamber.over(system)
     q = _angle_of_invariant_subspace(w, eig, basis)
     h_k = hyperplanes_containing(system, basis)
     image = chamber.image_under(w)
@@ -392,9 +394,8 @@ def decompose_at_regular(w: TwistedElement, chamber: Chamber, basis: Matrix
     The basis of K is over eigen_decomposition(w).system.field.
     """
     eig = eigen_decomposition(w, dft_check=False)
-    system = eig.system
-    w = eig.owner
-    chamber = Chamber(system, GroupElement(system, chamber.x.perm))
+    system, w = eig.system, eig.owner
+    chamber = chamber.over(system)
     q = _angle_of_invariant_subspace(w, eig, basis)
     h_k = hyperplanes_containing(system, basis)
     try:
@@ -438,9 +439,8 @@ def component_length(w: TwistedElement, basis: Matrix, component: Chamber) -> in
     of K is over eigen_decomposition(w).system.field.
     """
     eig = eigen_decomposition(w, dft_check=False)
-    system = eig.system
-    w = eig.owner
-    component = Chamber(system, GroupElement(system, component.x.perm))
+    system, w = eig.system, eig.owner
+    component = component.over(system)
     _angle_of_invariant_subspace(w, eig, basis)  # checks stability
     h_k = hyperplanes_containing(system, basis)
     perm_inv = GroupElement(system, w.root_perm()).inv_perm
@@ -465,8 +465,7 @@ def geometric_min_length(w: TwistedElement, start_index: int = 0) -> int:
     of the combinatorial plateau search and serves as its oracle twin.
     """
     eig = eigen_decomposition(w, dft_check=False)
-    system = eig.system
-    w = eig.owner
+    system, w = eig.system, eig.owner
     result = descent_walk(w, Chamber.fundamental(system), start_index=start_index)
     w_k, u, J = decompose_at_regular(w, result.end_chamber, eig.v_wt)
     if not J:
@@ -485,11 +484,9 @@ def strongly_connected_step(w: TwistedElement, a: Chamber, a2: Chamber) -> int:
     l(w_A) = l(w_{A'}) = #H(A, wA)_K + (theta_0/pi) #(H - H_K).
     """
     eig = eigen_decomposition(w, dft_check=False)
-    system = eig.system
+    system, w = eig.system, eig.owner
     field = system.field
-    w = eig.owner
-    a = Chamber(system, GroupElement(system, a.x.perm))
-    a2 = Chamber(system, GroupElement(system, a2.x.perm))
+    a, a2 = a.over(system), a2.over(system)
     sep = a.separating_set(a2)
     if len(sep) != 1:
         raise HypothesisFailed("chambers do not share a common wall")

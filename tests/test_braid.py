@@ -14,7 +14,7 @@ from coxmin.conjugacy import enumerate_classes
 from coxmin.coxeter import (build_system, enumerate_twists, named_matrix,
                             untwisted)
 from coxmin.eigen import admissible_filtration, eigen_decomposition
-from coxmin.errors import HypothesisFailed
+from coxmin.errors import HypothesisFailed, TheoremViolation
 
 
 def rewrite_closure(word, matrix, cap=200000):
@@ -247,6 +247,31 @@ def test_quasi_elliptic_divisibility_small():
             for rec in enumerate_classes(system, tw):
                 if rec.quasi_elliptic:
                     assert verify_quasi_elliptic_divisibility(rec)
+
+
+def test_certificate_argument_and_chain_errors(monkeypatch):
+    import coxmin.braid as braid_mod
+    a2 = build_system(named_matrix("A2"))
+    ident = next(r for r in enumerate_classes(a2) if not r.quasi_elliptic)
+    with pytest.raises(ValueError):
+        verify_quasi_elliptic_divisibility(ident)
+    # Element and filtration over different views of one system.
+    cox = untwisted(a2.element_from_word([0, 1]))
+    eig = eigen_decomposition(cox, dft_check=False)
+    filt = admissible_filtration(eig.owner, eig.angles, eig=eig)
+    with pytest.raises(ValueError):
+        certify_good(cox.over(a2.with_field_level(5)), filt)
+    # B3 class 8 has the chain S > {0}; a chain that does not strictly
+    # decrease contradicts good position.
+    b3 = build_system(named_matrix("B3"))
+    w_a, cert = good_min_element(enumerate_classes(b3)[8])
+    assert len(cert.subsets) == 2
+    filt = admissible_filtration(w_a, eigen_decomposition(w_a).angles)
+    real = braid_mod._parabolic_chain
+    monkeypatch.setattr(braid_mod, "_parabolic_chain",
+                        lambda f: [real(f)[0]] * len(real(f)))
+    with pytest.raises(TheoremViolation):
+        certify_good(w_a, filt)
 
 
 def test_twisted_good_elements():

@@ -229,6 +229,34 @@ def test_system_built_once_per_type(capsys, monkeypatch):
     assert code == 0 and len(calls) == 2
 
 
+def test_verify_decomposes_each_input_once(capsys, monkeypatch):
+    # Every eigen decomposition computed in a verify run is a distinct
+    # (element, field level) input: a caller that bypasses the memo, or a
+    # memo that stops holding, makes more computations than memo entries.
+    import coxmin.cli as cli
+    import coxmin.eigen as eigen
+    systems, computed = [], []
+    real_build, real_start = cli.load_or_build, eigen._matrix_plus_inverse
+
+    def building(*args, **kwargs):
+        systems.append(real_build(*args, **kwargs))
+        return systems[-1]
+
+    def starting(w, system):
+        computed.append(w)
+        return real_start(w, system)
+
+    monkeypatch.setattr(cli, "load_or_build", building)
+    monkeypatch.setattr(eigen, "_matrix_plus_inverse", starting)
+    code, _, _ = run(capsys, "verify", "--type", "H3", "--twist", "auto",
+                     "--checks", "good,quasi,walk,formulas")
+    assert code == 0
+    (base,) = systems
+    distinct = sum(len(view._eigen) for view in (base, *base._lifts.values()))
+    assert distinct > 0
+    assert len(computed) == distinct
+
+
 def test_walk_end_check_survives_optimize():
     # The walk end check must not live in an assert: under python -O a
     # chamber that misses the regular point still fails the verification.

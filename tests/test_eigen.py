@@ -1,8 +1,15 @@
+import dataclasses
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from coxmin.braid import good_min_element
+from coxmin.conjugacy import enumerate_classes
 from coxmin.coxeter import (Chamber, CoxeterMatrix, build_system,
                             enumerate_twists, named_matrix, untwisted,
                             TwistedElement)
@@ -325,3 +332,145 @@ def test_eigen_json_export():
     back = json.loads(text)
     assert back["schema"] == "coxmin/eigen-v1"
     assert back["angles"] == [[1, 2]] and back["dims"] == [2]
+
+
+# ---------------------------------------------------------------------------
+# Memoized geometry.
+
+
+def test_memoized_results_are_shared():
+    h3 = build_system(named_matrix("H3"))
+    w = untwisted(h3.element_from_word([0, 1, 2]))
+    eig = eigen_decomposition(w, dft_check=False)
+    assert eigen_decomposition(w) is eig
+    assert eigen_decomposition(untwisted(h3.element_from_word([0, 1, 2]))) is eig
+    V = identity_basis(h3)
+    assert regular_point(h3, V) is regular_point(h3, list(V))
+
+
+def test_memoized_decomposition_still_runs_requested_dft_check():
+    # A hit on an entry computed without the DFT check must still run it:
+    # corrupting a cached dimension is then caught.
+    for name, word in [("H4", [0, 1, 2, 3]), ("B3", [0])]:
+        system = build_system(named_matrix(name))
+        w = untwisted(system.element_from_word(word))
+        eig = eigen_decomposition(w, dft_check=False)
+        q, dim, basis = eig.entries[0]
+        eig.entries[0] = (q, dim + 2, basis)
+        with pytest.raises(MultiplicityMismatch):
+            eigen_decomposition(w, dft_check=True)
+        with pytest.raises(MultiplicityMismatch):
+            eigen_decomposition(w, dft_check=True)  # a failed check stays unset
+        eig.entries[0] = (q, dim, basis)
+        assert eigen_decomposition(w, dft_check=True) is eig
+
+
+def test_memo_entries_are_per_view_and_start_index():
+    # The base system and its lift answer over their own fields.
+    b3 = build_system(named_matrix("B3"))
+    lift = b3.with_field_level(12)
+    w = untwisted(b3.element_from_word([0, 1, 2]))
+    on_base = eigen_decomposition(w, dft_check=False)
+    on_lift = eigen_decomposition(w.over(lift), dft_check=False)
+    assert on_base.system is b3 and on_lift.system is lift
+    assert on_base is not on_lift
+    assert on_base.angles == on_lift.angles
+    p_base = regular_point(b3, identity_basis(b3))
+    p_lift = regular_point(lift, identity_basis(lift))
+    assert {c.field.L for c in p_base} == {4}
+    assert {c.field.L for c in p_lift} == {12}
+    # Two start indices give two different points, each memoized.
+    V = identity_basis(b3)
+    p21 = regular_point(b3, V, start_index=21)
+    assert p21 != p_base
+    assert regular_point(b3, V, start_index=21) is p21
+    assert regular_point(b3, V) is p_base
+    # The same body under two powers of one twist: two elements.
+    a2 = build_system(named_matrix("A2"))
+    delta = enumerate_twists(a2.matrix)[1]
+    assert eigen_decomposition(TwistedElement(a2, delta, 0, a2.identity)).angles \
+        == [Fraction(0)]
+    assert eigen_decomposition(TwistedElement(a2, delta, 1, a2.identity)).angles \
+        == [Fraction(0), Fraction(1)]
+
+
+def _forget_geometry(system):
+    """Empty the memo dicts of a system and all its lifts."""
+    for view in (system, *system._lifts.values()):
+        view._eigen.clear()
+        view._regular_points.clear()
+
+
+@pytest.mark.parametrize("name", ["B3", "H3", "F4"])
+def test_memoized_geometry_matches_fresh_system(name):
+    # Differential check: answers served from a system whose memos have
+    # filled over every class equal answers computed from scratch on an
+    # independently built system.
+    matrix = named_matrix(name)
+    memo = build_system(matrix)
+    fresh = build_system(matrix)
+    for twist in enumerate_twists(matrix):
+        memo_recs = enumerate_classes(memo, twist)
+        fresh_recs = enumerate_classes(fresh, twist)
+        for rec, frec in zip(memo_recs, fresh_recs):
+            good_min_element(rec)  # fills both memos along the way
+            _forget_geometry(fresh)
+            eig = eigen_decomposition(rec.representative, dft_check=False)
+            feig = eigen_decomposition(frec.representative, dft_check=False)
+            assert eig.system.field.L == feig.system.field.L
+            assert eig.owner == feig.owner
+            assert eig.entries == feig.entries and eig.v_wt == feig.v_wt
+            bases = [b for _, _, b in eig.entries] + [identity_basis(eig.system)]
+            for basis in bases:
+                for start in (0, 21):
+                    _forget_geometry(fresh)
+                    assert regular_point(eig.system, basis, start_index=start) == \
+                        regular_point(feig.system, basis, start_index=start)
+            w_a, cert = good_min_element(rec)
+            _forget_geometry(fresh)
+            fw_a, fcert = good_min_element(frec)
+            assert w_a == fw_a
+            assert cert.to_json() == fcert.to_json()
+
+
+def test_verification_errors_are_typed():
+    a2 = build_system(named_matrix("A2"))
+    w0 = untwisted(a2.element_from_word([0, 1, 0]))
+    eig = eigen_decomposition(w0)
+    with pytest.raises(ValueError):
+        admissible_filtration(w0, [Fraction(1), Fraction(0)])
+    partial = dataclasses.replace(eig, entries=eig.entries[:1])
+    with pytest.raises(TheoremViolation):
+        partial.project(identity_basis(a2)[0])
+
+
+def test_verification_errors_survive_optimize():
+    # Argument and verification checks must not live in asserts, which
+    # python -O strips.
+    script = (
+        "import dataclasses\n"
+        "from coxmin import braid, conjugacy, coxeter, eigen\n"
+        "from coxmin.errors import TheoremViolation\n"
+        "a2 = coxeter.build_system(coxeter.named_matrix('A2'))\n"
+        "w0 = coxeter.untwisted(a2.element_from_word([0, 1, 0]))\n"
+        "eig = eigen.eigen_decomposition(w0)\n"
+        "ident = next(r for r in conjugacy.enumerate_classes(a2)\n"
+        "             if not r.quasi_elliptic)\n"
+        "calls = [lambda: eigen.admissible_filtration(w0, [1, 0]),\n"
+        "         lambda: dataclasses.replace(eig, entries=eig.entries[:1])\n"
+        "             .project(eig.entries[1][2][0]),\n"
+        "         lambda: braid.verify_quasi_elliptic_divisibility(ident)]\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        call()\n"
+        "        print('passed')\n"
+        "    except (ValueError, TheoremViolation) as exc:\n"
+        "        print(type(exc).__name__)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ValueError", "TheoremViolation", "ValueError"]

@@ -214,8 +214,7 @@ def test_decompose_length_bookkeeping_random():
                 w_k, u, J = decompose_at_regular(w, A, basis)
             except HypothesisFailed:
                 continue
-            wa = conjugate_by_chamber(eig.owner, Chamber(
-                eig.system, eig.system.identity.__class__(eig.system, A.x.perm)))
+            wa = conjugate_by_chamber(eig.owner, A.over(eig.system))
             assert wa.length() == u.length() + w_k.length()
             accepted += 1
     assert accepted > 10
