@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .errors import (CoxminError, NotFinite, TooLarge, SearchBound,
                      FieldTooSmall, FieldMismatch, ScalarDomainError,
                      MultiplicityMismatch, NoRegularPoint,
-                     NotAdmissible, ConstructionFailed, HypothesisFailed,
+                     NotAdmissible, HypothesisFailed,
                      IdentityFailed, TheoremViolation, WalkStuck)
 from .scalars import AlgebraicScalar, ScalarField, get_field, minpoly_two_cos_pi_over
 from .coxeter import (CoxeterMatrix, CoxeterSystem, DiagramTwist, GroupElement,

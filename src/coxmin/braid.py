@@ -101,14 +101,16 @@ class TwistedBraid:
     word: tuple[int, ...]
 
     def __mul__(self, other: "TwistedBraid") -> "TwistedBraid":
-        assert other.context is self.context
+        if other.context is not self.context:
+            raise ValueError("braids of different contexts multiplied")
         # d^k u d^l v = d^{k+l} (d^-l u d^l) v; letters twist by d^{-l}.
         perm = self.context.twist.power_perm(-other.k % self.context.twist.order)
         shifted = tuple(perm[i] for i in self.word)
         return TwistedBraid(self.context, self.k + other.k, shifted + other.word)
 
     def power(self, k: int) -> "TwistedBraid":
-        assert k >= 0
+        if k < 0:
+            raise ValueError(f"negative braid power {k}")
         out = TwistedBraid(self.context, 0, ())
         for _ in range(k):
             out = out * self
@@ -174,15 +176,13 @@ class GarsideNormalForm:
             count += 1
         return count
 
-    def canonical_length(self) -> int:
-        return len(self.factors)
-
     def letter_count(self) -> int:
         t = self.context.table
         return sum(t.length[f] for f in self.factors)
 
     def mul(self, other: "GarsideNormalForm") -> "GarsideNormalForm":
-        assert other.context is self.context
+        if other.context is not self.context:
+            raise ValueError("normal forms of different contexts multiplied")
         tm = self.context.twist_map(-other.k)
         shifted = [tm[f] for f in self.factors]
         return GarsideNormalForm(
@@ -190,7 +190,8 @@ class GarsideNormalForm:
             self.context.normalize(shifted + list(other.factors)))
 
     def power(self, k: int) -> "GarsideNormalForm":
-        assert k >= 0
+        if k < 0:
+            raise ValueError(f"negative normal form power {k}")
         out = GarsideNormalForm(self.context, 0, ())
         base = self
         while k:

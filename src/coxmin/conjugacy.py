@@ -86,7 +86,8 @@ class TwistedCoset:
         return TwistedElement(self.system, self.twist, self.k, body)
 
     def index(self, w: TwistedElement) -> int:
-        assert w.k == self.k and w.twist == self.twist
+        if w.k != self.k or w.twist != self.twist:
+            raise ValueError("element lies outside this twisted coset")
         return self.table.index_of(w.body)
 
     def conjugate_by_index(self, x: int, g: int) -> int:
@@ -119,12 +120,6 @@ class ConjugacyClassRecord:
     @property
     def representative(self) -> TwistedElement:
         return self.coset.element(self.o_min[0])
-
-    def element_list(self) -> list[TwistedElement]:
-        return [self.coset.element(x) for x in self.elements]
-
-    def o_min_list(self) -> list[TwistedElement]:
-        return [self.coset.element(x) for x in self.o_min]
 
 
 def enumerate_classes(system: CoxeterSystem, twist: DiagramTwist | None = None,
@@ -303,7 +298,8 @@ def approx_partition(record: ConjugacyClassRecord,
     coset = record.coset
     items = list(elements) if elements is not None else list(record.o_min)
     level = {coset.length(x) for x in items}
-    assert len(level) == 1, "approx partition needs elements of equal length"
+    if len(level) != 1:
+        raise ValueError("approx partition needs elements of equal length")
     members = set(items)
     parent = {x: x for x in items}
     for x in items:
@@ -432,7 +428,8 @@ def strong_partition(record: ConjugacyClassRecord,
 
 def verify_elliptic_approx(record: ConjugacyClassRecord) -> bool:
     """Elliptic classes have a single approx block on O_min."""
-    assert record.elliptic
+    if not record.elliptic:
+        raise ValueError("verify_elliptic_approx needs an elliptic class")
     blocks = approx_partition(record)
     if len(blocks) != 1:
         raise TheoremViolation(
@@ -585,7 +582,8 @@ def parabolic_subsystem(w_prime: TwistedElement, J: Sequence[int]):
     """
     J = sorted(J)
     sys_full = w_prime.system
-    assert normalizes_parabolic(w_prime, J), "w' must normalize W_J"
+    if not normalizes_parabolic(w_prime, J):
+        raise ValueError("w' must normalize W_J")
     sub = build_system(CoxeterMatrix([[sys_full.matrix[a, b] for b in J]
                                       for a in J]))
     imap = parabolic_index_map(w_prime, J)
@@ -594,7 +592,8 @@ def parabolic_subsystem(w_prime: TwistedElement, J: Sequence[int]):
 
     def to_sub(g: GroupElement) -> GroupElement:
         word = g.to_word()
-        assert all(i in J for i in word), "element is not in W_J"
+        if not all(i in J for i in word):
+            raise ValueError("element is not in W_J")
         return sub.element_from_word([pos[i] for i in word])
 
     return sub, sub_twist, to_sub
@@ -610,11 +609,12 @@ def partial_conjugation_transfer(J: Sequence[int], w_prime: TwistedElement,
     """
     J = sorted(J)
     sys_full = w_prime.system
-    assert is_minimal_double_coset_rep(w_prime, J), "w' must be the minimal double coset rep"
-    assert normalizes_parabolic(w_prime, J), "w' must normalize W_J"
+    if not (is_minimal_double_coset_rep(w_prime, J) and normalizes_parabolic(w_prime, J)):
+        raise ValueError("w' must be the minimal double coset rep normalizing W_J")
     if not J:
         # W_J is trivial: both sides compare w' with itself.
-        assert x.is_identity() and y.is_identity()
+        if not (x.is_identity() and y.is_identity()):
+            raise ValueError("x and y must lie in the trivial W_J")
         return True
 
     sub, sub_twist, to_sub = parabolic_subsystem(w_prime, J)

@@ -30,6 +30,7 @@ import hashlib
 import json
 import math
 import os
+import tempfile
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -310,9 +311,6 @@ class CoxeterSystem:
         if idx < self.npos:
             return self.pos_roots[idx]
         return tuple(-c for c in self.pos_roots[idx - self.npos])
-
-    def negate_root(self, idx: int) -> int:
-        return idx + self.npos if idx < self.npos else idx - self.npos
 
     def inner(self, u: Vector, v: Vector) -> AlgebraicScalar:
         acc = self.field.zero
@@ -736,7 +734,8 @@ class TwistedElement:
         return GroupElement(self.system, self.system.twist_conj(g.perm, self.twist, m))
 
     def __mul__(self, other: "TwistedElement") -> "TwistedElement":
-        assert other.twist == self.twist
+        if other.twist != self.twist:
+            raise ValueError("twisted elements of different twists multiplied")
         body = self.twist_conj_body(self.body, -other.k) * other.body
         return TwistedElement(self.system, self.twist, self.k + other.k, body)
 
@@ -888,7 +887,8 @@ def _dominant_point(system: CoxeterSystem) -> Vector:
     red, pivots = rref([tuple(r) for r in rows])
     sol = [field.zero] * n
     for row, p in zip(red, pivots):
-        assert p < n, "bilinear form must be invertible"
+        if p == n:
+            raise TheoremViolation("the bilinear form of a finite group is singular")
         sol[p] = row[n]
     system._dominant = tuple(sol)
     return system._dominant
@@ -1032,7 +1032,8 @@ class GroupTable:
         self.rdesc = rdesc
         self.ldesc = ldesc
         self.w0 = max(range(size), key=length.__getitem__)
-        assert length.count(length[self.w0]) == 1
+        if length.count(length[self.w0]) != 1:
+            raise TheoremViolation("the longest element is not unique")
 
     def element(self, x: int) -> GroupElement:
         return GroupElement(self.system, self.perms[x])
@@ -1067,14 +1068,26 @@ def system_to_json(system: CoxeterSystem) -> dict:
 
 
 def system_from_json(data: dict) -> CoxeterSystem:
+    """A cached system whose reflection tables are rebuilt from its roots.
+
+    Roots not closed under the simple reflections, tables that disagree with
+    the document's, or a malformed document raise ValueError.
+    """
     if data.get("schema") != CACHE_SCHEMA:
         raise ValueError(f"root-system cache schema is not {CACHE_SCHEMA}")
-    matrix = CoxeterMatrix(data["matrix"])
-    field = get_field(data["L"])
-    pos = [tuple(field.scalar([Fraction(a, b) for a, b in coeffs]) for coeffs in vec)
-           for vec in data["positive_roots"]]
-    reflections = [tuple(p) for p in data["reflections"]]
-    return CoxeterSystem(matrix, field, pos, reflections)
+    try:
+        field = get_field(data["L"])
+        pos = [tuple(field.scalar([Fraction(a, b) for a, b in coeffs]) for coeffs in vec)
+               for vec in data["positive_roots"]]
+        system = CoxeterSystem(CoxeterMatrix(data["matrix"]), field, pos)
+        stored = [tuple(p) for p in data["reflections"]]
+    except (KeyError, TypeError, ArithmeticError) as exc:
+        # root_index raises KeyError for an image outside the root set.
+        raise ValueError("malformed root-system cache, or its roots are not "
+                         f"closed under the simple reflections: {exc!r}") from None
+    if system.reflections != stored:
+        raise ValueError("root-system cache tables disagree with its roots")
+    return system
 
 
 def cache_key(matrix: CoxeterMatrix, L: int) -> str:
@@ -1093,11 +1106,21 @@ def load_or_build(matrix: CoxeterMatrix, L_hint: int | None = None,
     path = os.path.join(cache_dir, f"rootsys-{cache_key(matrix, L)}.json")
     if os.path.exists(path):
         with open(path) as fh:
-            return system_from_json(json.load(fh))
+            system = system_from_json(json.load(fh))
+        if system.matrix != matrix or system.field.L != L:
+            raise ValueError(f"root-system cache {path} holds another matrix "
+                             "or field level")
+        return system
     system = build_system(matrix, L_hint=L)
     os.makedirs(cache_dir, exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(system_to_json(system), fh)
-    os.replace(tmp, path)
+    # A unique temporary name, so concurrent writers never share one.
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=os.path.basename(path) + ".",
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(system_to_json(system), fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return system

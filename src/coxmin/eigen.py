@@ -35,8 +35,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coxeter import Chamber, CoxeterSystem, TwistedElement
-from .errors import (ConstructionFailed, FieldTooSmall, MultiplicityMismatch,
-                     NoRegularPoint, NotAdmissible, TheoremViolation)
+from .errors import (FieldTooSmall, MultiplicityMismatch, NoRegularPoint,
+                     NotAdmissible, TheoremViolation)
 from .linalg import (Matrix, Vector, cone_from_constraints, cone_point_avoiding,
                      kernel_basis, mat_mul, rational_tuples, rref, solve_in_span,
                      vec_add, vec_is_zero, vec_scale, zero_vector)
@@ -239,13 +239,20 @@ def reflection_subgroup(system: CoxeterSystem, basis: Matrix) -> list[int]:
 def regular_point(system: CoxeterSystem, basis: Matrix,
                   inside: Chamber | None = None,
                   start_index: int = 0) -> Vector:
-    """A deterministic regular point of span(basis).
+    """A deterministic regular point of K = span(basis).
 
-    For each hyperplane H either K lies inside H or the point avoids H.  With
-    `inside`, the point is additionally constrained to the closed chamber;
-    NoRegularPoint is raised exactly when that combination is infeasible.
-    Without it, a found point is memoized on the system per (basis,
-    start_index).
+    For each hyperplane H either K lies inside H or the point avoids H.
+    Without `inside` it is sum_i c_i b_i for the first tuple c of
+    rational_tuples(m, start_index) that avoids every H missing K, memoized
+    per (basis, start_index).  Rings 0..R of the enumerator form an (R+1)^m
+    grid, on which each avoided root's nonzero form c -> <alpha_r, sum c_i b_i>
+    vanishes at most (R+1)^(m-1) times; the roots span V, so #avoid > 0 and
+    R + 1 = #avoid + start_index + 1 leaves more than start_index good grid
+    points.  So (R+1)^m - start_index tuples suffice.  With `inside`, the
+    point lies in the closed chamber too and comes from
+    linalg.cone_point_avoiding (`start_index` does not apply); NoRegularPoint
+    is raised exactly when that is infeasible.  Running past either proven
+    bound raises TheoremViolation.
     """
     field = system.field
     if not basis or all(vec_is_zero(b) for b in basis):
@@ -255,53 +262,32 @@ def regular_point(system: CoxeterSystem, basis: Matrix,
         cached = system._regular_points.get(key)
         if cached is not None:
             return cached
-    h_k = hyperplanes_containing(system, basis)
-    avoid_roots = [r for r in range(system.npos) if r not in h_k]
+    m = len(basis)
+    # rows[r][i] = <alpha_r, b_i>; H_K is the set of roots with a zero row.
+    rows = [tuple(system.pair_root(r, b) for b in basis) for r in range(system.npos)]
+    avoid_roots = [r for r in range(system.npos)
+                   if not all(x.is_zero() for x in rows[r])]
+    avoid = [rows[r] for r in avoid_roots]
 
     if inside is None:
-        m = len(basis)
-        # Pairings of each basis vector against the hyperplanes to avoid;
-        # a candidate's pairing is then a small linear combination.
-        prods = [[system.pair_root(r, b) for b in basis]
-                 for r in avoid_roots]
-        for coeffs in itertools.islice(rational_tuples(m, start_index), 200000):
-            if all(c == 0 for c in coeffs):
-                continue
-            ok = True
-            for row in prods:
-                val = field.zero
-                for c, p in zip(coeffs, row):
-                    if c:
-                        val = val + c * p
-                if val.is_zero():
-                    ok = False
-                    break
-            if not ok:
+        count = (len(avoid) + start_index + 1) ** m - start_index
+        for coeffs in itertools.islice(rational_tuples(m, start_index), count):
+            if any(sum((c * p for c, p in zip(coeffs, row) if c), field.zero).is_zero()
+                   for row in avoid):
                 continue
             v = zero_vector(field, system.rank)
             for c, bvec in zip(coeffs, basis):
                 if c:
                     v = vec_add(v, vec_scale(field.from_rational(c), bvec))
-            if not vec_is_zero(v):
-                system._regular_points[key] = v
-                return v
-        raise ConstructionFailed("regular point search exhausted")
+            system._regular_points[key] = v
+            return v
+        raise TheoremViolation(f"no regular point among {count} tuples")
 
     # Constrained: work in basis coordinates and build the chamber cone.
-    m = len(basis)
-    rows_by_root = {}
-    for r in range(system.npos):
-        rows_by_root[r] = tuple(system.pair_root(r, b) for b in basis)
-    constraints = []
-    for r in range(system.npos):
-        srow = rows_by_root[r]
-        if all(x.is_zero() for x in srow):
-            continue
-        sgn = inside.sign(r)
-        constraints.append(tuple(x if sgn > 0 else -x for x in srow))
+    constraints = [row if inside.sign(r) > 0 else tuple(-x for x in row)
+                   for r, row in zip(avoid_roots, avoid)]
     cone = cone_from_constraints(field, m, constraints)
-    avoid = [rows_by_root[r] for r in avoid_roots]
-    coeffs = cone_point_avoiding(cone, avoid, constraints, start_index)
+    coeffs = cone_point_avoiding(cone, avoid, constraints)
     if coeffs is None:
         raise NoRegularPoint("no regular point of K in the closed chamber")
     v = zero_vector(field, system.rank)

@@ -53,10 +53,6 @@ class NotGoodPosition(CoxminError):
     """The chamber is not in good position for the given filtration."""
 
 
-class ConstructionFailed(CoxminError):
-    """A construction with a guaranteed-existence proof failed; a bug."""
-
-
 class HypothesisFailed(CoxminError):
     """Preconditions of a length-formula lemma could not be verified."""
 

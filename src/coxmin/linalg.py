@@ -8,6 +8,13 @@ The double description machinery converts a cone {v : a_i . v >= 0} into a
 generator form (lineality basis + extreme rays).  It is used to decide
 exactly whether a closed chamber (or a face of one) contains a regular point
 of a subspace, and to produce such a point deterministically when it does.
+
+The point is a construction with a proven bound.  With g_0, ..., g_{G-1}
+the cone's lines and then its rays, p(t) = sum_j t^j g_j lies in the cone
+for t > 0, and <h, p(t)> is a polynomial in t of degree below G.  It is zero
+exactly when h contains span(cone), and otherwise vanishes at no more than
+G - 1 values of t.  So some t <= (G - 1) * #avoid + 1 avoids every hyperplane
+that misses span(cone).
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
+from .errors import TheoremViolation
 from .scalars import AlgebraicScalar, ScalarField
 
 Vector = tuple[AlgebraicScalar, ...]
@@ -198,13 +206,11 @@ def rational_tuples(m: int, start_index: int = 0) -> Iterator[tuple[Fraction, ..
 class Cone:
     """Generator form of a polyhedral cone: lineality basis plus rays."""
 
-    def __init__(self, field: ScalarField, dim: int, lines: Matrix, rays: Matrix,
-                 tight: list[set[int]]):
+    def __init__(self, field: ScalarField, dim: int, lines: Matrix, rays: Matrix):
         self.field = field
         self.dim = dim
         self.lines = lines
         self.rays = rays
-        self._tight = tight
 
     def span(self) -> Matrix:
         red, _ = rref(list(self.lines) + list(self.rays))
@@ -215,9 +221,6 @@ class Cone:
         for r in self.rays:
             v = vec_add(v, r)
         return v
-
-    def is_zero(self) -> bool:
-        return not self.lines and not self.rays
 
 
 def cone_from_constraints(field: ScalarField, dim: int, constraints: Sequence[Vector]) -> Cone:
@@ -277,50 +280,34 @@ def cone_from_constraints(field: ScalarField, dim: int, constraints: Sequence[Ve
                 new_tight.append(z12 | {idx})
         rays, tight = new_rays, new_tight
 
-    return Cone(field, dim, lines, rays, tight)
+    return Cone(field, dim, lines, rays)
 
 
 def cone_point_avoiding(cone: Cone, avoid: Sequence[Vector],
-                        constraints: Sequence[Vector],
-                        start_index: int = 0) -> Vector | None:
+                        constraints: Sequence[Vector]) -> Vector | None:
     """A point of the cone on none of the `avoid` hyperplanes.
 
-    Returns None when impossible, i.e. when the span of the cone lies inside
-    one of the hyperplanes (exact negative).  Otherwise searches
-    deterministically: perturb the relative interior point along enumerated
-    combinations of the generators, halving the step until the cone
-    membership check passes again.
+    None exactly when the cone's span lies in one of them; otherwise p(t) for
+    the least t = 1, 2, ... that avoids them all (see the module docstring).
+    A run past the bound, or a point failing the exact check against the
+    cone's `constraints`, means a wrong double description: TheoremViolation.
     """
     field = cone.field
-    span = cone.span()
-    if not span:
-        return None
-    for h in avoid:
-        if all(vec_dot(h, b).is_zero() for b in span):
-            return None
     gens = list(cone.lines) + list(cone.rays)
-    p0 = cone.relative_interior_point()
-
-    def ok(v: Vector) -> bool:
-        if any(vec_dot(a, v).sign() < 0 for a in constraints):
-            return False
-        return all(not vec_dot(h, v).is_zero() for h in avoid)
-
-    if ok(p0):
-        return p0
-    for coeffs in itertools.islice(rational_tuples(len(gens), start_index), 20000):
-        u = zero_vector(field, cone.dim)
-        for c, g in zip(coeffs, gens):
-            if c:
-                u = vec_add(u, vec_scale(field.from_rational(c), g))
-        if vec_is_zero(u):
-            continue
-        step = Fraction(1)
-        for _ in range(64):
-            v = vec_add(p0, vec_scale(field.from_rational(step), u))
-            if ok(v):
-                return v
-            step /= 2
-    from .errors import ConstructionFailed
-
-    raise ConstructionFailed("cone point search exhausted; existence was guaranteed")
+    # polys[i][j] = <avoid_i, g_j>: the coefficients of <avoid_i, p(t)>.
+    polys = [[vec_dot(h, g) for g in gens] for h in avoid]
+    if not gens or any(all(c.is_zero() for c in poly) for poly in polys):
+        return None
+    bound = (len(gens) - 1) * len(avoid) + 1
+    t = next((t for t in range(1, bound + 1) if not any(
+        sum((c * t ** j for j, c in enumerate(poly)), field.zero).is_zero()
+        for poly in polys)), None)
+    if t is None:
+        raise TheoremViolation(f"no t <= {bound} avoids every hyperplane")
+    p = zero_vector(field, cone.dim)
+    for j, g in enumerate(gens):
+        p = vec_add(p, vec_scale(field.from_rational(t ** j), g))
+    if any(vec_dot(a, p).sign() < 0 for a in constraints):
+        raise TheoremViolation("a positive combination of the generators "
+                               "leaves the cone")
+    return p

@@ -77,10 +77,12 @@ def derivative_test(w: TwistedElement, wall_root: int, h: Vector, v: Vector) -> 
     system = w.system
     if wall_root >= system.npos:
         wall_root -= system.npos
-    assert system.pair_root(wall_root, h).is_zero(), "h must lie on the wall"
+    if not system.pair_root(wall_root, h).is_zero():
+        raise ValueError("h must lie on the wall")
     alpha = system.pos_roots[wall_root]
     stacked = rref([alpha, v])[0]
-    assert len(stacked) <= 1, "v must be perpendicular to the wall"
+    if len(stacked) > 1:
+        raise ValueError("v must be perpendicular to the wall")
     wh = w.apply(h)
     wv = w.apply(v)
     d = system.inner(vec_sub(wh, h), vec_sub(wv, v))
@@ -163,7 +165,8 @@ def _good_start_points(eig: EigenDecomposition, chamber: Chamber,
     every nonzero component, computed once per start point.  Candidates
     come from the deterministic tuple enumerator around the chamber's
     canonical interior point, so the stream (and every downstream walk) is
-    reproducible.
+    reproducible.  The 4,096 x 16 enumeration stays capped: its candidates
+    fix the walk paths, so a bounded construction would change the reports.
     """
     system = eig.system
     npos = system.npos

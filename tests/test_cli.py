@@ -153,6 +153,52 @@ def test_cache_with_wrong_schema_is_a_usage_error(tmp_path, capsys):
     assert code == 2 and CACHE_SCHEMA in err
 
 
+def _corrupt_reflection(data):
+    row = data["reflections"][0]
+    row[0], row[1] = row[1], row[0]
+
+
+def _corrupt_root(data):
+    data["positive_roots"][-1][0] = [[5, 1]]
+
+
+def _other_matrix(data):
+    b2 = system_to_json(build_system(named_matrix("B2")))
+    data.clear()
+    data.update(b2)
+
+
+@pytest.mark.parametrize("corrupt", [_corrupt_reflection, _corrupt_root,
+                                     _other_matrix])
+def test_corrupt_cache_is_a_usage_error(tmp_path, capsys, corrupt):
+    # The cache is checked before it is trusted: one swapped reflection
+    # entry, a root set not closed under the simple reflections, or another
+    # matrix's system under this file name each exit 2.
+    code, _, _ = run(capsys, "classes", "--type", "A2", "--cache-dir", str(tmp_path))
+    assert code == 0
+    (path,) = tmp_path.iterdir()
+    data = json.loads(path.read_text())
+    corrupt(data)
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "classes", "--type", "A2", "--cache-dir", str(tmp_path))
+    assert code == 2 and "cache" in err
+
+
+def test_cache_write_uses_a_unique_temporary(tmp_path, capsys):
+    # A directory squatting on the old fixed temporary name does not stop
+    # the write, and no temporary file is left behind.
+    code, _, _ = run(capsys, "classes", "--type", "A2", "--cache-dir", str(tmp_path))
+    assert code == 0
+    (path,) = tmp_path.iterdir()
+    path.unlink()
+    squat = Path(str(path) + ".tmp")
+    squat.mkdir()
+    code, _, _ = run(capsys, "classes", "--type", "A2", "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert sorted(tmp_path.iterdir()) == [path, squat]
+    assert json.loads(path.read_text())["schema"] == CACHE_SCHEMA
+
+
 def test_matrix_file(tmp_path, capsys):
     path = tmp_path / "mat.json"
     path.write_text(json.dumps({"matrix": [[1, 2], [2, 1]]}))

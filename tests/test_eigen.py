@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import os
 import random
 import subprocess
@@ -20,7 +21,8 @@ from coxmin.eigen import (admissible_filtration, eigen_decomposition,
                           reflection_subgroup, regular_point)
 from coxmin.errors import (MultiplicityMismatch, NoRegularPoint, NotAdmissible,
                            TheoremViolation)
-from coxmin.linalg import cone_from_constraints, cone_point_avoiding
+from coxmin.linalg import (cone_from_constraints, cone_point_avoiding,
+                           rational_tuples, vec_is_zero)
 
 
 def identity_basis(system):
@@ -474,3 +476,61 @@ def test_verification_errors_survive_optimize():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["ValueError", "TheoremViolation", "ValueError"]
+
+
+# ---------------------------------------------------------------------------
+# Regular points with proven bounds.
+
+
+def _first_regular_tuple(system, basis, start_index):
+    """Uncapped reference: the first tuple of the stream giving a regular point."""
+    h_k = hyperplanes_containing(system, basis)
+    f = system.field
+    for coeffs in rational_tuples(len(basis), start_index):
+        v = tuple(sum((f.from_rational(c) * b[i] for c, b in zip(coeffs, basis)),
+                      f.zero) for i in range(system.rank))
+        if vec_is_zero(v):
+            continue
+        if all(not system.pair_root(r, v).is_zero()
+               for r in range(system.npos) if r not in h_k):
+            return v
+
+
+@pytest.mark.parametrize("name", ["B3", "H3", "F4"])
+def test_regular_point_equals_uncapped_search(name):
+    # Every eigenspace and every filtration step of every class, at two
+    # start indices: the bounded search returns the uncapped first success.
+    system = build_system(named_matrix(name))
+    bases = set()
+    for twist in enumerate_twists(system.matrix):
+        for rec in enumerate_classes(system, twist):
+            eig = eigen_decomposition(rec.representative, dft_check=False)
+            filt = admissible_filtration(eig.owner, eig.angles, eig=eig)
+            for basis in ([b for _, _, b in eig.entries] + filt.f_bases[1:]
+                          + [identity_basis(eig.system)]):
+                bases.add((eig.system, tuple(basis)))
+    assert len(bases) > 10
+    for view, basis in sorted(bases, key=repr):
+        for start in (0, 21):
+            view._regular_points.clear()
+            assert regular_point(view, list(basis), start_index=start) == \
+                _first_regular_tuple(view, list(basis), start)
+
+
+def test_regular_point_past_its_bound_is_a_violation(monkeypatch):
+    # A stream that never yields a usable tuple must stop at the proven
+    # count and raise, not loop or return a point.
+    import coxmin.eigen as eigen_mod
+    drawn = []
+
+    def zeros(m, start_index=0):
+        for _ in itertools.count():
+            drawn.append(1)
+            yield (Fraction(0),) * m
+
+    a2 = build_system(named_matrix("A2"))
+    monkeypatch.setattr(eigen_mod, "rational_tuples", zeros)
+    with pytest.raises(TheoremViolation):
+        regular_point(a2, identity_basis(a2), start_index=2)
+    # Three hyperplanes to avoid, start index 2: (3 + 2 + 1)^2 - 2 tuples.
+    assert len(drawn) == 34

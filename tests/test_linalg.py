@@ -1,6 +1,10 @@
 import itertools
+import random
 from fractions import Fraction
 
+import pytest
+
+from coxmin.errors import TheoremViolation
 from coxmin.linalg import (cone_from_constraints, cone_point_avoiding,
                            intersect_subspaces, kernel_basis, rank,
                            rational_tuples, rref, solve_in_span,
@@ -96,3 +100,65 @@ def test_cone_simplex_3d():
         assert vec_dot(c, p).sign() >= 0
     span = cone.span()
     assert len(span) == 3
+
+
+def test_cone_point_avoiding_steps_past_t1():
+    # The quadrant's rays are e1, e2, so p(1) = (1, 1) lies on x = y and
+    # p(2) = e1 + 2 e2 is the answer.
+    f = get_field(1)
+    cons = [_vec(f, 1, 0), _vec(f, 0, 1)]
+    cone = cone_from_constraints(f, 2, cons)
+    assert cone.rays == [_vec(f, 1, 0), _vec(f, 0, 1)]
+    assert cone_point_avoiding(cone, [_vec(f, 1, -1)], cons) == _vec(f, 1, 2)
+
+
+def test_cone_point_avoiding_with_a_line():
+    # x >= 0 has the line e2 and the ray e1, so p(t) = (t, 1).  Avoiding
+    # y = 0, x = y and x = 2y takes t = 3, within the bound (2-1)*3 + 1.
+    f = get_field(1)
+    cons = [_vec(f, 1, 0)]
+    cone = cone_from_constraints(f, 2, cons)
+    assert cone.lines == [_vec(f, 0, 1)] and cone.rays == [_vec(f, 1, 0)]
+    avoid = [_vec(f, 0, 1), _vec(f, 1, -1), _vec(f, 1, -2)]
+    assert cone_point_avoiding(cone, avoid, cons) == _vec(f, 3, 1)
+    # The line's direction does not lie in the cone's boundary hyperplane.
+    assert cone_point_avoiding(cone, [_vec(f, 1, 0)], cons) == _vec(f, 1, 1)
+
+
+def test_cone_point_avoiding_random_property():
+    # Over Q with small integer data: None exactly when the cone's span lies
+    # in an avoided hyperplane, else a cone point on none of them.
+    f = get_field(1)
+    rng = random.Random(11)
+    found = infeasible = 0
+    for _ in range(300):
+        dim = rng.choice((2, 3))
+        cons = [_vec(f, *(rng.randint(-2, 2) for _ in range(dim)))
+                for _ in range(rng.randint(1, 4))]
+        avoid = [_vec(f, *(rng.randint(-2, 2) for _ in range(dim)))
+                 for _ in range(rng.randint(0, 4))]
+        cone = cone_from_constraints(f, dim, cons)
+        span = cone.span()
+        impossible = not span or any(
+            all(vec_dot(h, b).is_zero() for b in span) for h in avoid)
+        p = cone_point_avoiding(cone, avoid, cons)
+        if impossible:
+            assert p is None
+            infeasible += 1
+            continue
+        assert p is not None
+        assert all(vec_dot(a, p).sign() >= 0 for a in cons)
+        assert all(not vec_dot(h, p).is_zero() for h in avoid)
+        found += 1
+    assert found > 50 and infeasible > 20
+
+
+def test_cone_point_avoiding_catches_a_corrupt_cone():
+    # A ray moved outside the constraints: the exact check of the chosen
+    # point raises instead of returning a point outside the cone.
+    f = get_field(1)
+    cons = [_vec(f, 1, 0), _vec(f, 0, 1)]
+    cone = cone_from_constraints(f, 2, cons)
+    cone.rays[0] = _vec(f, -1, 0)
+    with pytest.raises(TheoremViolation):
+        cone_point_avoiding(cone, [], cons)

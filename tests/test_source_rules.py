@@ -1,0 +1,71 @@
+"""Rules on the package source that keep verdicts proof-grade."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_no_asserts_and_no_capped_construction_error():
+    # python -O strips asserts, so no check may live in one; and the point
+    # constructions have proven bounds, so the "search exhausted" error of
+    # the old capped searches must not come back.
+    offenders = []
+    for path in sorted((SRC / "coxmin").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            names = []
+            if isinstance(node, ast.Name):
+                names.append(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.append(node.attr)
+            elif isinstance(node, ast.alias):
+                names.append(node.name)
+            elif isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                names.append(node.name)
+            if isinstance(node, ast.Assert):
+                offenders.append(f"{path.name}:{node.lineno}: assert")
+            if "ConstructionFailed" in names:
+                offenders.append(f"{path.name}:{node.lineno}: ConstructionFailed")
+    assert not offenders, offenders
+
+
+def test_preconditions_raise_under_optimize():
+    # Each former assert is a typed raise that python -O keeps.
+    script = (
+        "from coxmin import braid, conjugacy, coxeter, eigen, walk\n"
+        "a2 = coxeter.build_system(coxeter.named_matrix('A2'))\n"
+        "s1 = coxeter.untwisted(a2.generator(0))\n"
+        "delta = coxeter.enumerate_twists(a2.matrix)[1]\n"
+        "on_wall = eigen.regular_point(a2, eigen.fixed_space(s1))\n"
+        "off_wall = coxeter.Chamber.fundamental(a2).interior_point()\n"
+        "ctx = braid.BraidContext(a2)\n"
+        "rec = conjugacy.enumerate_classes(a2)[1]\n"
+        "calls = [\n"
+        "    lambda: walk.derivative_test(s1, 0, off_wall, a2.pos_roots[0]),\n"
+        "    lambda: walk.derivative_test(s1, 0, on_wall, a2.pos_roots[1]),\n"
+        "    lambda: braid.lift(s1, ctx).power(-1),\n"
+        "    lambda: braid.lift(s1, ctx).normal_form().power(-1),\n"
+        "    lambda: coxeter.TwistedElement(a2, delta, 1, a2.identity) * s1,\n"
+        "    lambda: rec.coset.index(coxeter.TwistedElement(a2, delta, 1, a2.identity)),\n"
+        "    lambda: conjugacy.approx_partition(rec, rec.elements[::2]),\n"
+        "    lambda: conjugacy.verify_elliptic_approx(conjugacy.enumerate_classes(a2)[0]),\n"
+        "    lambda: conjugacy.partial_conjugation_transfer(\n"
+        "        [], coxeter.untwisted(a2.identity), a2.generator(0), a2.identity),\n"
+        "]\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        call()\n"
+        "        print('passed')\n"
+        "    except ValueError:\n"
+        "        print('ValueError')\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ValueError"] * 9
