@@ -200,8 +200,8 @@ def _check_class(rec, checks: list[str], seed: int) -> list[dict]:
                 else:
                     graph = verify_tau_surjective(rec.representative, rec.coset)
                     row(check, "pass",
-                        f"|W_w|={len(graph.vertices)} reached, "
-                        f"|Z|={len(graph.centralizer)} covered")
+                        f"|W_w|={graph.num_vertices} reached, "
+                        f"|Z|={graph.centralizer_order} covered")
             elif check == "good":
                 w_a, cert = good_min_element(rec, start_index=seed)
                 row(check, "pass",

@@ -18,6 +18,9 @@ The key computations:
   pruning).
 * path_graph: the graph on W_w = {x : l(x^-1 w x) = l(w)} walked by paths of
   equal-length simple conjugations, with the centralizer coverage report.
+  Orbit-stabilizer counts the targets from the class C of w alone:
+  |Z_W(w)| = |W| / |C| and |W_w| = |Z_W(w)| * #{u in C : l(u) = l(w)}.  So a
+  class costs |C| steps plus the reached part of W_w, never a pass over W.
 """
 
 from __future__ import annotations
@@ -417,9 +420,8 @@ def strong_partition(record: ConjugacyClassRecord,
     for x in items:
         if nblocks == 1:
             break
-        # Skip searches that cannot merge anything new: all members of x's
-        # block searched already is not tracked, so just search every x whose
-        # block is still not alone; correctness over speed.
+        # No search is skipped: every x is searched, in order, until a
+        # single block remains.
         for y in elementary_strong_targets(coset, x, bound, pruned):
             if y in members and _union(parent, x, y):
                 nblocks -= 1
@@ -444,21 +446,26 @@ def verify_elliptic_approx(record: ConjugacyClassRecord) -> bool:
 
 @dataclass
 class PathGraph:
-    """Vertices W_w (as element indices), the tau-reachable set, and Z_W(w)."""
+    """W_w counted, the tau-reachable part of it, and Z_W(w).
+
+    `num_vertices` is |W_w| and `centralizer_order` is |Z_W(w)|, both exact
+    counts from orbit-stabilizer; `reached` and `centralizer` (= Z_W(w) met
+    inside `reached`) are element indices.
+    """
     coset: TwistedCoset
     start_body: int
-    vertices: list[int]
+    num_vertices: int
     reached: list[int]
     centralizer: list[int]
+    centralizer_order: int
 
     @property
     def surjective(self) -> bool:
-        return len(self.reached) == len(self.vertices)
+        return len(self.reached) == self.num_vertices
 
     @property
     def centralizer_covered(self) -> bool:
-        reached = set(self.reached)
-        return all(z in reached for z in self.centralizer)
+        return len(self.centralizer) == self.centralizer_order
 
 
 def path_graph(w: TwistedElement, coset: TwistedCoset | None = None) -> PathGraph:
@@ -466,56 +473,67 @@ def path_graph(w: TwistedElement, coset: TwistedCoset | None = None) -> PathGrap
 
     Walking to x exhibits a path of equal-length conjugations from w to
     x^-1 w x whose tau-image is x; reaching x in Z_W(w) therefore exhibits a
-    closed path at w with tau-image x.
+    closed path at w with tau-image x.  The walk carries c(x) = x^-1 w x,
+    with c(x s_i) = s_i c(x) s_i, and keeps x s_i only when l(c(x s_i)) = l(w),
+    so it touches no element outside the reached part of W_w.
+
+    The targets are counted from the class C of w instead of swept over W:
+    x -> x^-1 w x maps W onto C and the fibre over each u is a coset Z_W(w) x.
+    So |Z_W(w)| = |W| / |C| and |W_w| = |Z_W(w)| * #{u in C : l(u) = l(w)}.
+    Since reached is inside W_w and its centralizer part inside Z_W(w),
+    equal counts prove surjectivity and coverage.  A class whose size does
+    not divide |W| raises TheoremViolation.
     """
     if coset is None:
         coset = TwistedCoset(w.system, w.twist, w.k)
     t = coset.table
-    n = coset.system.rank
+    length = t.length
+    # steps[i] = (row of x -> x s_i, row of u -> d^-k(s_i) u), so that
+    # s_i (d^k u) s_i has body lrow[rrow[u]].
+    steps = [(t.right[i], t.left[coset._left_letter[i]])
+             for i in range(coset.system.rank)]
     wbody = coset.index(w)
-    lw = t.length[wbody]
+    lw = length[wbody]
 
-    # Conjugate map over all of W: cm[x] = body of x^-1 (d^k w) x.
-    cm = [0] * t.size
-    cm[0] = wbody
+    # The class C of w, and how many of its elements have length l(w).
+    seen = {wbody}
+    frontier = [wbody]
+    level = 0
+    while frontier:
+        nxt = []
+        for u in frontier:
+            if length[u] == lw:
+                level += 1
+            for rrow, lrow in steps:
+                v = lrow[rrow[u]]
+                if v not in seen:
+                    seen.add(v)
+                    nxt.append(v)
+        frontier = nxt
+    if t.size % len(seen):
+        raise TheoremViolation(
+            f"class of size {len(seen)} does not divide |W| = {t.size}")
+    z_order = t.size // len(seen)
+
+    # The reached part of W_w, with cm[x] = body of x^-1 (d^k w) x.
+    cm = {0: wbody}
     frontier = [0]
-    seen = bytearray(t.size)
-    seen[0] = 1
     while frontier:
         nxt = []
         for x in frontier:
             cx = cm[x]
-            for i in range(n):
-                y = t.right[i][x]
-                if not seen[y]:
-                    seen[y] = 1
-                    cm[y] = t.left[coset._left_letter[i]][t.right[i][cx]]
-                    nxt.append(y)
-        frontier = nxt
-
-    vertices = [x for x in range(t.size) if t.length[cm[x]] == lw]
-    in_w = bytearray(t.size)
-    for x in vertices:
-        in_w[x] = 1
-    reached = []
-    if in_w[0]:
-        seen2 = bytearray(t.size)
-        seen2[0] = 1
-        frontier = [0]
-        reached = [0]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for i in range(n):
-                    y = t.right[i][x]
-                    if in_w[y] and not seen2[y]:
-                        seen2[y] = 1
-                        reached.append(y)
+            for rrow, lrow in steps:
+                y = rrow[x]
+                if y not in cm:
+                    cy = lrow[rrow[cx]]
+                    if length[cy] == lw:
+                        cm[y] = cy
                         nxt.append(y)
-            frontier = nxt
-    centralizer = [x for x in range(t.size) if cm[x] == wbody]
-    return PathGraph(coset=coset, start_body=wbody, vertices=sorted(vertices),
-                     reached=sorted(reached), centralizer=sorted(centralizer))
+        frontier = nxt
+    return PathGraph(coset=coset, start_body=wbody, num_vertices=z_order * level,
+                     reached=sorted(cm),
+                     centralizer=sorted(x for x, cx in cm.items() if cx == wbody),
+                     centralizer_order=z_order)
 
 
 def verify_tau_surjective(w: TwistedElement,
@@ -523,7 +541,7 @@ def verify_tau_surjective(w: TwistedElement,
     graph = path_graph(w, coset)
     if not graph.surjective:
         raise TheoremViolation(
-            f"tau not surjective: {len(graph.reached)} of {len(graph.vertices)} reached")
+            f"tau not surjective: {len(graph.reached)} of {graph.num_vertices} reached")
     if not graph.centralizer_covered:
         raise TheoremViolation("some centralizer element has no closed path")
     return graph

@@ -301,9 +301,11 @@ class CoxeterSystem:
         self._table: GroupTable | None = None
         self._twist_root_perms: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
         # Geometry memoized per view, since its vectors live in the view's
-        # field (see eigen.eigen_decomposition and eigen.regular_point).
+        # field (see eigen.eigen_decomposition, eigen.regular_point and
+        # eigen.hyperplanes_containing).
         self._eigen: dict[tuple, list] = {}
         self._regular_points: dict[tuple, Vector] = {}
+        self._hyperplanes: dict[tuple, frozenset[int]] = {}
 
     # -- roots ----------------------------------------------------------------
 

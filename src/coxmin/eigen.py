@@ -223,12 +223,17 @@ def _dft_crosscheck(w: TwistedElement, system: CoxeterSystem, d: int,
 
 
 def hyperplanes_containing(system: CoxeterSystem, basis: Matrix) -> frozenset[int]:
-    """Positive-root indices of hyperplanes containing span(basis)."""
-    out = []
-    for r in range(system.npos):
-        if all(system.pair_root(r, b).is_zero() for b in basis):
-            out.append(r)
-    return frozenset(out)
+    """Positive-root indices of hyperplanes containing span(basis).
+
+    Memoized on `system` per basis.
+    """
+    key = tuple(basis)
+    cached = system._hyperplanes.get(key)
+    if cached is None:
+        cached = system._hyperplanes[key] = frozenset(
+            r for r in range(system.npos)
+            if all(system.pair_root(r, b).is_zero() for b in basis))
+    return cached
 
 
 def reflection_subgroup(system: CoxeterSystem, basis: Matrix) -> list[int]:

@@ -289,24 +289,36 @@ def cone_point_avoiding(cone: Cone, avoid: Sequence[Vector],
 
     None exactly when the cone's span lies in one of them; otherwise p(t) for
     the least t = 1, 2, ... that avoids them all (see the module docstring).
+    p(1) is tried first with one dot product per hyperplane; the table of
+    <h, g_j> is built only when p(1) lies on one of them.
     A run past the bound, or a point failing the exact check against the
     cone's `constraints`, means a wrong double description: TheoremViolation.
     """
     field = cone.field
     gens = list(cone.lines) + list(cone.rays)
-    # polys[i][j] = <avoid_i, g_j>: the coefficients of <avoid_i, p(t)>.
-    polys = [[vec_dot(h, g) for g in gens] for h in avoid]
-    if not gens or any(all(c.is_zero() for c in poly) for poly in polys):
+    if not gens:
         return None
-    bound = (len(gens) - 1) * len(avoid) + 1
-    t = next((t for t in range(1, bound + 1) if not any(
-        sum((c * t ** j for j, c in enumerate(poly)), field.zero).is_zero()
-        for poly in polys)), None)
-    if t is None:
-        raise TheoremViolation(f"no t <= {bound} avoids every hyperplane")
-    p = zero_vector(field, cone.dim)
-    for j, g in enumerate(gens):
-        p = vec_add(p, vec_scale(field.from_rational(t ** j), g))
+
+    def point(t: int) -> Vector:
+        p = zero_vector(field, cone.dim)
+        for j, g in enumerate(gens):
+            p = vec_add(p, vec_scale(field.from_rational(t ** j), g))
+        return p
+
+    p = point(1)
+    if any(vec_dot(h, p).is_zero() for h in avoid):
+        # t = 1 fails; polys[i][j] = <avoid_i, g_j> are the coefficients of
+        # <avoid_i, p(t)>.
+        polys = [[vec_dot(h, g) for g in gens] for h in avoid]
+        if any(all(c.is_zero() for c in poly) for poly in polys):
+            return None
+        bound = (len(gens) - 1) * len(avoid) + 1
+        t = next((t for t in range(2, bound + 1) if not any(
+            sum((c * t ** j for j, c in enumerate(poly)), field.zero).is_zero()
+            for poly in polys)), None)
+        if t is None:
+            raise TheoremViolation(f"no t <= {bound} avoids every hyperplane")
+        p = point(t)
     if any(vec_dot(a, p).sign() < 0 for a in constraints):
         raise TheoremViolation("a positive combination of the generators "
                                "leaves the cone")

@@ -322,16 +322,15 @@ def test_walk_end_check_survives_optimize():
     assert all(r["status"] == "fail" for r in results)
 
 
-def test_verify_same_report_under_optimize():
-    # No verification lives in an assert, so python -O changes no verdict
-    # and no byte of the report.
+def _report_same_under_optimize(argv):
+    """The report of `coxmin argv`, checked byte-equal with and without -O."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     script = ("import sys\n"
               "from coxmin import cli\n"
-              "sys.exit(cli.main(['verify', '--type', 'A3,B3', '--twist', 'auto']))\n")
+              f"sys.exit(cli.main({argv!r}))\n")
     outs = []
     for flags in ([], ["-O"]):
         proc = subprocess.run([sys.executable, *flags, "-c", script], env=env,
@@ -339,7 +338,20 @@ def test_verify_same_report_under_optimize():
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
-    assert any(r["status"] == "pass" for r in json.loads(outs[0])["results"])
+    return json.loads(outs[0])
+
+
+def test_verify_same_report_under_optimize():
+    # No verification lives in an assert, so python -O changes no verdict
+    # and no byte of the report.
+    report = _report_same_under_optimize(["verify", "--type", "A3,B3", "--twist", "auto"])
+    assert any(r["status"] == "pass" for r in report["results"])
+
+
+def test_classes_same_report_under_optimize():
+    # The path-graph counts and their divisibility check hold under -O too.
+    report = _report_same_under_optimize(["classes", "--type", "D4", "--twist", "auto"])
+    assert any(r["tau_surjective"] for r in report["rows"])
 
 
 # sha256 of the reports, captured on the commit before scalars became

@@ -159,17 +159,106 @@ def test_path_graph_a2_coxeter():
     recs = enumerate_classes(a2)
     cox = next(r for r in recs if r.min_length == 2)
     graph = path_graph(cox.representative, cox.coset)
-    assert len(graph.vertices) == 6  # all of W preserves the length
+    assert graph.num_vertices == 6  # all of W preserves the length
     assert graph.surjective
     assert graph.centralizer_covered
-    assert set(graph.centralizer) <= set(graph.reached)
+    assert len(graph.centralizer) == cox.coset.table.size // cox.size
 
 
 def test_path_graph_identity():
     a2 = build_system(named_matrix("A2"))
     ident_class = next(r for r in enumerate_classes(a2) if r.min_length == 0)
     graph = path_graph(ident_class.representative, ident_class.coset)
-    assert len(graph.vertices) == 6 and graph.surjective
+    assert graph.num_vertices == 6 and graph.surjective
+
+
+def _full_sweep_path_graph(w, coset):
+    """Oracle: W_w, the reached set and Z_W(w) from a sweep over all of W."""
+    t = coset.table
+    n = coset.system.rank
+    wbody = coset.index(w)
+    lw = t.length[wbody]
+    # cm[x] = body of x^-1 (d^k w) x, for every x in W.
+    cm = {0: wbody}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for i in range(n):
+                y = t.right[i][x]
+                if y not in cm:
+                    cm[y] = coset.conj(cm[x], i)
+                    nxt.append(y)
+        frontier = nxt
+    assert len(cm) == t.size
+    vertices = {x for x in range(t.size) if t.length[cm[x]] == lw}
+    reached = {0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for i in range(n):
+                y = t.right[i][x]
+                if y in vertices and y not in reached:
+                    reached.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    centralizer = {x for x in range(t.size) if cm[x] == wbody}
+    return vertices, reached, centralizer
+
+
+def _check_against_sweep(w, coset):
+    graph = path_graph(w, coset)
+    vertices, reached, centralizer = _full_sweep_path_graph(w, coset)
+    assert graph.num_vertices == len(vertices)
+    assert graph.reached == sorted(reached)
+    assert graph.surjective == (reached == vertices)
+    assert graph.centralizer_order == len(centralizer)
+    assert graph.centralizer == sorted(centralizer & reached)
+    assert graph.centralizer_covered == (centralizer <= reached)
+    return graph
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "F4", "D4", "A5"])
+def test_path_graph_matches_full_sweep(name):
+    # Differential check of the class-sized counts against a sweep over W,
+    # from the representative and from a longest element of every class.
+    system = build_system(named_matrix(name))
+    for tw in enumerate_twists(system.matrix):
+        for rec in enumerate_classes(system, tw):
+            t = rec.coset.table
+            longest = max(rec.elements, key=lambda x: t.length[x])
+            for x in (rec.o_min[0], longest):
+                _check_against_sweep(rec.coset.element(x), rec.coset)
+
+
+def test_path_graph_uncovered_centralizer():
+    # A3, identity twist, class 2 is not elliptic: tau misses part of W_w
+    # and part of Z_W(w), and the counts say so.
+    a3 = build_system(named_matrix("A3"))
+    rec = enumerate_classes(a3)[2]
+    assert not rec.elliptic
+    graph = _check_against_sweep(rec.representative, rec.coset)
+    assert not graph.surjective and not graph.centralizer_covered
+    assert graph.centralizer_order == rec.coset.table.size // rec.size
+    assert len(graph.centralizer) < graph.centralizer_order
+
+
+def test_path_graph_rejects_class_not_dividing_w():
+    # A table whose order the class size does not divide must stop the
+    # walk, also under python -O (the check is no assert).
+    script = (
+        "from coxmin import conjugacy, coxeter\n"
+        "from coxmin.errors import TheoremViolation\n"
+        "system = coxeter.build_system(coxeter.named_matrix('A2'))\n"
+        "rec = next(r for r in conjugacy.enumerate_classes(system)\n"
+        "           if r.min_length == 1)\n"
+        "rec.coset.table.size = 7\n"
+        "try:\n"
+        "    conjugacy.path_graph(rec.representative, rec.coset)\n"
+        "except TheoremViolation as exc:\n"
+        "    print('TheoremViolation', exc)\n")
+    _expect_violation_under_optimize(script)
 
 
 def test_partial_conjugation_transfer():
@@ -229,6 +318,11 @@ def test_elliptic_cross_check_survives_optimize():
         "    conjugacy.enumerate_classes(system)\n"
         "except TheoremViolation as exc:\n"
         "    print('TheoremViolation', exc)\n")
+    _expect_violation_under_optimize(script)
+
+
+def _expect_violation_under_optimize(script):
+    """Run `script` under python -O; it must print a caught TheoremViolation."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

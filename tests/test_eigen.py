@@ -396,11 +396,33 @@ def test_memo_entries_are_per_view_and_start_index():
         == [Fraction(0), Fraction(1)]
 
 
+def test_hyperplane_memo_is_per_view():
+    # A hit returns the identical frozenset; a lift answers from its own
+    # dict, with the same root indices over its own field.
+    b3 = build_system(named_matrix("B3"))
+    lift = b3.with_field_level(12)
+    w = untwisted(b3.element_from_word([0, 1]))
+    basis = eigen_decomposition(w, dft_check=False).v_wt
+    lift_basis = eigen_decomposition(w.over(lift), dft_check=False).v_wt
+    h_base = hyperplanes_containing(b3, basis)
+    assert hyperplanes_containing(b3, basis) is h_base
+    assert h_base == frozenset(r for r in range(b3.npos) if all(
+        b3.pair_root(r, b).is_zero() for b in basis))
+    h_lift = hyperplanes_containing(lift, lift_basis)
+    assert h_lift == h_base and h_lift is not h_base
+    assert hyperplanes_containing(lift, lift_basis) is h_lift
+    assert all(a is not b for a in b3._hyperplanes.values()
+               for b in lift._hyperplanes.values())
+    assert {c.field.L for key in b3._hyperplanes for row in key for c in row} == {4}
+    assert {c.field.L for key in lift._hyperplanes for row in key for c in row} == {12}
+
+
 def _forget_geometry(system):
     """Empty the memo dicts of a system and all its lifts."""
     for view in (system, *system._lifts.values()):
         view._eigen.clear()
         view._regular_points.clear()
+        view._hyperplanes.clear()
 
 
 @pytest.mark.parametrize("name", ["B3", "H3", "F4"])
