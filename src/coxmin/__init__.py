@@ -9,9 +9,9 @@ and braid-power theorems exhaustively on desk-scale groups.
 
 __version__ = "0.1.0"
 
-from .errors import (CoxminError, NotFinite, TooLarge, SearchBound,
-                     FieldTooSmall, FieldMismatch, ScalarDomainError,
-                     MultiplicityMismatch, NoRegularPoint,
+from .errors import (CoxminError, NotFinite, TooLarge, FieldTooSmall,
+                     FieldMismatch, ScalarDomainError, MultiplicityMismatch,
+                     NoRegularPoint,
                      NotAdmissible, HypothesisFailed,
                      IdentityFailed, TheoremViolation, WalkStuck)
 from .scalars import AlgebraicScalar, ScalarField, get_field, minpoly_two_cos_pi_over

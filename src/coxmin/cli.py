@@ -30,7 +30,7 @@ from .coxeter import (Chamber, CoxeterMatrix, CoxeterSystem, DiagramTwist,
                       named_matrix, TwistedElement)
 from .eigen import eigen_decomposition
 from .errors import (CoxminError, FieldMismatch, HypothesisFailed,
-                     NoRegularPoint, NotFinite, SearchBound, TheoremViolation,
+                     NoRegularPoint, NotFinite, TheoremViolation,
                      TooLarge, WalkStuck)
 from .walk import decompose_at_regular, descent_walk, special_length_formula
 
@@ -76,6 +76,8 @@ def _config_from_args(args) -> JobConfig:
             labels.append(name)
     if not matrices:
         raise ValueError("one of --type or --matrix is required")
+    if args.seed_index < 0:
+        raise ValueError(f"--seed-index must be >= 0, got {args.seed_index}")
     checks = []
     for c in (args.checks or "").split(","):
         c = c.strip()
@@ -236,7 +238,7 @@ def _check_class(rec, checks: list[str], seed: int) -> list[dict]:
             # ScalarDomainError is an ArithmeticError), fails this check
             # only; the other checks and classes still run.
             row(check, "fail", str(exc))
-        except (TooLarge, SearchBound) as exc:
+        except TooLarge as exc:
             row(check, "skip", f"bound: {exc}")
     return rows
 
@@ -392,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cache-dir", help="root-system cache directory "
                                            "(or env COXMIN_CACHE)")
         p.add_argument("--seed-index", type=int, default=0,
-                       help="offset into the deterministic tuple enumerator")
+                       help="offset (>= 0) into the deterministic tuple enumerator")
 
     p_classes = sub.add_parser("classes", help="emit the twisted class table")
     common(p_classes)
@@ -420,7 +422,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError, NotFinite, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (TooLarge, SearchBound) as exc:
+    except TooLarge as exc:
         print(f"bound: {exc}", file=sys.stderr)
         return EXIT_BOUND
     except (TheoremViolation,) as exc:

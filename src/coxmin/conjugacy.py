@@ -3,7 +3,9 @@
 A twisted class is a W-conjugacy orbit inside the coset W d^k of the
 extended group.  All class-scale work runs over the GroupTable index space:
 conjugation of d^k w by a simple reflection s_i sends the body w to
-s_j w s_i with j = d^{-k}(i), two table lookups.
+s_j w s_i with j = d^{-k}(i), two table lookups.  TwistedCoset.steps holds
+the two rows of each generator, built once; every class-scale loop below
+reads it.
 
 The key computations:
 
@@ -14,8 +16,10 @@ The key computations:
   reducing every element of a class costs about one traversal of the class.
 * approx_partition / strong_partition: connected components of O_min under
   equal-length simple conjugation, respectively under elementary strong
-  conjugation (witness search over length-additive conjugators with prefix
-  pruning).
+  conjugation.  The witness search grows length-additive conjugators letter
+  by letter, once on the left and once on the right; each of the two
+  families admits a conjugator only the first time it meets it, so one
+  search admits at most 2(|W| - 1) and needs no cap.
 * path_graph: the graph on W_w = {x : l(x^-1 w x) = l(w)} walked by paths of
   equal-length simple conjugations, with the centralizer coverage report.
   Orbit-stabilizer counts the targets from the class C of w alone:
@@ -34,7 +38,7 @@ from .coxeter import (CoxeterMatrix, CoxeterSystem, DiagramTwist, GroupElement,
                       parabolic_index_map)
 from .eigen import (elliptic_parabolic_certificate, is_elliptic,
                     is_quasi_elliptic)
-from .errors import SearchBound, TheoremViolation
+from .errors import TheoremViolation
 
 
 def _find(parent, x: int) -> int:
@@ -72,14 +76,16 @@ class TwistedCoset:
         self.system = system
         self.twist = twist
         self.k = k % twist.order
-        self.table = system.table(max_order)
-        n = system.rank
-        self._left_letter = [twist.apply_index(i, -self.k) for i in range(n)]
+        self.table = t = system.table(max_order)
+        # steps[i] = (row of x -> x s_i, row of u -> d^-k(s_i) u), so that
+        # s_i (d^k x) s_i has body lrow[rrow[x]].
+        self.steps = [(t.right[i], t.left[twist.apply_index(i, -self.k)])
+                      for i in range(system.rank)]
 
     def conj(self, x: int, i: int) -> int:
         """Body index of s_i (d^k x) s_i."""
-        t = self.table
-        return t.left[self._left_letter[i]][t.right[i][x]]
+        rrow, lrow = self.steps[i]
+        return lrow[rrow[x]]
 
     def length(self, x: int) -> int:
         return self.table.length[x]
@@ -126,18 +132,21 @@ class ConjugacyClassRecord:
 
 
 def enumerate_classes(system: CoxeterSystem, twist: DiagramTwist | None = None,
-                      k: int = 1, max_order: int = 10 ** 6,
-                      certify_elliptic: bool = True) -> list[ConjugacyClassRecord]:
-    """All W-conjugacy classes in the coset W d^k, as records."""
+                      k: int = 1, max_order: int = 10 ** 6) -> list[ConjugacyClassRecord]:
+    """All W-conjugacy classes in the coset W d^k, as records.
+
+    Each class's ellipticity is certified twice: by the fixed-space test and
+    by the parabolic criterion (TheoremViolation if they disagree).
+    """
     if twist is None:
         twist = DiagramTwist(system.matrix, tuple(range(system.rank)))
     coset = TwistedCoset(system, twist, k, max_order)
     t = coset.table
     size = t.size
     parent = list(range(size))
-    for x in range(size):
-        for i in range(system.rank):
-            _union(parent, x, coset.conj(x, i))
+    for rrow, lrow in coset.steps:
+        for x in range(size):
+            _union(parent, x, lrow[rrow[x]])
 
     classes = sorted(_blocks(parent, range(size)),
                      key=lambda els: (min(t.length[x] for x in els), len(els), els[0]))
@@ -147,10 +156,9 @@ def enumerate_classes(system: CoxeterSystem, twist: DiagramTwist | None = None,
         o_min = [x for x in els if t.length[x] == mlen]
         rep = coset.element(o_min[0])
         ell = is_elliptic(rep)
-        if certify_elliptic:
-            if elliptic_parabolic_certificate(rep, els, t) != ell:
-                raise TheoremViolation(
-                    "parabolic criterion disagrees with the fixed-space test")
+        if elliptic_parabolic_certificate(rep, els, t) != ell:
+            raise TheoremViolation(
+                "parabolic criterion disagrees with the fixed-space test")
         records.append(ConjugacyClassRecord(
             coset=coset, class_id=cid, elements=els, o_min=o_min,
             min_length=mlen, elliptic=ell,
@@ -191,7 +199,6 @@ def _plateau_exit(coset: TwistedCoset, x: int, cache: dict) -> tuple[int, int] |
     """
     if x in cache:
         return cache[x]
-    n = coset.system.rank
     lx = coset.length(x)
     parent: dict[int, tuple[int, int] | None] = {x: None}
     queue = [x]
@@ -208,8 +215,8 @@ def _plateau_exit(coset: TwistedCoset, x: int, cache: dict) -> tuple[int, int] |
             exit_node, exit_step = cur, step
             break
         found = None
-        for i in range(n):
-            y = coset.conj(cur, i)
+        for i, (rrow, lrow) in enumerate(coset.steps):
+            y = lrow[rrow[cur]]
             ly = coset.length(y)
             if ly < lx:
                 found = (i, y)
@@ -271,15 +278,14 @@ def arrow_reduce(w: TwistedElement, record: ConjugacyClassRecord | None = None,
 def verify_arrow_reduction(record: ConjugacyClassRecord) -> bool:
     """Reverse-reachability check that every class element reaches O_min."""
     coset = record.coset
-    n = coset.system.rank
     reach = set(record.o_min)
     frontier = list(record.o_min)
     while frontier:
         nxt = []
         for y in frontier:
             ly = coset.length(y)
-            for i in range(n):
-                x = coset.conj(y, i)
+            for rrow, lrow in coset.steps:
+                x = lrow[rrow[y]]
                 if x not in reach and coset.length(x) >= ly:
                     reach.add(x)
                     nxt.append(x)
@@ -295,39 +301,33 @@ def verify_arrow_reduction(record: ConjugacyClassRecord) -> bool:
 # Partitions of O_min.
 
 
-def approx_partition(record: ConjugacyClassRecord,
-                     elements: Sequence[int] | None = None) -> list[list[int]]:
+def approx_partition(record: ConjugacyClassRecord) -> list[list[int]]:
     """Blocks of O_min (body indices) under equal-length simple conjugation."""
-    coset = record.coset
-    items = list(elements) if elements is not None else list(record.o_min)
-    level = {coset.length(x) for x in items}
-    if len(level) != 1:
-        raise ValueError("approx partition needs elements of equal length")
-    members = set(items)
-    parent = {x: x for x in items}
-    for x in items:
-        lx = coset.length(x)
-        for i in range(coset.system.rank):
-            y = coset.conj(x, i)
-            if y in members and coset.length(y) == lx:
+    members = set(record.o_min)
+    parent = {x: x for x in record.o_min}
+    for x in record.o_min:
+        for rrow, lrow in record.coset.steps:
+            y = lrow[rrow[x]]
+            if y in members:
                 _union(parent, x, y)
-    return sorted(_blocks(parent, items))
+    return sorted(_blocks(parent, record.o_min))
 
 
 def elementary_strong_targets(coset: TwistedCoset, x: int,
-                              bound: int | None = None,
                               pruned: bool = True) -> set[int]:
     """Bodies elementarily strongly conjugate to d^k x.
 
-    Pruned mode enumerates conjugators g in BFS order with the
-    length-additivity condition maintained letter by letter (the condition
-    is prefix-closed on the additive side, so no witness is missed).
+    Pruned mode grows conjugators in BFS order with the length-additivity
+    condition maintained letter by letter (the condition is prefix-closed on
+    the additive side, so no witness is missed): g on the left with
+    l(g w) = l(g) + l(w), and h = g^-1 on the right with l(w h) = l(w) + l(h).
+    Each of the two families admits a conjugator only the first time it
+    meets it, so the search ends after at most 2(|W| - 1) admissions.
     Unpruned mode scans all of W; it is the oracle for the pruned search.
     """
     t = coset.table
-    n = coset.system.rank
-    lw = t.length[x]
-    limit = bound if bound is not None else 2 * t.size + 1
+    length = t.length
+    lw = length[x]
     targets: set[int] = set()
 
     if not pruned:
@@ -335,71 +335,43 @@ def elementary_strong_targets(coset: TwistedCoset, x: int,
         for g in range(t.size):
             pg = t.perms[g]
             gb = coset._twist_body(pg)
-            left_len = t.length[t.index[compose(gb, px)]]
-            right_len = t.length[t.index[compose(px, invert_perm(pg))]]
-            if left_len == t.length[g] + lw or right_len == t.length[g] + lw:
+            left_len = length[t.index[compose(gb, px)]]
+            right_len = length[t.index[compose(px, invert_perm(pg))]]
+            if left_len == length[g] + lw or right_len == length[g] + lw:
                 # y = g (d^k x) g^-1, body d^{-k}(g) x g^-1.
                 y = t.index[compose(gb, compose(px, invert_perm(pg)))]
-                if t.length[y] == lw:
+                if length[y] == lw:
                     targets.add(y)
         return targets
 
-    # Family 1: g grown on the left, l(g w) = l(g) + l(w).
-    # State: (g, b = body of g * d^k x, c = body of g (d^k x) g^-1).
-    seen = {0}
-    frontier = [(0, x, x)]
-    count = 0
-    while frontier:
-        nxt = []
-        for g, b, c in frontier:
-            if t.length[c] == lw:
-                targets.add(c)
-            for i in range(n):
-                g2 = t.left[i][g]
-                if t.length[g2] != t.length[g] + 1 or g2 in seen:
-                    continue
-                j = coset._left_letter[i]
-                b2 = t.left[j][b]
-                if t.length[b2] != t.length[b] + 1:
-                    continue
-                seen.add(g2)
-                count += 1
-                if count > limit:
-                    raise SearchBound("witness search exceeded its bound")
-                c2 = t.left[j][t.right[i][c]]
-                nxt.append((g2, b2, c2))
-        frontier = nxt
-
-    # Family 2: h grown on the right, l(w h) = l(w) + l(h); witness g = h^-1.
-    seen = {0}
-    frontier = [(0, x, x)]
-    while frontier:
-        nxt = []
-        for h, b, c in frontier:
-            if t.length[c] == lw:
-                targets.add(c)
-            for i in range(n):
-                h2 = t.right[i][h]
-                if t.length[h2] != t.length[h] + 1 or h2 in seen:
-                    continue
-                b2 = t.right[i][b]
-                if t.length[b2] != t.length[b] + 1:
-                    continue
-                seen.add(h2)
-                count += 1
-                if count > limit:
-                    raise SearchBound("witness search exceeded its bound")
-                j = coset._left_letter[i]
-                c2 = t.left[j][t.right[i][c]]
-                nxt.append((h2, b2, c2))
-        frontier = nxt
+    # State (g, b, c): b is the body of the additive product (g d^k x on the
+    # left, d^k x h on the right) and c that of the conjugate.  The letter i
+    # moves g and b by the rows grow[i] and c by coset.steps[i]; on the left
+    # b grows by d^-k(s_i), on the right both grow by s_i.
+    left_growth = [(t.left[i], lrow) for i, (_, lrow) in enumerate(coset.steps)]
+    right_growth = [(rrow, rrow) for rrow, _ in coset.steps]
+    for grow in (left_growth, right_growth):
+        seen = {0}
+        frontier = [(0, x, x)]
+        while frontier:
+            nxt = []
+            for g, b, c in frontier:
+                if length[c] == lw:
+                    targets.add(c)
+                for (grow_g, grow_b), (rrow, lrow) in zip(grow, coset.steps):
+                    g2 = grow_g[g]
+                    if length[g2] != length[g] + 1 or g2 in seen:
+                        continue
+                    b2 = grow_b[b]
+                    if length[b2] != length[b] + 1:
+                        continue
+                    seen.add(g2)
+                    nxt.append((g2, b2, lrow[rrow[c]]))
+            frontier = nxt
     return targets
 
 
-def strong_partition(record: ConjugacyClassRecord,
-                     elements: Sequence[int] | None = None,
-                     bound: int | None = None,
-                     pruned: bool = True) -> list[list[int]]:
+def strong_partition(record: ConjugacyClassRecord) -> list[list[int]]:
     """Blocks of O_min under strong conjugation.
 
     Seeds with the approx blocks (equal-length simple conjugations satisfy
@@ -407,11 +379,10 @@ def strong_partition(record: ConjugacyClassRecord,
     blocks with witnesses from the elementary search.  Stops as soon as a
     single block remains.
     """
-    coset = record.coset
-    items = list(elements) if elements is not None else list(record.o_min)
+    items = record.o_min
     parent = {x: x for x in items}
     nblocks = len(items)
-    for block in approx_partition(record, items):
+    for block in approx_partition(record):
         for other in block[1:]:
             if _union(parent, block[0], other):
                 nblocks -= 1
@@ -422,7 +393,7 @@ def strong_partition(record: ConjugacyClassRecord,
             break
         # No search is skipped: every x is searched, in order, until a
         # single block remains.
-        for y in elementary_strong_targets(coset, x, bound, pruned):
+        for y in elementary_strong_targets(record.coset, x):
             if y in members and _union(parent, x, y):
                 nblocks -= 1
     return sorted(_blocks(parent, items))
@@ -488,10 +459,7 @@ def path_graph(w: TwistedElement, coset: TwistedCoset | None = None) -> PathGrap
         coset = TwistedCoset(w.system, w.twist, w.k)
     t = coset.table
     length = t.length
-    # steps[i] = (row of x -> x s_i, row of u -> d^-k(s_i) u), so that
-    # s_i (d^k u) s_i has body lrow[rrow[u]].
-    steps = [(t.right[i], t.left[coset._left_letter[i]])
-             for i in range(coset.system.rank)]
+    steps = coset.steps
     wbody = coset.index(w)
     lw = length[wbody]
 
@@ -555,7 +523,6 @@ def arrow_reachable_set(w: TwistedElement, coset: TwistedCoset | None = None) ->
     """Bodies reachable from w by non-increasing simple conjugations."""
     if coset is None:
         coset = TwistedCoset(w.system, w.twist, w.k)
-    n = coset.system.rank
     start = coset.index(w)
     reach = {start}
     frontier = [start]
@@ -563,8 +530,8 @@ def arrow_reachable_set(w: TwistedElement, coset: TwistedCoset | None = None) ->
         nxt = []
         for x in frontier:
             lx = coset.length(x)
-            for i in range(n):
-                y = coset.conj(x, i)
+            for rrow, lrow in coset.steps:
+                y = lrow[rrow[x]]
                 if y not in reach and coset.length(y) <= lx:
                     reach.add(y)
                     nxt.append(y)

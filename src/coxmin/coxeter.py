@@ -142,13 +142,10 @@ def _classify_component(m: CoxeterMatrix, comp: list[int]) -> tuple[str, int]:
     if len(labels) != n - 1:
         raise NotFinite("Coxeter graph of a finite component must be a tree")
     degs = sorted(deg.values())
-    big = sorted(labels.values())[-1]
     if degs[-1] == 2:  # a path
         ends = [i for i in comp if deg[i] == 1]
         path = _trace_path(comp, labels, ends[0])
         lbl = [labels[tuple(sorted((path[k], path[k + 1])))] for k in range(n - 1)]
-        if lbl != lbl[::-1]:
-            pass  # orientation only matters for reading the pattern below
         pattern = sorted((lbl, lbl[::-1]))[0]
         if all(x == 3 for x in lbl):
             return f"A{n}", math.factorial(n + 1)
@@ -1098,13 +1095,10 @@ def cache_key(matrix: CoxeterMatrix, L: int) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:24]
 
 
-def load_or_build(matrix: CoxeterMatrix, L_hint: int | None = None,
-                  cache_dir: str | None = None) -> CoxeterSystem:
-    L = matrix.field_level()
-    if L_hint:
-        L = math.lcm(L, L_hint)
+def load_or_build(matrix: CoxeterMatrix, cache_dir: str | None = None) -> CoxeterSystem:
     if cache_dir is None:
-        return build_system(matrix, L_hint=L)
+        return build_system(matrix)
+    L = matrix.field_level()
     path = os.path.join(cache_dir, f"rootsys-{cache_key(matrix, L)}.json")
     if os.path.exists(path):
         with open(path) as fh:
@@ -1113,7 +1107,7 @@ def load_or_build(matrix: CoxeterMatrix, L_hint: int | None = None,
             raise ValueError(f"root-system cache {path} holds another matrix "
                              "or field level")
         return system
-    system = build_system(matrix, L_hint=L)
+    system = build_system(matrix)
     os.makedirs(cache_dir, exist_ok=True)
     # A unique temporary name, so concurrent writers never share one.
     fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=os.path.basename(path) + ".",

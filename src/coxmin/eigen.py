@@ -24,8 +24,9 @@ Both pure geometric constructions are memoized on the system view they are
 called with, in plain dicts set up by CoxeterSystem.__init__: the
 decomposition of an element (with a flag recording whether its DFT check
 has run, so a later call that asks for the check still runs it once) and
-the unconstrained regular point of a basis and start index (successes
-only).  A lift has its own dicts, as its vectors live in another field.
+the regular point of a basis, start index and chamber constraint
+(successes only).  A lift has its own dicts, as its vectors live in another
+field.
 """
 
 from __future__ import annotations
@@ -60,15 +61,14 @@ class EigenDecomposition:
 
     entries: (angle q, dim V^{q*pi}, basis), ascending in q, zero dims absent.
     theta0 is the least angle with V^theta != V^W; v_wt is the corresponding
-    V_w = V^{theta0} & (V^W)-perp.  For the ambient group V^W = 0, so vw_basis
-    is empty and v_wt is simply the first eigenspace.
+    V_w = V^{theta0} & (V^W)-perp.  For the ambient group V^W = 0, so v_wt is
+    simply the first eigenspace.
     """
     owner: TwistedElement
     system: CoxeterSystem
     entries: list[tuple[Angle, int, Matrix]]
     theta0: Angle
     v_wt: Matrix
-    vw_basis: Matrix
 
     @property
     def angles(self) -> list[Angle]:
@@ -178,7 +178,7 @@ def _decompose(w: TwistedElement) -> EigenDecomposition:
     theta0 = entries[0][0]
     v_wt = entries[0][2]
     return EigenDecomposition(owner=w, system=system, entries=entries,
-                              theta0=theta0, v_wt=v_wt, vw_basis=[])
+                              theta0=theta0, v_wt=v_wt)
 
 
 def _dft_crosscheck(w: TwistedElement, system: CoxeterSystem, d: int,
@@ -248,25 +248,28 @@ def regular_point(system: CoxeterSystem, basis: Matrix,
 
     For each hyperplane H either K lies inside H or the point avoids H.
     Without `inside` it is sum_i c_i b_i for the first tuple c of
-    rational_tuples(m, start_index) that avoids every H missing K, memoized
-    per (basis, start_index).  Rings 0..R of the enumerator form an (R+1)^m
-    grid, on which each avoided root's nonzero form c -> <alpha_r, sum c_i b_i>
-    vanishes at most (R+1)^(m-1) times; the roots span V, so #avoid > 0 and
+    rational_tuples(m, start_index) that avoids every H missing K.  Rings
+    0..R of the enumerator form an (R+1)^m grid, on which each avoided
+    root's nonzero form c -> <alpha_r, sum c_i b_i> vanishes at most
+    (R+1)^(m-1) times; the roots span V, so #avoid > 0 and
     R + 1 = #avoid + start_index + 1 leaves more than start_index good grid
     points.  So (R+1)^m - start_index tuples suffice.  With `inside`, the
     point lies in the closed chamber too and comes from
     linalg.cone_point_avoiding (`start_index` does not apply); NoRegularPoint
     is raised exactly when that is infeasible.  Running past either proven
-    bound raises TheoremViolation.
+    bound raises TheoremViolation; a negative `start_index` raises
+    ValueError, as the count above needs start_index >= 0.  Points found are
+    memoized per (basis, start_index, chamber).
     """
+    if start_index < 0:
+        raise ValueError(f"start_index must be >= 0, got {start_index}")
     field = system.field
     if not basis or all(vec_is_zero(b) for b in basis):
         raise NoRegularPoint("the zero subspace has no regular points")
-    if inside is None:
-        key = (tuple(basis), start_index)
-        cached = system._regular_points.get(key)
-        if cached is not None:
-            return cached
+    key = (tuple(basis), start_index, inside.x.perm if inside is not None else None)
+    cached = system._regular_points.get(key)
+    if cached is not None:
+        return cached
     m = len(basis)
     # rows[r][i] = <alpha_r, b_i>; H_K is the set of roots with a zero row.
     rows = [tuple(system.pair_root(r, b) for b in basis) for r in range(system.npos)]
@@ -299,6 +302,7 @@ def regular_point(system: CoxeterSystem, basis: Matrix,
     for c, bvec in zip(coeffs, basis):
         if not c.is_zero():
             v = vec_add(v, vec_scale(c, bvec))
+    system._regular_points[key] = v
     return v
 
 

@@ -13,10 +13,6 @@ class TooLarge(CoxminError):
     """Group order exceeds the configured enumeration bound."""
 
 
-class SearchBound(CoxminError):
-    """A witness search exceeded its configured bound."""
-
-
 class FieldTooSmall(CoxminError):
     """The current field level cannot express a required cosine.
 

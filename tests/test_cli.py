@@ -57,6 +57,16 @@ def test_usage_errors(capsys):
     assert code == 2 and "not a permutation" in err
 
 
+@pytest.mark.parametrize("seed", ["-1", "-9", "-13"])
+def test_negative_seed_index_is_a_usage_error(capsys, seed):
+    # The proven tuple count of a regular point needs a seed >= 0; a
+    # negative one is refused up front instead of failing the checks.
+    code, out, err = run(capsys, "verify", "--type", "B3", "--checks",
+                         "good,quasi", "--seed-index", seed)
+    assert code == 2 and out == ""
+    assert err == f"error: --seed-index must be >= 0, got {seed}\n"
+
+
 def test_verify_small_all_pass(capsys):
     code, out, _ = run(capsys, "verify", "--type", "B2",
                        "--checks", "gp1,gp2,elliptic,tau,good,quasi")

@@ -131,11 +131,11 @@ def test_partition_refinement_invariants():
         assert {rec.coset.length(x) for x in rec.o_min} == {rec.min_length}
 
 
-@pytest.mark.parametrize("name", ["A3", "B3", "H3"])
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "D4", "F4"])
 def test_pruned_matches_unpruned(name):
     system = build_system(named_matrix(name))
     for tw in enumerate_twists(system.matrix):
-        for rec in enumerate_classes(system, tw, certify_elliptic=False):
+        for rec in enumerate_classes(system, tw):
             for x in rec.o_min:
                 pruned = elementary_strong_targets(rec.coset, x, pruned=True)
                 brute = elementary_strong_targets(rec.coset, x, pruned=False)

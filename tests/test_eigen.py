@@ -229,7 +229,7 @@ def test_parabolic_criterion_certificate():
     b3 = build_system(named_matrix("B3"))
     tbl = b3.table()
     from coxmin.conjugacy import enumerate_classes
-    for rec in enumerate_classes(b3, certify_elliptic=False):
+    for rec in enumerate_classes(b3):
         crit = elliptic_parabolic_certificate(rec.representative, rec.elements, tbl)
         assert crit == rec.elliptic
 
@@ -417,6 +417,14 @@ def test_hyperplane_memo_is_per_view():
     assert {c.field.L for key in lift._hyperplanes for row in key for c in row} == {12}
 
 
+def _constrained_point(system, basis, inside):
+    """regular_point inside a chamber, or None when it has none."""
+    try:
+        return regular_point(system, basis, inside=inside)
+    except NoRegularPoint:
+        return None
+
+
 def _forget_geometry(system):
     """Empty the memo dicts of a system and all its lifts."""
     for view in (system, *system._lifts.values()):
@@ -445,11 +453,21 @@ def test_memoized_geometry_matches_fresh_system(name):
             assert eig.owner == feig.owner
             assert eig.entries == feig.entries and eig.v_wt == feig.v_wt
             bases = [b for _, _, b in eig.entries] + [identity_basis(eig.system)]
+            chamber_bodies = (0, (rec.class_id * 7919) % rec.coset.table.size)
             for basis in bases:
                 for start in (0, 21):
                     _forget_geometry(fresh)
                     assert regular_point(eig.system, basis, start_index=start) == \
                         regular_point(feig.system, basis, start_index=start)
+                # The constrained point, once from the memo and once fresh.
+                for body in chamber_bodies:
+                    inside = Chamber(eig.system, rec.coset.table.element(body))
+                    finside = Chamber(feig.system, frec.coset.table.element(body))
+                    first = _constrained_point(eig.system, basis, inside)
+                    again = _constrained_point(eig.system, basis, inside)
+                    assert again is first or first is None
+                    _forget_geometry(fresh)
+                    assert _constrained_point(feig.system, basis, finside) == first
             w_a, cert = good_min_element(rec)
             _forget_geometry(fresh)
             fw_a, fcert = good_min_element(frec)

@@ -11,8 +11,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 def test_no_asserts_and_no_capped_construction_error():
     # python -O strips asserts, so no check may live in one; and the point
-    # constructions have proven bounds, so the "search exhausted" error of
-    # the old capped searches must not come back.
+    # constructions and the witness search have proven bounds, so the
+    # "search exhausted" errors of the old capped searches must not come
+    # back.
     offenders = []
     for path in sorted((SRC / "coxmin").glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -28,8 +29,9 @@ def test_no_asserts_and_no_capped_construction_error():
                 names.append(node.name)
             if isinstance(node, ast.Assert):
                 offenders.append(f"{path.name}:{node.lineno}: assert")
-            if "ConstructionFailed" in names:
-                offenders.append(f"{path.name}:{node.lineno}: ConstructionFailed")
+            for banned in ("ConstructionFailed", "SearchBound"):
+                if banned in names:
+                    offenders.append(f"{path.name}:{node.lineno}: {banned}")
     assert not offenders, offenders
 
 
@@ -51,7 +53,7 @@ def test_preconditions_raise_under_optimize():
         "    lambda: braid.lift(s1, ctx).normal_form().power(-1),\n"
         "    lambda: coxeter.TwistedElement(a2, delta, 1, a2.identity) * s1,\n"
         "    lambda: rec.coset.index(coxeter.TwistedElement(a2, delta, 1, a2.identity)),\n"
-        "    lambda: conjugacy.approx_partition(rec, rec.elements[::2]),\n"
+        "    lambda: eigen.regular_point(a2, [off_wall], start_index=-1),\n"
         "    lambda: conjugacy.verify_elliptic_approx(conjugacy.enumerate_classes(a2)[0]),\n"
         "    lambda: conjugacy.partial_conjugation_transfer(\n"
         "        [], coxeter.untwisted(a2.identity), a2.generator(0), a2.identity),\n"
