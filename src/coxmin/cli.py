@@ -78,6 +78,10 @@ def _config_from_args(args) -> JobConfig:
         raise ValueError("one of --type or --matrix is required")
     if args.seed_index < 0:
         raise ValueError(f"--seed-index must be >= 0, got {args.seed_index}")
+    for flag, value in (("--max-group-order", args.max_group_order),
+                        ("--jobs", args.jobs)):
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
     checks = []
     for c in (args.checks or "").split(","):
         c = c.strip()
@@ -387,10 +391,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="id | auto | 1-indexed permutation like 2,1")
         p.add_argument("--checks", default="",
                        help=f"comma separated subset of {','.join(CHECK_NAMES)}")
-        p.add_argument("--max-group-order", type=int, default=10 ** 6)
+        p.add_argument("--max-group-order", type=int, default=10 ** 6,
+                       help="largest |W| (>= 1) to enumerate; beyond it exit 3")
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=int, default=1,
+                       help="worker processes (>= 1) for verify")
         p.add_argument("--cache-dir", help="root-system cache directory "
                                            "(or env COXMIN_CACHE)")
         p.add_argument("--seed-index", type=int, default=0,

@@ -9,7 +9,10 @@ reads it.
 
 The key computations:
 
-* enumerate_classes: union-find over generator conjugations.
+* TwistedCoset.classes: the class partition of the coset, one union-find
+  over generator conjugations, computed once on first use.
+  enumerate_classes reads it, and path_graph reads the class of w from it
+  through TwistedCoset.class_of.
 * arrow_reduce: non-increasing conjugation by simple reflections down to an
   element with no strict descent reachable through its equal-length plateau.
   Within a class sweep the plateau searches share an exit-pointer cache, so
@@ -19,18 +22,23 @@ The key computations:
   conjugation.  The witness search grows length-additive conjugators letter
   by letter, once on the left and once on the right; each of the two
   families admits a conjugator only the first time it meets it, so one
-  search admits at most 2(|W| - 1) and needs no cap.
+  search admits at most 2(|W| - 1) and needs no cap.  The search yields
+  targets as it meets them, and strong_partition stops drawing the moment
+  O_min is one block (the theorem says it always ends there).
 * path_graph: the graph on W_w = {x : l(x^-1 w x) = l(w)} walked by paths of
   equal-length simple conjugations, with the centralizer coverage report.
   Orbit-stabilizer counts the targets from the class C of w alone:
-  |Z_W(w)| = |W| / |C| and |W_w| = |Z_W(w)| * #{u in C : l(u) = l(w)}.  So a
-  class costs |C| steps plus the reached part of W_w, never a pass over W.
+  |Z_W(w)| = |W| / |C| and |W_w| = |Z_W(w)| * #{u in C : l(u) = l(w)}, with
+  C read from the coset's class partition.  So a class costs one scan of C
+  plus the reached part of W_w.  Without a coset, path_graph builds one,
+  and with it the whole partition.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field as dc_field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .coxeter import (CoxeterMatrix, CoxeterSystem, DiagramTwist, GroupElement,
                       TwistedElement, build_system, compose, invert_perm,
@@ -81,6 +89,8 @@ class TwistedCoset:
         # s_i (d^k x) s_i has body lrow[rrow[x]].
         self.steps = [(t.right[i], t.left[twist.apply_index(i, -self.k)])
                       for i in range(system.rank)]
+        self._classes: list[list[int]] | None = None
+        self._class_id = array("i")
 
     def conj(self, x: int, i: int) -> int:
         """Body index of s_i (d^k x) s_i."""
@@ -89,6 +99,37 @@ class TwistedCoset:
 
     def length(self, x: int) -> int:
         return self.table.length[x]
+
+    def classes(self) -> list[list[int]]:
+        """The W-classes of the coset, found once by union-find over `steps`.
+
+        Each class is its ascending list of bodies.  The classes are ordered
+        by (minimal length, size, least body); the position is the class id.
+        """
+        if self._classes is None:
+            size, length = self.table.size, self.table.length
+            parent = list(range(size))
+            for rrow, lrow in self.steps:
+                for x in range(size):
+                    _union(parent, x, lrow[rrow[x]])
+            self._classes = sorted(_blocks(parent, range(size)),
+                                   key=lambda els: (min(length[x] for x in els),
+                                                    len(els), els[0]))
+        return self._classes
+
+    def class_of(self, x: int) -> list[int]:
+        """The class of body x, as its ascending list of bodies.
+
+        The body -> class id map is built on the first call, so a caller
+        that never asks keeps no per-body array.
+        """
+        if not self._class_id:
+            class_id = array("i", [0]) * self.table.size
+            for cid, els in enumerate(self.classes()):
+                for y in els:
+                    class_id[y] = cid
+            self._class_id = class_id
+        return self._classes[self._class_id[x]]
 
     def element(self, x: int) -> TwistedElement:
         body = GroupElement(self.system, self.table.perms[x])
@@ -142,16 +183,8 @@ def enumerate_classes(system: CoxeterSystem, twist: DiagramTwist | None = None,
         twist = DiagramTwist(system.matrix, tuple(range(system.rank)))
     coset = TwistedCoset(system, twist, k, max_order)
     t = coset.table
-    size = t.size
-    parent = list(range(size))
-    for rrow, lrow in coset.steps:
-        for x in range(size):
-            _union(parent, x, lrow[rrow[x]])
-
-    classes = sorted(_blocks(parent, range(size)),
-                     key=lambda els: (min(t.length[x] for x in els), len(els), els[0]))
     records = []
-    for cid, els in enumerate(classes):
+    for cid, els in enumerate(coset.classes()):
         mlen = min(t.length[x] for x in els)
         o_min = [x for x in els if t.length[x] == mlen]
         rep = coset.element(o_min[0])
@@ -314,8 +347,11 @@ def approx_partition(record: ConjugacyClassRecord) -> list[list[int]]:
 
 
 def elementary_strong_targets(coset: TwistedCoset, x: int,
-                              pruned: bool = True) -> set[int]:
-    """Bodies elementarily strongly conjugate to d^k x.
+                              pruned: bool = True) -> Iterator[int]:
+    """Bodies elementarily strongly conjugate to d^k x, each yielded once.
+
+    A generator: each target is yielded as the search first meets it, so a
+    caller that has its answer can stop drawing and skip the rest.
 
     Pruned mode grows conjugators in BFS order with the length-additivity
     condition maintained letter by letter (the condition is prefix-closed on
@@ -340,9 +376,10 @@ def elementary_strong_targets(coset: TwistedCoset, x: int,
             if left_len == length[g] + lw or right_len == length[g] + lw:
                 # y = g (d^k x) g^-1, body d^{-k}(g) x g^-1.
                 y = t.index[compose(gb, compose(px, invert_perm(pg)))]
-                if length[y] == lw:
+                if length[y] == lw and y not in targets:
                     targets.add(y)
-        return targets
+                    yield y
+        return
 
     # State (g, b, c): b is the body of the additive product (g d^k x on the
     # left, d^k x h on the right) and c that of the conjugate.  The letter i
@@ -356,8 +393,9 @@ def elementary_strong_targets(coset: TwistedCoset, x: int,
         while frontier:
             nxt = []
             for g, b, c in frontier:
-                if length[c] == lw:
+                if length[c] == lw and c not in targets:
                     targets.add(c)
+                    yield c
                 for (grow_g, grow_b), (rrow, lrow) in zip(grow, coset.steps):
                     g2 = grow_g[g]
                     if length[g2] != length[g] + 1 or g2 in seen:
@@ -368,7 +406,6 @@ def elementary_strong_targets(coset: TwistedCoset, x: int,
                     seen.add(g2)
                     nxt.append((g2, b2, lrow[rrow[c]]))
             frontier = nxt
-    return targets
 
 
 def strong_partition(record: ConjugacyClassRecord) -> list[list[int]]:
@@ -376,8 +413,10 @@ def strong_partition(record: ConjugacyClassRecord) -> list[list[int]]:
 
     Seeds with the approx blocks (equal-length simple conjugations satisfy
     the elementary witness condition unless the step is trivial), then joins
-    blocks with witnesses from the elementary search.  Stops as soon as a
-    single block remains.
+    blocks with witnesses from the elementary search, as they are found.
+    One block is the final answer, so the search stops the moment a single
+    block remains, even partway through a search; every merge is backed by
+    a witnessed conjugator.  Otherwise every x in O_min is searched in full.
     """
     items = record.o_min
     parent = {x: x for x in items}
@@ -391,11 +430,11 @@ def strong_partition(record: ConjugacyClassRecord) -> list[list[int]]:
     for x in items:
         if nblocks == 1:
             break
-        # No search is skipped: every x is searched, in order, until a
-        # single block remains.
         for y in elementary_strong_targets(record.coset, x):
             if y in members and _union(parent, x, y):
                 nblocks -= 1
+                if nblocks == 1:
+                    break
     return sorted(_blocks(parent, items))
 
 
@@ -451,6 +490,7 @@ def path_graph(w: TwistedElement, coset: TwistedCoset | None = None) -> PathGrap
     The targets are counted from the class C of w instead of swept over W:
     x -> x^-1 w x maps W onto C and the fibre over each u is a coset Z_W(w) x.
     So |Z_W(w)| = |W| / |C| and |W_w| = |Z_W(w)| * #{u in C : l(u) = l(w)}.
+    C is read from the coset's class partition (computed on first use).
     Since reached is inside W_w and its centralizer part inside Z_W(w),
     equal counts prove surjectivity and coverage.  A class whose size does
     not divide |W| raises TheoremViolation.
@@ -464,24 +504,12 @@ def path_graph(w: TwistedElement, coset: TwistedCoset | None = None) -> PathGrap
     lw = length[wbody]
 
     # The class C of w, and how many of its elements have length l(w).
-    seen = {wbody}
-    frontier = [wbody]
-    level = 0
-    while frontier:
-        nxt = []
-        for u in frontier:
-            if length[u] == lw:
-                level += 1
-            for rrow, lrow in steps:
-                v = lrow[rrow[u]]
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    if t.size % len(seen):
+    cls = coset.class_of(wbody)
+    level = sum(1 for u in cls if length[u] == lw)
+    if t.size % len(cls):
         raise TheoremViolation(
-            f"class of size {len(seen)} does not divide |W| = {t.size}")
-    z_order = t.size // len(seen)
+            f"class of size {len(cls)} does not divide |W| = {t.size}")
+    z_order = t.size // len(cls)
 
     # The reached part of W_w, with cm[x] = body of x^-1 (d^k w) x.
     cm = {0: wbody}
@@ -540,23 +568,27 @@ def arrow_reachable_set(w: TwistedElement, coset: TwistedCoset | None = None) ->
 
 
 def _strong_related(coset: TwistedCoset, a: int, b: int) -> bool:
-    """Whether d^k a ~ d^k b (transitive closure of elementary strong)."""
+    """Whether d^k a ~ d^k b (transitive closure of elementary strong).
+
+    Returns as soon as a search yields b.
+    """
     if coset.length(a) != coset.length(b):
         return False
-    level = coset.length(a)
+    if a == b:
+        return True
     comp = {a}
     frontier = [a]
     while frontier:
         nxt = []
         for x in frontier:
             for y in elementary_strong_targets(coset, x):
-                if coset.length(y) == level and y not in comp:
+                if y == b:
+                    return True
+                if y not in comp:
                     comp.add(y)
                     nxt.append(y)
         frontier = nxt
-        if b in comp:
-            return True
-    return b in comp
+    return False
 
 
 def parabolic_subsystem(w_prime: TwistedElement, J: Sequence[int]):

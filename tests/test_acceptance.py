@@ -269,8 +269,8 @@ def test_criterion_8_oracle_equivalences(sweep):
         for twist in enumerate_twists(system.matrix):
             for rec in sweep[(name, twist.perm)]:
                 for x in rec.o_min:
-                    pruned = elementary_strong_targets(rec.coset, x, pruned=True)
-                    brute = elementary_strong_targets(rec.coset, x, pruned=False)
+                    pruned = set(elementary_strong_targets(rec.coset, x, pruned=True))
+                    brute = set(elementary_strong_targets(rec.coset, x, pruned=False))
                     assert pruned == brute
                     witnesses_checked += 1
     _report(8, "Oracle equivalences",

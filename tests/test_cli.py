@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from coxmin import __version__
 from coxmin.cli import main
 from coxmin.coxeter import (CACHE_SCHEMA, build_system, named_matrix,
                             system_from_json, system_to_json)
@@ -65,6 +66,31 @@ def test_negative_seed_index_is_a_usage_error(capsys, seed):
                          "good,quasi", "--seed-index", seed)
     assert code == 2 and out == ""
     assert err == f"error: --seed-index must be >= 0, got {seed}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("classes", "--type", "A2", "--max-group-order", "-1"),
+    ("classes", "--type", "A2", "--max-group-order", "0"),
+    ("verify", "--type", "A2", "--checks", "gp1", "--jobs", "0"),
+    ("verify", "--type", "A2", "--checks", "gp1", "--jobs", "-3"),
+])
+def test_bound_and_jobs_below_one_are_usage_errors(capsys, argv):
+    # A bound below 1 is malformed, not a bound that was hit (exit 3), and
+    # no job count below 1 means serial.
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {argv[-2]} must be >= 1, got {argv[-1]}\n"
+
+
+def test_python_m_coxmin_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "coxmin", "--version"], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == __version__
 
 
 def test_verify_small_all_pass(capsys):

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from coxmin.conjugacy import (ReductionChain, TwistedCoset, approx_partition,
+from coxmin import conjugacy
+from coxmin.conjugacy import (ReductionChain, TwistedCoset, _strong_related,
+                              approx_partition,
                               arrow_reduce, arrow_reachable_set,
                               elementary_strong_targets,
                               enumerate_classes, partial_conjugation_transfer,
@@ -137,9 +139,115 @@ def test_pruned_matches_unpruned(name):
     for tw in enumerate_twists(system.matrix):
         for rec in enumerate_classes(system, tw):
             for x in rec.o_min:
-                pruned = elementary_strong_targets(rec.coset, x, pruned=True)
-                brute = elementary_strong_targets(rec.coset, x, pruned=False)
+                pruned = set(elementary_strong_targets(rec.coset, x, pruned=True))
+                brute = set(elementary_strong_targets(rec.coset, x, pruned=False))
                 assert pruned == brute
+
+
+def _full_closure_blocks(rec):
+    """Oracle: O_min seeded with its approx blocks, then every x joined to
+    its complete target set, with no early exit."""
+    parent = {x: x for x in rec.o_min}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def join(a, b):
+        ra, rb = find(a), find(b)
+        parent[max(ra, rb)] = min(ra, rb)
+
+    for block in approx_partition(rec):
+        for other in block[1:]:
+            join(block[0], other)
+    for x in rec.o_min:
+        for y in set(elementary_strong_targets(rec.coset, x)):
+            if y in parent:
+                join(x, y)
+    blocks = {}
+    for x in rec.o_min:
+        blocks.setdefault(find(x), []).append(x)
+    return sorted(blocks.values())
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "D4", "F4"])
+def test_strong_partition_matches_full_closure(name):
+    system = build_system(named_matrix(name))
+    for tw in enumerate_twists(system.matrix):
+        for rec in enumerate_classes(system, tw):
+            assert strong_partition(rec) == _full_closure_blocks(rec)
+            # Each target is yielded once.
+            for x in rec.o_min:
+                drawn = list(elementary_strong_targets(rec.coset, x))
+                assert len(drawn) == len(set(drawn))
+
+
+@pytest.mark.parametrize("name, draws_fewer", [("D4", True), ("F4", False)])
+def test_strong_search_stops_at_one_block(monkeypatch, name, draws_fewer):
+    # strong_partition closes a search once O_min is one block.  On F4 each
+    # target set is O_min itself and the last merge comes with the last
+    # target, so only the rest of the search is skipped; on D4 class 5
+    # (identity twist) fewer targets are drawn than the set holds.
+    real = conjugacy.elementary_strong_targets
+    searched = []
+    counts = {"drawn": 0, "closed": 0}
+
+    def counting(coset, x, pruned=True):
+        searched.append((coset, x))
+        finished = False
+        try:
+            for y in real(coset, x, pruned):
+                counts["drawn"] += 1
+                yield y
+            finished = True
+        finally:
+            counts["closed"] += not finished
+
+    monkeypatch.setattr(conjugacy, "elementary_strong_targets", counting)
+    system = build_system(named_matrix(name))
+    closed = fewer = 0
+    for tw in enumerate_twists(system.matrix):
+        for rec in enumerate_classes(system, tw):
+            searched.clear()
+            counts.update(drawn=0, closed=0)
+            assert len(strong_partition(rec)) == 1
+            full = sum(len(set(real(c, x))) for c, x in searched)
+            assert counts["drawn"] <= full
+            closed += counts["closed"]
+            fewer += counts["drawn"] < full
+    assert closed > 0
+    assert (fewer > 0) == draws_fewer
+
+
+def test_strong_related_matches_closure():
+    # The transfer oracle returns on meeting b; its verdicts still equal the
+    # components of the full closure, and it says False for an element of
+    # the same length in another class, or of another length.
+    b3 = build_system(named_matrix("B3"))
+    for tw in enumerate_twists(b3.matrix):
+        records = enumerate_classes(b3, tw)
+        coset = records[0].coset
+        unrelated = 0
+        for rec in records:
+            block_of = {x: i for i, block in enumerate(_full_closure_blocks(rec))
+                        for x in block}
+            for a in rec.o_min:
+                for b in rec.o_min:
+                    assert _strong_related(coset, a, b) == (
+                        block_of[a] == block_of[b])
+            a = rec.o_min[0]
+            for other in records:
+                if other is not rec:
+                    same = [y for y in other.elements
+                            if coset.length(y) == rec.min_length]
+                    if same:
+                        assert not _strong_related(coset, a, same[0])
+                        unrelated += 1
+            longest = max(rec.elements, key=coset.length)
+            if coset.length(longest) != rec.min_length:
+                assert not _strong_related(coset, a, longest)
+        assert unrelated > 0
 
 
 def test_theorems_on_small_types():
@@ -230,6 +338,27 @@ def test_path_graph_matches_full_sweep(name):
             longest = max(rec.elements, key=lambda x: t.length[x])
             for x in (rec.o_min[0], longest):
                 _check_against_sweep(rec.coset.element(x), rec.coset)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3"])
+def test_path_graph_on_bare_coset(name):
+    # With no enumerate_classes before it, path_graph builds the coset's
+    # class partition on first use, once, and still matches the sweep.
+    system = build_system(named_matrix(name))
+    for tw in enumerate_twists(system.matrix):
+        coset = TwistedCoset(system, tw)
+        assert coset._classes is None
+        for x in range(coset.table.size):
+            _check_against_sweep(coset.element(x), coset)
+        partition = coset.classes()
+        assert coset.classes() is partition
+        assert partition == [rec.elements for rec in enumerate_classes(system, tw)]
+        w = coset.element(coset.table.size - 1)
+        alone, shared = path_graph(w), path_graph(w, coset)
+        assert (alone.num_vertices, alone.reached, alone.centralizer,
+                alone.centralizer_order) == (
+            shared.num_vertices, shared.reached, shared.centralizer,
+            shared.centralizer_order)
 
 
 def test_path_graph_uncovered_centralizer():
