@@ -41,9 +41,8 @@ from dataclasses import dataclass, field as dc_field
 from typing import Iterator, Sequence
 
 from .coxeter import (CoxeterMatrix, CoxeterSystem, DiagramTwist, GroupElement,
-                      TwistedElement, build_system, compose, invert_perm,
-                      is_minimal_double_coset_rep, normalizes_parabolic,
-                      parabolic_index_map)
+                      TwistedElement, build_system, is_minimal_double_coset_rep,
+                      normalizes_parabolic, parabolic_index_map)
 from .eigen import (elliptic_parabolic_certificate, is_elliptic,
                     is_quasi_elliptic)
 from .errors import TheoremViolation
@@ -92,11 +91,6 @@ class TwistedCoset:
         self._classes: list[list[int]] | None = None
         self._class_id = array("i")
 
-    def conj(self, x: int, i: int) -> int:
-        """Body index of s_i (d^k x) s_i."""
-        rrow, lrow = self.steps[i]
-        return lrow[rrow[x]]
-
     def length(self, x: int) -> int:
         return self.table.length[x]
 
@@ -139,17 +133,6 @@ class TwistedCoset:
         if w.k != self.k or w.twist != self.twist:
             raise ValueError("element lies outside this twisted coset")
         return self.table.index_of(w.body)
-
-    def conjugate_by_index(self, x: int, g: int) -> int:
-        """Body index of (g^-1) (d^k x) g for an arbitrary g."""
-        t = self.table
-        pg = t.perms[g]
-        twisted_inv = self._twist_body(invert_perm(pg))
-        return t.index[compose(twisted_inv, compose(t.perms[x], pg))]
-
-    def _twist_body(self, perm: tuple[int, ...]) -> tuple[int, ...]:
-        """Permutation of d^-k g d^k."""
-        return self.system.twist_conj(perm, self.twist, -self.k)
 
 
 @dataclass
@@ -346,40 +329,23 @@ def approx_partition(record: ConjugacyClassRecord) -> list[list[int]]:
     return sorted(_blocks(parent, record.o_min))
 
 
-def elementary_strong_targets(coset: TwistedCoset, x: int,
-                              pruned: bool = True) -> Iterator[int]:
+def elementary_strong_targets(coset: TwistedCoset, x: int) -> Iterator[int]:
     """Bodies elementarily strongly conjugate to d^k x, each yielded once.
 
     A generator: each target is yielded as the search first meets it, so a
     caller that has its answer can stop drawing and skip the rest.
 
-    Pruned mode grows conjugators in BFS order with the length-additivity
+    The search grows conjugators in BFS order with the length-additivity
     condition maintained letter by letter (the condition is prefix-closed on
     the additive side, so no witness is missed): g on the left with
     l(g w) = l(g) + l(w), and h = g^-1 on the right with l(w h) = l(w) + l(h).
     Each of the two families admits a conjugator only the first time it
     meets it, so the search ends after at most 2(|W| - 1) admissions.
-    Unpruned mode scans all of W; it is the oracle for the pruned search.
     """
     t = coset.table
     length = t.length
     lw = length[x]
     targets: set[int] = set()
-
-    if not pruned:
-        px = t.perms[x]
-        for g in range(t.size):
-            pg = t.perms[g]
-            gb = coset._twist_body(pg)
-            left_len = length[t.index[compose(gb, px)]]
-            right_len = length[t.index[compose(px, invert_perm(pg))]]
-            if left_len == length[g] + lw or right_len == length[g] + lw:
-                # y = g (d^k x) g^-1, body d^{-k}(g) x g^-1.
-                y = t.index[compose(gb, compose(px, invert_perm(pg)))]
-                if length[y] == lw and y not in targets:
-                    targets.add(y)
-                    yield y
-        return
 
     # State (g, b, c): b is the body of the additive product (g d^k x on the
     # left, d^k x h on the right) and c that of the conjugate.  The letter i

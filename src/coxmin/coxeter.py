@@ -551,7 +551,7 @@ def build_system(matrix: CoxeterMatrix, L_hint: int | None = None,
 
 def compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """Permutation of the product: apply b, then a."""
-    return tuple(a[x] for x in b)
+    return tuple([a[x] for x in b])
 
 
 def invert_perm(p: tuple[int, ...]) -> tuple[int, ...]:
@@ -972,64 +972,77 @@ class GroupTable:
 
     Element 0 is the identity; elements are discovered in breadth-first
     order by right multiplication, so indices are stable for a fixed matrix.
+
+    The search keys x by key(x) = (x^-1(alpha_1), ..., x^-1(alpha_n)), n root
+    indices instead of 2N.  The key fixes x, since x^-1 is linear and the
+    simple roots are a basis; and key(x s_i) = s_i applied to each entry of
+    key(x), n lookups.  Each x != 1 is found as x = y s_i with y = parent,
+    l(x) = l(y) + 1, and the rest follows from that tree:
+
+    * left[j][x] = right[i][left[j][y]], since s_j x = (s_j y) s_i;
+    * perms[x] = perms[y] o s_i, one compose per element;
+    * support[x] = support[y] | 1 << i is the letter set of a reduced word
+      (the tree path), the same for every reduced word of x, since braid
+      moves keep letter sets (Matsumoto); so x lies in W_J iff support[x]
+      is inside J (Bourbaki, Lie IV, §1.8);
+    * i is a right (left) descent of x iff x s_i (s_i x) is shorter, that
+      is, comes first in the length-ordered index.
     """
 
     def __init__(self, system: CoxeterSystem):
         self.system = system
         n = system.rank
-        npos = system.npos
-        gens = [system.reflections[i] for i in range(n)]
-        ident = system._identity_perm
-        perms: list[tuple[int, ...]] = [ident]
-        index: dict[tuple[int, ...], int] = {ident: 0}
-        length = [0]
-        right = [[0] for _ in range(n)]
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                px = perms[x]
-                for i in range(n):
-                    py = compose(px, gens[i])
-                    y = index.get(py)
-                    if y is None:
-                        y = len(perms)
-                        perms.append(py)
-                        index[py] = y
-                        length.append(length[x] + 1)
-                        for tbl in right:
-                            tbl.append(-1)
-                        nxt.append(y)
-                    right[i][x] = y
-            frontier = nxt
-        size = len(perms)
-        left = [[0] * size for _ in range(n)]
-        for x in range(size):
-            px = perms[x]
-            for i in range(n):
-                left[i][x] = index[compose(gens[i], px)]
-        rdesc = [0] * size
-        ldesc = [0] * size
-        for x in range(size):
-            px = perms[x]
-            m = 0
-            for i in range(n):
-                if px[i] >= npos:
-                    m |= 1 << i
-            rdesc[x] = m
-            m = 0
-            for i in range(n):
-                if length[left[i][x]] < length[x]:
-                    m |= 1 << i
-            ldesc[x] = m
+        gens = system.reflections
+        keys = [tuple(range(n))]     # the simple roots are roots 0..n-1
+        found = {keys[0]: 0}
+        ids, parent, letter, length = [0], [0], [0], [0]
+        right: list[list[int]] = [[] for _ in range(n)]
+        steps = list(enumerate(zip(gens, [row.append for row in right])))
+        # keys grows as x runs: a BFS queue.  x comes from ids, not from
+        # enumerate, so every table holds the one int made for each element
+        # and those ints lie packed in index order (table reads stay local).
+        for x, kx in zip(ids, keys):
+            for i, (g, put) in steps:
+                ky = tuple([g[r] for r in kx])
+                y = found.get(ky)
+                if y is None:
+                    y = found[ky] = len(keys)
+                    keys.append(ky)
+                    ids.append(y)
+                    parent.append(x)
+                    letter.append(i)
+                    length.append(length[x] + 1)
+                put(y)
+        del keys, found             # freed before the permutations are built
+        size = len(length)
+        tree = list(zip(parent, letter))[1:]
+        left = []
+        for j in range(n):
+            row = [right[j][0]]
+            for y, i in tree:
+                row.append(right[i][row[y]])
+            left.append(row)
+        perms = [system._identity_perm]
+        support = [0]
+        for y, i in tree:
+            perms.append(compose(perms[y], gens[i]))
+            support.append(support[y] | 1 << i)
+        # Indices run in order of length, so x s_i is shorter iff it comes first.
+        rdesc, ldesc = [0] * size, [0] * size
+        for masks, rows in ((rdesc, right), (ldesc, left)):
+            for i, row in enumerate(rows):
+                bit = 1 << i
+                masks[:] = [m | bit if y < x else m
+                            for x, m, y in zip(range(size), masks, row)]
         self.size = size
         self.perms = perms
-        self.index = index
+        self.index = dict(zip(perms, ids))
         self.right = right
         self.left = left
         self.length = length
         self.rdesc = rdesc
         self.ldesc = ldesc
+        self.support = support
         self.w0 = max(range(size), key=length.__getitem__)
         if length.count(length[self.w0]) != 1:
             raise TheoremViolation("the longest element is not unique")
@@ -1042,8 +1055,8 @@ class GroupTable:
 
     def twist_index_map(self, twist: DiagramTwist, k: int = 1) -> list[int]:
         """x -> index of d^k x d^-k."""
-        conj = self.system.twist_conj
-        return [self.index[conj(p, twist, k)] for p in self.perms]
+        twist_conj = self.system.twist_conj
+        return [self.index[twist_conj(p, twist, k)] for p in self.perms]
 
 
 # ---------------------------------------------------------------------------

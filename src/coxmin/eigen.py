@@ -328,33 +328,22 @@ def elliptic_parabolic_certificate(w: TwistedElement,
     """The parabolic criterion: the class misses every proper twisted parabolic.
 
     `class_bodies` are table indices of the bodies of the class of w (all in
-    the same twist coset).  Returns the criterion's verdict; callers assert
-    agreement with is_elliptic.
+    the same twist coset).  A body x lies in W_J iff its support (the letter
+    set of a reduced word, table.support) is inside J (Bourbaki, Lie IV,
+    §1.8).  The least d-stable J that holds the support is the union of the
+    d-orbits of its letters, so x lies in a proper d-stable W_J iff that
+    union is proper.  Returns the criterion's verdict; callers check agreement with is_elliptic.
     """
-    system = w.system
-    n = system.rank
-    stable_subsets = []
-    for size in range(n):
-        for J in itertools.combinations(range(n), size):
-            if all(w.twist.perm[j] in J for j in J):
-                stable_subsets.append(frozenset(J))
-    # Keep only maximal proper stable subsets; membership in a smaller W_J
-    # implies membership in a maximal one.
-    maximal = [J for J in stable_subsets
-               if not any(J < K for K in stable_subsets)]
-    for x in class_bodies:
-        ld = table.ldesc[x]
-        for J in maximal:
-            # x in W_J iff stripping left descents within J reaches identity.
-            y = x
-            while True:
-                msk = table.ldesc[y]
-                i = next((i for i in J if msk >> i & 1), None)
-                if i is None:
-                    break
-                y = table.left[i][y]
-            if y == 0:
-                return False
+    n = w.system.rank
+    orbit = [sum({1 << w.twist.apply_index(j, k) for k in range(w.twist.order)})
+             for j in range(n)]
+    for supp in {table.support[x] for x in class_bodies}:
+        closure = 0
+        for j in range(n):
+            if supp >> j & 1:
+                closure |= orbit[j]
+        if closure != (1 << n) - 1:
+            return False
     return True
 
 

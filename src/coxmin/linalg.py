@@ -191,12 +191,23 @@ def rational_tuples(m: int, start_index: int = 0) -> Iterator[tuple[Fraction, ..
 
     idx = 0
     for total in itertools.count(0):
-        for split in itertools.product(range(total + 1), repeat=m):
-            if max(split) != total:
-                continue  # yielded in an earlier ring
+        for split in _ring(m, total):
             if idx >= start_index:
                 yield tuple(frac(i) for i in split)
             idx += 1
+
+
+def _ring(m: int, top: int) -> Iterator[tuple[int, ...]]:
+    """The tuples in range(top + 1)^m with largest entry top, in lexicographic
+    order: first those led by a < top (with top in the rest), then by top."""
+    if m == 1:
+        yield (top,)
+        return
+    for a in range(top):
+        for rest in _ring(m - 1, top):
+            yield (a,) + rest
+    for rest in itertools.product(range(top + 1), repeat=m - 1):
+        yield (top,) + rest
 
 
 # ---------------------------------------------------------------------------

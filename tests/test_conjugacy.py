@@ -19,6 +19,7 @@ from coxmin.coxeter import (build_system, enumerate_twists, named_matrix,
                             untwisted, is_minimal_double_coset_rep,
                             normalizes_parabolic, parabolic_max)
 from coxmin.errors import TheoremViolation, TooLarge
+from oracles import brute_strong_targets, conj, conjugate_by_index
 
 
 def test_class_counts():
@@ -49,7 +50,7 @@ def test_twisted_classes_match_brute_force():
             nxt = []
             for z in frontier:
                 for g in range(t.size):
-                    y = coset.conjugate_by_index(z, g)
+                    y = conjugate_by_index(coset, z, g)
                     if y not in orbit:
                         orbit.add(y)
                         nxt.append(y)
@@ -139,8 +140,8 @@ def test_pruned_matches_unpruned(name):
     for tw in enumerate_twists(system.matrix):
         for rec in enumerate_classes(system, tw):
             for x in rec.o_min:
-                pruned = set(elementary_strong_targets(rec.coset, x, pruned=True))
-                brute = set(elementary_strong_targets(rec.coset, x, pruned=False))
+                pruned = set(elementary_strong_targets(rec.coset, x))
+                brute = set(brute_strong_targets(rec.coset, x))
                 assert pruned == brute
 
 
@@ -193,11 +194,11 @@ def test_strong_search_stops_at_one_block(monkeypatch, name, draws_fewer):
     searched = []
     counts = {"drawn": 0, "closed": 0}
 
-    def counting(coset, x, pruned=True):
+    def counting(coset, x):
         searched.append((coset, x))
         finished = False
         try:
-            for y in real(coset, x, pruned):
+            for y in real(coset, x):
                 counts["drawn"] += 1
                 yield y
             finished = True
@@ -295,7 +296,7 @@ def _full_sweep_path_graph(w, coset):
             for i in range(n):
                 y = t.right[i][x]
                 if y not in cm:
-                    cm[y] = coset.conj(cm[x], i)
+                    cm[y] = conj(coset, cm[x], i)
                     nxt.append(y)
         frontier = nxt
     assert len(cm) == t.size

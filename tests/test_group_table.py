@@ -1,0 +1,85 @@
+"""GroupTable against a BFS keyed on full root permutations."""
+
+import functools
+
+import pytest
+
+from coxmin import coxeter
+from coxmin.conjugacy import TwistedCoset
+from coxmin.coxeter import (GroupTable, build_system, enumerate_twists,
+                            named_matrix)
+from coxmin.eigen import elliptic_parabolic_certificate
+from oracles import descent_stripping_certificate, reference_table
+
+TYPES = ["A3", "B3", "H3", "D4", "F4", "H4", "E6"]
+
+
+@functools.lru_cache(maxsize=1)
+def _built(name):
+    system = build_system(named_matrix(name))
+    return system, system.table()
+
+
+@pytest.mark.parametrize("name", TYPES)
+def test_table_matches_permutation_keyed_reference(name):
+    system, t = _built(name)
+    perms, index, right, left, length = reference_table(system)
+    assert t.size == len(perms)
+    assert t.perms == perms
+    assert t.index == index
+    assert t.right == right
+    assert t.left == left
+    assert t.length == length
+    npos, n = system.npos, system.rank
+    assert t.rdesc == [sum(1 << i for i in range(n) if p[i] >= npos) for p in perms]
+    assert t.ldesc == [sum(1 << i for i in range(n) if length[left[i][x]] < length[x])
+                       for x in range(t.size)]
+    assert t.w0 == max(range(t.size), key=length.__getitem__)
+
+
+@pytest.mark.parametrize("name", TYPES)
+def test_support_is_the_letter_set_of_a_reduced_word(name):
+    system, t = _built(name)
+    # Every element against to_word up to F4; every 8th of H4 and E6, where
+    # to_word on all elements takes 5 s and 10 s.
+    stride = 1 if t.size <= 2000 else 8
+    for x in range(0, t.size, stride):
+        assert t.support[x] == sum({1 << i for i in t.element(x).to_word()})
+    # On all of W: s_j x and x differ by the letter j in a reduced word, so
+    # their supports agree once j is added; with support[0] = 0 this fixes
+    # the support of every element by induction on length.
+    assert t.support[0] == 0
+    for j in range(system.rank):
+        bit = 1 << j
+        assert all(t.support[x] | bit == t.support[y] | bit
+                   for x, y in enumerate(t.left[j]))
+
+
+@pytest.mark.parametrize("name", TYPES)
+def test_support_certificate_matches_descent_stripping(name):
+    system, t = _built(name)
+    for twist in enumerate_twists(system.matrix):
+        coset = TwistedCoset(system, twist)
+        for els in coset.classes():
+            rep = coset.element(els[0])
+            assert (elliptic_parabolic_certificate(rep, els, t)
+                    == descent_stripping_certificate(rep, els, t))
+
+
+def test_table_build_composes_once_per_element(monkeypatch):
+    # The root permutations come from the BFS tree, one product each; a
+    # build that multiplies permutations to find its elements would make
+    # 2 * rank * |W| of them.
+    system = build_system(named_matrix("H4"))
+    calls = 0
+    real = coxeter.compose
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return real(a, b)
+
+    monkeypatch.setattr(coxeter, "compose", counting)
+    t = GroupTable(system)
+    assert t.size == 14400
+    assert 0 < calls <= t.size - 1

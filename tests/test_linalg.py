@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from coxmin import linalg
 from coxmin.errors import TheoremViolation
 from coxmin.linalg import (cone_from_constraints, cone_point_avoiding,
                            intersect_subspaces, kernel_basis, rank,
@@ -58,6 +59,34 @@ def test_rational_tuples_deterministic_and_dense():
     assert c == a[5:15]
     # Both coordinates eventually vary.
     assert any(t[0] != 0 for t in a) and any(t[1] != 0 for t in a)
+
+
+def _rational_tuples_filtered(m, start_index=0):
+    """The generator before rings were built directly: it walks the whole
+    box range(R + 1)^m of each ring R and drops the tuples with max < R."""
+    fracs = []
+    gen = linalg._fractions_by_height()
+
+    def frac(i):
+        while len(fracs) <= i:
+            fracs.append(next(gen))
+        return fracs[i]
+
+    idx = 0
+    for total in itertools.count(0):
+        for split in itertools.product(range(total + 1), repeat=m):
+            if max(split) != total:
+                continue  # yielded in an earlier ring
+            if idx >= start_index:
+                yield tuple(frac(i) for i in split)
+            idx += 1
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_rational_tuples_rings_match_filtered_boxes(m):
+    old = list(itertools.islice(_rational_tuples_filtered(m), 5021))
+    assert list(itertools.islice(rational_tuples(m), 5000)) == old[:5000]
+    assert list(itertools.islice(rational_tuples(m, 21), 5000)) == old[21:]
 
 
 def test_cone_quadrant():

@@ -9,11 +9,16 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+# Names that must not appear in the package: the errors of the old capped
+# searches (the point constructions and the witness search have proven
+# bounds), and the brute-force oracles that live in tests/oracles.py.
+BANNED = ("ConstructionFailed", "SearchBound", "conjugate_by_index",
+          "_twist_body", "conj", "pruned")
+
+
 def test_no_asserts_and_no_capped_construction_error():
-    # python -O strips asserts, so no check may live in one; and the point
-    # constructions and the witness search have proven bounds, so the
-    # "search exhausted" errors of the old capped searches must not come
-    # back.
+    # python -O strips asserts, so no check may live in one; and no banned
+    # name may come back.
     offenders = []
     for path in sorted((SRC / "coxmin").glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -27,9 +32,11 @@ def test_no_asserts_and_no_capped_construction_error():
                 names.append(node.name)
             elif isinstance(node, (ast.ClassDef, ast.FunctionDef)):
                 names.append(node.name)
+            elif isinstance(node, (ast.arg, ast.keyword)):
+                names.append(node.arg)
             if isinstance(node, ast.Assert):
                 offenders.append(f"{path.name}:{node.lineno}: assert")
-            for banned in ("ConstructionFailed", "SearchBound"):
+            for banned in BANNED:
                 if banned in names:
                     offenders.append(f"{path.name}:{node.lineno}: {banned}")
     assert not offenders, offenders
