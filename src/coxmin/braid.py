@@ -72,10 +72,6 @@ class BraidContext:
             y = t.left[i][y]
             moved = True
 
-    def is_left_weighted_pair(self, x: int, y: int) -> bool:
-        t = self.table
-        return not (t.ldesc[y] & ~t.rdesc[x])
-
     def normalize(self, factors: Sequence[int]) -> tuple[int, ...]:
         fs = [f for f in factors if f != 0]
         i = 0
@@ -161,12 +157,6 @@ class GarsideNormalForm:
     def __hash__(self):
         return hash((self.k, self.factors))
 
-    def is_valid(self) -> bool:
-        if any(f == 0 for f in self.factors):
-            return False
-        return all(self.context.is_left_weighted_pair(a, b)
-                   for a, b in zip(self.factors, self.factors[1:]))
-
     def infimum(self) -> int:
         w0 = self.context.table.w0
         count = 0
@@ -200,13 +190,6 @@ class GarsideNormalForm:
             base = base.mul(base)
             k >>= 1
         return out
-
-    def expand(self) -> TwistedBraid:
-        """A positive word spelling this normal form."""
-        letters: list[int] = []
-        for f in self.factors:
-            letters.extend(self.context.table.element(f).to_word())
-        return TwistedBraid(self.context, self.k, tuple(letters))
 
     def digest(self) -> str:
         payload = f"{self.k}|" + ",".join(map(str, self.factors))

@@ -32,11 +32,12 @@ import math
 import os
 import tempfile
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import NotFinite, TheoremViolation, TooLarge
 from .linalg import Matrix, Vector, rref
-from .scalars import AlgebraicScalar, ScalarField, get_field
+from .scalars import AlgebraicScalar, ScalarField, _normal, get_field
 
 ROOT_BOUND_DEFAULT = 5000
 
@@ -281,7 +282,7 @@ class CoxeterSystem:
         self.nroots = 2 * self.npos
         self.bilinear = _bilinear_matrix(matrix, field)
         self._identity_perm = tuple(range(self.nroots))
-        self._pairing_rows: list[Vector | None] = [None] * self.npos
+        self._kernel: list[tuple[tuple[tuple[int, ...], ...], int]] | None = None
         self._root_lookup: dict[Vector, int] = {}
         for idx, v in enumerate(pos_roots):
             self._root_lookup[v] = idx
@@ -321,25 +322,67 @@ class CoxeterSystem:
                         acc = acc + ui * row[j] * vj
         return acc
 
-    def pairing_row(self, r: int) -> Vector:
-        """B * alpha_r for a positive root, cached; <alpha_r, v> = row . v."""
-        rows = self._pairing_rows
-        if rows[r] is None:
-            alpha = self.pos_roots[r]
-            rows[r] = tuple(
-                sum((alpha[i] * self.bilinear[i][j] for i in range(self.rank)
-                     if not alpha[i].is_zero()), self.field.zero)
-                for j in range(self.rank))
-        return rows[r]
+    # -- root pairings -----------------------------------------------------------
+    #
+    # <alpha_r, v> = sum_j a_rj v_j with a_rj = (B alpha_r)_j.  Over one
+    # denominator per root and per vector, a_rj = p_rj(c) / e_r and
+    # v_j = q_j(c) / D with integer polynomials p_rj, q_j, and multiplying
+    # by the fixed p_rj is an integer-linear map on the coefficients of q_j
+    # (c is an algebraic integer, so the reduction table is integral).  So
+    # the kernel keeps per root an integer matrix M_r, m rows by n*m columns
+    # (m the field degree): column (j, l) holds the reduced coefficients of
+    # p_rj(c) c^l.  With `flat` the coefficients of q_0, ..., q_{n-1}, the
+    # numerator of <alpha_r, v> over e_r D is M_r . flat: integer dot
+    # products, no field arithmetic.  e_r D > 0, so the numerator alone
+    # decides zero and sign tests; the numerator need not be in lowest
+    # terms, as a positive factor scales field.sign_of's intervals and
+    # leaves its refinements unchanged.
+
+    def _pairing_kernel(self) -> list[tuple[tuple[tuple[int, ...], ...], int]]:
+        """(M_r, e_r) per positive root, built on first use in this view."""
+        if self._kernel is None:
+            field, n = self.field, self.rank
+            kernel = []
+            for alpha in self.pos_roots:
+                row = [sum((alpha[i] * self.bilinear[i][j] for i in range(n)
+                            if not alpha[i].is_zero()), field.zero)
+                       for j in range(n)]
+                e = math.lcm(*[a.den for a in row])
+                cols = []
+                for a in row:
+                    # Denominator 1 throughout: products stay unreduced
+                    # integer polynomials.
+                    p = AlgebraicScalar(field, tuple([x * (e // a.den) for x in a.num]))
+                    for _ in range(field.degree):
+                        cols.append(p.num)
+                        p = p * field.gen
+                kernel.append((tuple(zip(*cols)), e))
+            self._kernel = kernel
+        return self._kernel
+
+    @staticmethod
+    def _lower(v: Vector) -> tuple[list[int], int]:
+        """(flat, D): the coefficients of D v_j, j-major, D the lcm of v's
+        denominators."""
+        D = math.lcm(*[x.den for x in v])
+        return [c * (D // x.den) for x in v for c in x.num], D
+
+    def root_pairings(self, v: Vector) -> list[tuple[tuple[int, ...], int]]:
+        """(num, den) with <alpha_r, v> = num / den, den > 0, for every
+        positive root r in index order; num need not be in lowest terms."""
+        flat, D = self._lower(v)
+        return [(tuple([sum(map(mul, row, flat)) for row in rows]), e * D)
+                for rows, e in self._pairing_kernel()]
+
+    def pairing(self, r: int, v: Vector) -> tuple[tuple[int, ...], int]:
+        """(num, den) of <alpha_r, v> for one positive root, as root_pairings."""
+        rows, e = self._pairing_kernel()[r]
+        flat, D = self._lower(v)
+        return tuple([sum(map(mul, row, flat)) for row in rows]), e * D
 
     def pair_root(self, r: int, v: Vector) -> AlgebraicScalar:
-        """<alpha_r, v> via the cached pairing row."""
-        row = self.pairing_row(r)
-        acc = self.field.zero
-        for a, b in zip(row, v):
-            if not (a.is_zero() or b.is_zero()):
-                acc = acc + a * b
-        return acc
+        """<alpha_r, v> for a positive root, through the pairing kernel."""
+        return _normal(self.field, *self.pairing(r, v))
 
     def simple_reflect(self, i: int, v: Vector) -> Vector:
         """s_i(v) in coordinates: only entry i changes."""
@@ -347,22 +390,6 @@ class CoxeterSystem:
         out = list(v)
         out[i] = out[i] - (c + c)
         return tuple(out)
-
-    def reflect_vector(self, root_idx: int, v: Vector) -> Vector:
-        alpha = self.root_vector(root_idx)
-        c = self.inner(alpha, v)
-        two_c = c + c
-        return tuple(x - two_c * a for x, a in zip(v, alpha))
-
-    def reflection_element(self, root_idx: int) -> "GroupElement":
-        """The reflection s_H for the hyperplane of the given positive root."""
-        if root_idx >= self.npos:
-            root_idx -= self.npos
-        perm = []
-        for r in range(self.nroots):
-            img = self.reflect_vector(root_idx, self.root_vector(r))
-            perm.append(self.root_index(img))
-        return GroupElement(self, tuple(perm))
 
     def root_index(self, v: Vector) -> int:
         key = tuple(v)
@@ -602,17 +629,22 @@ class GroupElement:
         return {i for i in range(self.system.rank) if self.inv_perm[i] >= npos}
 
     def to_word(self) -> list[int]:
-        """Lexicographically smallest reduced word."""
+        """Lexicographically smallest reduced word.
+
+        Strips the least left descent i of x, x -> s_i x, until none is
+        left.  y is the permutation of the current x^-1: i is a left descent
+        iff y[i] is negative, and (s_i x)^-1 = x^-1 s_i composes y with s_i.
+        """
+        sys = self.system
+        npos, rank, refl = sys.npos, sys.rank, sys.reflections
+        y = self.inv_perm
         word = []
-        cur = self
         while True:
-            ld = cur.left_descents()
-            if not ld:
-                break
-            i = min(ld)
+            i = next((i for i in range(rank) if y[i] >= npos), None)
+            if i is None:
+                return word
             word.append(i)
-            cur = self.system.generator(i) * cur
-        return word
+            y = tuple([y[k] for k in refl[i]])
 
     def apply(self, v: Vector) -> Vector:
         sys = self.system
@@ -859,8 +891,11 @@ class Chamber:
 
     def contains_in_closure(self, v: Vector) -> bool:
         sys = self.system
-        for r in range(sys.npos):
-            s = sys.pair_root(r, v).sign()
+        sign_of = sys.field.sign_of
+        # Numerators for every root at once; signs one by one, in root
+        # order, stopping at the first wrong one.
+        for r, (num, _) in enumerate(sys.root_pairings(v)):
+            s = sign_of(num)
             if s != 0 and s != self.sign(r):
                 return False
         return True

@@ -32,15 +32,19 @@ field.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from operator import mul
+from typing import Sequence
 
 from .coxeter import Chamber, CoxeterSystem, TwistedElement
 from .errors import (FieldTooSmall, MultiplicityMismatch, NoRegularPoint,
                      NotAdmissible, TheoremViolation)
 from .linalg import (Matrix, Vector, cone_from_constraints, cone_point_avoiding,
-                     kernel_basis, mat_mul, rational_tuples, rref, solve_in_span,
-                     vec_add, vec_is_zero, vec_scale, zero_vector)
+                     kernel_basis, mat_mul, rational_tuples, rref, vec_add,
+                     vec_dot, vec_is_zero, vec_scale, zero_vector)
+from .scalars import ScalarField, _normal
 
 Angle = Fraction  # q in [0, 1], theta = q*pi
 
@@ -69,6 +73,10 @@ class EigenDecomposition:
     entries: list[tuple[Angle, int, Matrix]]
     theta0: Angle
     v_wt: Matrix
+    # Rows of the inverse of the matrix whose columns are full_basis(),
+    # built by the first project() and kept with the memoized decomposition.
+    _inverse: Matrix | None = dataclass_field(default=None, init=False,
+                                              repr=False, compare=False)
 
     @property
     def angles(self) -> list[Angle]:
@@ -87,12 +95,17 @@ class EigenDecomposition:
         return out
 
     def project(self, v: Vector) -> dict[Angle, Vector]:
-        """Exact eigencomponents of v, indexed by angle."""
+        """Exact eigencomponents of v, indexed by angle.
+
+        The coordinates of v in full_basis() are one matrix-vector product
+        with the inverse of the basis matrix, computed once per
+        decomposition; a basis that does not span V raises TheoremViolation.
+        """
         field = self.system.field
         basis = self.full_basis()
-        coords = solve_in_span(basis, v, field)
-        if coords is None:
-            raise TheoremViolation("the eigenspaces do not span V")
+        if self._inverse is None:
+            self._inverse = _basis_inverse(basis, field, self.system.rank)
+        coords = [vec_dot(row, v) for row in self._inverse]
         out: dict[Angle, Vector] = {}
         pos = 0
         for q, dim, _ in self.entries:
@@ -116,6 +129,17 @@ class EigenDecomposition:
             "theta0": [self.theta0.numerator, self.theta0.denominator],
             "v_wt": enc(self.v_wt),
         }
+
+
+def _basis_inverse(basis: Matrix, field: ScalarField, n: int) -> Matrix:
+    """Rows of the inverse of the n x n matrix with columns `basis`."""
+    if len(basis) == n:
+        ident = [tuple(field.one if i == j else field.zero for j in range(n))
+                 for i in range(n)]
+        red, pivots = rref([tuple(b[i] for b in basis) + ident[i] for i in range(n)])
+        if pivots == list(range(n)):
+            return [row[n:] for row in red]
+    raise TheoremViolation("the eigenspaces do not span V")
 
 
 def _matrix_plus_inverse(w: TwistedElement, system: CoxeterSystem) -> Matrix:
@@ -230,9 +254,10 @@ def hyperplanes_containing(system: CoxeterSystem, basis: Matrix) -> frozenset[in
     key = tuple(basis)
     cached = system._hyperplanes.get(key)
     if cached is None:
+        pairs = [system.root_pairings(b) for b in basis]
         cached = system._hyperplanes[key] = frozenset(
             r for r in range(system.npos)
-            if all(system.pair_root(r, b).is_zero() for b in basis))
+            if not any(any(p[r][0]) for p in pairs))
     return cached
 
 
@@ -271,17 +296,17 @@ def regular_point(system: CoxeterSystem, basis: Matrix,
     if cached is not None:
         return cached
     m = len(basis)
-    # rows[r][i] = <alpha_r, b_i>; H_K is the set of roots with a zero row.
-    rows = [tuple(system.pair_root(r, b) for b in basis) for r in range(system.npos)]
+    # rows[r][i] = <alpha_r, b_i> as (num, den); H_K is the set of roots
+    # with a zero row.
+    rows = list(zip(*[system.root_pairings(b) for b in basis]))
     avoid_roots = [r for r in range(system.npos)
-                   if not all(x.is_zero() for x in rows[r])]
-    avoid = [rows[r] for r in avoid_roots]
+                   if any(any(num) for num, _ in rows[r])]
 
     if inside is None:
-        count = (len(avoid) + start_index + 1) ** m - start_index
+        forms = [_integer_forms(rows[r]) for r in avoid_roots]
+        count = (len(avoid_roots) + start_index + 1) ** m - start_index
         for coeffs in itertools.islice(rational_tuples(m, start_index), count):
-            if any(sum((c * p for c, p in zip(coeffs, row) if c), field.zero).is_zero()
-                   for row in avoid):
+            if _meets_a_hyperplane(_cleared(coeffs), forms):
                 continue
             v = zero_vector(field, system.rank)
             for c, bvec in zip(coeffs, basis):
@@ -292,6 +317,8 @@ def regular_point(system: CoxeterSystem, basis: Matrix,
         raise TheoremViolation(f"no regular point among {count} tuples")
 
     # Constrained: work in basis coordinates and build the chamber cone.
+    avoid = [tuple(_normal(field, num, den) for num, den in rows[r])
+             for r in avoid_roots]
     constraints = [row if inside.sign(r) > 0 else tuple(-x for x in row)
                    for r, row in zip(avoid_roots, avoid)]
     cone = cone_from_constraints(field, m, constraints)
@@ -304,6 +331,31 @@ def regular_point(system: CoxeterSystem, basis: Matrix,
             v = vec_add(v, vec_scale(c, bvec))
     system._regular_points[key] = v
     return v
+
+
+# The free regular point's zero test.  <alpha_r, sum c_i b_i> vanishes iff
+# each of its power-basis coefficients does.  Over E_r, the lcm of the row's
+# denominators, these are the integer forms c -> sum_i c_i num_ri[k] E_r /
+# den_ri; clearing the tuple's denominators keeps every zero.  So each test
+# is a few integer dot products, exact as the field sum is.
+
+
+def _integer_forms(row: Sequence[tuple[tuple[int, ...], int]]) -> list[tuple[int, ...]]:
+    """The nonzero integer forms of a row of (num, den) pairings."""
+    e = math.lcm(*[den for _, den in row])
+    scaled = [[x * (e // den) for x in num] for num, den in row]
+    return [f for f in zip(*scaled) if any(f)]
+
+
+def _cleared(coeffs: Sequence[Fraction]) -> list[int]:
+    """The tuple times the lcm of its denominators."""
+    q = math.lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (q // c.denominator) for c in coeffs]
+
+
+def _meets_a_hyperplane(ints: list[int], forms: list[list[tuple[int, ...]]]) -> bool:
+    """Whether every form of some row vanishes at the cleared tuple."""
+    return any(not any(sum(map(mul, ints, f)) for f in row) for row in forms)
 
 
 def fixed_space(w: TwistedElement) -> Matrix:
@@ -435,7 +487,7 @@ def good_position_chamber(w: TwistedElement, filtration: Filtration,
 
     def lex_sign(root_idx: int, pts: list[Vector]) -> int:
         for p in pts:
-            s = system.pair_root(root_idx, p).sign()
+            s = field.sign_of(system.pairing(root_idx, p)[0])
             if s:
                 return s
         return 0
@@ -467,6 +519,7 @@ def _good_position_holds(chamber: Chamber, filtration: Filtration,
                          witnesses: list[Vector]) -> bool:
     """Exact witness check of the good-position property."""
     system = filtration.system
+    sign_of = system.field.sign_of
     pt_iter = iter(witnesses)
     pt_of_level: dict[int, Vector] = {}
     for i in range(1, len(filtration.f_bases)):
@@ -481,8 +534,9 @@ def _good_position_holds(chamber: Chamber, filtration: Filtration,
         x = pt_of_level.get(i + 1)
         if x is None:
             continue
+        pairs = system.root_pairings(x)
         for r in filtration.hyperplane_sets[i]:
-            s = system.pair_root(r, x).sign()
+            s = sign_of(pairs[r][0])
             if s != 0 and s != chamber.sign(r):
                 return False
     return True

@@ -133,26 +133,6 @@ def subspace_equal(b1: Matrix, b2: Matrix, field: ScalarField) -> bool:
     return all(subspace_contains(b1, v, field) for v in b2)
 
 
-def intersect_subspaces(b1: Matrix, b2: Matrix, field: ScalarField) -> Matrix:
-    """Basis of span(b1) & span(b2)."""
-    if not b1 or not b2:
-        return []
-    n = len(b1[0])
-    # Kernel of the matrix whose columns are the b1 and b2 vectors: a kernel
-    # element (x, y) has sum x_i b1_i = -sum y_j b2_j in the intersection.
-    rows = [tuple(list(col)) for col in zip(*([list(b) for b in b1] + [list(b) for b in b2]))]
-    ker = kernel_basis([tuple(r) for r in rows], len(b1) + len(b2), field)
-    out: Matrix = []
-    for k in ker:
-        v = zero_vector(field, n)
-        for x, b in zip(k[: len(b1)], b1):
-            v = vec_add(v, vec_scale(x, b))
-        if not vec_is_zero(v):
-            out.append(v)
-    red, _ = rref(out)
-    return red
-
-
 # ---------------------------------------------------------------------------
 # Deterministic rational tuple enumeration.
 
@@ -226,12 +206,6 @@ class Cone:
     def span(self) -> Matrix:
         red, _ = rref(list(self.lines) + list(self.rays))
         return red
-
-    def relative_interior_point(self) -> Vector:
-        v = zero_vector(self.field, self.dim)
-        for r in self.rays:
-            v = vec_add(v, r)
-        return v
 
 
 def cone_from_constraints(field: ScalarField, dim: int, constraints: Sequence[Vector]) -> Cone:

@@ -43,6 +43,7 @@ Coeffs = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_FLOAT_EPS = Fraction(1, 10**17)
 
 # 2cos(q*pi) for the q in [0, 1] where it is rational.
 _RATIONAL_TWO_COS = {Fraction(0): 2, Fraction(1, 3): 1, Fraction(1, 2): 0,
@@ -346,12 +347,29 @@ class ScalarField:
         if self.degree == 1:
             v = Fraction(num[0], den)
             return v, v
+        lo, hi, shift = self._narrow(num, eps, den)
+        return Fraction(lo, den << shift), Fraction(hi, den << shift)
+
+    def _narrow(self, num: Sequence[int], eps: Fraction,
+                den: int) -> tuple[int, int, int]:
+        """_horner(num) once the interval, over den, is narrower than eps."""
         while True:
             lo, hi, shift = self._horner(num)
             # (hi - lo) / (den 2^shift) < eps, cleared of denominators.
             if (hi - lo) * eps.denominator < (eps.numerator * den) << shift:
-                return Fraction(lo, den << shift), Fraction(hi, den << shift)
+                return lo, hi, shift
             self.refine()
+
+    def float_of(self, num: Sequence[int], den: int) -> float:
+        """The midpoint of interval_of(num, 1e-17, den) as a float.
+
+        One int true division, which Python rounds correctly, as it does
+        float() of the Fraction midpoint: the same float, no Fractions.
+        """
+        if self.degree == 1:
+            return num[0] / den
+        lo, hi, shift = self._narrow(num, _FLOAT_EPS, den)
+        return (lo + hi) / ((2 * den) << shift)
 
 
 @lru_cache(maxsize=None)
@@ -538,8 +556,7 @@ class AlgebraicScalar:
 
     def __float__(self):
         if self._float is None:
-            lo, hi = self.interval(Fraction(1, 10**17))
-            self._float = float((lo + hi) / 2)
+            self._float = self.field.float_of(self.num, self.den)
         return self._float
 
     def as_fraction(self) -> Fraction:

@@ -40,6 +40,7 @@ from .errors import HypothesisFailed, NoRegularPoint, TheoremViolation, WalkStuc
 from .linalg import (Matrix, Vector, cone_from_constraints, kernel_basis,
                      rational_tuples, rref, subspace_contains, subspace_equal,
                      vec_add, vec_is_zero, vec_scale, vec_sub, zero_vector)
+from .scalars import _normal
 
 
 @dataclass
@@ -169,27 +170,30 @@ def _good_start_points(eig: EigenDecomposition, chamber: Chamber,
     fix the walk paths, so a bounded construction would change the reports.
     """
     system = eig.system
-    npos = system.npos
     field = system.field
+    sign_of = field.sign_of
     n = system.rank
     h_vwt = hyperplanes_containing(system, eig.v_wt)
     base = chamber.interior_point()
 
+    # Pairings come from the system's integer kernel as (num, den); signs
+    # are taken from the numerators one root at a time, in root order, as
+    # each refines the field's isolating interval that later floats read.
+    # Scalars are built only for the pairings the walk keeps.
     def check(y: Vector):
         comps = {q: c for q, c in eig.project(y).items() if not vec_is_zero(c)}
         x_dir = comps.get(eig.theta0)
         if x_dir is None:
             return None
-        x_col, sgn_x = [], []
-        for r in range(npos):
-            p = system.pair_root(r, x_dir)
-            s = p.sign()
+        x_pairs = system.root_pairings(x_dir)
+        sgn_x = []
+        for r, (num, _) in enumerate(x_pairs):
+            s = sign_of(num)
             if s == 0 and r not in h_vwt:
                 return None  # p(y) is not regular in V_w
-            x_col.append(p)
             sgn_x.append(s)
-        pairings = {q: x_col if q == eig.theta0 else
-                    [system.pair_root(r, c) for r in range(npos)]
+        pairings = {q: [_normal(field, num, den) for num, den in
+                        (x_pairs if q == eig.theta0 else system.root_pairings(c))]
                     for q, c in comps.items()}
         return pairings, x_dir, sgn_x
 
@@ -204,8 +208,8 @@ def _good_start_points(eig: EigenDecomposition, chamber: Chamber,
         cand = None
         for _ in range(16):
             trial = vec_add(base, tuple(field.from_rational(c * scale) for c in tup))
-            if all(system.pair_root(r, trial).sign() == chamber.sign(r)
-                   for r in range(npos)):
+            if all(sign_of(num) == chamber.sign(r)
+                   for r, (num, _) in enumerate(system.root_pairings(trial))):
                 cand = trial
                 break
             scale /= 4
@@ -283,10 +287,7 @@ def _walk_once(w: TwistedElement, eig: EigenDecomposition, start: Chamber,
         s_after = s0
         while h < 1e6:
             s1 = s0 + h
-            vals = float_vals(s1)
-            flips = [r for r in range(npos)
-                     if abs(vals[r]) > tol and (vals[r] > 0) != (cur_signs[r] > 0)]
-            tiny = [r for r in range(npos) if abs(vals[r]) <= tol]
+            flips, tiny = _walls_near(float_vals(s1), cur_signs, tol)
             if not flips and not tiny:
                 s0 = s1
                 h *= 2
@@ -298,10 +299,7 @@ def _walk_once(w: TwistedElement, eig: EigenDecomposition, start: Chamber,
                 mid = (s0 + s1) / 2
                 if mid in (s0, s1):
                     break
-                vals = float_vals(mid)
-                flips_m = [r for r in range(npos)
-                           if abs(vals[r]) > tol and (vals[r] > 0) != (cur_signs[r] > 0)]
-                tiny_m = [r for r in range(npos) if abs(vals[r]) <= tol]
+                flips_m, tiny_m = _walls_near(float_vals(mid), cur_signs, tol)
                 if not flips_m and not tiny_m:
                     s0 = mid
                 else:
@@ -319,6 +317,26 @@ def _walk_once(w: TwistedElement, eig: EigenDecomposition, start: Chamber,
             if not any(try_cross(r) for r in range(npos)):
                 raise _RetryWalk
         s_anchor = s_after
+
+
+def _walls_near(vals: list[float], signs: list[int],
+                tol: float) -> tuple[list[int], list[int]]:
+    """(flipped, tiny) walls in one pass over the guidance values.
+
+    r is flipped when vals[r] lies beyond tol on the side opposite to its
+    sign signs[r] = +-1, and tiny when |vals[r]| <= tol.
+    """
+    flips, tiny = [], []
+    for r, (v, sg) in enumerate(zip(vals, signs)):
+        if v > tol:
+            if sg < 0:
+                flips.append(r)
+        elif v < -tol:
+            if sg > 0:
+                flips.append(r)
+        elif abs(v) <= tol:
+            tiny.append(r)
+    return flips, tiny
 
 
 # ---------------------------------------------------------------------------

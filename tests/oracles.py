@@ -6,7 +6,10 @@ the package computes over its tables; the tests compare the two.
 
 import itertools
 
-from coxmin.coxeter import compose, invert_perm
+from coxmin.braid import TwistedBraid
+from coxmin.coxeter import GroupElement, compose, invert_perm
+from coxmin.linalg import (kernel_basis, rref, vec_add, vec_is_zero, vec_scale,
+                           zero_vector)
 
 
 def reference_table(system):
@@ -110,3 +113,83 @@ def brute_strong_targets(coset, x: int):
             if length[y] == lw and y not in targets:
                 targets.add(y)
                 yield y
+
+
+# ---------------------------------------------------------------------------
+# Reference constructions the package no longer carries.
+
+
+def reflect_vector(system, root_idx: int, v):
+    """s_alpha(v) = v - 2 <alpha, v> alpha, by the bilinear form."""
+    alpha = system.root_vector(root_idx)
+    c = system.inner(alpha, v)
+    two_c = c + c
+    return tuple(x - two_c * a for x, a in zip(v, alpha))
+
+
+def reflection_element(system, root_idx: int):
+    """The reflection s_H for the hyperplane of the given root."""
+    if root_idx >= system.npos:
+        root_idx -= system.npos
+    perm = tuple(system.root_index(reflect_vector(system, root_idx, system.root_vector(r)))
+                 for r in range(system.nroots))
+    return GroupElement(system, perm)
+
+
+def intersect_subspaces(b1, b2, field):
+    """Basis of span(b1) & span(b2)."""
+    if not b1 or not b2:
+        return []
+    n = len(b1[0])
+    # Kernel of the matrix whose columns are the b1 and b2 vectors: a kernel
+    # element (x, y) has sum x_i b1_i = -sum y_j b2_j in the intersection.
+    rows = [tuple(col) for col in zip(*(list(b1) + list(b2)))]
+    ker = kernel_basis(rows, len(b1) + len(b2), field)
+    out = []
+    for k in ker:
+        v = zero_vector(field, n)
+        for x, b in zip(k[: len(b1)], b1):
+            v = vec_add(v, vec_scale(x, b))
+        if not vec_is_zero(v):
+            out.append(v)
+    return rref(out)[0]
+
+
+def relative_interior_point(cone):
+    """The sum of the cone's rays."""
+    v = zero_vector(cone.field, cone.dim)
+    for r in cone.rays:
+        v = vec_add(v, r)
+    return v
+
+
+def normal_form_is_valid(nf) -> bool:
+    """No identity factor, and every adjacent pair left-weighted."""
+    t = nf.context.table
+    if any(f == 0 for f in nf.factors):
+        return False
+    return all(not (t.ldesc[b] & ~t.rdesc[a])
+               for a, b in zip(nf.factors, nf.factors[1:]))
+
+
+def expand_normal_form(nf):
+    """A positive braid word spelling the normal form."""
+    letters = []
+    for f in nf.factors:
+        letters.extend(nf.context.table.element(f).to_word())
+    return TwistedBraid(nf.context, nf.k, tuple(letters))
+
+
+def to_word_by_descents(element):
+    """Lexicographically smallest reduced word, one group product per letter:
+    strip the least left descent of the current element until none is left."""
+    system = element.system
+    word = []
+    cur = element
+    while True:
+        ld = cur.left_descents()
+        if not ld:
+            return word
+        i = min(ld)
+        word.append(i)
+        cur = system.generator(i) * cur

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,6 +14,7 @@ from coxmin.coxeter import (Chamber, CoxeterMatrix, TwistedElement,
                             system_to_json, untwisted)
 from coxmin.eigen import eigen_decomposition, order
 from coxmin.errors import NotFinite
+from oracles import reflect_vector
 
 
 def bfs_word_lengths(system):
@@ -86,7 +88,7 @@ def test_multiplication_examples():
     flips = 0
     for r in range(a2.npos):
         v = a2.root_vector(r)
-        img = a2.reflect_vector(0, a2.reflect_vector(1, v))
+        img = reflect_vector(a2, 0, reflect_vector(a2, 1, v))
         signs = {c.sign() for c in img if not c.is_zero()}
         if signs == {-1}:
             flips += 1
@@ -309,3 +311,43 @@ def test_twist_root_perm_powers(name):
             assert system.twist_conj(p, twist, m) == \
                 compose(power, compose(p, invert_perm(power)))
             power = compose(rp, power)
+
+
+def _random_scalar(field, rng):
+    # Mixed denominators and a zero now and then.
+    if rng.random() < 0.2:
+        return field.zero
+    return field.scalar([Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                         for _ in range(field.degree)])
+
+
+@pytest.mark.parametrize("name,lift,L", [
+    ("A3", None, 1), ("B3", None, 4), ("H3", None, 5), ("G2", None, 6),
+    ("B3", 3, 12), ("H3", 6, 30), ("A3", 4, 4), ("G2", 4, 12)])
+def test_pairing_kernel_matches_scalar_sum(name, lift, L):
+    # num / den from the integer kernel against sum_j a_j v_j in field
+    # arithmetic, a = B alpha_r, on random vectors, roots and zero vectors.
+    system = build_system(named_matrix(name))
+    if lift is not None:
+        system = system.with_field_level(lift)
+    field = system.field
+    assert field.L == L
+    n = system.rank
+    rng = random.Random(L * 100 + n)
+    vectors = [tuple(_random_scalar(field, rng) for _ in range(n)) for _ in range(25)]
+    vectors += [system.root_vector(r) for r in range(system.nroots)]
+    vectors.append((field.zero,) * n)
+    for v in vectors:
+        pairs = system.root_pairings(v)
+        assert len(pairs) == system.npos
+        for r, (num, den) in enumerate(pairs):
+            alpha = system.pos_roots[r]
+            row = [sum((alpha[i] * system.bilinear[i][j] for i in range(n)), field.zero)
+                   for j in range(n)]
+            ref = sum((a * x for a, x in zip(row, v)), field.zero)
+            assert den > 0
+            assert field.scalar([Fraction(x, den) for x in num]) == ref
+            assert system.pairing(r, v) == (num, den)
+            assert system.pair_root(r, v) == ref
+            assert system.inner(alpha, v) == ref
+            assert field.sign_of(num) == ref.sign()

@@ -18,11 +18,14 @@ from coxmin.eigen import (admissible_filtration, eigen_decomposition,
                           elliptic_parabolic_certificate, fixed_space,
                           good_position_chamber, hyperplanes_containing,
                           is_elliptic, is_quasi_elliptic, order,
-                          reflection_subgroup, regular_point)
+                          reflection_subgroup, regular_point, _cleared,
+                          _integer_forms, _meets_a_hyperplane)
 from coxmin.errors import (MultiplicityMismatch, NoRegularPoint, NotAdmissible,
                            TheoremViolation)
 from coxmin.linalg import (cone_from_constraints, cone_point_avoiding,
-                           rational_tuples, vec_is_zero)
+                           rational_tuples, solve_in_span, vec_add, vec_is_zero,
+                           vec_scale, zero_vector)
+from coxmin.scalars import get_field
 
 
 def identity_basis(system):
@@ -523,15 +526,20 @@ def test_verification_errors_survive_optimize():
 
 
 def _first_regular_tuple(system, basis, start_index):
-    """Uncapped reference: the first tuple of the stream giving a regular point."""
-    h_k = hyperplanes_containing(system, basis)
+    """Uncapped reference: the first tuple of the stream giving a regular point.
+
+    Pairs by the bilinear form (`inner`), not through the integer kernel
+    that regular_point reads.
+    """
+    h_k = {r for r in range(system.npos)
+           if all(system.inner(system.pos_roots[r], b).is_zero() for b in basis)}
     f = system.field
     for coeffs in rational_tuples(len(basis), start_index):
         v = tuple(sum((f.from_rational(c) * b[i] for c, b in zip(coeffs, basis)),
                       f.zero) for i in range(system.rank))
         if vec_is_zero(v):
             continue
-        if all(not system.pair_root(r, v).is_zero()
+        if all(not system.inner(system.pos_roots[r], v).is_zero()
                for r in range(system.npos) if r not in h_k):
             return v
 
@@ -574,3 +582,70 @@ def test_regular_point_past_its_bound_is_a_violation(monkeypatch):
         regular_point(a2, identity_basis(a2), start_index=2)
     # Three hyperplanes to avoid, start index 2: (3 + 2 + 1)^2 - 2 tuples.
     assert len(drawn) == 34
+
+
+# ---------------------------------------------------------------------------
+# The integer fast paths against field arithmetic.
+
+
+def _random_scalar(field, rng):
+    if rng.random() < 0.25:
+        return field.zero
+    return field.scalar([Fraction(rng.randint(-6, 6), rng.randint(1, 10))
+                         for _ in range(field.degree)])
+
+
+@pytest.mark.parametrize("L", [1, 4, 5, 6, 12, 30])
+def test_integer_tuple_test_matches_field_sum(L):
+    # regular_point's zero test (integer forms of a row of pairings, the
+    # tuple cleared of denominators) against sum c_i p_i in the field, on
+    # random rows given as unreduced (num, den) pairs.  Half the rows are
+    # built to vanish at the tuple.
+    field = get_field(L)
+    rng = random.Random(L)
+    zeros = 0
+    for trial in range(400):
+        m = rng.randint(1, 4)
+        coeffs = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 7)) for _ in range(m))
+        row = [_random_scalar(field, rng) for _ in range(m)]
+        lead = next((i for i, c in enumerate(coeffs) if c), None)
+        if trial % 2 and lead is not None:
+            rest = sum((field.from_rational(c) * p for i, (c, p) in
+                        enumerate(zip(coeffs, row)) if i != lead), field.zero)
+            row[lead] = -rest / field.from_rational(coeffs[lead])
+        value = sum((field.from_rational(c) * p for c, p in zip(coeffs, row)), field.zero)
+        scale = [rng.randint(1, 5) for _ in row]
+        pairs = [(tuple(x * k for x in p.num), p.den * k) for p, k in zip(row, scale)]
+        forms = _integer_forms(pairs)
+        assert all(any(f) for f in forms)
+        assert _meets_a_hyperplane(_cleared(coeffs), [forms]) == value.is_zero()
+        zeros += value.is_zero()
+    assert 150 < zeros < 400
+
+
+@pytest.mark.parametrize("name", ["B3", "H3", "F4", "D4"])
+def test_cached_projector_matches_solve_in_span(name):
+    # project() through the cached inverse against the eigencomponents
+    # solved for afresh by elimination, on random vectors.
+    system = build_system(named_matrix(name))
+    rng = random.Random(7)
+    for twist in enumerate_twists(system.matrix):
+        for rec in enumerate_classes(system, twist):
+            eig = eigen_decomposition(rec.representative, dft_check=False)
+            field = eig.system.field
+            basis = eig.full_basis()
+            for _ in range(3):
+                v = tuple(_random_scalar(field, rng) for _ in range(eig.system.rank))
+                coords = solve_in_span(basis, v, field)
+                expected, pos = {}, 0
+                for q, dim, _ in eig.entries:
+                    comp = zero_vector(field, eig.system.rank)
+                    for j in range(pos, pos + dim):
+                        comp = vec_add(comp, vec_scale(coords[j], basis[j]))
+                    expected[q] = comp
+                    pos += dim
+                assert eig.project(v) == expected
+            assert eig._inverse is not None
+            cached = eig._inverse
+            eig.project(basis[0])
+            assert eig._inverse is cached

@@ -9,7 +9,8 @@ from coxmin.conjugacy import TwistedCoset
 from coxmin.coxeter import (GroupTable, build_system, enumerate_twists,
                             named_matrix)
 from coxmin.eigen import elliptic_parabolic_certificate
-from oracles import descent_stripping_certificate, reference_table
+from oracles import (descent_stripping_certificate, reference_table,
+                     to_word_by_descents)
 
 TYPES = ["A3", "B3", "H3", "D4", "F4", "H4", "E6"]
 
@@ -40,10 +41,8 @@ def test_table_matches_permutation_keyed_reference(name):
 @pytest.mark.parametrize("name", TYPES)
 def test_support_is_the_letter_set_of_a_reduced_word(name):
     system, t = _built(name)
-    # Every element against to_word up to F4; every 8th of H4 and E6, where
-    # to_word on all elements takes 5 s and 10 s.
-    stride = 1 if t.size <= 2000 else 8
-    for x in range(0, t.size, stride):
+    # Every element against to_word.
+    for x in range(t.size):
         assert t.support[x] == sum({1 << i for i in t.element(x).to_word()})
     # On all of W: s_j x and x differ by the letter j in a reduced word, so
     # their supports agree once j is added; with support[0] = 0 this fixes
@@ -53,6 +52,20 @@ def test_support_is_the_letter_set_of_a_reduced_word(name):
         bit = 1 << j
         assert all(t.support[x] | bit == t.support[y] | bit
                    for x, y in enumerate(t.left[j]))
+
+
+@pytest.mark.parametrize("name", TYPES)
+def test_to_word_matches_descent_stripping(name):
+    # The inverse-permutation loop against one group product per letter: every
+    # element up to F4, every 64th of H4 and E6 (the oracle is O(l N) a word).
+    system, t = _built(name)
+    stride = 1 if t.size <= 2000 else 64
+    for x in range(0, t.size, stride):
+        g = t.element(x)
+        word = g.to_word()
+        assert word == to_word_by_descents(g)
+        assert len(word) == t.length[x]
+        assert system.element_from_word(word) == g
 
 
 @pytest.mark.parametrize("name", TYPES)

@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -318,3 +319,23 @@ def test_scalar_errors_survive_optimize():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["FieldMismatch"] * 2 + ["ScalarDomainError"] * 3
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4, 5, 7, 12, 30])
+def test_float_is_the_rounded_interval_midpoint(L):
+    # float() by one int true division against the Fraction midpoint of
+    # interval(1e-17), at degree 1 and above, on fresh scalars.
+    f = get_field(L)
+    rng = random.Random(L)
+    scalars = [f.scalar([Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 4))
+                         for _ in range(f.degree)]) for _ in range(60)]
+    # Values within 1e-12 of zero, where the interval's width shows in the
+    # float's last digits.
+    scalars += [s - s.interval(Fraction(1, 10 ** 12))[0] for s in scalars[:20]]
+    for s in scalars:
+        twin = f.scalar(s.coeffs)
+        got = float(s)
+        lo, hi = twin.interval(Fraction(1, 10 ** 17))
+        assert got == float((lo + hi) / 2)
+        if f.degree == 1:
+            assert got == float(s.as_fraction())

@@ -11,9 +11,12 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Names that must not appear in the package: the errors of the old capped
 # searches (the point constructions and the witness search have proven
-# bounds), and the brute-force oracles that live in tests/oracles.py.
+# bounds), and the brute-force oracles and test-only helpers that live in
+# tests/oracles.py.
 BANNED = ("ConstructionFailed", "SearchBound", "conjugate_by_index",
-          "_twist_body", "conj", "pruned")
+          "_twist_body", "conj", "pruned", "is_valid", "expand",
+          "is_left_weighted_pair", "reflection_element", "reflect_vector",
+          "intersect_subspaces", "relative_interior_point")
 
 
 def test_no_asserts_and_no_capped_construction_error():

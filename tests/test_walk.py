@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -15,6 +16,7 @@ from coxmin.errors import HypothesisFailed
 from coxmin.walk import (component_length, decompose_at_regular,
                          derivative_test, descent_walk, flow_curve,
                          special_length_formula, strongly_connected_step)
+from oracles import reflection_element
 
 
 def test_flow_curve_components():
@@ -69,7 +71,7 @@ def test_derivative_lemma_property(name):
             continue
         wall = A.walls()[i]
         # h: a regular point of the wall hyperplane inside the closed chamber.
-        basis = fixed_space(untwisted(system.reflection_element(wall)))
+        basis = fixed_space(untwisted(reflection_element(system, wall)))
         try:
             h = regular_point(system, basis, inside=A)
         except Exception:
@@ -341,3 +343,22 @@ def test_engine_imports_no_mpmath():
     steps, imported = proc.stdout.split()
     assert int(steps) > 0
     assert imported == "False"
+
+
+def test_walls_near_matches_two_comprehensions():
+    # The one-pass guidance classifier against the two list comprehensions
+    # it replaced, on random values and on the boundaries +-tol, 0 and NaN.
+    from coxmin.walk import _walls_near
+    rng = random.Random(5)
+    tol = 1e-11
+    edge = [tol, -tol, 0.0, -0.0, 2 * tol, -2 * tol, tol / 2, float("nan"),
+            float("inf"), -float("inf"), math.nextafter(tol, 1), math.nextafter(-tol, -1)]
+    for trial in range(300):
+        n = rng.randint(1, 40)
+        vals = [rng.choice(edge) if rng.random() < 0.4 else rng.uniform(-3e-11, 3e-11)
+                for _ in range(n)]
+        signs = [rng.choice((1, -1)) for _ in range(n)]
+        flips = [r for r in range(n)
+                 if abs(vals[r]) > tol and (vals[r] > 0) != (signs[r] > 0)]
+        tiny = [r for r in range(n) if abs(vals[r]) <= tol]
+        assert _walls_near(vals, signs, tol) == (flips, tiny)
