@@ -26,8 +26,8 @@ from .conjugacy import (approx_partition, enumerate_classes, path_graph,
                         strong_partition, verify_arrow_reduction,
                         verify_elliptic_approx, verify_tau_surjective)
 from .coxeter import (Chamber, CoxeterMatrix, CoxeterSystem, DiagramTwist,
-                      build_system, enumerate_twists, load_or_build,
-                      named_matrix, TwistedElement)
+                      enumerate_twists, load_or_build, named_matrix,
+                      TwistedElement)
 from .eigen import eigen_decomposition
 from .errors import (CoxminError, FieldMismatch, HypothesisFailed,
                      NoRegularPoint, NotFinite, TheoremViolation,
@@ -48,10 +48,9 @@ class JobConfig:
     matrices: list[CoxeterMatrix]
     twist: str
     checks: list[str]
-    max_group_order: int
+    max_group_order: int | None
     out: str | None
     format: str
-    jobs: int
     cache_dir: str | None
     seed_index: int
 
@@ -60,7 +59,11 @@ def _parse_matrix_file(path: str) -> CoxeterMatrix:
     with open(path) as fh:
         data = json.load(fh)
     if isinstance(data, dict):
+        if "matrix" not in data:
+            raise ValueError(f"{path}: no \"matrix\" key")
         data = data["matrix"]
+    if not isinstance(data, list):
+        raise ValueError(f"{path}: the Coxeter matrix must be a list of rows")
     return CoxeterMatrix(data)
 
 
@@ -76,14 +79,15 @@ def _config_from_args(args) -> JobConfig:
             labels.append(name)
     if not matrices:
         raise ValueError("one of --type or --matrix is required")
-    if args.seed_index < 0:
-        raise ValueError(f"--seed-index must be >= 0, got {args.seed_index}")
-    for flag, value in (("--max-group-order", args.max_group_order),
-                        ("--jobs", args.jobs)):
-        if value < 1:
-            raise ValueError(f"{flag} must be >= 1, got {value}")
+    # Each subcommand has only the options it reads; an absent one is unused.
+    seed_index = getattr(args, "seed_index", 0)
+    max_group_order = getattr(args, "max_group_order", None)
+    for flag, value, least in (("--seed-index", seed_index, 0),
+                               ("--max-group-order", max_group_order, 1)):
+        if value is not None and value < least:
+            raise ValueError(f"{flag} must be >= {least}, got {value}")
     checks = []
-    for c in (args.checks or "").split(","):
+    for c in getattr(args, "checks", "").split(","):
         c = c.strip()
         if c:
             if c not in CHECK_NAMES:
@@ -93,9 +97,9 @@ def _config_from_args(args) -> JobConfig:
         checks = list(CHECK_NAMES)
     cache_dir = args.cache_dir or os.environ.get("COXMIN_CACHE")
     return JobConfig(labels=labels, matrices=matrices, twist=args.twist,
-                     checks=checks, max_group_order=args.max_group_order,
-                     out=args.out, format=args.format, jobs=args.jobs,
-                     cache_dir=cache_dir, seed_index=args.seed_index)
+                     checks=checks, max_group_order=max_group_order,
+                     out=args.out, format=getattr(args, "format", "json"),
+                     cache_dir=cache_dir, seed_index=seed_index)
 
 
 def _twists_for(config: JobConfig, matrix: CoxeterMatrix) -> list[DiagramTwist]:
@@ -109,8 +113,6 @@ def _twists_for(config: JobConfig, matrix: CoxeterMatrix) -> list[DiagramTwist]:
 
 def _emit(config: JobConfig, payload: dict, csv_rows: list[dict] | None) -> None:
     if config.format == "csv":
-        if csv_rows is None:
-            raise ValueError("csv output is only available for tabular commands")
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(csv_rows[0].keys()) if csv_rows
                                 else ["empty"], lineterminator="\n")
@@ -294,26 +296,12 @@ def cmd_verify(config: JobConfig) -> int:
                 system = load_or_build(matrix, cache_dir=config.cache_dir)
             records = enumerate_classes(system, twist,
                                         max_order=config.max_group_order)
-            if config.jobs > 1:
-                import multiprocessing as mp
-                with mp.Pool(config.jobs, initializer=_pool_init,
-                             initargs=(matrix.entries, twist.perm,
-                                       config.max_group_order)) as pool:
-                    results = pool.starmap(
-                        _pool_check,
-                        [(rec.class_id, config.checks, config.seed_index)
-                         for rec in records])
-                rows_by_class = [r for rows in results for r in rows]
-            else:
-                rows_by_class = []
-                for rec in records:
-                    rows_by_class.extend(
-                        _check_class(rec, config.checks, config.seed_index))
-            for r in rows_by_class:
-                r.update({"type": label, "twist": twist_label})
-                all_rows.append(r)
-                if r["status"] == "fail":
-                    had_fail = True
+            for rec in records:
+                for r in _check_class(rec, config.checks, config.seed_index):
+                    r.update({"type": label, "twist": twist_label})
+                    all_rows.append(r)
+                    if r["status"] == "fail":
+                        had_fail = True
     payload = {"schema": "coxmin/verify-v1", "version": __version__,
                "results": all_rows}
     _emit(config, payload, all_rows)
@@ -324,21 +312,6 @@ def cmd_verify(config: JobConfig) -> int:
     return EXIT_OK
 
 
-_POOL_STATE: dict = {}
-
-
-def _pool_init(matrix_entries, twist_perm, max_order):
-    matrix = CoxeterMatrix(matrix_entries)
-    system = build_system(matrix)
-    twist = DiagramTwist(matrix, twist_perm)
-    records = enumerate_classes(system, twist, max_order=max_order)
-    _POOL_STATE["records"] = {rec.class_id: rec for rec in records}
-
-
-def _pool_check(class_id, checks, seed):
-    return _check_class(_POOL_STATE["records"][class_id], checks, seed)
-
-
 # ---------------------------------------------------------------------------
 # walk
 
@@ -346,10 +319,11 @@ def _pool_check(class_id, checks, seed):
 def cmd_walk(config: JobConfig, word: str, chamber_word: str) -> int:
     if len(config.matrices) != 1:
         raise ValueError("walk needs exactly one --type or --matrix")
+    if config.twist == "auto":
+        raise ValueError("walk needs one twist: id or a permutation, not auto")
     matrix = config.matrices[0]
     system = load_or_build(matrix, cache_dir=config.cache_dir)
-    twists = _twists_for(config, matrix)
-    twist = twists[0]
+    (twist,) = _twists_for(config, matrix)
 
     def parse_word(text: str) -> list[int]:
         text = text.strip()
@@ -383,31 +357,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    p_classes = sub.add_parser("classes", help="emit the twisted class table")
+    p_verify = sub.add_parser("verify", help="run theorem verifications")
+    p_walk = sub.add_parser("walk", help="trace a gradient descent walk")
+    for p in (p_classes, p_verify, p_walk):
         p.add_argument("--type", help="named type(s), comma separated: A3, B4, "
                                       "H3, I2(7), ...")
         p.add_argument("--matrix", help="JSON file with an explicit Coxeter matrix")
         p.add_argument("--twist", default="id",
-                       help="id | auto | 1-indexed permutation like 2,1")
-        p.add_argument("--checks", default="",
-                       help=f"comma separated subset of {','.join(CHECK_NAMES)}")
-        p.add_argument("--max-group-order", type=int, default=10 ** 6,
-                       help="largest |W| (>= 1) to enumerate; beyond it exit 3")
+                       help="id | auto | 1-indexed permutation like 2,1 "
+                            "(walk takes one twist, so no auto)")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes (>= 1) for verify")
         p.add_argument("--cache-dir", help="root-system cache directory "
                                            "(or env COXMIN_CACHE)")
+    for p in (p_classes, p_verify):
+        p.add_argument("--max-group-order", type=int, default=10 ** 6,
+                       help="largest |W| (>= 1) to enumerate; beyond it exit 3")
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+    for p in (p_verify, p_walk):
         p.add_argument("--seed-index", type=int, default=0,
                        help="offset (>= 0) into the deterministic tuple enumerator")
-
-    p_classes = sub.add_parser("classes", help="emit the twisted class table")
-    common(p_classes)
-    p_verify = sub.add_parser("verify", help="run theorem verifications")
-    common(p_verify)
-    p_walk = sub.add_parser("walk", help="trace a gradient descent walk")
-    common(p_walk)
+    p_verify.add_argument("--checks", default="",
+                          help=f"comma separated subset of {','.join(CHECK_NAMES)}")
     p_walk.add_argument("--word", default="", help="element word, 1-indexed: 1,2,1")
     p_walk.add_argument("--chamber", default="", help="chamber word, 1-indexed")
     return parser

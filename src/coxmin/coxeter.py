@@ -50,7 +50,12 @@ class CoxeterMatrix:
     """A symmetric integer matrix with 1 on the diagonal, entries >= 2 off it."""
 
     def __init__(self, entries: Sequence[Sequence[int]]):
-        m = tuple(tuple(int(x) for x in row) for row in entries)
+        # Entries may come from a user's JSON file: a float, bool or null is
+        # refused, never rounded or coerced to an int.
+        if not all(isinstance(row, (list, tuple))
+                   and all(type(x) is int for x in row) for row in entries):
+            raise ValueError("a Coxeter matrix is a list of rows of integers")
+        m = tuple(map(tuple, entries))
         n = len(m)
         if n == 0:
             raise ValueError("empty Coxeter matrix")
@@ -223,42 +228,43 @@ def named_matrix(name: str) -> CoxeterMatrix:
         return e
 
     if key.startswith("I2(") and key.endswith(")"):
-        m = int(key[3:-1])
-        if m < 3:
-            raise ValueError("I2(m) needs m >= 3")
-        mat = CoxeterMatrix([[1, m], [m, 1]])
+        family, num = "I2", key[3:-1]
     else:
-        family, num = key[0], key[1:]
-        try:
-            n = int(num) if num else 0
-        except ValueError:
-            raise ValueError(f"unknown Coxeter type {name!r}") from None
-        if family == "A" and n >= 1:
-            mat = CoxeterMatrix(chain(n))
-        elif family in ("B", "C") and n >= 2:
-            mat = CoxeterMatrix(chain(n, (0, 4)))
-        elif family == "D" and n >= 4:
-            e = chain(n - 1)
-            for row in e:
-                row.append(2)
-            e.append([2] * (n - 1) + [1])
-            e[n - 3][n - 1] = e[n - 1][n - 3] = 3
-            mat = CoxeterMatrix(e)
-        elif family == "E" and n in (6, 7, 8):
-            e = chain(n - 1)
-            for row in e:
-                row.append(2)
-            e.append([2] * (n - 1) + [1])
-            e[2][n - 1] = e[n - 1][2] = 3
-            mat = CoxeterMatrix(e)
-        elif family == "F" and n == 4:
-            mat = CoxeterMatrix(chain(4, (1, 4)))
-        elif family == "G" and n == 2:
-            mat = CoxeterMatrix([[1, 6], [6, 1]])
-        elif family == "H" and n in (3, 4):
-            mat = CoxeterMatrix(chain(n, (0, 5)))
-        else:
-            raise ValueError(f"unknown Coxeter type {name!r}")
+        family, num = key[:1], key[1:]
+    try:
+        n = int(num) if num else 0
+    except ValueError:
+        raise ValueError(f"unknown Coxeter type {name!r}") from None
+    if family == "I2":
+        if n < 3:
+            raise ValueError("I2(m) needs m >= 3")
+        mat = CoxeterMatrix([[1, n], [n, 1]])
+    elif family == "A" and n >= 1:
+        mat = CoxeterMatrix(chain(n))
+    elif family in ("B", "C") and n >= 2:
+        mat = CoxeterMatrix(chain(n, (0, 4)))
+    elif family == "D" and n >= 4:
+        e = chain(n - 1)
+        for row in e:
+            row.append(2)
+        e.append([2] * (n - 1) + [1])
+        e[n - 3][n - 1] = e[n - 1][n - 3] = 3
+        mat = CoxeterMatrix(e)
+    elif family == "E" and n in (6, 7, 8):
+        e = chain(n - 1)
+        for row in e:
+            row.append(2)
+        e.append([2] * (n - 1) + [1])
+        e[2][n - 1] = e[n - 1][2] = 3
+        mat = CoxeterMatrix(e)
+    elif family == "F" and n == 4:
+        mat = CoxeterMatrix(chain(4, (1, 4)))
+    elif family == "G" and n == 2:
+        mat = CoxeterMatrix([[1, 6], [6, 1]])
+    elif family == "H" and n in (3, 4):
+        mat = CoxeterMatrix(chain(n, (0, 5)))
+    else:
+        raise ValueError(f"unknown Coxeter type {name!r}")
     _NAMED_CACHE[key] = mat
     return mat
 

@@ -56,6 +56,10 @@ def test_usage_errors(capsys):
     # A twist that is not a permutation is a usage error, not a violation.
     code, _, err = run(capsys, "classes", "--type", "A2", "--twist", "1,1")
     assert code == 2 and "not a permutation" in err
+    # A malformed type name is unknown, whatever part of it is wrong.
+    for name in ("I2(x)", ""):
+        code, _, err = run(capsys, "classes", "--type", f"A2,{name}")
+        assert code == 2 and err == f"error: unknown Coxeter type {name!r}\n"
 
 
 @pytest.mark.parametrize("seed", ["-1", "-9", "-13"])
@@ -71,15 +75,29 @@ def test_negative_seed_index_is_a_usage_error(capsys, seed):
 @pytest.mark.parametrize("argv", [
     ("classes", "--type", "A2", "--max-group-order", "-1"),
     ("classes", "--type", "A2", "--max-group-order", "0"),
-    ("verify", "--type", "A2", "--checks", "gp1", "--jobs", "0"),
-    ("verify", "--type", "A2", "--checks", "gp1", "--jobs", "-3"),
 ])
-def test_bound_and_jobs_below_one_are_usage_errors(capsys, argv):
-    # A bound below 1 is malformed, not a bound that was hit (exit 3), and
-    # no job count below 1 means serial.
+def test_bound_below_one_is_a_usage_error(capsys, argv):
+    # A bound below 1 is malformed, not a bound that was hit (exit 3).
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"error: {argv[-2]} must be >= 1, got {argv[-1]}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--jobs", "2"),
+    ("classes", "--checks", "gp1"),
+    ("classes", "--seed-index", "1"),
+    ("walk", "--format", "csv"),
+    ("walk", "--max-group-order", "5"),
+])
+def test_subcommands_reject_options_they_do_not_read(capsys, argv):
+    # Each subcommand has only the options it reads; argparse refuses any
+    # other with exit 2 before anything runs.
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--type", "A2", *argv[1:]])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "unrecognized arguments" in out.err
 
 
 def test_python_m_coxmin_runs_the_cli():
@@ -137,6 +155,13 @@ def test_walk_identity_trace(capsys):
                        "--chamber", "")
     assert code == 0
     assert json.loads(out)["steps"] == []
+
+
+def test_walk_auto_twist_is_a_usage_error(capsys):
+    # A walk takes exactly one twist; auto would pick one silently.
+    code, out, err = run(capsys, "walk", "--type", "A3", "--twist", "auto",
+                         "--word", "1,3")
+    assert code == 2 and out == "" and "auto" in err
 
 
 def test_walk_malformed_word(capsys):
@@ -244,11 +269,23 @@ def test_matrix_file(tmp_path, capsys):
     assert sum(r["size"] for r in rows) == 4  # A1 x A1
 
 
-def test_jobs_parallel_matches_serial(capsys):
-    _, serial, _ = run(capsys, "verify", "--type", "A2", "--checks", "gp1,gp2")
-    _, parallel, _ = run(capsys, "verify", "--type", "A2", "--checks",
-                         "gp1,gp2", "--jobs", "2")
-    assert serial == parallel
+@pytest.mark.parametrize("text", [
+    '{"foo": 1}',
+    '{"matrix": 5}',
+    '[[1, null], [null, 1]]',
+    '[[1, 2.5], [2.5, 1]]',
+    '[[true, 2], [2, true]]',
+    '[1, 2]',
+], ids=["no-matrix-key", "matrix-not-a-list", "null-entry", "float-entry",
+        "bool-entry", "row-not-a-list"])
+def test_malformed_matrix_file_is_a_usage_error(tmp_path, capsys, text):
+    # A matrix file that is not a list of integer rows is malformed input
+    # (exit 2), never a theorem violation (exit 1), and 2.5 is not read as 2.
+    path = tmp_path / "mat.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "classes", "--matrix", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
 
 
 def test_violation_exit_code(capsys, monkeypatch):
