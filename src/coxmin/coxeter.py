@@ -305,11 +305,12 @@ class CoxeterSystem:
         self._table: GroupTable | None = None
         self._twist_root_perms: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
         # Geometry memoized per view, since its vectors live in the view's
-        # field (see eigen.eigen_decomposition, eigen.regular_point and
-        # eigen.hyperplanes_containing).
+        # field (see eigen.eigen_decomposition, eigen.regular_point,
+        # eigen.hyperplanes_containing and eigen.reduced_basis).
         self._eigen: dict[tuple, list] = {}
         self._regular_points: dict[tuple, Vector] = {}
         self._hyperplanes: dict[tuple, frozenset[int]] = {}
+        self._reduced: dict[tuple, tuple[Matrix, list[int]]] = {}
 
     # -- roots ----------------------------------------------------------------
 
@@ -638,10 +639,24 @@ class GroupElement:
         """Lexicographically smallest reduced word.
 
         Strips the least left descent i of x, x -> s_i x, until none is
-        left.  y is the permutation of the current x^-1: i is a left descent
-        iff y[i] is negative, and (s_i x)^-1 = x^-1 s_i composes y with s_i.
+        left.  With the group table built, that is one index lookup and then
+        the table's left-descent masks and left multiplication.  Otherwise
+        y is the permutation of the current x^-1: i is a left descent iff
+        y[i] is negative, and (s_i x)^-1 = x^-1 s_i composes y with s_i.
         """
         sys = self.system
+        table = sys._base._table
+        if table is not None:
+            x = table.index[self.perm]
+            ldesc, left = table.ldesc, table.left
+            word = []
+            mask = ldesc[x]
+            while mask:
+                i = (mask & -mask).bit_length() - 1
+                word.append(i)
+                x = left[i][x]
+                mask = ldesc[x]
+            return word
         npos, rank, refl = sys.npos, sys.rank, sys.reflections
         y = self.inv_perm
         word = []

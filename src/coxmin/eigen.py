@@ -20,13 +20,14 @@ Also here: deterministic regular points of subspaces (with or without a
 chamber constraint), the reflection subgroup of a subspace, the elliptic and
 quasi-elliptic predicates, admissible filtrations and good-position chambers.
 
-Both pure geometric constructions are memoized on the system view they are
+The pure geometric constructions are memoized on the system view they are
 called with, in plain dicts set up by CoxeterSystem.__init__: the
 decomposition of an element (with a flag recording whether its DFT check
-has run, so a later call that asks for the check still runs it once) and
-the regular point of a basis, start index and chamber constraint
-(successes only).  A lift has its own dicts, as its vectors live in another
-field.
+has run, so a later call that asks for the check still runs it once), the
+regular point of a basis, start index and chamber constraint (successes
+only), the hyperplanes containing a basis, and the reduced basis (RREF) of
+a basis that span tests reduce against (linalg.in_span).  A lift has its
+own dicts, as its vectors live in another field.
 """
 
 from __future__ import annotations
@@ -258,6 +259,18 @@ def hyperplanes_containing(system: CoxeterSystem, basis: Matrix) -> frozenset[in
         cached = system._hyperplanes[key] = frozenset(
             r for r in range(system.npos)
             if not any(any(p[r][0]) for p in pairs))
+    return cached
+
+
+def reduced_basis(system: CoxeterSystem, basis: Matrix) -> tuple[Matrix, list[int]]:
+    """rref(basis), the form linalg.in_span tests against.
+
+    Memoized on `system` per basis; callers must not mutate the result.
+    """
+    key = tuple(basis)
+    cached = system._reduced.get(key)
+    if cached is None:
+        cached = system._reduced[key] = rref(basis)
     return cached
 
 

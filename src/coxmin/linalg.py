@@ -1,8 +1,24 @@
 """Exact linear algebra over a scalar field, plus polyhedral cone support.
 
 Vectors are tuples of AlgebraicScalar, matrices are lists of row vectors.
-Dimensions here are tiny (the rank of the Coxeter system), so everything is
-plain fraction-free-ish Gaussian elimination with exact zero tests.
+Dimensions here are tiny (the rank of the Coxeter system).
+
+rref eliminates on integers.  Scaling a row does not change its span, so
+each row is lowered to the numerators of its scalars over their common
+denominator: plain ints at level 1, and integer polynomials in c of degree
+below m otherwise (c is an algebraic integer, so their products reduce by
+the field's integral table and stay integral).  A pivot p that is not a
+rational integer is made one by scaling its row by the numerator of
+p^-1, one inverse per such pivot; then each other row with f in the pivot
+column becomes d*row - f*pivot_row, d the pivot's integer, and every row
+is divided by the gcd of all its integer coefficients.  At the end each
+pivot row is divided by its pivot integer.  The RREF of a row space is
+unique and the scalars' normal form canonical, so the result is the one an
+elimination over the scalars themselves gives.
+
+A span test needs no new elimination: with (R, p) the RREF of a basis, v
+lies in the span iff v - sum_k v[p_k] R_k is zero (in_span).  eigen
+memoizes the RREF of the bases it tests against (eigen.reduced_basis).
 
 The double description machinery converts a cone {v : a_i . v >= 0} into a
 generator form (lineality basis + extreme rays).  It is used to decide
@@ -20,11 +36,12 @@ that misses span(cone).
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .errors import TheoremViolation
-from .scalars import AlgebraicScalar, ScalarField
+from .errors import FieldMismatch, TheoremViolation
+from .scalars import AlgebraicScalar, ScalarField, _normal
 
 Vector = tuple[AlgebraicScalar, ...]
 Matrix = list[Vector]
@@ -63,29 +80,109 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def rref(rows: Iterable[Vector]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    work = [list(r) for r in rows if not vec_is_zero(r)]
-    if not work:
+    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+
+    Fraction-free (see the module docstring).  Rows of different field
+    levels raise FieldMismatch.
+    """
+    rows = [r for r in rows if r]
+    if not rows:
         return [], []
-    ncols = len(work[0])
+    field = rows[0][0].field
+    levels = {s.field.L for r in rows for s in r}
+    if len(levels) > 1:
+        raise FieldMismatch(f"rref of rows at levels {sorted(levels)}")
+    ops = _IntegerRows(field) if field.degree == 1 else _PolynomialRows(field)
+    nonzero = ops.nonzero
+    work = [row for row in map(ops.lower, rows) if any(map(nonzero, row))]
     pivots: list[int] = []
     r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(work)) if not work[i][c].is_zero()), None)
+    for c in range(len(rows[0])):
+        pr = next((i for i in range(r, len(work)) if nonzero(work[i][c])), None)
         if pr is None:
             continue
-        work[r], work[pr] = work[pr], work[r]
-        inv = work[r][c].inverse()
-        work[r] = [x * inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and not work[i][c].is_zero():
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        d, prow = ops.pivot(work[pr], c)
+        work[pr] = work[r]
+        work[r] = prow
+        for i, row in enumerate(work):
+            if i != r and nonzero(row[c]):
+                work[i] = ops.combine(d, row, row[c], prow)
         pivots.append(c)
         r += 1
         if r == len(work):
             break
-    return [tuple(row) for row in work[:r]], pivots
+    return [ops.finish(row, c) for row, c in zip(work, pivots)], pivots
+
+
+class _IntegerRows:
+    """Level 1: a row is a list of ints, its scalars over one common
+    denominator."""
+
+    nonzero = staticmethod(bool)
+
+    def __init__(self, field: ScalarField):
+        self.field = field
+
+    def lower(self, row: Vector) -> list[int]:
+        den = math.lcm(*[s.den for s in row])
+        return self.primitive([s.num[0] * (den // s.den) for s in row])
+
+    @staticmethod
+    def pivot(row: list[int], c: int) -> tuple[int, list[int]]:
+        return row[c], row
+
+    def combine(self, d: int, x: list[int], f: int, y: list[int]) -> list[int]:
+        return self.primitive([d * a - f * b for a, b in zip(x, y)])
+
+    def finish(self, row: list[int], c: int) -> Vector:
+        field, d = self.field, row[c]
+        return tuple([_normal(field, (a,), d) for a in row])
+
+    @staticmethod
+    def primitive(row: list[int]) -> list[int]:
+        """The row divided by its content (a zero row is kept as it is)."""
+        g = math.gcd(*row)
+        return [a // g for a in row] if g > 1 else row
+
+
+class _PolynomialRows:
+    """Degree m >= 2: a row is a list of integer m-tuples, its scalars'
+    numerators over one common denominator.  Products reduce by the
+    field's integral table."""
+
+    nonzero = staticmethod(any)
+
+    def __init__(self, field: ScalarField):
+        self.field = field
+        self.mul = field.mul_num
+
+    def lower(self, row: Vector) -> list[tuple[int, ...]]:
+        den = math.lcm(*[s.den for s in row])
+        return self.primitive([tuple([n * (den // s.den) for n in s.num]) for s in row])
+
+    def pivot(self, row, c: int) -> tuple[int, list[tuple[int, ...]]]:
+        """(d, row') with row' a multiple of row whose entry c is d, an integer."""
+        p = row[c]
+        if any(p[1:]):
+            inv = _normal(self.field, p, 1).inverse().num
+            row = self.primitive([self.mul(inv, a) for a in row])
+        return row[c][0], row
+
+    def combine(self, d: int, x, f, y) -> list[tuple[int, ...]]:
+        mul = self.mul
+        return self.primitive([tuple([d * u - v for u, v in zip(a, mul(f, b))])
+                               if any(b) else tuple([d * u for u in a])
+                               for a, b in zip(x, y)])
+
+    def finish(self, row, c: int) -> Vector:
+        field, d = self.field, row[c][0]
+        return tuple([_normal(field, a, d) for a in row])
+
+    @staticmethod
+    def primitive(row: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+        """The row divided by the content of all its coefficients."""
+        g = math.gcd(*itertools.chain.from_iterable(row))
+        return [tuple([n // g for n in a]) for a in row] if g > 1 else row
 
 
 def rank(rows: Iterable[Vector]) -> int:
@@ -106,31 +203,27 @@ def kernel_basis(rows: Matrix, ncols: int, field: ScalarField) -> Matrix:
     return basis
 
 
-def solve_in_span(basis: Matrix, v: Vector, field: ScalarField) -> list[AlgebraicScalar] | None:
-    """Coordinates of v in span(basis), or None if v is outside."""
-    if not basis:
-        return [] if vec_is_zero(v) else None
-    n = len(v)
-    # Solve basis^T x = v by eliminating on the augmented system.
-    aug = [[basis[j][i] for j in range(len(basis))] + [v[i]] for i in range(n)]
-    red, pivots = rref([tuple(r) for r in aug])
-    m = len(basis)
-    if any(p == m for p in pivots):
-        return None  # inconsistent
-    coords = [field.zero] * m
+def in_span(red: Matrix, pivots: Sequence[int], v: Vector) -> bool:
+    """Whether v lies in the row space of the RREF (red, pivots).
+
+    v - sum_k v[p_k] R_k is zero exactly then: row R_k is 1 at its pivot
+    p_k and 0 at the others, so the difference vanishes at every pivot
+    column and equals v's offset from the row space elsewhere.
+    """
     for row, p in zip(red, pivots):
-        coords[p] = row[m]
-    return coords
+        if not v[p].is_zero():
+            v = vec_sub(v, vec_scale(v[p], row))
+    return vec_is_zero(v)
 
 
-def subspace_contains(basis: Matrix, v: Vector, field: ScalarField) -> bool:
-    return solve_in_span(basis, v, field) is not None
+def subspace_contains(basis: Matrix, v: Vector) -> bool:
+    return in_span(*rref(basis), v)
 
 
-def subspace_equal(b1: Matrix, b2: Matrix, field: ScalarField) -> bool:
-    if len(rref(b1)[0]) != len(rref(b2)[0]):
-        return False
-    return all(subspace_contains(b1, v, field) for v in b2)
+def subspace_equal(b1: Matrix, b2: Matrix) -> bool:
+    # The RREF of a row space is unique and the scalars' normal form is
+    # canonical, so equal spans have equal reduced bases.
+    return rref(b1) == rref(b2)
 
 
 # ---------------------------------------------------------------------------

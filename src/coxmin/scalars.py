@@ -308,6 +308,24 @@ class ScalarField:
             acc = acc * image + coef
         return _normal(self, acc.num, s.den)
 
+    def mul_num(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+        """Numerators of (sum a[i] c^i)(sum b[j] c^j), degree >= 2: an integer
+        convolution, then c^k -> row k - m of the reduction table."""
+        m = self.degree
+        prod = [0] * (2 * m - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    if bj:
+                        prod[i + j] += ai * bj
+        out = prod[:m]
+        for k, row in enumerate(self._red, m):
+            ck = prod[k]
+            if ck:
+                for i, r in row:
+                    out[i] += ck * r
+        return tuple(out)
+
     # -- certified signs and intervals -----------------------------------------
 
     def _horner(self, num: Sequence[int]) -> tuple[int, int, int]:
@@ -447,24 +465,7 @@ class AlgebraicScalar:
         field = self.field
         o = self._coerce(other)
         a, b = self.num, o.num
-        m = field.degree
-        if m == 1:
-            num = (a[0] * b[0],)
-        else:
-            # Integer convolution, then c^k -> row k - m of the reduction table.
-            prod = [0] * (2 * m - 1)
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        if bj:
-                            prod[i + j] += ai * bj
-            out = prod[:m]
-            for k, row in enumerate(field._red, m):
-                ck = prod[k]
-                if ck:
-                    for i, r in row:
-                        out[i] += ck * r
-            num = tuple(out)
+        num = (a[0] * b[0],) if field.degree == 1 else field.mul_num(a, b)
         den = self.den * o.den
         if den == 1:
             return AlgebraicScalar(field, num)

@@ -35,11 +35,11 @@ from .coxeter import (Chamber, GroupElement, TwistedElement,
                       conjugate_by_chamber, coset_decompose,
                       normalizes_parabolic)
 from .eigen import (EigenDecomposition, eigen_decomposition,
-                    hyperplanes_containing, regular_point)
+                    hyperplanes_containing, reduced_basis, regular_point)
 from .errors import HypothesisFailed, NoRegularPoint, TheoremViolation, WalkStuck
-from .linalg import (Matrix, Vector, cone_from_constraints, kernel_basis,
-                     rational_tuples, rref, subspace_contains, subspace_equal,
-                     vec_add, vec_is_zero, vec_scale, vec_sub, zero_vector)
+from .linalg import (Matrix, Vector, cone_from_constraints, in_span, kernel_basis,
+                     rational_tuples, rref, subspace_equal, vec_add, vec_is_zero,
+                     vec_scale, vec_sub, zero_vector)
 from .scalars import _normal
 
 
@@ -347,12 +347,13 @@ def _angle_of_invariant_subspace(w: TwistedElement, eig: EigenDecomposition,
                                  basis: Matrix) -> Fraction:
     """The q with span(basis) inside V^{q pi}; checks w-stability."""
     system = eig.system
-    field = system.field
-    images = [w.apply(b) for b in basis]
-    if not subspace_equal(list(basis), images, field):
+    red, pivots = reduced_basis(system, basis)
+    # w is invertible, so w(K) inside K already gives w(K) = K.
+    if not all(in_span(red, pivots, w.apply(b)) for b in basis):
         raise HypothesisFailed("subspace is not w-stable")
     for q, _, eigbasis in eig.entries:
-        if all(subspace_contains(eigbasis, b, field) for b in basis):
+        eig_red, eig_pivots = reduced_basis(system, eigbasis)
+        if all(in_span(eig_red, eig_pivots, b) for b in basis):
             return q
     raise HypothesisFailed("subspace lies in no single eigenspace")
 
@@ -382,7 +383,7 @@ def special_length_formula(w: TwistedElement, basis: Matrix, chamber: Chamber,
             raise HypothesisFailed(
                 "no regular point of K in the closed chamber") from exc
     else:
-        if not subspace_contains(list(basis), witness, system.field):
+        if not in_span(*reduced_basis(system, basis), witness):
             raise HypothesisFailed("witness is not in K")
         if not chamber.contains_in_closure(witness):
             raise HypothesisFailed("witness is not in the closed chamber")
@@ -530,11 +531,11 @@ def strongly_connected_step(w: TwistedElement, a: Chamber, a2: Chamber) -> int:
         for c, b in zip(kv, k_basis):
             vec = vec_add(vec, vec_scale(c, b))
         p_basis.append(vec)
-    p_basis, _ = rref(p_basis)
+    p_basis, p_pivots = rref(p_basis)
     if not p_basis:
         raise HypothesisFailed("H_0 meets V_w trivially")
-    images = [w.apply(b) for b in p_basis]
-    if subspace_equal(list(p_basis), images, field):
+    # w is invertible, so w(P) inside P already gives w(P) = P.
+    if all(in_span(p_basis, p_pivots, w.apply(b)) for b in p_basis):
         raise HypothesisFailed("w fixes H_0 & V_w; the strong-connection "
                                "hypothesis fails")
 
@@ -559,8 +560,7 @@ def strongly_connected_step(w: TwistedElement, a: Chamber, a2: Chamber) -> int:
         for c, b in zip(sc, k_basis):
             vec = vec_add(vec, vec_scale(c, b))
         span_vecs.append(vec)
-    span_vecs, _ = rref(span_vecs)
-    if not subspace_equal(span_vecs, p_basis, field):
+    if not subspace_equal(span_vecs, p_basis):
         raise HypothesisFailed("closure intersection does not span H_0 & V_w")
 
     theta0 = eig.theta0

@@ -155,6 +155,49 @@ def intersect_subspaces(b1, b2, field):
     return rref(out)[0]
 
 
+def rref_by_inverses(rows):
+    """Reduced row echelon form over the scalars themselves: each pivot row
+    is scaled by the pivot's inverse before it clears its column."""
+    work = [list(r) for r in rows if not vec_is_zero(r)]
+    if not work:
+        return [], []
+    ncols = len(work[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(work)) if not work[i][c].is_zero()), None)
+        if pr is None:
+            continue
+        work[r], work[pr] = work[pr], work[r]
+        inv = work[r][c].inverse()
+        work[r] = [x * inv for x in work[r]]
+        for i in range(len(work)):
+            if i != r and not work[i][c].is_zero():
+                f = work[i][c]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return [tuple(row) for row in work[:r]], pivots
+
+
+def solve_in_span(basis, v, field):
+    """Coordinates of v in span(basis), or None if v is outside, from an
+    elimination on the augmented system basis^T x = v."""
+    if not basis:
+        return [] if vec_is_zero(v) else None
+    m = len(basis)
+    aug = [tuple(b[i] for b in basis) + (v[i],) for i in range(len(v))]
+    red, pivots = rref_by_inverses(aug)
+    if m in pivots:
+        return None  # inconsistent
+    coords = [field.zero] * m
+    for row, p in zip(red, pivots):
+        coords[p] = row[m]
+    return coords
+
+
 def relative_interior_point(cone):
     """The sum of the cone's rays."""
     v = zero_vector(cone.field, cone.dim)

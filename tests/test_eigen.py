@@ -23,9 +23,10 @@ from coxmin.eigen import (admissible_filtration, eigen_decomposition,
 from coxmin.errors import (MultiplicityMismatch, NoRegularPoint, NotAdmissible,
                            TheoremViolation)
 from coxmin.linalg import (cone_from_constraints, cone_point_avoiding,
-                           rational_tuples, solve_in_span, vec_add, vec_is_zero,
-                           vec_scale, zero_vector)
+                           rational_tuples, vec_add, vec_is_zero, vec_scale,
+                           zero_vector)
 from coxmin.scalars import get_field
+from oracles import solve_in_span
 
 
 def identity_basis(system):

@@ -56,8 +56,8 @@ def test_support_is_the_letter_set_of_a_reduced_word(name):
 
 @pytest.mark.parametrize("name", TYPES)
 def test_to_word_matches_descent_stripping(name):
-    # The inverse-permutation loop against one group product per letter: every
-    # element up to F4, every 64th of H4 and E6 (the oracle is O(l N) a word).
+    # The table walk against one group product per letter: every element up
+    # to F4, every 64th of H4 and E6 (the oracle is O(l N) a word).
     system, t = _built(name)
     stride = 1 if t.size <= 2000 else 64
     for x in range(0, t.size, stride):
@@ -66,6 +66,18 @@ def test_to_word_matches_descent_stripping(name):
         assert word == to_word_by_descents(g)
         assert len(word) == t.length[x]
         assert system.element_from_word(word) == g
+
+
+@pytest.mark.parametrize("name", ["B3", "H3", "D4", "F4"])
+def test_to_word_without_a_table_matches_the_table_walk(name):
+    # A fresh system has no table, so to_word strips descents on the
+    # inverse root permutation; every element gives the table walk's word.
+    _, t = _built(name)
+    fresh = build_system(named_matrix(name))
+    for x in range(t.size):
+        g = t.element(x)
+        assert coxeter.GroupElement(fresh, g.perm).to_word() == g.to_word()
+    assert fresh._table is None
 
 
 @pytest.mark.parametrize("name", TYPES)

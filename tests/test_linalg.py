@@ -5,12 +5,16 @@ from fractions import Fraction
 import pytest
 
 from coxmin import linalg
-from coxmin.errors import TheoremViolation
-from coxmin.linalg import (cone_from_constraints, cone_point_avoiding,
+from coxmin.errors import FieldMismatch, TheoremViolation
+from coxmin.linalg import (cone_from_constraints, cone_point_avoiding, in_span,
                            kernel_basis, rank, rational_tuples, rref,
-                           solve_in_span, subspace_contains, vec_dot)
+                           subspace_contains, subspace_equal, vec_add, vec_dot,
+                           vec_scale)
 from coxmin.scalars import get_field
-from oracles import intersect_subspaces, relative_interior_point
+from oracles import (intersect_subspaces, relative_interior_point,
+                     rref_by_inverses, solve_in_span)
+
+LEVELS = (1, 4, 5, 6, 12, 30)
 
 
 def _vec(f, *vals):
@@ -36,7 +40,96 @@ def test_solve_in_span():
     coords = solve_in_span(basis, v, f)
     assert coords is not None
     assert [float(c) for c in coords] == [2.0, 3.0]
-    assert not subspace_contains(basis, _vec(f, 0, 0, 1), f)
+    assert not subspace_contains(basis, _vec(f, 0, 0, 1))
+
+
+def _random_scalar(f, rng):
+    # Zero now and then; otherwise coefficients over mixed denominators.
+    if rng.random() < 0.3:
+        return f.zero
+    return f.scalar([Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 5, 6)))
+                     for _ in range(f.degree)])
+
+
+def _combination(f, rng, rows, ncols):
+    # Small rational coefficients keep the degree-8 entries small.
+    v = (f.zero,) * ncols
+    for row in rows:
+        v = vec_add(v, vec_scale(f.from_rational(rng.randint(-3, 3)), row))
+    return v
+
+
+def _random_rows(f, rng):
+    """1-6 rows of 1-6 columns (wide and tall), often with a zero row, a
+    duplicate row or a combination of two rows added, in shuffled order."""
+    nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+    rows = [tuple(_random_scalar(f, rng) for _ in range(ncols)) for _ in range(nrows)]
+    extra = rng.random()
+    if extra < 0.25:
+        rows.append((f.zero,) * ncols)
+    elif extra < 0.5:
+        rows.append(rng.choice(rows))
+    elif extra < 0.75:
+        rows.append(_combination(f, rng, rng.sample(rows, min(2, nrows)), ncols))
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("L", LEVELS)
+def test_rref_matches_elimination_by_inverses(L):
+    f = get_field(L)
+    rng = random.Random(L)
+    deficient = 0
+    for _ in range(60):
+        rows = _random_rows(f, rng)
+        red, pivots = rref(rows)
+        assert (red, pivots) == rref_by_inverses(rows)
+        deficient += len(red) < len(rows)
+    assert deficient > 20
+
+
+@pytest.mark.parametrize("L", LEVELS)
+def test_span_tests_match_solve_in_span(L):
+    # in_span, subspace_contains and subspace_equal against the coordinates
+    # solved for on the augmented system, for vectors in and out of the span
+    # and for spanning sets that are equal, smaller and larger.
+    f = get_field(L)
+    rng = random.Random(100 + L)
+    verdicts = {True: 0, False: 0}
+    # The oracle inverts dense pivots of degree 4 and 8 by Euclid over
+    # fractions, which dominates the run time.
+    trials = 40 if f.degree <= 2 else 15
+    for _ in range(trials):
+        basis = _random_rows(f, rng)
+        ncols = len(basis[0])
+        red, pivots = rref(basis)
+        vectors = [rng.choice(basis), _combination(f, rng, basis, ncols),
+                   tuple(_random_scalar(f, rng) for _ in range(ncols)),
+                   (f.zero,) * ncols]
+        for v in vectors:
+            inside = solve_in_span(basis, v, f) is not None
+            assert in_span(red, pivots, v) == inside
+            assert subspace_contains(basis, v) == inside
+            verdicts[inside] += 1
+        others = [[_combination(f, rng, basis, ncols) for _ in basis] + list(red),
+                  basis[:-1],
+                  basis + [tuple(_random_scalar(f, rng) for _ in range(ncols))]]
+        for other in others:
+            equal = all(solve_in_span(basis, v, f) is not None for v in other) and \
+                all(solve_in_span(other, v, f) is not None for v in basis)
+            assert subspace_equal(basis, other) == equal
+            assert subspace_equal(other, basis) == equal
+            verdicts[equal] += 1
+    assert min(verdicts.values()) > 10
+
+
+def test_rref_rejects_rows_of_two_levels():
+    f4, f5 = get_field(4), get_field(5)
+    with pytest.raises(FieldMismatch):
+        rref([(f4.gen, f4.one), (f5.one, f5.gen)])
+    # Also when no elimination step would combine the two rows.
+    with pytest.raises(FieldMismatch):
+        rref([(f4.one, f4.zero), (f5.zero, f5.one)])
 
 
 def test_intersection():
@@ -45,7 +138,7 @@ def test_intersection():
     b2 = [_vec(f, 0, 1, 0), _vec(f, 0, 0, 1)]
     inter = intersect_subspaces(b1, b2, f)
     assert len(inter) == 1
-    assert subspace_contains([_vec(f, 0, 1, 0)], inter[0], f)
+    assert subspace_contains([_vec(f, 0, 1, 0)], inter[0])
 
 
 def test_rational_tuples_deterministic_and_dense():

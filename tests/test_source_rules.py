@@ -12,12 +12,15 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # Names that must not appear in the package: the errors of the old capped
 # searches (the point constructions and the witness search have proven
 # bounds), the brute-force oracles and test-only helpers that live in
-# tests/oracles.py, and the worker pool of the removed parallel verify
-# (serial verify was faster on every input measured).
+# tests/oracles.py (among them the elimination by inverses and the
+# augmented span solve that the integer rref and the reduction test
+# replaced), and the worker pool of the removed parallel verify (serial
+# verify was faster on every input measured).
 BANNED = ("ConstructionFailed", "SearchBound", "conjugate_by_index",
           "_twist_body", "conj", "pruned", "is_valid", "expand",
           "is_left_weighted_pair", "reflection_element", "reflect_vector",
           "intersect_subspaces", "relative_interior_point",
+          "solve_in_span", "rref_by_inverses",
           "multiprocessing", "_pool_init", "_pool_check", "_POOL_STATE")
 
 

@@ -187,6 +187,27 @@ def test_special_length_formula_rejects():
         special_length_formula(s1, eig.basis_of(Fraction(0)), bad)
 
 
+def test_special_length_formula_rejects_a_moved_line():
+    # K = the line of alpha_2, and s_1(alpha_2) = alpha_1 + alpha_2 leaves it.
+    a2 = build_system(named_matrix("A2"))
+    s1 = untwisted(a2.generator(0))
+    eig = eigen_decomposition(s1, dft_check=False)
+    assert eig.system is a2
+    with pytest.raises(HypothesisFailed, match="not w-stable"):
+        special_length_formula(s1, [a2.root_vector(1)], Chamber.fundamental(a2))
+
+
+def test_special_length_formula_rejects_two_eigenspaces():
+    # K = V^0 + V^pi of s_1 is w-stable (it is all of V) but lies in
+    # neither eigenspace.
+    a2 = build_system(named_matrix("A2"))
+    s1 = untwisted(a2.generator(0))
+    eig = eigen_decomposition(s1, dft_check=False)
+    assert eig.angles == [Fraction(0), Fraction(1)]
+    with pytest.raises(HypothesisFailed, match="no single eigenspace"):
+        special_length_formula(s1, eig.full_basis(), Chamber.fundamental(a2))
+
+
 def test_decompose_at_regular():
     a2 = build_system(named_matrix("A2"))
     C = Chamber.fundamental(a2)
