@@ -17,7 +17,7 @@ from .errors import (CoxminError, NotFinite, TooLarge, FieldTooSmall,
 from .scalars import AlgebraicScalar, ScalarField, get_field, minpoly_two_cos_pi_over
 from .coxeter import (CoxeterMatrix, CoxeterSystem, DiagramTwist, GroupElement,
                       TwistedElement, Chamber, GroupTable, named_matrix,
-                      build_system, load_or_build, enumerate_twists, untwisted,
+                      build_system, enumerate_twists, untwisted,
                       parabolic_max, coset_decompose, conjugate_by_chamber)
 from .eigen import (Angle, EigenDecomposition, Filtration, order,
                     eigen_decomposition, regular_point, hyperplanes_containing,

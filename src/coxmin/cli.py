@@ -26,7 +26,7 @@ from .conjugacy import (approx_partition, enumerate_classes, path_graph,
                         strong_partition, verify_arrow_reduction,
                         verify_elliptic_approx, verify_tau_surjective)
 from .coxeter import (Chamber, CoxeterMatrix, CoxeterSystem, DiagramTwist,
-                      enumerate_twists, load_or_build, named_matrix,
+                      build_system, enumerate_twists, named_matrix,
                       TwistedElement)
 from .eigen import eigen_decomposition
 from .errors import (CoxminError, FieldMismatch, HypothesisFailed,
@@ -51,7 +51,6 @@ class JobConfig:
     max_group_order: int | None
     out: str | None
     format: str
-    cache_dir: str | None
     seed_index: int
 
 
@@ -95,11 +94,10 @@ def _config_from_args(args) -> JobConfig:
             checks.append(c)
     if not checks:
         checks = list(CHECK_NAMES)
-    cache_dir = args.cache_dir or os.environ.get("COXMIN_CACHE")
     return JobConfig(labels=labels, matrices=matrices, twist=args.twist,
                      checks=checks, max_group_order=max_group_order,
                      out=args.out, format=getattr(args, "format", "json"),
-                     cache_dir=cache_dir, seed_index=seed_index)
+                     seed_index=seed_index)
 
 
 def _twists_for(config: JobConfig, matrix: CoxeterMatrix) -> list[DiagramTwist]:
@@ -157,7 +155,7 @@ def cmd_classes(config: JobConfig) -> int:
     rows = []
     for label, matrix in zip(config.labels, config.matrices):
         twists = _twists_for(config, matrix)
-        system = load_or_build(matrix, cache_dir=config.cache_dir)
+        system = build_system(matrix)
         for twist in twists:
             try:
                 rows.extend(_class_rows(label, system, twist, config))
@@ -293,7 +291,7 @@ def cmd_verify(config: JobConfig) -> int:
                 had_bound_skip = True
                 continue
             if system is None:
-                system = load_or_build(matrix, cache_dir=config.cache_dir)
+                system = build_system(matrix)
             records = enumerate_classes(system, twist,
                                         max_order=config.max_group_order)
             for rec in records:
@@ -322,7 +320,7 @@ def cmd_walk(config: JobConfig, word: str, chamber_word: str) -> int:
     if config.twist == "auto":
         raise ValueError("walk needs one twist: id or a permutation, not auto")
     matrix = config.matrices[0]
-    system = load_or_build(matrix, cache_dir=config.cache_dir)
+    system = build_system(matrix)
     (twist,) = _twists_for(config, matrix)
 
     def parse_word(text: str) -> list[int]:
@@ -368,8 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="id | auto | 1-indexed permutation like 2,1 "
                             "(walk takes one twist, so no auto)")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--cache-dir", help="root-system cache directory "
-                                           "(or env COXMIN_CACHE)")
     for p in (p_classes, p_verify):
         p.add_argument("--max-group-order", type=int, default=10 ** 6,
                        help="largest |W| (>= 1) to enumerate; beyond it exit 3")

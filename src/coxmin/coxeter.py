@@ -26,11 +26,7 @@ generators on both sides, descent masks and lengths.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-import os
-import tempfile
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence
@@ -520,8 +516,7 @@ def _leading_minors_positive(b: Matrix, field: ScalarField) -> bool:
     return True
 
 
-def build_system(matrix: CoxeterMatrix, L_hint: int | None = None,
-                 root_bound: int = ROOT_BOUND_DEFAULT) -> CoxeterSystem:
+def build_system(matrix: CoxeterMatrix, L_hint: int | None = None) -> CoxeterSystem:
     """Construct the root system by orbit closure of the simple roots."""
     L = matrix.field_level()
     if L_hint:
@@ -570,8 +565,8 @@ def build_system(matrix: CoxeterMatrix, L_hint: int | None = None,
                 key = tuple(img)
                 if key in lookup:
                     continue
-                if len(pos) >= root_bound:
-                    raise NotFinite(f"orbit closure exceeded {root_bound} roots")
+                if len(pos) >= ROOT_BOUND_DEFAULT:
+                    raise NotFinite(f"orbit closure exceeded {ROOT_BOUND_DEFAULT} roots")
                 lookup[key] = len(pos)
                 pos.append(img)
                 nxt.append(img)
@@ -1114,78 +1109,3 @@ class GroupTable:
         twist_conj = self.system.twist_conj
         return [self.index[twist_conj(p, twist, k)] for p in self.perms]
 
-
-# ---------------------------------------------------------------------------
-# Versioned JSON cache for built systems.
-
-CACHE_SCHEMA = "coxmin/rootsys-v1"
-
-
-def _coeff_encode(s: AlgebraicScalar) -> list[list[int]]:
-    return [[c.numerator, c.denominator] for c in s.coeffs]
-
-
-def system_to_json(system: CoxeterSystem) -> dict:
-    return {
-        "schema": CACHE_SCHEMA,
-        "matrix": [list(r) for r in system.matrix.entries],
-        "L": system.field.L,
-        "positive_roots": [[_coeff_encode(c) for c in v] for v in system.pos_roots],
-        "reflections": [list(p) for p in system.reflections],
-    }
-
-
-def system_from_json(data: dict) -> CoxeterSystem:
-    """A cached system whose reflection tables are rebuilt from its roots.
-
-    Roots not closed under the simple reflections, tables that disagree with
-    the document's, or a malformed document raise ValueError.
-    """
-    if data.get("schema") != CACHE_SCHEMA:
-        raise ValueError(f"root-system cache schema is not {CACHE_SCHEMA}")
-    try:
-        field = get_field(data["L"])
-        pos = [tuple(field.scalar([Fraction(a, b) for a, b in coeffs]) for coeffs in vec)
-               for vec in data["positive_roots"]]
-        system = CoxeterSystem(CoxeterMatrix(data["matrix"]), field, pos)
-        stored = [tuple(p) for p in data["reflections"]]
-    except (KeyError, TypeError, ArithmeticError) as exc:
-        # root_index raises KeyError for an image outside the root set.
-        raise ValueError("malformed root-system cache, or its roots are not "
-                         f"closed under the simple reflections: {exc!r}") from None
-    if system.reflections != stored:
-        raise ValueError("root-system cache tables disagree with its roots")
-    return system
-
-
-def cache_key(matrix: CoxeterMatrix, L: int) -> str:
-    payload = json.dumps({"matrix": [list(r) for r in matrix.entries], "L": L},
-                         sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:24]
-
-
-def load_or_build(matrix: CoxeterMatrix, cache_dir: str | None = None) -> CoxeterSystem:
-    if cache_dir is None:
-        return build_system(matrix)
-    L = matrix.field_level()
-    path = os.path.join(cache_dir, f"rootsys-{cache_key(matrix, L)}.json")
-    if os.path.exists(path):
-        with open(path) as fh:
-            system = system_from_json(json.load(fh))
-        if system.matrix != matrix or system.field.L != L:
-            raise ValueError(f"root-system cache {path} holds another matrix "
-                             "or field level")
-        return system
-    system = build_system(matrix)
-    os.makedirs(cache_dir, exist_ok=True)
-    # A unique temporary name, so concurrent writers never share one.
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=os.path.basename(path) + ".",
-                               suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(system_to_json(system), fh)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-    return system

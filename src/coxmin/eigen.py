@@ -117,20 +117,6 @@ class EigenDecomposition:
             out[q] = comp
         return out
 
-    def to_json(self) -> dict:
-        def enc(mat: Matrix):
-            return [[[ [c.numerator, c.denominator] for c in s.coeffs] for s in v]
-                    for v in mat]
-        return {
-            "schema": "coxmin/eigen-v1",
-            "L": self.system.field.L,
-            "angles": [[q.numerator, q.denominator] for q in self.angles],
-            "dims": [dim for _, dim, _ in self.entries],
-            "bases": [enc(basis) for _, _, basis in self.entries],
-            "theta0": [self.theta0.numerator, self.theta0.denominator],
-            "v_wt": enc(self.v_wt),
-        }
-
 
 def _basis_inverse(basis: Matrix, field: ScalarField, n: int) -> Matrix:
     """Rows of the inverse of the n x n matrix with columns `basis`."""

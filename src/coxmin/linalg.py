@@ -216,10 +216,6 @@ def in_span(red: Matrix, pivots: Sequence[int], v: Vector) -> bool:
     return vec_is_zero(v)
 
 
-def subspace_contains(basis: Matrix, v: Vector) -> bool:
-    return in_span(*rref(basis), v)
-
-
 def subspace_equal(b1: Matrix, b2: Matrix) -> bool:
     # The RREF of a row space is unique and the scalars' normal form is
     # canonical, so equal spans have equal reduced bases.

@@ -43,6 +43,11 @@ from .linalg import (Matrix, Vector, cone_from_constraints, in_span, kernel_basi
 from .scalars import _normal
 
 
+def decay_rate(q: Fraction) -> float:
+    """The flow's float decay rate 4(1 - cos(q pi)) at angle q."""
+    return 4.0 * (1.0 - math.cos(float(q) * math.pi))
+
+
 @dataclass
 class FlowCurve:
     """Eigen-coordinates of a start vector under the displacement flow.
@@ -56,7 +61,7 @@ class FlowCurve:
     components: dict[Fraction, Vector]
 
     def rate(self, q: Fraction) -> float:
-        return 4.0 * (1.0 - math.cos(float(q) * math.pi))
+        return decay_rate(q)
 
 
 def flow_curve(w: TwistedElement, v: Vector,
@@ -229,8 +234,8 @@ def _walk_once(w: TwistedElement, eig: EigenDecomposition, start: Chamber,
 
     # Float guidance, decay rates shifted so the theta_0 term is constant.
     angles = sorted(pairings)
-    lam0 = 4.0 * (1.0 - math.cos(float(theta0) * math.pi))
-    rates = [4.0 * (1.0 - math.cos(float(q) * math.pi)) - lam0 for q in angles]
+    lam0 = decay_rate(theta0)
+    rates = [decay_rate(q) - lam0 for q in angles]
     cols = [[float(p) for p in pairings[q]] for q in angles]
     scale_ref = max(max(abs(c) for c in col) for col in cols) or 1.0
 

@@ -8,8 +8,8 @@ import itertools
 
 from coxmin.braid import TwistedBraid
 from coxmin.coxeter import GroupElement, compose, invert_perm
-from coxmin.linalg import (kernel_basis, rref, vec_add, vec_is_zero, vec_scale,
-                           zero_vector)
+from coxmin.linalg import (in_span, kernel_basis, rref, vec_add, vec_is_zero,
+                           vec_scale, zero_vector)
 
 
 def reference_table(system):
@@ -153,6 +153,11 @@ def intersect_subspaces(b1, b2, field):
         if not vec_is_zero(v):
             out.append(v)
     return rref(out)[0]
+
+
+def subspace_contains(basis, v) -> bool:
+    """Whether v lies in span(basis), by a fresh RREF of the basis."""
+    return in_span(*rref(basis), v)
 
 
 def rref_by_inverses(rows):

@@ -1,6 +1,5 @@
 import hashlib
 import json
-import math
 import os
 import subprocess
 import sys
@@ -10,8 +9,6 @@ import pytest
 
 from coxmin import __version__
 from coxmin.cli import main
-from coxmin.coxeter import (CACHE_SCHEMA, build_system, named_matrix,
-                            system_from_json, system_to_json)
 from coxmin.errors import FieldMismatch, ScalarDomainError
 from coxmin.scalars import AlgebraicScalar
 
@@ -89,6 +86,9 @@ def test_bound_below_one_is_a_usage_error(capsys, argv):
     ("classes", "--seed-index", "1"),
     ("walk", "--format", "csv"),
     ("walk", "--max-group-order", "5"),
+    ("classes", "--cache-dir", "cache"),
+    ("verify", "--cache-dir", "cache"),
+    ("walk", "--cache-dir", "cache"),
 ])
 def test_subcommands_reject_options_they_do_not_read(capsys, argv):
     # Each subcommand has only the options it reads; argparse refuses any
@@ -178,86 +178,24 @@ def test_deterministic_reports(capsys):
     assert out1 == out2
 
 
-def test_out_file_and_cache(tmp_path, capsys):
+def test_out_file(tmp_path, capsys):
     out_path = tmp_path / "report.json"
-    cache_dir = tmp_path / "cache"
     code, stdout, _ = run(capsys, "classes", "--type", "B3",
-                          "--out", str(out_path), "--cache-dir", str(cache_dir))
+                          "--out", str(out_path))
     assert code == 0 and stdout == ""
     data = json.loads(out_path.read_text())
     assert len(data["rows"]) == 10
-    assert any(name.startswith("rootsys-") for name in os.listdir(cache_dir))
-    # Second run hits the cache and produces identical bytes.
-    out2 = tmp_path / "report2.json"
-    run(capsys, "classes", "--type", "B3", "--out", str(out2),
-        "--cache-dir", str(cache_dir))
-    assert out_path.read_text() == out2.read_text()
 
 
-def test_env_cache_dir(tmp_path, capsys, monkeypatch):
+def test_nothing_is_written_or_read_back_from_disk(tmp_path, capsys, monkeypatch):
+    # Every run builds its root system from the matrix: COXMIN_CACHE names
+    # no directory the CLI writes to, and the report does not change.
+    code, plain, _ = run(capsys, "classes", "--type", "A2")
+    assert code == 0
     monkeypatch.setenv("COXMIN_CACHE", str(tmp_path))
-    code, _, _ = run(capsys, "classes", "--type", "A2")
-    assert code == 0
-    assert any(name.startswith("rootsys-") for name in os.listdir(tmp_path))
-
-
-def test_cache_with_wrong_schema_is_a_usage_error(tmp_path, capsys):
-    # A cache file of another schema is rejected with exit 2 (the check is
-    # a raise, so it also holds under python -O).
-    code, _, _ = run(capsys, "classes", "--type", "A2", "--cache-dir", str(tmp_path))
-    assert code == 0
-    (path,) = tmp_path.iterdir()
-    data = json.loads(path.read_text())
-    data["schema"] = "coxmin/rootsys-v0"
-    path.write_text(json.dumps(data))
-    code, _, err = run(capsys, "classes", "--type", "A2", "--cache-dir", str(tmp_path))
-    assert code == 2 and CACHE_SCHEMA in err
-
-
-def _corrupt_reflection(data):
-    row = data["reflections"][0]
-    row[0], row[1] = row[1], row[0]
-
-
-def _corrupt_root(data):
-    data["positive_roots"][-1][0] = [[5, 1]]
-
-
-def _other_matrix(data):
-    b2 = system_to_json(build_system(named_matrix("B2")))
-    data.clear()
-    data.update(b2)
-
-
-@pytest.mark.parametrize("corrupt", [_corrupt_reflection, _corrupt_root,
-                                     _other_matrix])
-def test_corrupt_cache_is_a_usage_error(tmp_path, capsys, corrupt):
-    # The cache is checked before it is trusted: one swapped reflection
-    # entry, a root set not closed under the simple reflections, or another
-    # matrix's system under this file name each exit 2.
-    code, _, _ = run(capsys, "classes", "--type", "A2", "--cache-dir", str(tmp_path))
-    assert code == 0
-    (path,) = tmp_path.iterdir()
-    data = json.loads(path.read_text())
-    corrupt(data)
-    path.write_text(json.dumps(data))
-    code, _, err = run(capsys, "classes", "--type", "A2", "--cache-dir", str(tmp_path))
-    assert code == 2 and "cache" in err
-
-
-def test_cache_write_uses_a_unique_temporary(tmp_path, capsys):
-    # A directory squatting on the old fixed temporary name does not stop
-    # the write, and no temporary file is left behind.
-    code, _, _ = run(capsys, "classes", "--type", "A2", "--cache-dir", str(tmp_path))
-    assert code == 0
-    (path,) = tmp_path.iterdir()
-    path.unlink()
-    squat = Path(str(path) + ".tmp")
-    squat.mkdir()
-    code, _, _ = run(capsys, "classes", "--type", "A2", "--cache-dir", str(tmp_path))
-    assert code == 0
-    assert sorted(tmp_path.iterdir()) == [path, squat]
-    assert json.loads(path.read_text())["schema"] == CACHE_SCHEMA
+    code, out, _ = run(capsys, "classes", "--type", "A2")
+    assert code == 0 and out == plain
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_matrix_file(tmp_path, capsys):
@@ -332,13 +270,13 @@ def test_system_built_once_per_type(capsys, monkeypatch):
     # Every twist of --twist auto shares one root system and group table.
     import coxmin.cli as cli
     calls = []
-    real = cli.load_or_build
+    real = cli.build_system
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "load_or_build", counting)
+    monkeypatch.setattr(cli, "build_system", counting)
     code, out, _ = run(capsys, "verify", "--type", "A3", "--twist", "auto",
                        "--checks", "gp1")
     assert code == 0
@@ -355,7 +293,7 @@ def test_verify_decomposes_each_input_once(capsys, monkeypatch):
     import coxmin.cli as cli
     import coxmin.eigen as eigen
     systems, computed = [], []
-    real_build, real_start = cli.load_or_build, eigen._matrix_plus_inverse
+    real_build, real_start = cli.build_system, eigen._matrix_plus_inverse
 
     def building(*args, **kwargs):
         systems.append(real_build(*args, **kwargs))
@@ -365,7 +303,7 @@ def test_verify_decomposes_each_input_once(capsys, monkeypatch):
         computed.append(w)
         return real_start(w, system)
 
-    monkeypatch.setattr(cli, "load_or_build", building)
+    monkeypatch.setattr(cli, "build_system", building)
     monkeypatch.setattr(eigen, "_matrix_plus_inverse", starting)
     code, _, _ = run(capsys, "verify", "--type", "H3", "--twist", "auto",
                      "--checks", "good,quasi,walk,formulas")
@@ -444,21 +382,3 @@ def test_report_digests_pinned(capsys):
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
-
-def test_cache_roundtrip_b3(tmp_path, capsys):
-    # The CLI writes the cache through system_to_json; reading it back gives
-    # the built system, and re-encoding gives the same document.
-    code, _, _ = run(capsys, "classes", "--type", "B3", "--cache-dir", str(tmp_path))
-    assert code == 0
-    (path,) = tmp_path.glob("rootsys-*.json")
-    data = json.loads(path.read_text())
-    assert data["schema"] == CACHE_SCHEMA and data["L"] == 4
-    back = system_from_json(data)
-    built = build_system(named_matrix("B3"))
-    assert back.pos_roots == built.pos_roots
-    assert back.reflections == built.reflections
-    assert system_to_json(back) == data
-    for vec in data["positive_roots"]:
-        for coeffs in vec:
-            assert len(coeffs) == back.field.degree
-            assert all(d > 0 and math.gcd(n, d) == 1 for n, d in coeffs)

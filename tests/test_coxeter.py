@@ -1,17 +1,14 @@
 import itertools
-import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from coxmin.coxeter import (Chamber, CoxeterMatrix, TwistedElement,
-                            build_system, cache_key, compose,
-                            conjugate_by_chamber, coset_decompose,
-                            enumerate_twists, invert_perm,
-                            is_minimal_double_coset_rep, load_or_build,
-                            named_matrix, parabolic_max, system_from_json,
-                            system_to_json, untwisted)
+                            build_system, compose, conjugate_by_chamber,
+                            coset_decompose, enumerate_twists, invert_perm,
+                            is_minimal_double_coset_rep, named_matrix,
+                            parabolic_max, untwisted)
 from coxmin.eigen import eigen_decomposition, order
 from coxmin.errors import NotFinite
 from oracles import reflect_vector
@@ -229,21 +226,6 @@ def test_twisted_element_order_and_power():
     d = TwistedElement(a2, delta, 1, a2.identity)
     sq = d * d
     assert sq.is_identity()
-
-
-def test_json_cache_roundtrip(tmp_path):
-    h3 = build_system(named_matrix("H3"))
-    data = system_to_json(h3)
-    text = json.dumps(data)
-    back = system_from_json(json.loads(text))
-    assert back.pos_roots == h3.pos_roots
-    assert back.reflections == h3.reflections
-    # load_or_build writes and reads the cache file.
-    sys1 = load_or_build(named_matrix("B3"), cache_dir=str(tmp_path))
-    key = cache_key(named_matrix("B3"), sys1.field.L)
-    assert (tmp_path / f"rootsys-{key}.json").exists()
-    sys2 = load_or_build(named_matrix("B3"), cache_dir=str(tmp_path))
-    assert sys2.pos_roots == sys1.pos_roots
 
 
 def test_with_field_level_preserves_combinatorics():

@@ -329,17 +329,6 @@ def test_twisted_eigen():
     assert [d for _, d, _ in eig.entries] == [1, 1]
 
 
-def test_eigen_json_export():
-    import json
-    b2 = build_system(named_matrix("B2"))
-    eig = eigen_decomposition(untwisted(b2.element_from_word([0, 1])))
-    data = eig.to_json()
-    text = json.dumps(data, sort_keys=True)
-    back = json.loads(text)
-    assert back["schema"] == "coxmin/eigen-v1"
-    assert back["angles"] == [[1, 2]] and back["dims"] == [2]
-
-
 # ---------------------------------------------------------------------------
 # Memoized geometry.
 

@@ -8,11 +8,10 @@ from coxmin import linalg
 from coxmin.errors import FieldMismatch, TheoremViolation
 from coxmin.linalg import (cone_from_constraints, cone_point_avoiding, in_span,
                            kernel_basis, rank, rational_tuples, rref,
-                           subspace_contains, subspace_equal, vec_add, vec_dot,
-                           vec_scale)
+                           subspace_equal, vec_add, vec_dot, vec_scale)
 from coxmin.scalars import get_field
 from oracles import (intersect_subspaces, relative_interior_point,
-                     rref_by_inverses, solve_in_span)
+                     rref_by_inverses, solve_in_span, subspace_contains)
 
 LEVELS = (1, 4, 5, 6, 12, 30)
 

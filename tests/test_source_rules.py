@@ -14,14 +14,19 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # bounds), the brute-force oracles and test-only helpers that live in
 # tests/oracles.py (among them the elimination by inverses and the
 # augmented span solve that the integer rref and the reduction test
-# replaced), and the worker pool of the removed parallel verify (serial
-# verify was faster on every input measured).
+# replaced, and the span test by a fresh RREF), the worker pool of the
+# removed parallel verify (serial verify was faster on every input
+# measured), and the root-system cache with the environment lookup that
+# named its directory (a cache load rebuilt every reflection table to check
+# it, so it saved no measurable time; every run builds from the matrix).
 BANNED = ("ConstructionFailed", "SearchBound", "conjugate_by_index",
           "_twist_body", "conj", "pruned", "is_valid", "expand",
           "is_left_weighted_pair", "reflection_element", "reflect_vector",
           "intersect_subspaces", "relative_interior_point",
-          "solve_in_span", "rref_by_inverses",
-          "multiprocessing", "_pool_init", "_pool_check", "_POOL_STATE")
+          "solve_in_span", "rref_by_inverses", "subspace_contains",
+          "multiprocessing", "_pool_init", "_pool_check", "_POOL_STATE",
+          "load_or_build", "system_to_json", "system_from_json", "cache_key",
+          "CACHE_SCHEMA", "cache_dir", "tempfile", "environ", "getenv")
 
 
 def test_no_asserts_and_no_capped_construction_error():
@@ -50,6 +55,40 @@ def test_no_asserts_and_no_capped_construction_error():
                 if banned in names:
                     offenders.append(f"{path.name}:{node.lineno}: {banned}")
     assert not offenders, offenders
+
+
+def _referenced_names(node) -> set[str]:
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name)
+    return names
+
+
+def test_every_module_function_and_class_is_used_or_exported():
+    # No unused API: each module-level function or class is referenced by
+    # some other top-level statement of the package, or is exported from
+    # coxmin/__init__.py.
+    init = SRC / "coxmin" / "__init__.py"
+    exported = _referenced_names(ast.parse(init.read_text()))
+    defined, used = [], set()
+    for path in sorted((SRC / "coxmin").glob("*.py")):
+        if path == init:
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.name, node.name))
+                # A function's references to itself do not count as a use.
+                used |= _referenced_names(node) - {node.name}
+            else:
+                used |= _referenced_names(node)
+    unused = [f"{module}: {name}" for module, name in defined
+              if name not in used and name not in exported]
+    assert not unused, unused
 
 
 def test_preconditions_raise_under_optimize():
