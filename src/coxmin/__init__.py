@@ -13,7 +13,7 @@ from .errors import (CoxminError, NotFinite, TooLarge, FieldTooSmall,
                      FieldMismatch, ScalarDomainError, MultiplicityMismatch,
                      NoRegularPoint,
                      NotAdmissible, HypothesisFailed,
-                     IdentityFailed, TheoremViolation, WalkStuck)
+                     IdentityFailed, TheoremViolation)
 from .scalars import AlgebraicScalar, ScalarField, get_field, minpoly_two_cos_pi_over
 from .coxeter import (CoxeterMatrix, CoxeterSystem, DiagramTwist, GroupElement,
                       TwistedElement, Chamber, GroupTable, named_matrix,

@@ -32,7 +32,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import NotFinite, TheoremViolation, TooLarge
-from .linalg import Matrix, Vector, rref
+from .linalg import Matrix, Vector, mat_inverse
 from .scalars import AlgebraicScalar, ScalarField, _normal, get_field
 
 ROOT_BOUND_DEFAULT = 5000
@@ -307,6 +307,7 @@ class CoxeterSystem:
         self._regular_points: dict[tuple, Vector] = {}
         self._hyperplanes: dict[tuple, frozenset[int]] = {}
         self._reduced: dict[tuple, tuple[Matrix, list[int]]] = {}
+        self._weights: tuple[Matrix, Vector] | None = None
 
     # -- roots ----------------------------------------------------------------
 
@@ -896,10 +897,18 @@ class Chamber:
         moved = w.twist_conj_body(body, w.k)
         return Chamber(self.system, moved)
 
-    def interior_point(self) -> Vector:
-        """An exact interior point (image of the standard dominant point)."""
-        rho = _dominant_point(self.system)
-        return self.x.apply(rho)
+    def interior_point(self, t: int = 1) -> Vector:
+        """x_A(sum_j t^j omega_j), with omega_j the fundamental weights.
+
+        <alpha_i, sum_j t^j omega_j> = t^i (i = 0..n-1), so for every t > 0
+        the point lies in the open chamber; t = 1 gives x_A(rho).
+        """
+        weights, rho = _fundamental_weights(self.system)
+        if t == 1:
+            return self.x.apply(rho)
+        zero = self.system.field.zero
+        return self.x.apply(tuple(sum((t ** j * c for j, c in enumerate(row)), zero)
+                                  for row in weights))
 
     def over(self, system: CoxeterSystem) -> "Chamber":
         """This chamber over another field view of its system."""
@@ -926,22 +935,18 @@ class Chamber:
         return f"Chamber({self.x!r})"
 
 
-def _dominant_point(system: CoxeterSystem) -> Vector:
-    """The exact point p with <alpha_i, p> = 1 for all simple roots."""
-    cached = getattr(system, "_dominant", None)
-    if cached is not None:
-        return cached
-    n = system.rank
-    field = system.field
-    rows = [list(system.bilinear[i]) + [field.one] for i in range(n)]
-    red, pivots = rref([tuple(r) for r in rows])
-    sol = [field.zero] * n
-    for row, p in zip(red, pivots):
-        if p == n:
+def _fundamental_weights(system: CoxeterSystem) -> tuple[Matrix, Vector]:
+    """(B^-1, rho): B^-1 has the weights omega_j as columns, so
+    <alpha_i, omega_j> = delta_ij, and rho = sum_j omega_j solves B p = 1.
+
+    Memoized per system view, as its entries live in the view's field.
+    """
+    if system._weights is None:
+        weights = mat_inverse(system.bilinear, system.field)
+        if weights is None:
             raise TheoremViolation("the bilinear form of a finite group is singular")
-        sol[p] = row[n]
-    system._dominant = tuple(sol)
-    return system._dominant
+        system._weights = (weights, tuple(sum(row, system.field.zero) for row in weights))
+    return system._weights
 
 
 def conjugate_by_chamber(w: TwistedElement, chamber: Chamber) -> TwistedElement:

@@ -43,8 +43,8 @@ from .coxeter import Chamber, CoxeterSystem, TwistedElement
 from .errors import (FieldTooSmall, MultiplicityMismatch, NoRegularPoint,
                      NotAdmissible, TheoremViolation)
 from .linalg import (Matrix, Vector, cone_from_constraints, cone_point_avoiding,
-                     kernel_basis, mat_mul, rational_tuples, rref, vec_add,
-                     vec_dot, vec_is_zero, vec_scale, zero_vector)
+                     kernel_basis, mat_inverse, mat_mul, rational_tuples, rref,
+                     vec_add, vec_dot, vec_is_zero, vec_scale, zero_vector)
 from .scalars import ScalarField, _normal
 
 Angle = Fraction  # q in [0, 1], theta = q*pi
@@ -105,7 +105,11 @@ class EigenDecomposition:
         field = self.system.field
         basis = self.full_basis()
         if self._inverse is None:
-            self._inverse = _basis_inverse(basis, field, self.system.rank)
+            n = self.system.rank
+            if len(basis) == n:
+                self._inverse = mat_inverse(list(zip(*basis)), field)
+            if self._inverse is None:
+                raise TheoremViolation("the eigenspaces do not span V")
         coords = [vec_dot(row, v) for row in self._inverse]
         out: dict[Angle, Vector] = {}
         pos = 0
@@ -116,17 +120,6 @@ class EigenDecomposition:
             pos += dim
             out[q] = comp
         return out
-
-
-def _basis_inverse(basis: Matrix, field: ScalarField, n: int) -> Matrix:
-    """Rows of the inverse of the n x n matrix with columns `basis`."""
-    if len(basis) == n:
-        ident = [tuple(field.one if i == j else field.zero for j in range(n))
-                 for i in range(n)]
-        red, pivots = rref([tuple(b[i] for b in basis) + ident[i] for i in range(n)])
-        if pivots == list(range(n)):
-            return [row[n:] for row in red]
-    raise TheoremViolation("the eigenspaces do not span V")
 
 
 def _matrix_plus_inverse(w: TwistedElement, system: CoxeterSystem) -> Matrix:

@@ -59,7 +59,3 @@ class IdentityFailed(CoxminError):
 
 class TheoremViolation(CoxminError):
     """A computation contradicts a proved theorem; a test failure."""
-
-
-class WalkStuck(CoxminError):
-    """The descent walk found no certified step and no valid endpoint."""

@@ -189,6 +189,15 @@ def rank(rows: Iterable[Vector]) -> int:
     return len(rref(rows)[0])
 
 
+def mat_inverse(rows: Matrix, field: ScalarField) -> Matrix | None:
+    """Rows of the inverse of the n x n matrix `rows`; None if singular."""
+    n = len(rows)
+    red, pivots = rref([tuple(row) + tuple(field.one if i == j else field.zero
+                                           for j in range(n))
+                        for i, row in enumerate(rows)])
+    return [row[n:] for row in red] if pivots == list(range(n)) else None
+
+
 def kernel_basis(rows: Matrix, ncols: int, field: ScalarField) -> Matrix:
     """Basis of {v : M v = 0} for M given by rows of length ncols."""
     red, pivots = rref(rows)

@@ -12,9 +12,10 @@ only, while every accepted step and the end condition are certified in
 exact arithmetic: a step is kept only if the group-side length comparison
 l(w_{A'}) <= l(w_A) holds, and the end test evaluates the exact signs of
 the limit direction against the chamber.  When float bisection cannot
-isolate a single wall the walk tries the flipped walls directly, and finally
-restarts from a perturbed start point (deterministic enumeration, so walks
-are reproducible).
+isolate a single wall the walk tries the flipped walls directly.  Where the
+guidance gives out, an exact search over the crossings that do not raise
+the conjugate length takes over, so a walk cannot get stuck.  The start
+point is a construction with a proven bound, so walks are reproducible.
 
 The length-formula operations verify their hypotheses exactly before
 asserting the formulas; a hypothesis that cannot be verified raises
@@ -25,7 +26,7 @@ TheoremViolation (it would contradict a proved statement).
 from __future__ import annotations
 
 import hashlib
-import itertools
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,10 +37,10 @@ from .coxeter import (Chamber, GroupElement, TwistedElement,
                       normalizes_parabolic)
 from .eigen import (EigenDecomposition, eigen_decomposition,
                     hyperplanes_containing, reduced_basis, regular_point)
-from .errors import HypothesisFailed, NoRegularPoint, TheoremViolation, WalkStuck
+from .errors import HypothesisFailed, NoRegularPoint, TheoremViolation
 from .linalg import (Matrix, Vector, cone_from_constraints, in_span, kernel_basis,
-                     rational_tuples, rref, subspace_equal, vec_add, vec_is_zero,
-                     vec_scale, vec_sub, zero_vector)
+                     rref, subspace_equal, vec_add, vec_is_zero, vec_scale,
+                     vec_sub, zero_vector)
 from .scalars import _normal
 
 
@@ -137,97 +138,102 @@ class WalkResult:
         }
 
 
-class _RetryWalk(Exception):
-    pass
-
-
-# Start points tried before a walk gives up with WalkStuck.
-_START_ATTEMPTS = 8
-
-
 def descent_walk(w: TwistedElement, chamber: Chamber,
                  start_index: int = 0) -> WalkResult:
-    """Walk from `chamber` to one whose closure holds a regular point of V_w."""
+    """Walk from `chamber` to one whose closure holds a regular point of V_w.
+
+    The float-guided flow walks first; where its guidance gives out, an
+    exact search over the crossings that do not raise l(w_A) takes over.
+    By the theorem neither can fail; an exhausted search is a
+    TheoremViolation.
+    """
     eig = eigen_decomposition(w, dft_check=False)
     w, chamber = eig.owner, chamber.over(eig.system)
-    starts = _good_start_points(eig, chamber, start_index)
-    for _ in range(_START_ATTEMPTS):
-        state = next(starts, None)
-        if state is None:
-            break
-        try:
-            return _walk_once(w, eig, chamber, *state)
-        except _RetryWalk:
-            continue
-    raise WalkStuck("descent walk failed after perturbation retries")
+    pairings, x_dir, sgn_x = _start_point(eig, chamber, start_index)
+    result = _walk_once(w, eig, chamber, pairings, x_dir, sgn_x)
+    return result if result is not None else _exact_walk(w, chamber, x_dir, sgn_x)
 
 
-def _good_start_points(eig: EigenDecomposition, chamber: Chamber,
-                       start_index: int):
-    """Interior points of the chamber whose limit direction is usable.
+def _start_point(eig: EigenDecomposition, chamber: Chamber,
+                 start_index: int) -> tuple[dict, Vector, list[int]]:
+    """(pairings, x, signs) of y(t) = chamber.interior_point(t) for the
+    least t > start_index whose theta_0-component x is regular in V_w.
 
-    Yields (y, pairings, x, signs) with the theta_0 component x nonzero
-    and regular in V_w; pairings[q][r] = <alpha_r, component q of y> for
-    every nonzero component, computed once per start point.  Candidates
-    come from the deterministic tuple enumerator around the chamber's
-    canonical interior point, so the stream (and every downstream walk) is
-    reproducible.  The 4,096 x 16 enumeration stays capped: its candidates
-    fix the walk paths, so a bounded construction would change the reports.
+    pairings[q][r] = <alpha_r, component q of y> for each nonzero component;
+    signs[r] is the sign of <alpha_r, x>.  If H_r misses V_w, <alpha_r, x(t)>
+    is a nonzero polynomial in t of degree < n (the projection onto V_w is
+    orthogonal and the x_A omega_j span V), so each such root rules out at
+    most n - 1 values: t <= start_index + (n - 1) #avoid + 1, and running
+    past that is a TheoremViolation.
     """
     system = eig.system
     field = system.field
     sign_of = field.sign_of
-    n = system.rank
     h_vwt = hyperplanes_containing(system, eig.v_wt)
-    base = chamber.interior_point()
+    bound = (system.rank - 1) * (system.npos - len(h_vwt)) + 1
 
-    # Pairings come from the system's integer kernel as (num, den); signs
-    # are taken from the numerators one root at a time, in root order, as
-    # each refines the field's isolating interval that later floats read.
-    # Scalars are built only for the pairings the walk keeps.
-    def check(y: Vector):
-        comps = {q: c for q, c in eig.project(y).items() if not vec_is_zero(c)}
+    # Signs come from the integer kernel's numerators one root at a time, in
+    # root order, as each refines the isolating interval that later floats
+    # read; scalars are built only for the pairings the walk keeps.
+    for t in range(start_index + 1, start_index + bound + 1):
+        comps = {q: c for q, c in eig.project(chamber.interior_point(t)).items()
+                 if not vec_is_zero(c)}
         x_dir = comps.get(eig.theta0)
         if x_dir is None:
-            return None
+            continue
         x_pairs = system.root_pairings(x_dir)
         sgn_x = []
         for r, (num, _) in enumerate(x_pairs):
             s = sign_of(num)
             if s == 0 and r not in h_vwt:
-                return None  # p(y) is not regular in V_w
+                break  # x(t) is not regular in V_w
             sgn_x.append(s)
-        pairings = {q: [_normal(field, num, den) for num, den in
-                        (x_pairs if q == eig.theta0 else system.root_pairings(c))]
-                    for q, c in comps.items()}
-        return pairings, x_dir, sgn_x
+        else:
+            pairings = {q: [_normal(field, num, den) for num, den in
+                            (x_pairs if q == eig.theta0 else system.root_pairings(c))]
+                        for q, c in comps.items()}
+            return pairings, x_dir, sgn_x
+    raise TheoremViolation(f"no t in {start_index + 1}..{start_index + bound} "
+                           "gives a start point regular in V_w")
 
-    if start_index == 0:
-        res = check(base)
-        if res is not None:
-            yield (base, *res)
-    for tup in itertools.islice(rational_tuples(n, max(start_index, 1)), 4096):
-        if all(c == 0 for c in tup):
-            continue
-        scale = Fraction(1, 4)
-        cand = None
-        for _ in range(16):
-            trial = vec_add(base, tuple(field.from_rational(c * scale) for c in tup))
-            if all(sign_of(num) == chamber.sign(r)
-                   for r, (num, _) in enumerate(system.root_pairings(trial))):
-                cand = trial
-                break
-            scale /= 4
-        if cand is None:
-            continue
-        res = check(cand)
-        if res is not None:
-            yield (cand, *res)
+
+def _holds_point(chamber: Chamber, sgn_x: list[int]) -> bool:
+    """Whether the closure of `chamber` holds the point with root signs sgn_x."""
+    return all(s == 0 or s == chamber.sign(r) for r, s in enumerate(sgn_x))
+
+
+def _exact_walk(w: TwistedElement, start: Chamber, x_dir: Vector,
+                sgn_x: list[int]) -> WalkResult:
+    """The first chamber whose closure holds x, searched exhaustively over
+    the crossings from `start` that do not raise l(w_A), in order of
+    (l(w_A), discovery); an empty search is a TheoremViolation.
+    """
+    start_wt = conjugate_by_chamber(w, start)
+    seen = {start.x.perm}
+    heap = [(start_wt.length(), 0, start, start_wt, [])]
+    while heap:
+        length, _, ch, wt, steps = heapq.heappop(heap)
+        if _holds_point(ch, sgn_x):
+            return WalkResult(start_chamber=start, end_chamber=ch, steps=steps,
+                              regular_point=x_dir, end_element=wt)
+        for i, root in enumerate(ch.walls()):
+            nxt_wt = wt.conjugate_by_simple(i)
+            if nxt_wt.length() > length:
+                continue
+            nxt = ch.cross(i)
+            if nxt.x.perm not in seen:
+                seen.add(nxt.x.perm)
+                step = WalkStep(root, i, length, nxt_wt.length())
+                heapq.heappush(heap, (step.length_after, len(seen), nxt, nxt_wt,
+                                      steps + [step]))
+    raise TheoremViolation("no chamber reached by crossings that do not raise "
+                           "l(w_A) holds the regular point")
 
 
 def _walk_once(w: TwistedElement, eig: EigenDecomposition, start: Chamber,
-               y: Vector, pairings: dict, x_dir: Vector,
-               sgn_x: list[int]) -> WalkResult:
+               pairings: dict, x_dir: Vector,
+               sgn_x: list[int]) -> WalkResult | None:
+    """The float-guided flow, or None where its guidance gives out."""
     system = eig.system
     npos = system.npos
     theta0 = eig.theta0
@@ -255,9 +261,6 @@ def _walk_once(w: TwistedElement, eig: EigenDecomposition, start: Chamber,
     s_anchor = 0.0
     step_cap = 16 * npos + 64
 
-    def end_ok(ch: Chamber) -> bool:
-        return all(sgn_x[r] == 0 or sgn_x[r] == ch.sign(r) for r in range(npos))
-
     def try_cross(root: int) -> bool:
         nonlocal cur_ch, cur_wt
         i = cur_ch.wall_simple_index(root)
@@ -277,19 +280,17 @@ def _walk_once(w: TwistedElement, eig: EigenDecomposition, start: Chamber,
         return True
 
     while True:
-        if end_ok(cur_ch):
+        if _holds_point(cur_ch, sgn_x):
             return WalkResult(start_chamber=start, end_chamber=cur_ch,
                               steps=steps, regular_point=x_dir,
                               end_element=cur_wt)
         if len(steps) > step_cap:
-            raise _RetryWalk
+            return None
 
         cur_signs = [cur_ch.sign(r) for r in range(npos)]
         tol = 1e-11 * scale_ref
         h = 0.25
         s0 = s_anchor
-        candidates: list[int] | None = None
-        s_after = s0
         while h < 1e6:
             s1 = s0 + h
             flips, tiny = _walls_near(float_vals(s1), cur_signs, tol)
@@ -311,17 +312,12 @@ def _walk_once(w: TwistedElement, eig: EigenDecomposition, start: Chamber,
                     s1, flips, tiny = mid, flips_m, tiny_m
             # The isolated wall, or else every flipped or near-zero wall in
             # turn: the exact length comparison certifies the crossing.
-            candidates = sorted(flips + tiny)
-            s_after = s1
+            if not any(try_cross(r) for r in sorted(flips + tiny)):
+                return None
+            s_anchor = s1
             break
-        if candidates is None:
-            raise _RetryWalk  # guidance found no further crossing
-        if not any(try_cross(r) for r in candidates):
-            # Last resort within this attempt: any wall with a certified
-            # non-increasing crossing.
-            if not any(try_cross(r) for r in range(npos)):
-                raise _RetryWalk
-        s_anchor = s_after
+        else:
+            return None  # the guidance found no further crossing
 
 
 def _walls_near(vals: list[float], signs: list[int],

@@ -9,7 +9,9 @@ import pytest
 
 from coxmin import __version__
 from coxmin.cli import main
-from coxmin.errors import FieldMismatch, ScalarDomainError
+from coxmin.errors import (FieldMismatch, HypothesisFailed, IdentityFailed,
+                           MultiplicityMismatch, NotGoodPosition,
+                           ScalarDomainError, TheoremViolation)
 from coxmin.scalars import AlgebraicScalar
 
 
@@ -226,20 +228,41 @@ def test_malformed_matrix_file_is_a_usage_error(tmp_path, capsys, text):
     assert err.startswith("error: ")
 
 
-def test_violation_exit_code(capsys, monkeypatch):
-    # A theorem violation must surface as a fail row and exit code 1.
+@pytest.mark.parametrize("error", [TheoremViolation, IdentityFailed, HypothesisFailed,
+                                   NotGoodPosition, MultiplicityMismatch])
+def test_violation_exit_code(capsys, monkeypatch, error):
+    # A package fault in one check surfaces as a fail row of that check and
+    # exit code 1; the other checks still run and the report is written.
     import coxmin.cli as cli
-    from coxmin.errors import TheoremViolation
 
-    def boom(rec):
-        raise TheoremViolation("injected failure")
+    def boom(rec, start_index=0):
+        raise error("injected failure")
 
-    monkeypatch.setattr(cli, "verify_arrow_reduction", boom)
-    code, out, _ = run(capsys, "verify", "--type", "A2", "--checks", "gp1")
+    monkeypatch.setattr(cli, "good_min_element", boom)
+    code, out, _ = run(capsys, "verify", "--type", "A2", "--checks", "gp1,good")
     assert code == 1
     results = json.loads(out)["results"]
-    assert any(r["status"] == "fail" and "injected" in r["detail"]
-               for r in results)
+    assert {r["status"] for r in results if r["check"] == "gp1"} == {"pass"}
+    good = [r for r in results if r["check"] == "good"]
+    assert good and all(r["status"] == "fail" and "injected" in r["detail"]
+                        for r in good)
+
+
+# A3 x A3 as one block-diagonal matrix.  Both twists swap the two factors and
+# reverse one of them, so they have order 4.
+A3XA3 = [[1, 3, 2, 2, 2, 2], [3, 1, 3, 2, 2, 2], [2, 3, 1, 2, 2, 2],
+         [2, 2, 2, 1, 3, 2], [2, 2, 2, 3, 1, 3], [2, 2, 2, 2, 3, 1]]
+
+
+@pytest.mark.parametrize("twist", ["4,5,6,3,2,1", "6,5,4,1,2,3"])
+def test_verify_a3xa3_order_four_twists(capsys, tmp_path, twist):
+    path = tmp_path / "A3xA3.json"
+    path.write_text(json.dumps(A3XA3))
+    code, out, _ = run(capsys, "verify", "--matrix", str(path), "--twist", twist)
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert {r["status"] for r in results} <= {"pass", "skip"}
+    assert sum(r["check"] == "walk" and r["status"] == "pass" for r in results) == 5
 
 
 @pytest.mark.parametrize("error", [FieldMismatch, ScalarDomainError, ArithmeticError])

@@ -16,9 +16,11 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # augmented span solve that the integer rref and the reduction test
 # replaced, and the span test by a fresh RREF), the worker pool of the
 # removed parallel verify (serial verify was faster on every input
-# measured), and the root-system cache with the environment lookup that
+# measured), the root-system cache with the environment lookup that
 # named its directory (a cache load rebuilt every reflection table to check
-# it, so it saved no measurable time; every run builds from the matrix).
+# it, so it saved no measurable time; every run builds from the matrix), and
+# the walk's capped start search, restarts and stuck error (the start point
+# has a proven bound and an exact search backs the float guidance).
 BANNED = ("ConstructionFailed", "SearchBound", "conjugate_by_index",
           "_twist_body", "conj", "pruned", "is_valid", "expand",
           "is_left_weighted_pair", "reflection_element", "reflect_vector",
@@ -26,7 +28,8 @@ BANNED = ("ConstructionFailed", "SearchBound", "conjugate_by_index",
           "solve_in_span", "rref_by_inverses", "subspace_contains",
           "multiprocessing", "_pool_init", "_pool_check", "_POOL_STATE",
           "load_or_build", "system_to_json", "system_from_json", "cache_key",
-          "CACHE_SCHEMA", "cache_dir", "tempfile", "environ", "getenv")
+          "CACHE_SCHEMA", "cache_dir", "tempfile", "environ", "getenv",
+          "_RetryWalk", "_START_ATTEMPTS", "WalkStuck", "_good_start_points")
 
 
 def test_no_asserts_and_no_capped_construction_error():

@@ -9,11 +9,13 @@ from pathlib import Path
 import pytest
 
 from coxmin.conjugacy import enumerate_classes
-from coxmin.coxeter import (Chamber, build_system, conjugate_by_chamber,
-                            named_matrix, untwisted)
-from coxmin.eigen import eigen_decomposition, fixed_space, regular_point
+from coxmin.coxeter import (Chamber, CoxeterMatrix, DiagramTwist, build_system,
+                            conjugate_by_chamber, named_matrix, untwisted)
+from coxmin.eigen import (eigen_decomposition, fixed_space, hyperplanes_containing,
+                          regular_point)
 from coxmin.errors import HypothesisFailed
-from coxmin.walk import (component_length, decompose_at_regular,
+from coxmin.linalg import rref
+from coxmin.walk import (_start_point, component_length, decompose_at_regular,
                          derivative_test, descent_walk, flow_curve,
                          special_length_formula, strongly_connected_step)
 from oracles import reflection_element
@@ -82,6 +84,99 @@ def test_derivative_lemma_property(name):
         assert derivative_test(w, wall, h, v) > 0
         checked += 1
     assert checked >= 10
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "F4", "I2(5)"])
+def test_interior_point_is_rho(name):
+    # t = 1 is x_A(rho), rho the exact solution of B p = 1.
+    system = build_system(named_matrix(name))
+    n, field = system.rank, system.field
+    red, pivots = rref([tuple(system.bilinear[i]) + (field.one,) for i in range(n)])
+    assert pivots == list(range(n))
+    rho = tuple(row[n] for row in red)
+    assert Chamber.fundamental(system).interior_point() == rho
+    x = system.element_from_word([0, 1, 0])
+    assert Chamber(system, x).interior_point() == x.apply(rho)
+
+
+@pytest.mark.parametrize("name", ["B3", "H3"])
+def test_interior_points_lie_in_the_open_chamber(name):
+    # <alpha_i, sum_j t^j omega_j> = t^i > 0, so every y(t), t > 0, is an
+    # exact interior point of its chamber.
+    system = build_system(named_matrix(name))
+    table = system.table()
+    fund = Chamber.fundamental(system)
+    for t in range(1, 5):
+        p = fund.interior_point(t)
+        assert [system.pair_root(i, p) for i in range(system.rank)] == \
+            [t ** i for i in range(system.rank)]
+    for idx in range(table.size):
+        A = Chamber(system, table.element(idx))
+        for t in range(1, 5):
+            p = A.interior_point(t)
+            assert all(system.pair_root(r, p).sign() == A.sign(r)
+                       for r in range(system.npos))
+
+
+def test_start_point_past_an_unusable_rho():
+    # For the reflection s_1 of A2, V_w is the line fixed by s_1, and the
+    # V_w-component of rho in the chamber s_2 lies on another root's
+    # hyperplane; the start point moves on to t = 2, within the bound
+    # (n - 1) #avoid + 1.
+    a2 = build_system(named_matrix("A2"))
+    w = untwisted(a2.generator(0))
+    eig = eigen_decomposition(w, dft_check=False)
+    h_vwt = hyperplanes_containing(a2, eig.v_wt)
+    bound = (a2.rank - 1) * (a2.npos - len(h_vwt)) + 1
+    A = Chamber(a2, a2.element_from_word([1]))
+
+    def limit(t):
+        return eig.project(A.interior_point(t))[eig.theta0]
+
+    def regular(x):
+        return all(r in h_vwt or not a2.pair_root(r, x).is_zero()
+                   for r in range(a2.npos))
+
+    assert not regular(limit(1))
+    _, x, signs = _start_point(eig, A, 0)
+    assert x == limit(2) and regular(x) and 2 <= bound
+    assert signs == [a2.pair_root(r, x).sign() for r in range(a2.npos)]
+    # start_index offsets t: the least t above it.
+    assert _start_point(eig, A, 1)[1] == limit(2)
+    assert _start_point(eig, A, 2)[1] == limit(3)
+    res = descent_walk(w, A)
+    assert res.regular_point == x
+    assert res.end_chamber.contains_in_closure(x)
+
+
+# A3 x A3 as one block-diagonal matrix; both twists swap the factors and
+# reverse one of them (order 4).
+A3XA3 = [[1, 3, 2, 2, 2, 2], [3, 1, 3, 2, 2, 2], [2, 3, 1, 2, 2, 2],
+         [2, 2, 2, 1, 3, 2], [2, 2, 2, 3, 1, 3], [2, 2, 2, 2, 3, 1]]
+
+
+@pytest.mark.parametrize("twist", [(3, 4, 5, 2, 1, 0), (5, 4, 3, 0, 1, 2)])
+def test_a3xa3_walks_end_from_every_chamber(twist):
+    # Every class of an order-4 twist of A3 x A3 from all 576 chambers: the
+    # steps never raise the length, the chain replays, and the end chamber's
+    # closure holds the regular point of V_w.
+    system = build_system(CoxeterMatrix(A3XA3))
+    table = system.table()
+    records = enumerate_classes(system, DiagramTwist(system.matrix, twist))
+    assert len(records) == 5
+    for rec in records:
+        w = rec.representative
+        eig = eigen_decomposition(w, dft_check=False)
+        view = eig.system
+        h_vwt = hyperplanes_containing(view, eig.v_wt)
+        for idx in range(table.size):
+            A = Chamber(system, table.element(idx))
+            res = descent_walk(w, A)
+            assert all(s.length_after <= s.length_before for s in res.steps)
+            assert res.chain.apply(conjugate_by_chamber(w, A)) == res.end_element
+            assert res.end_chamber.contains_in_closure(res.regular_point)
+            assert all(r in h_vwt or not view.pair_root(r, res.regular_point).is_zero()
+                       for r in range(view.npos))
 
 
 def test_walk_trivial_cases():
