@@ -8,13 +8,14 @@ each row is lowered to the numerators of its scalars over their common
 denominator: plain ints at level 1, and integer polynomials in c of degree
 below m otherwise (c is an algebraic integer, so their products reduce by
 the field's integral table and stay integral).  A pivot p that is not a
-rational integer is made one by scaling its row by the numerator of
-p^-1, one inverse per such pivot; then each other row with f in the pivot
-column becomes d*row - f*pivot_row, d the pivot's integer, and every row
-is divided by the gcd of all its integer coefficients.  At the end each
-pivot row is divided by its pivot integer.  The RREF of a row space is
-unique and the scalars' normal form canonical, so the result is the one an
-elimination over the scalars themselves gives.
+rational integer is made one by scaling its row by the field's integer
+cofactor u of p (p u is a nonzero integer; no scalar is built or inverted);
+then each other row with f in the pivot column becomes d*row - f*pivot_row,
+d the pivot's integer, and every row is divided by the gcd of all its
+integer coefficients.  At the end each pivot row is divided by its pivot
+integer.  The RREF of a row space is unique and the scalars' normal form
+canonical, so the result is the one an elimination over the scalars
+themselves gives.
 
 A span test needs no new elimination: with (R, p) the RREF of a basis, v
 lies in the span iff v - sum_k v[p_k] R_k is zero (in_span).  eigen
@@ -41,7 +42,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .errors import FieldMismatch, TheoremViolation
-from .scalars import AlgebraicScalar, ScalarField, _normal
+from .scalars import AlgebraicScalar, ScalarField, _normal, _primitive
 
 Vector = tuple[AlgebraicScalar, ...]
 Matrix = list[Vector]
@@ -125,24 +126,18 @@ class _IntegerRows:
 
     def lower(self, row: Vector) -> list[int]:
         den = math.lcm(*[s.den for s in row])
-        return self.primitive([s.num[0] * (den // s.den) for s in row])
+        return _primitive([s.num[0] * (den // s.den) for s in row])
 
     @staticmethod
     def pivot(row: list[int], c: int) -> tuple[int, list[int]]:
         return row[c], row
 
     def combine(self, d: int, x: list[int], f: int, y: list[int]) -> list[int]:
-        return self.primitive([d * a - f * b for a, b in zip(x, y)])
+        return _primitive([d * a - f * b for a, b in zip(x, y)])
 
     def finish(self, row: list[int], c: int) -> Vector:
         field, d = self.field, row[c]
         return tuple([_normal(field, (a,), d) for a in row])
-
-    @staticmethod
-    def primitive(row: list[int]) -> list[int]:
-        """The row divided by its content (a zero row is kept as it is)."""
-        g = math.gcd(*row)
-        return [a // g for a in row] if g > 1 else row
 
 
 class _PolynomialRows:
@@ -164,8 +159,8 @@ class _PolynomialRows:
         """(d, row') with row' a multiple of row whose entry c is d, an integer."""
         p = row[c]
         if any(p[1:]):
-            inv = _normal(self.field, p, 1).inverse().num
-            row = self.primitive([self.mul(inv, a) for a in row])
+            u = self.field.cofactor(p)[0]
+            row = self.primitive([self.mul(u, a) for a in row])
         return row[c][0], row
 
     def combine(self, d: int, x, f, y) -> list[tuple[int, ...]]:
@@ -236,17 +231,16 @@ def subspace_equal(b1: Matrix, b2: Matrix) -> bool:
 
 
 def _fractions_by_height() -> Iterator[Fraction]:
+    """Q ordered by height max(|a|, b) of a/b in lowest terms, ties by value.
+
+    The fractions of height h are the coprime pairs on the rim of the box
+    [-h, h] x [1, h]: a = +-h with b <= h, or b = h with 0 < |a| < h.
+    """
     yield Fraction(0)
-    seen = {Fraction(0)}
     for h in itertools.count(1):
-        batch = []
-        for b in range(1, h + 1):
-            for a in range(-h, h + 1):
-                f = Fraction(a, b)
-                if f not in seen:
-                    seen.add(f)
-                    batch.append(f)
-        yield from sorted(batch)
+        rim = [(a, b) for b in range(1, h + 1) for a in (-h, h)]
+        rim += [(a, h) for a in range(1 - h, h) if a]
+        yield from sorted(Fraction(a, b) for a, b in rim if math.gcd(a, b) == 1)
 
 
 def rational_tuples(m: int, start_index: int = 0) -> Iterator[tuple[Fraction, ...]]:

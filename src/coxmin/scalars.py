@@ -9,13 +9,20 @@ n_{m-1} c^{m-1}) / den, with gcd(n_0, ..., n_{m-1}, den) = 1 and zero as
 0/1.  c is an algebraic integer (its minimal polynomial is monic with
 integer coefficients), so the table that reduces c^k for k >= m is integral
 and a sum or product costs integer operations plus one gcd (Cohen, A Course
-in Computational Algebraic Number Theory, GTM 138).  The normal form is
-unique, so equality, and equality with zero, is a syntactic check.  The
-sign of a nonzero scalar is determined by evaluating num on a shrinking
-rational interval that isolates c among the roots of the minimal polynomial
-(Sturm isolation once per field, plain sign-change bisection afterwards);
-den > 0 does not change it.  Sign queries are total: they never return
-"unknown".
+in Computational Algebraic Number Theory, GTM 138).  An inverse is an
+integer cofactor: u with num * u = N a nonzero integer, the conjugate over
+the norm in degree 2 and otherwise a column of a fraction-free (Bareiss)
+elimination on the integer matrix of multiplication by num; then
+(num/den)^-1 = den u / N.  The normal form is unique, so equality, and
+equality with zero, is a syntactic check.
+
+The sign of a nonzero scalar is determined by evaluating num in integer
+interval arithmetic on a shrinking interval [lo, hi] / 2^k, lo and hi
+integers, that isolates c among the roots of the minimal polynomial; den > 0
+does not change it.  The interval comes from a bisection of [-3, 2] by a
+Sturm chain of integer pseudo-remainders evaluated at dyadic points, once
+per field, and then halves by the signs of the minimal polynomial at its
+lower end and midpoint.  Sign queries are total: they never return "unknown".
 
 Levels.  For q in [0, 1] in lowest terms, 2cos(q*pi) is rational (2, 1, 0,
 -1 or -2) when the denominator of q is at most 3, and otherwise lies in
@@ -41,8 +48,6 @@ from .errors import FieldMismatch, FieldTooSmall, ScalarDomainError
 
 Coeffs = tuple[Fraction, ...]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 _FLOAT_EPS = Fraction(1, 10**17)
 
 # 2cos(q*pi) for the q in [0, 1] where it is rational.
@@ -58,15 +63,6 @@ def _poly_trim(p: list) -> list:
     while p and p[-1] == 0:
         p.pop()
     return p
-
-
-def _poly_mul(a: Sequence, b: Sequence) -> list:
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
 
 
 def _poly_divmod_exact(num: Sequence[int], den: Sequence[int]) -> list[int]:
@@ -122,7 +118,7 @@ def minpoly_two_cos_pi_over(L: int) -> Coeffs:
     if L < 1:
         raise ScalarDomainError(f"field level must be >= 1, not {L}")
     if L == 1:
-        return (Fraction(2), _ONE)  # y + 2, root -2
+        return (Fraction(2), Fraction(1))  # y + 2, root -2
     phi = cyclotomic(2 * L)
     d = len(phi) - 1
     if d % 2 or phi[0] != phi[d]:
@@ -140,34 +136,47 @@ def minpoly_two_cos_pi_over(L: int) -> Coeffs:
 
 
 # ---------------------------------------------------------------------------
-# Fraction-polynomial helpers for Sturm sequences.
+# Integer Sturm chains, evaluated at dyadic points n / 2^k.
 
 
-def _fpoly_eval(p: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = _ZERO
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
+def _dyadic_sign(p: Sequence[int], n: int, k: int) -> int:
+    """Sign of p(n / 2^k): integer Horner on 2^(k deg p) p(n / 2^k)."""
+    acc, scale = p[-1], 1
+    for c in p[-2::-1]:
+        scale <<= k
+        acc = acc * n + c * scale
+    return (acc > 0) - (acc < 0)
 
 
-def _sturm_chain(p: Sequence[Fraction]) -> list[list[Fraction]]:
-    chain = [list(p)]
-    dp = [i * c for i, c in enumerate(p)][1:]
-    chain.append(dp)
+def _primitive(p: list[int]) -> list[int]:
+    """p divided by its content (a zero p is kept as it is)."""
+    g = math.gcd(*p)
+    return [c // g for c in p] if g > 1 else p
+
+
+def _sturm_chain(p: Sequence[int]) -> list[list[int]]:
+    """The Sturm chain of p, each member a positive multiple of the chain in
+    rationals: a pseudo-remainder scaled by |lead| at each step keeps the
+    sign, and dividing out the content keeps the integers small."""
+    chain = [list(p), _primitive([i * c for i, c in enumerate(p)][1:])]
     while len(chain[-1]) > 1:
-        r = _fpoly_divmod(chain[-2], chain[-1])[1]
+        r, b = list(chain[-2]), chain[-1]
+        lead = b[-1]
+        scale, sgn = abs(lead), 1 if lead > 0 else -1
+        while len(r) >= len(b):
+            top, shift = r[-1] * sgn, len(r) - len(b)
+            r = [scale * x for x in r]
+            for j, bj in enumerate(b):
+                r[shift + j] -= top * bj
+            _poly_trim(r)
         if not r:
             break
-        chain.append([-c for c in r])
+        chain.append(_primitive([-c for c in r]))
     return chain
 
 
-def _sturm_variations(chain: list[list[Fraction]], x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = _fpoly_eval(p, x)
-        if v:
-            signs.append(1 if v > 0 else -1)
+def _sturm_variations(chain: list[list[int]], n: int, k: int) -> int:
+    signs = [s for s in (_dyadic_sign(p, n, k) for p in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -196,7 +205,6 @@ class ScalarField:
         self.one = AlgebraicScalar(self, (1,) + self._tail)
         if m == 1:
             self.gen = self.from_rational(-mp[0])
-            self._lo = self._hi = Fraction(-mp[0])
         else:
             self.gen = AlgebraicScalar(self, (0, 1) + (0,) * (m - 2))
             self._isolate_generator()
@@ -205,48 +213,43 @@ class ScalarField:
     def __repr__(self) -> str:
         return f"ScalarField(L={self.L})"
 
+    # The isolating interval of the generator is [_ilo, _ihi] / 2^_k with
+    # the least _k >= 0.  It starts at [-3, 2] and only ever halves, so its
+    # ends stay dyadic; its midpoint is (_ilo + _ihi) / 2^(_k + 1).
+
+    def _halve(self, upper: bool) -> None:
+        """Keep the upper or the lower half of the isolating interval."""
+        lo, hi, k = self._ilo << 1, self._ihi << 1, self._k + 1
+        mid = self._ilo + self._ihi
+        lo, hi = (mid, hi) if upper else (lo, mid)
+        while k and not (lo | hi) & 1:
+            lo, hi, k = lo >> 1, hi >> 1, k - 1
+        self._ilo, self._ihi, self._k = lo, hi, k
+
     def _isolate_generator(self) -> None:
-        # c = 2cos(pi/L) is the largest real root of the minimal polynomial.
-        chain = _sturm_chain(self.minpoly)
-        lo, hi = Fraction(-3), Fraction(2)
-
-        def count(a: Fraction, b: Fraction) -> int:
-            return _sturm_variations(chain, a) - _sturm_variations(chain, b)
-
-        while count(lo, hi) > 1:
-            mid = (lo + hi) / 2
-            if count(mid, hi) >= 1:
-                lo = mid
-            else:
-                hi = mid
-        self._lo, self._hi = lo, hi
-        self._set_dyadic()
+        # c = 2cos(pi/L) is the largest real root of the minimal polynomial:
+        # bisect [-3, 2] by Sturm counts of the roots in (lo, hi] until it
+        # holds one root.
+        chain = _sturm_chain(self._mp)
+        self._ilo, self._ihi, self._k = -3, 2, 0
+        while True:
+            lo, hi, k = self._ilo, self._ihi, self._k
+            v_hi = _sturm_variations(chain, hi, k)
+            if _sturm_variations(chain, lo, k) - v_hi <= 1:
+                return
+            self._halve(_sturm_variations(chain, lo + hi, k + 1) - v_hi >= 1)
 
     def refine(self) -> None:
         """Halve the isolating interval of the generator."""
         if self.degree == 1:
             return
-        lo, hi = self._lo, self._hi
-        mid = (lo + hi) / 2
-        fm = _fpoly_eval(self.minpoly, mid)
-        fl = _fpoly_eval(self.minpoly, lo)
+        lo, hi, k = self._ilo, self._ihi, self._k
         # The minimal polynomial is irreducible of degree >= 2, so it has no
-        # rational roots and fm != 0; fl may be 0 only at the initial -3.
-        if fl == 0 or (fl > 0) != (fm > 0):
-            self._hi = mid
-        else:
-            self._lo = mid
-        if self._hi - self._lo != (hi - lo) / 2:
+        # rational roots: neither sign is 0, and c lies in the upper half
+        # exactly when p(lo) and p(mid) agree.
+        self._halve(_dyadic_sign(self._mp, lo, k) == _dyadic_sign(self._mp, lo + hi, k + 1))
+        if (self._ihi - self._ilo) << (k + 1 - self._k) != hi - lo:
             raise ArithmeticError("isolating interval did not halve")
-        self._set_dyadic()
-
-    def _set_dyadic(self) -> None:
-        # The isolating interval starts at [-3, 2] and only ever halves, so
-        # its ends are dyadic: lo = _ilo / 2^_k and hi = _ihi / 2^_k.
-        lo, hi = self._lo, self._hi
-        self._k = k = max(lo.denominator, hi.denominator).bit_length() - 1
-        self._ilo = lo.numerator << (k - lo.denominator.bit_length() + 1)
-        self._ihi = hi.numerator << (k - hi.denominator.bit_length() + 1)
 
     # -- constructors -------------------------------------------------------
 
@@ -325,6 +328,42 @@ class ScalarField:
                 for i, r in row:
                     out[i] += ck * r
         return tuple(out)
+
+    def cofactor(self, num: Sequence[int]) -> tuple[tuple[int, ...], int]:
+        """(u, N) with (sum num[i] c^i)(sum u[j] c^j) = N, a nonzero integer;
+        num is not zero.
+
+        In degree 2 the conjugate over the norm.  Otherwise u solves M u =
+        N e_0 for M the integer matrix of multiplication by num (column j
+        holds num c^j): a fraction-free Gauss-Jordan elimination on
+        [M | e_0], each update divided exactly by the previous pivot
+        (Bareiss), leaves N on the diagonal and u in the last column.
+        """
+        mp, m = self._mp, self.degree
+        if m == 2:
+            # With c^2 + p1 c + p0 = 0 and c' the conjugate root (c + c' =
+            # -p1, c c' = p0): (a0 + a1 c)(a0 + a1 c') = a0^2 - a0 a1 p1 +
+            # a1^2 p0.  Most inverses are over H3, B3, F4 and G2.
+            a0, a1 = num
+            return (a0 - a1 * mp[1], -a1), a0 * a0 - a0 * a1 * mp[1] + a1 * a1 * mp[0]
+        cols = [list(num)]
+        for _ in range(m - 1):
+            col = cols[-1]
+            top = col[-1]  # c * col, with c^m = -(mp[0] + ... + mp[m-1] c^(m-1))
+            cols.append([-top * mp[0]] + [a - top * b for a, b in zip(col, mp[1:-1])])
+        # Row i holds columns k .. m of [M | e_0] at step k: the columns
+        # before k are cleared and not read again.
+        rows = [[col[i] for col in cols] + [int(i == 0)] for i in range(m)]
+        prev = 1
+        for k in range(m):
+            pr = next(i for i in range(k, m) if rows[i][0])
+            rows[k], rows[pr] = rows[pr], rows[k]
+            pivot = rows[k][1:]
+            p = rows[k][0]
+            rows = [[(p * a - row[0] * b) // prev for a, b in zip(row[1:], pivot)]
+                    if i != k else pivot for i, row in enumerate(rows)]
+            prev = p
+        return tuple([u for u, in rows]), prev
 
     # -- certified signs and intervals -----------------------------------------
 
@@ -474,29 +513,13 @@ class AlgebraicScalar:
     __rmul__ = __mul__
 
     def inverse(self) -> "AlgebraicScalar":
-        """Multiplicative inverse: a closed form in degree 2, else the
-        extended Euclidean algorithm."""
+        """Multiplicative inverse: (num/den)^-1 = den u / N for (u, N) the
+        field's integer cofactor of num."""
         if self.is_zero():
             raise ScalarDomainError("inverse of zero")
-        field, den = self.field, self.den
-        if field.degree == 2:
-            # With c^2 + p1 c + p0 = 0 and c' the conjugate root (c + c' = -p1,
-            # c c' = p0): 1/(a0 + a1 c) = (a0 + a1 c') / norm.  Most inverses
-            # are pivots of rref over H3, B3, F4 and G2, all of degree 2.
-            p0, p1 = field._mp[0], field._mp[1]
-            a0, a1 = self.num
-            norm = a0 * a0 - a0 * a1 * p1 + a1 * a1 * p0
-            return _normal(field, ((a0 - a1 * p1) * den, -a1 * den), norm)
-        # (num/den)^-1 = den * u for u with u*num + v*minpoly = 1 in Q[x].
-        r0 = list(field.minpoly)
-        r1 = _poly_trim([Fraction(n) for n in self.num])
-        s0, s1 = [], [_ONE]
-        while len(r1) > 1:
-            q, rem = _fpoly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _fpoly_sub(s0, _poly_trim(_poly_mul(q, s1)))
-        scale = den / r1[0]
-        return field.scalar([x * scale for x in s1])
+        u, norm = self.field.cofactor(self.num)
+        den = self.den
+        return _normal(self.field, tuple([den * x for x in u]), norm)
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -572,24 +595,3 @@ class AlgebraicScalar:
                 terms.append(f"{c}" if i == 0 else (f"{c}*c^{i}" if i > 1 else f"{c}*c"))
         return "(" + (" + ".join(terms) if terms else "0") + f" | L={self.field.L})"
 
-
-def _fpoly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = list(a)
-    q = [_ZERO] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b) and a:
-        coef = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        q[shift] = coef
-        for j, bj in enumerate(b):
-            a[shift + j] -= coef * bj
-        while a and a[-1] == 0:
-            a.pop()
-    return q, a
-
-
-def _fpoly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = list(a) + [_ZERO] * (n - len(a))
-    for i, bi in enumerate(b):
-        a[i] -= bi
-    return _poly_trim(a)

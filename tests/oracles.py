@@ -5,6 +5,7 @@ the package computes over its tables; the tests compare the two.
 """
 
 import itertools
+from fractions import Fraction
 
 from coxmin.braid import TwistedBraid
 from coxmin.coxeter import GroupElement, compose, invert_perm
@@ -241,3 +242,106 @@ def to_word_by_descents(element):
         i = min(ld)
         word.append(i)
         cur = system.generator(i) * cur
+
+
+# ---------------------------------------------------------------------------
+# The field layer in Fraction arithmetic, as it was before it ran on integers.
+
+
+def _fpoly_eval(p, x):
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def _fpoly_divmod(a, b):
+    a = list(a)
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b) and a:
+        coef = a[-1] / b[-1]
+        shift = len(a) - len(b)
+        q[shift] = coef
+        for j, bj in enumerate(b):
+            a[shift + j] -= coef * bj
+        while a and a[-1] == 0:
+            a.pop()
+    return q, a
+
+
+def _fpoly_trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def euclid_inverse(s):
+    """(num/den)^-1 = den * u for u with u*num + v*minpoly = 1 in Q[x], by
+    the extended Euclidean algorithm on Fraction polynomials; the rational
+    coefficients of the inverse."""
+    field = s.field
+    r0 = list(field.minpoly)
+    r1 = _fpoly_trim([Fraction(n) for n in s.num])
+    s0, s1 = [], [Fraction(1)]
+    while len(r1) > 1:
+        q, rem = _fpoly_divmod(r0, r1)
+        r0, r1 = r1, rem
+        prod = [Fraction(0)] * (len(q) + len(s1) - 1)
+        for i, qi in enumerate(q):
+            for j, sj in enumerate(s1):
+                prod[i + j] += qi * sj
+        diff = list(s0) + [Fraction(0)] * max(len(prod) - len(s0), 0)
+        for i, pi in enumerate(prod):
+            diff[i] -= pi
+        s0, s1 = s1, _fpoly_trim(diff)
+    scale = Fraction(s.den) / r1[0]
+    coeffs = [x * scale for x in s1]
+    return tuple(coeffs) + (Fraction(0),) * (field.degree - len(coeffs))
+
+
+def fraction_sturm_intervals(minpoly):
+    """The isolating intervals (lo, hi) of the largest real root of a
+    minimal polynomial of degree >= 2: the one a Sturm bisection of
+    [-3, 2] gives, then the one after each halving, forever."""
+    chain = [list(minpoly), [i * c for i, c in enumerate(minpoly)][1:]]
+    while len(chain[-1]) > 1:
+        r = _fpoly_divmod(chain[-2], chain[-1])[1]
+        if not r:
+            break
+        chain.append([-c for c in r])
+
+    def variations(x):
+        signs = [v > 0 for v in (_fpoly_eval(p, x) for p in chain) if v]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    lo, hi = Fraction(-3), Fraction(2)
+    while variations(lo) - variations(hi) > 1:
+        mid = (lo + hi) / 2
+        if variations(mid) - variations(hi) >= 1:
+            lo = mid
+        else:
+            hi = mid
+    while True:
+        yield lo, hi
+        mid = (lo + hi) / 2
+        fm, fl = _fpoly_eval(minpoly, mid), _fpoly_eval(minpoly, lo)
+        if fl == 0 or (fl > 0) != (fm > 0):
+            hi = mid
+        else:
+            lo = mid
+
+
+def fractions_by_height_boxes():
+    """Q ordered by height max(|a|, b), ties by value: each box
+    [-h, h] x [1, h] scanned whole, the fractions seen before dropped."""
+    yield Fraction(0)
+    seen = {Fraction(0)}
+    for h in itertools.count(1):
+        batch = []
+        for b in range(1, h + 1):
+            for a in range(-h, h + 1):
+                f = Fraction(a, b)
+                if f not in seen:
+                    seen.add(f)
+                    batch.append(f)
+        yield from sorted(batch)

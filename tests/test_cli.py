@@ -113,6 +113,22 @@ def test_python_m_coxmin_runs_the_cli():
     assert proc.stdout.strip() == __version__
 
 
+def test_large_seed_index_runs_in_seconds():
+    # The free regular point of a one-dimensional subspace starts at the
+    # seed-th fraction by height; drawing the first 100,000 takes a fraction
+    # of a second when each height costs only its coprime rim pairs.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "coxmin", "verify", "--type", "A2",
+                           "--checks", "good", "--seed-index", "100000"],
+                          env=env, capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)["results"]
+    assert [r["status"] for r in results] == ["pass"] * 3
+
+
 def test_verify_small_all_pass(capsys):
     code, out, _ = run(capsys, "verify", "--type", "B2",
                        "--checks", "gp1,gp2,elliptic,tau,good,quasi")

@@ -15,7 +15,8 @@ from coxmin.conjugacy import (ReductionChain, TwistedCoset, _strong_related,
                               path_graph, strong_partition,
                               verify_arrow_reduction, verify_elliptic_approx,
                               verify_tau_surjective)
-from coxmin.coxeter import (build_system, enumerate_twists, named_matrix,
+from coxmin.coxeter import (CoxeterMatrix, DiagramTwist, build_system,
+                            enumerate_twists, named_matrix,
                             untwisted, is_minimal_double_coset_rep,
                             normalizes_parabolic, parabolic_max)
 from coxmin.errors import TheoremViolation, TooLarge
@@ -461,3 +462,71 @@ def _expect_violation_under_optimize(script):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("TheoremViolation"), proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# Reducible W: the classes of a product against those of its factors.
+
+
+def _block_diagonal(*names):
+    """The Coxeter matrix of the product of the named types, one block each."""
+    blocks = [named_matrix(name).entries for name in names]
+    n = sum(len(b) for b in blocks)
+    rows, at = [], 0
+    for b in blocks:
+        for row in b:
+            rows.append((2,) * at + tuple(row) + (2,) * (n - at - len(row)))
+        at += len(b)
+    return CoxeterMatrix(rows)
+
+
+def _table(system, perm):
+    """Sorted (minimal length, size) of the classes in the coset W d."""
+    twist = DiagramTwist(system.matrix, perm)
+    return sorted((r.min_length, r.size) for r in enumerate_classes(system, twist))
+
+
+@pytest.mark.parametrize("name,twist,lengths,sizes", [
+    ("A2", "3,4,1,2", [0, 1, 2], [6, 18, 12]),
+    ("A3", "4,5,6,1,2,3", [0, 1, 2, 2, 3], [24, 144, 72, 192, 144]),
+    ("A3", "4,5,6,3,2,1", [0, 1, 1, 2, 6], [72, 144, 144, 192, 24]),
+    ("A3", "6,5,4,1,2,3", [0, 1, 1, 2, 6], [72, 144, 144, 192, 24]),
+])
+def test_twist_swapping_factors_matches_the_factor(name, twist, lengths, sizes):
+    # d swaps the two copies of W, so (a, b) conjugation moves the product
+    # of the two components by delta-twisted conjugation, delta the
+    # automorphism d^2 induces on the first factor: the classes of W x W
+    # under d are those of W under delta, each |W| times larger, with the
+    # same minimal lengths.
+    factor = build_system(named_matrix(name))
+    n = factor.rank
+    perm = [int(x) - 1 for x in twist.split(",")]
+    delta = [perm[perm[i]] for i in range(n)]
+    order = factor.table().size
+    want = [(length, order * size) for length, size in _table(factor, delta)]
+    got = _table(build_system(_block_diagonal(name, name)), perm)
+    assert got == want
+    assert [length for length, _ in got] == lengths
+    assert [size for _, size in got] == sizes
+
+
+def test_twist_keeping_factors_multiplies_classes():
+    # A2 x A1 under the flip of A2: a class is a product of classes of the
+    # factors, so minimal lengths add and sizes multiply.
+    a2, a1 = build_system(named_matrix("A2")), build_system(named_matrix("A1"))
+    want = sorted((l2 + l1, s2 * s1) for l2, s2 in _table(a2, [1, 0])
+                  for l1, s1 in _table(a1, [0]))
+    assert _table(build_system(_block_diagonal("A2", "A1")), [1, 0, 2]) == want
+    assert want == [(0, 3), (1, 2), (1, 3), (2, 2), (3, 1), (4, 1)]
+
+
+@pytest.mark.parametrize("name,counts", [
+    ("A5", [11, 11]), ("A6", [15, 15]), ("B5", [36]), ("D5", [18, 18]),
+    ("D6", [37, 31]),
+])
+def test_rank_five_and_six_class_counts(name, counts):
+    # Carter, Conjugacy classes in the Weyl group (Compositio Math. 25, 1972):
+    # one count per twist, the identity first.
+    system = build_system(named_matrix(name))
+    assert [len(enumerate_classes(system, t))
+            for t in enumerate_twists(system.matrix)] == counts

@@ -10,8 +10,9 @@ from coxmin.linalg import (cone_from_constraints, cone_point_avoiding, in_span,
                            kernel_basis, rank, rational_tuples, rref,
                            subspace_equal, vec_add, vec_dot, vec_scale)
 from coxmin.scalars import get_field
-from oracles import (intersect_subspaces, relative_interior_point,
-                     rref_by_inverses, solve_in_span, subspace_contains)
+from oracles import (fractions_by_height_boxes, intersect_subspaces,
+                     relative_interior_point, rref_by_inverses, solve_in_span,
+                     subspace_contains)
 
 LEVELS = (1, 4, 5, 6, 12, 30)
 
@@ -172,6 +173,12 @@ def _rational_tuples_filtered(m, start_index=0):
             if idx >= start_index:
                 yield tuple(frac(i) for i in split)
             idx += 1
+
+
+def test_fractions_by_height_match_the_box_scan():
+    # The rim of each height's box against the scan of the whole box.
+    assert (list(itertools.islice(linalg._fractions_by_height(), 20000))
+            == list(itertools.islice(fractions_by_height_boxes(), 20000)))
 
 
 @pytest.mark.parametrize("m", range(1, 7))

@@ -10,8 +10,10 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coxmin.scalars import cyclotomic, get_field, minpoly_two_cos_pi_over
+from coxmin.scalars import (ScalarField, cyclotomic, get_field,
+                            minpoly_two_cos_pi_over)
 from coxmin.errors import FieldMismatch, FieldTooSmall, ScalarDomainError
+from oracles import euclid_inverse, fraction_sturm_intervals
 
 
 def test_cyclotomic_small():
@@ -186,6 +188,11 @@ def _ref_interval(coeffs, lo, hi):
     return rl, rh
 
 
+def _isolating_interval(f):
+    """The generator's isolating interval as Fractions."""
+    return Fraction(f._ilo, 1 << f._k), Fraction(f._ihi, 1 << f._k)
+
+
 def _mpf(x):
     return mpmath.mpf(x.numerator) / x.denominator
 
@@ -243,7 +250,7 @@ def test_differential_against_fraction_polynomials(data):
         # The same interval as the rational Horner on the current isolating
         # interval, and it brackets the value.
         if m > 1:
-            assert (lo, hi) == _ref_interval(coeffs, f._lo, f._hi)
+            assert (lo, hi) == _ref_interval(coeffs, *_isolating_interval(f))
         with mpmath.workdps(80):
             value = _ref_value(coeffs, L)
             tol = mpmath.mpf(10) ** -70
@@ -339,3 +346,40 @@ def test_float_is_the_rounded_interval_midpoint(L):
         assert got == float((lo + hi) / 2)
         if f.degree == 1:
             assert got == float(s.as_fraction())
+
+
+# ---------------------------------------------------------------------------
+# The integer field layer against its Fraction references.
+
+
+@pytest.mark.parametrize("L", [5, 7, 9, 12, 15, 20, 30, 60])
+def test_cofactor_and_inverse_match_euclid(L):
+    f = get_field(L)
+    m = f.degree
+    rng = random.Random(L)
+    nums = [tuple(rng.randint(-30, 30) for _ in range(m)) for _ in range(40)]
+    # Negative and non-primitive numerators, and a rational one.
+    nums += [tuple(-x for x in nums[0]), tuple(6 * x for x in nums[1]),
+             (-4,) + (0,) * (m - 1), (0,) * (m - 1) + (3,)]
+    for num in nums:
+        if not any(num):
+            continue
+        u, norm = f.cofactor(num)
+        assert norm != 0 and all(type(x) is int for x in u)
+        assert f.mul_num(num, u) == (norm,) + (0,) * (m - 1)
+        for den in (1, 7):
+            s = f.scalar([Fraction(n, den) for n in num])
+            inv = s.inverse()
+            assert inv.coeffs == euclid_inverse(s)
+            _assert_normal(inv)
+
+
+@pytest.mark.parametrize("L", [4, 5, 7, 12, 15, 20, 30, 60, 84])
+def test_isolating_interval_matches_fraction_sturm(L):
+    # A fresh field: the interval of its isolation, then after each of 60
+    # halvings, with the least power of 2 over its ends.
+    f = ScalarField(L)
+    for want, _ in zip(fraction_sturm_intervals(f.minpoly), range(61)):
+        assert _isolating_interval(f) == want
+        assert f._k == max(x.denominator for x in want).bit_length() - 1
+        f.refine()

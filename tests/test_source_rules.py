@@ -20,7 +20,11 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # named its directory (a cache load rebuilt every reflection table to check
 # it, so it saved no measurable time; every run builds from the matrix), and
 # the walk's capped start search, restarts and stuck error (the start point
-# has a proven bound and an exact search backs the float guidance).
+# has a proven bound and an exact search backs the float guidance), the
+# Fraction polynomial helpers and the Fraction copy of the isolating interval
+# that the integer field layer replaced, with their references (the Euclid
+# inverse and the Sturm bisection in Fractions), and the scan of whole
+# boxes that the fractions by height replaced.
 BANNED = ("ConstructionFailed", "SearchBound", "conjugate_by_index",
           "_twist_body", "conj", "pruned", "is_valid", "expand",
           "is_left_weighted_pair", "reflection_element", "reflect_vector",
@@ -29,7 +33,10 @@ BANNED = ("ConstructionFailed", "SearchBound", "conjugate_by_index",
           "multiprocessing", "_pool_init", "_pool_check", "_POOL_STATE",
           "load_or_build", "system_to_json", "system_from_json", "cache_key",
           "CACHE_SCHEMA", "cache_dir", "tempfile", "environ", "getenv",
-          "_RetryWalk", "_START_ATTEMPTS", "WalkStuck", "_good_start_points")
+          "_RetryWalk", "_START_ATTEMPTS", "WalkStuck", "_good_start_points",
+          "_fpoly_eval", "_fpoly_divmod", "_fpoly_sub", "_poly_mul",
+          "_set_dyadic", "_lo", "_hi", "euclid_inverse",
+          "fraction_sturm_intervals", "fractions_by_height_boxes")
 
 
 def test_no_asserts_and_no_capped_construction_error():
