@@ -10,9 +10,10 @@ point of V_w.  Every printed step below was certified in exact arithmetic.
 import random
 
 from coxmin import (Chamber, build_system, conjugate_by_chamber,
-                    descent_walk, eigen_decomposition, flow_curve,
+                    descent_walk, eigen_decomposition,
                     geometric_min_length, named_matrix, untwisted,
                     enumerate_classes)
+from coxmin.walk import decay_rate
 
 h3 = build_system(named_matrix("H3"))
 cox = untwisted(h3.element_from_word([0, 1, 2]))
@@ -23,14 +24,14 @@ for q, dim, _ in eig.entries:
 print(f"theta_0 = {eig.theta0}; eigenvectors over the field of level L = {eig.system.field.L}")
 
 # ---------------------------------------------------------------------------
-# The flow curve through an interior point of the fundamental chamber.
+# The flow curve through an interior point of the fundamental chamber:
+# C(v, t) = sum_q exp(t * decay_rate(q)) v_q over the eigencomponents v_q.
 
-system = eig.system
-C = Chamber.fundamental(system)
-curve = flow_curve(eig.owner, C.interior_point(), eig)
+C = Chamber.fundamental(eig.system)
+components = eig.project(C.interior_point())
 print("\neigencomponents of the start point (decay rate 4(1-cos theta)):")
-for q, comp in sorted(curve.components.items()):
-    print(f"  q = {q}: rate {curve.rate(q):.4f}")
+for q in sorted(components):
+    print(f"  q = {q}: rate {decay_rate(q):.4f}")
 
 # ---------------------------------------------------------------------------
 # Walks: random elements and chambers of B4, every step certified.

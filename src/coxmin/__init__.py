@@ -31,8 +31,8 @@ from .conjugacy import (TwistedCoset, ConjugacyClassRecord, ReductionChain,
                         path_graph, verify_tau_surjective,
                         verify_elliptic_approx, partial_conjugation_transfer,
                         parabolic_subsystem)
-from .walk import (FlowCurve, WalkResult, WalkStep, flow_curve, derivative_test,
-                   descent_walk, special_length_formula, decompose_at_regular,
+from .walk import (WalkResult, WalkStep, derivative_test, descent_walk,
+                   special_length_formula, decompose_at_regular,
                    component_length, strongly_connected_step,
                    geometric_min_length)
 from .braid import (BraidContext, TwistedBraid, GarsideNormalForm,

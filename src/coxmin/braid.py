@@ -30,7 +30,8 @@ from .conjugacy import ConjugacyClassRecord
 from .coxeter import (Chamber, CoxeterSystem, DiagramTwist, GroupElement,
                       TwistedElement, conjugate_by_chamber, parabolic_max)
 from .eigen import (Filtration, admissible_filtration, eigen_decomposition,
-                    good_position_chamber, order, regular_point)
+                    good_position_chamber, hyperplanes_containing, order,
+                    regular_point)
 from .errors import (HypothesisFailed, IdentityFailed, NoRegularPoint,
                      NotGoodPosition, TheoremViolation)
 
@@ -394,14 +395,14 @@ def good_min_element(record: ConjugacyClassRecord, angles=None,
     return w_a, cert
 
 
-def verify_rotation_identity(w: TwistedElement, q, d: int | None = None,
-                             context: BraidContext | None = None) -> bool:
+def verify_rotation_identity(w: TwistedElement, q) -> bool:
     """The single-eigenspace power identity for K = V^theta, theta = q*pi.
 
     Hypotheses (verified, HypothesisFailed otherwise): C and w(C) in the same
     H_K-chamber, the closure of C contains a regular point of K, W_K standard
-    parabolic, and d*q/2 integral.  Then with w1 the longest element of W_K
-    and w0 the longest element of W:
+    parabolic on I(K, C) (the simple roots in H_K: a regular point of K
+    lies on no other wall), and d*q/2 integral, d the order of w.  Then
+    with w1 the longest element of W_K and w0 the longest element of W:
 
         lift(w)^d = sigma (lift(w1 w0) lift(w0 w1))^{d q / 2}
 
@@ -410,28 +411,23 @@ def verify_rotation_identity(w: TwistedElement, q, d: int | None = None,
     q = Fraction(q)
     eig = eigen_decomposition(w, dft_check=False)
     system, w = eig.system, eig.owner
-    if context is None:
-        context = BraidContext(system, w.twist)
-    if d is None:
-        d = order(w)
+    context = BraidContext(system, w.twist)
+    d = order(w)
     if (q * d / 2).denominator != 1:
         raise HypothesisFailed("d*theta/(2*pi) is not an integer")
     basis = eig.basis_of(q)
     if not basis:
         raise HypothesisFailed(f"{q}*pi is not an angle of the element")
 
-    from .eigen import hyperplanes_containing
     h_k = hyperplanes_containing(system, basis)
     fund = Chamber.fundamental(system)
-    image = fund.image_under(w)
-    if fund.separating_set(image) & h_k:
+    if fund.separating_set(fund.image_under(w)) & h_k:
         raise HypothesisFailed("C and w(C) lie in different H_K-components")
     try:
-        point = regular_point(system, basis, inside=fund)
+        regular_point(system, basis, inside=fund)
     except NoRegularPoint as exc:
         raise HypothesisFailed("no regular point of K in the closed chamber") from exc
-    J = tuple(sorted(i for i in range(system.rank)
-                     if system.pair_root(i, point).is_zero()))
+    J = tuple(i for i in range(system.rank) if i in h_k)
     if _parabolic_positive_roots(system, J) != h_k:
         raise HypothesisFailed("W_K is not the standard parabolic on I(K, C)")
 

@@ -154,9 +154,14 @@ def cmd_classes(config: JobConfig) -> int:
     rows = []
     for label, matrix in zip(config.labels, config.matrices):
         twists = _twists_for(config, matrix)
-        system = build_system(matrix)
+        system = None
         for twist in twists:
             try:
+                if system is None:  # bound |W| before the build, as table() words it
+                    if matrix.group_order() > config.max_group_order:
+                        raise TooLarge(f"group order {matrix.group_order()} exceeds "
+                                       f"bound {config.max_group_order}")
+                    system = build_system(matrix)
                 rows.extend(_class_rows(label, system, twist, config))
             except TooLarge as exc:
                 rows.append({"type": label,

@@ -156,15 +156,16 @@ class ConjugacyClassRecord:
 
 
 def enumerate_classes(system: CoxeterSystem, twist: DiagramTwist | None = None,
-                      k: int = 1, max_order: int = 10 ** 6) -> list[ConjugacyClassRecord]:
-    """All W-conjugacy classes in the coset W d^k, as records.
+                      max_order: int = 10 ** 6) -> list[ConjugacyClassRecord]:
+    """All W-conjugacy classes in the coset W d (a power of d is a twist of
+    its own), as records.
 
     Each class's ellipticity is certified twice: by the fixed-space test and
     by the parabolic criterion (TheoremViolation if they disagree).
     """
     if twist is None:
         twist = DiagramTwist(system.matrix, tuple(range(system.rank)))
-    coset = TwistedCoset(system, twist, k, max_order)
+    coset = TwistedCoset(system, twist, max_order=max_order)
     t = coset.table
     records = []
     for cid, els in enumerate(coset.classes()):
@@ -258,8 +259,7 @@ def _plateau_exit(coset: TwistedCoset, x: int, cache: dict) -> tuple[int, int] |
     return cache[x]
 
 
-def arrow_reduce(w: TwistedElement, record: ConjugacyClassRecord | None = None,
-                 coset: TwistedCoset | None = None
+def arrow_reduce(w: TwistedElement, record: ConjugacyClassRecord | None = None
                  ) -> tuple[TwistedElement, ReductionChain]:
     """Follow non-increasing simple conjugations until no descent is reachable.
 
@@ -271,8 +271,7 @@ def arrow_reduce(w: TwistedElement, record: ConjugacyClassRecord | None = None,
         coset = record.coset
         cache = record._exit_cache
     else:
-        if coset is None:
-            coset = TwistedCoset(w.system, w.twist, w.k)
+        coset = TwistedCoset(w.system, w.twist, w.k)
         cache = {}
     x = coset.index(w)
     steps: list[tuple[int, int]] = []

@@ -517,12 +517,10 @@ def _leading_minors_positive(b: Matrix, field: ScalarField) -> bool:
     return True
 
 
-def build_system(matrix: CoxeterMatrix, L_hint: int | None = None) -> CoxeterSystem:
-    """Construct the root system by orbit closure of the simple roots."""
-    L = matrix.field_level()
-    if L_hint:
-        L = math.lcm(L, L_hint)
-    field = get_field(L)
+def build_system(matrix: CoxeterMatrix) -> CoxeterSystem:
+    """The root system over the matrix's own field, by orbit closure of the
+    simple roots (CoxeterSystem.with_field_level views it over a larger one)."""
+    field = get_field(matrix.field_level())
     b = _bilinear_matrix(matrix, field)
     if not _leading_minors_positive(b, field):
         raise NotFinite("bilinear form is not positive definite")
@@ -674,12 +672,6 @@ class GroupElement:
             term = tuple(vj * c for c in rv)
             acc = term if acc is None else tuple(a + t for a, t in zip(acc, term))
         return acc if acc is not None else tuple(sys.field.zero for _ in v)
-
-    def matrix(self) -> Matrix:
-        """Rows of the matrix of this element acting on V (simple basis)."""
-        sys = self.system
-        cols = [sys.root_vector(self.perm[j]) for j in range(sys.rank)]
-        return [tuple(cols[j][i] for j in range(sys.rank)) for i in range(sys.rank)]
 
     def __eq__(self, other):
         return isinstance(other, GroupElement) and self.perm == other.perm

@@ -45,7 +45,7 @@ from .errors import (FieldTooSmall, MultiplicityMismatch, NoRegularPoint,
 from .linalg import (Matrix, Vector, cone_from_constraints, cone_point_avoiding,
                      kernel_basis, mat_inverse, mat_mul, rational_tuples, rref,
                      vec_add, vec_dot, vec_is_zero, vec_scale, zero_vector)
-from .scalars import ScalarField, _normal
+from .scalars import _normal
 
 Angle = Fraction  # q in [0, 1], theta = q*pi
 
@@ -271,12 +271,13 @@ def regular_point(system: CoxeterSystem, basis: Matrix,
     (R+1)^(m-1) times; the roots span V, so #avoid > 0 and
     R + 1 = #avoid + start_index + 1 leaves more than start_index good grid
     points.  So (R+1)^m - start_index tuples suffice.  With `inside`, the
-    point lies in the closed chamber too and comes from
-    linalg.cone_point_avoiding (`start_index` does not apply); NoRegularPoint
-    is raised exactly when that is infeasible.  Running past either proven
-    bound raises TheoremViolation; a negative `start_index` raises
-    ValueError, as the count above needs start_index >= 0.  Points found are
-    memoized per (basis, start_index, chamber).
+    point lies in the closed chamber too, from linalg.cone_point_avoiding on
+    the cone the chamber's walls cut out of K (the closed chamber is the
+    meet of its wall half-spaces; `start_index` does not apply);
+    NoRegularPoint is raised exactly when that is infeasible.  Running past
+    either proven bound raises TheoremViolation; a negative `start_index`
+    raises ValueError, as the count above needs start_index >= 0.  Points
+    found are memoized per (basis, start_index, chamber).
     """
     if start_index < 0:
         raise ValueError(f"start_index must be >= 0, got {start_index}")
@@ -297,26 +298,22 @@ def regular_point(system: CoxeterSystem, basis: Matrix,
     if inside is None:
         forms = [_integer_forms(rows[r]) for r in avoid_roots]
         count = (len(avoid_roots) + start_index + 1) ** m - start_index
-        for coeffs in itertools.islice(rational_tuples(m, start_index), count):
-            if _meets_a_hyperplane(_cleared(coeffs), forms):
-                continue
-            v = zero_vector(field, system.rank)
-            for c, bvec in zip(coeffs, basis):
-                if c:
-                    v = vec_add(v, vec_scale(field.from_rational(c), bvec))
-            system._regular_points[key] = v
-            return v
-        raise TheoremViolation(f"no regular point among {count} tuples")
-
-    # Constrained: work in basis coordinates and build the chamber cone.
-    avoid = [tuple(_normal(field, num, den) for num, den in rows[r])
-             for r in avoid_roots]
-    constraints = [row if inside.sign(r) > 0 else tuple(-x for x in row)
-                   for r, row in zip(avoid_roots, avoid)]
-    cone = cone_from_constraints(field, m, constraints)
-    coeffs = cone_point_avoiding(cone, avoid, constraints)
-    if coeffs is None:
-        raise NoRegularPoint("no regular point of K in the closed chamber")
+        tuples = itertools.islice(rational_tuples(m, start_index), count)
+        found = next((c for c in tuples
+                      if not _meets_a_hyperplane(_cleared(c), forms)), None)
+        if found is None:
+            raise TheoremViolation(f"no regular point among {count} tuples")
+        coeffs = [field.from_rational(c) for c in found]
+    else:
+        # Basis coordinates, and the cone of the walls that miss K.
+        avoid = {r: tuple(_normal(field, num, den) for num, den in rows[r])
+                 for r in avoid_roots}
+        constraints = [avoid[r] if inside.sign(r) > 0 else tuple(-x for x in avoid[r])
+                       for r in inside.walls() if r in avoid]
+        cone = cone_from_constraints(field, m, constraints)
+        coeffs = cone_point_avoiding(cone, list(avoid.values()), constraints)
+        if coeffs is None:
+            raise NoRegularPoint("no regular point of K in the closed chamber")
     v = zero_vector(field, system.rank)
     for c, bvec in zip(coeffs, basis):
         if not c.is_zero():

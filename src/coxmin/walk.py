@@ -2,10 +2,11 @@
 
 The squared displacement f(v) = |w(v) - v|^2 has gradient flow with closed
 form C(v, t) = sum_theta exp(4t(1 - cos theta)) v_theta over the exact
-eigencomponents of the start vector.  Followed backwards in time the curve
-collapses onto the direction of the minimal-angle component, crossing
-chamber walls with never-increasing conjugate length; the walk ends in a
-chamber whose closure contains a regular point of V_w.
+eigencomponents of the start vector (EigenDecomposition.project; decay_rate
+gives the rates).  Followed backwards in time the curve collapses onto the
+direction of the minimal-angle component, crossing chamber walls with
+never-increasing conjugate length; the walk ends in a chamber whose closure
+contains a regular point of V_w.
 
 The curve itself is transcendental, so wall selection is guided by floats
 only, while every accepted step and the end condition are certified in
@@ -47,30 +48,6 @@ from .scalars import _normal
 def decay_rate(q: Fraction) -> float:
     """The flow's float decay rate 4(1 - cos(q pi)) at angle q."""
     return 4.0 * (1.0 - math.cos(float(q) * math.pi))
-
-
-@dataclass
-class FlowCurve:
-    """Eigen-coordinates of a start vector under the displacement flow.
-
-    C(v, t) = sum over angles q of exp(4t(1 - cos(q pi))) * component_q;
-    the backwards limit direction is the normalized theta_0 component.
-    """
-    owner: TwistedElement
-    eigen: EigenDecomposition
-    start: Vector
-    components: dict[Fraction, Vector]
-
-    def rate(self, q: Fraction) -> float:
-        return decay_rate(q)
-
-
-def flow_curve(w: TwistedElement, v: Vector,
-               eig: EigenDecomposition | None = None) -> FlowCurve:
-    if eig is None or eig.owner != w:
-        eig = eigen_decomposition(w, dft_check=False)
-    comps = eig.project(v)
-    return FlowCurve(owner=eig.owner, eigen=eig, start=v, components=comps)
 
 
 def derivative_test(w: TwistedElement, wall_root: int, h: Vector, v: Vector) -> int:
@@ -359,14 +336,13 @@ def _angle_of_invariant_subspace(w: TwistedElement, eig: EigenDecomposition,
     raise HypothesisFailed("subspace lies in no single eigenspace")
 
 
-def special_length_formula(w: TwistedElement, basis: Matrix, chamber: Chamber,
-                           witness: Vector | None = None) -> int:
+def special_length_formula(w: TwistedElement, basis: Matrix, chamber: Chamber) -> int:
     """l(w_A) = (theta/pi) #(H - H_K) for K inside V^theta meeting the chamber.
 
     Hypotheses verified exactly: A and w(A) in one H_K-component, and the
-    closure of A contains a nonzero v in K such that any hyperplane through
-    both v and w(v) contains K (a regular point of K is such a v).  The
-    basis and the witness are over eigen_decomposition(w).system.field.
+    closure of A contains a regular point of K (eigen.regular_point with
+    `inside`, NoRegularPoint turned into HypothesisFailed).  The basis is
+    over eigen_decomposition(w).system.field.
     """
     eig = eigen_decomposition(w, dft_check=False)
     system, w = eig.system, eig.owner
@@ -376,25 +352,10 @@ def special_length_formula(w: TwistedElement, basis: Matrix, chamber: Chamber,
     image = chamber.image_under(w)
     if chamber.separating_set(image) & h_k:
         raise HypothesisFailed("A and w(A) lie in different H_K-components")
-
-    if witness is None:
-        try:
-            witness = regular_point(system, list(basis), inside=chamber)
-        except NoRegularPoint as exc:
-            raise HypothesisFailed(
-                "no regular point of K in the closed chamber") from exc
-    else:
-        if not in_span(*reduced_basis(system, basis), witness):
-            raise HypothesisFailed("witness is not in K")
-        if not chamber.contains_in_closure(witness):
-            raise HypothesisFailed("witness is not in the closed chamber")
-        w_witness = w.apply(witness)
-        for r in range(system.npos):
-            if r in h_k:
-                continue
-            if system.pair_root(r, witness).is_zero() and \
-                    system.pair_root(r, w_witness).is_zero():
-                raise HypothesisFailed("witness fails the separation property")
+    try:
+        regular_point(system, list(basis), inside=chamber)
+    except NoRegularPoint as exc:
+        raise HypothesisFailed("no regular point of K in the closed chamber") from exc
 
     value = q * (system.npos - len(h_k))
     if value.denominator != 1:
@@ -414,7 +375,9 @@ def decompose_at_regular(w: TwistedElement, chamber: Chamber, basis: Matrix
                          ) -> tuple[TwistedElement, GroupElement, tuple[int, ...]]:
     """w_A = w_{K,A} u with u in W_J, J = I(K, A), and additive lengths.
 
-    The basis of K is over eigen_decomposition(w).system.field.
+    Verified first: the closure of A holds a regular point of K.  It lies on
+    exactly the hyperplanes of H_K, so J is the set of i with A.walls()[i]
+    in H_K.  The basis of K is over eigen_decomposition(w).system.field.
     """
     eig = eigen_decomposition(w, dft_check=False)
     system, w = eig.system, eig.owner
@@ -422,13 +385,11 @@ def decompose_at_regular(w: TwistedElement, chamber: Chamber, basis: Matrix
     q = _angle_of_invariant_subspace(w, eig, basis)
     h_k = hyperplanes_containing(system, basis)
     try:
-        point = regular_point(system, list(basis), inside=chamber)
+        regular_point(system, list(basis), inside=chamber)
     except NoRegularPoint as exc:
         raise HypothesisFailed("closure of A contains no regular point of K") from exc
 
-    back = chamber.x.inverse().apply(point)
-    J = tuple(sorted(i for i in range(system.rank)
-                     if system.pair_root(i, back).is_zero()))
+    J = tuple(i for i, r in enumerate(chamber.walls()) if r in h_k)
     w_a = conjugate_by_chamber(w, chamber)
     u_left, w_k, u_right = coset_decompose(w_a, J)
     if not normalizes_parabolic(w_k, J):

@@ -5,12 +5,15 @@ the package computes over its tables; the tests compare the two.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 from coxmin.braid import TwistedBraid
 from coxmin.coxeter import GroupElement, compose, invert_perm
-from coxmin.linalg import (in_span, kernel_basis, rref, vec_add, vec_is_zero,
-                           vec_scale, zero_vector)
+from coxmin.linalg import (cone_from_constraints, cone_point_avoiding, in_span,
+                           kernel_basis, rref, vec_add, vec_is_zero, vec_scale,
+                           zero_vector)
+from coxmin.scalars import _normal, get_field
 
 
 def reference_table(system):
@@ -46,6 +49,39 @@ def reference_table(system):
         frontier = nxt
     left = [[index[compose(gens[i], p)] for p in perms] for i in range(n)]
     return perms, index, right, left, length
+
+
+def orbit_closure_roots(matrix, L):
+    """The positive roots over the field of level lcm(L, matrix level).
+
+    Orbit closure of the simple roots under s_i(v) = v - 2B(alpha_i, v)
+    alpha_i with B_ij = -cos(pi/m_ij), breadth first (the frontier in order,
+    then i), each image replaced by its positive counterpart.  Returns
+    (field, roots).
+    """
+    field = get_field(math.lcm(matrix.field_level(), L))
+    n = matrix.rank
+    b = [[field.one if i == j else -(field.two_cos(Fraction(1, matrix[i, j])) / 2)
+          for j in range(n)] for i in range(n)]
+    simple = [tuple(field.one if i == j else field.zero for j in range(n))
+              for i in range(n)]
+    roots, seen, frontier = list(simple), set(simple), list(simple)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for i in range(n):
+                c = sum((b[i][j] * v[j] for j in range(n)), field.zero)
+                img = list(v)
+                img[i] = img[i] - (c + c)
+                if any(x.sign() < 0 for x in img):
+                    img = [-x for x in img]
+                img = tuple(img)
+                if img not in seen:
+                    seen.add(img)
+                    roots.append(img)
+                    nxt.append(img)
+        frontier = nxt
+    return field, roots
 
 
 def descent_stripping_certificate(w, class_bodies, table) -> bool:
@@ -135,6 +171,23 @@ def reflection_element(system, root_idx: int):
     perm = tuple(system.root_index(reflect_vector(system, root_idx, system.root_vector(r)))
                  for r in range(system.nroots))
     return GroupElement(system, perm)
+
+
+def all_roots_chamber_cone(system, basis, chamber):
+    """The closed chamber's cone in K = span(basis) from every root missing K.
+
+    Each positive root whose hyperplane misses K gives the half-space of
+    its sign on the chamber.  Returns basis coordinates of a point of the
+    cone on none of those hyperplanes, or None when there is none.
+    """
+    field = system.field
+    rows = list(zip(*[system.root_pairings(b) for b in basis]))
+    avoid = {r: tuple(_normal(field, num, den) for num, den in rows[r])
+             for r in range(system.npos) if any(any(num) for num, _ in rows[r])}
+    constraints = [row if chamber.sign(r) > 0 else tuple(-x for x in row)
+                   for r, row in avoid.items()]
+    cone = cone_from_constraints(field, len(basis), constraints)
+    return cone_point_avoiding(cone, list(avoid.values()), constraints)
 
 
 def intersect_subspaces(b1, b2, field):

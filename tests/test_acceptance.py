@@ -1,11 +1,15 @@
 """Acceptance criteria, one test per criterion, exact (zero-tolerance) checks.
 
 Scope: every irreducible type of rank <= 4 and every diagram twist.  The
-I2(m) list skips m = 3, 4, 6 because those coincide with A2, B2, G2.  Run
-with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
+I2(m) list skips m = 3, 4, 6 because those coincide with A2, B2, G2.
+Criterion 10 adds the rank-5/6 types A5, D5, A6, B5, D6, E6 and criterion
+11 reducible groups whose twists permute isomorphic factors, both under
+every twist.  Run with `pytest -s tests/test_acceptance.py` to see the
+per-criterion lines.
 """
 
 import itertools
+import json
 import random
 
 import pytest
@@ -19,11 +23,13 @@ from coxmin.conjugacy import (arrow_reduce, elementary_strong_targets,
 from coxmin.coxeter import (Chamber, build_system, conjugate_by_chamber,
                             enumerate_twists, named_matrix, untwisted,
                             TwistedElement)
+from coxmin.cli import main
 from coxmin.eigen import eigen_decomposition, hyperplanes_containing
 from coxmin.errors import HypothesisFailed
 from coxmin.walk import (decompose_at_regular, descent_walk,
                          special_length_formula, strongly_connected_step)
 from oracles import brute_strong_targets
+from test_conjugacy import _block_diagonal, _table
 
 RANK_LE_4 = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "D4", "F4", "G2",
              "H3", "H4", "I2(5)", "I2(7)", "I2(8)", "I2(9)", "I2(10)",
@@ -302,3 +308,115 @@ def test_criterion_9_eigenstructure(sweep):
                     assert d % 2 == 0
             checked += 1
     _report(9, "Eigenstructure DFT cross-check", f"{checked} elements")
+
+
+# ---------------------------------------------------------------------------
+# Past rank 4, and reducible groups.
+
+
+def _verify_auto(capsys, *argv):
+    """Exit code and result rows of an in-process `verify --twist auto`."""
+    code = main(["verify", "--twist", "auto", *argv])
+    return code, json.loads(capsys.readouterr().out)["results"]
+
+
+def _least_inversion_count(rec):
+    """min over the class of #{r > 0 : x(alpha_r) < 0}, read off the
+    permutations alone (no table lengths)."""
+    npos = rec.coset.system.npos
+    perms = rec.coset.table.perms
+    return min(sum(r >= npos for r in perms[x][:npos]) for x in rec.elements)
+
+
+def test_criterion_10_rank_five_and_six(capsys):
+    classes = 0
+    for name in ["A5", "D5", "A6", "B5", "D6", "E6"]:
+        code, results = _verify_auto(capsys, "--type", name)
+        assert code == 0, name
+        assert {r["status"] for r in results} <= {"pass", "skip"}, name
+        system = build_system(named_matrix(name))
+        for twist in enumerate_twists(system.matrix):
+            label = ",".join(str(i + 1) for i in twist.perm)
+            records = enumerate_classes(system, twist)
+            assert {r["class_id"] for r in results if r["twist"] == label} == \
+                set(range(len(records)))
+            for rec in records:
+                assert _least_inversion_count(rec) == rec.min_length
+                classes += 1
+    _report(10, "Theorems past rank 4", f"{classes} classes")
+
+
+PRODUCTS = [(("A1", "A1", "A1"), 6), (("A2", "A2"), 8), (("B2", "B2"), 8),
+            (("A3", "A1"), 2), (("H3", "A1"), 1), (("G2", "G2"), 8),
+            (("I2(5)", "I2(5)"), 8), (("D4", "A1"), 6), (("A3", "A3"), 8)]
+
+
+def _orbit_oracle(names, perm):
+    """Sorted (minimal length, size) of the classes of W = W_1 x ... x W_r
+    in the coset W d, from the factors alone.
+
+    d permutes the factors.  Take one d-orbit of l factors, W_{j+1} =
+    d W_j d^-1, each identified with W_1 through d, and delta = d^l on
+    W_1.  Write d(x_1, ..., x_l) d^-1 = (delta(x_l), x_1, ..., x_{l-1}) and
+    pi(x) = x_1 delta(x_l ... x_2).  Conjugating x d by a = (a_1, ..., a_l)
+    gives a x d(a)^-1 d, whose pi is a_1 pi(x) delta(a_1)^-1: conjugation
+    moves the cyclic product by delta-twisted conjugation.  Conversely, if
+    pi(y) = b pi(x) delta(b)^-1, take a_1 = b and a_j = y_j a_{j-1} x_j^-1
+    for j = 2..l; then a x d a^-1 = y d.  So the classes over the orbit are
+    the preimages of the delta-twisted classes of W_1, each |W_1|^(l-1)
+    times larger (x_2, ..., x_l are free).  delta keeps lengths, so
+    l(x_1) + ... + l(x_l) >= l(pi(x)), with equality at (pi(x), 1, ..., 1),
+    which has the same pi: the minimal lengths agree.  Across orbits the
+    coset is a product, so lengths add and sizes multiply.
+    """
+    blocks, at = [], 0
+    for name in names:
+        rank = named_matrix(name).rank
+        blocks.append(list(range(at, at + rank)))
+        at += rank
+    block_of = {i: b for b, block in enumerate(blocks) for i in block}
+    table, done = [(0, 1)], set()
+    for b, block in enumerate(blocks):
+        if b in done:
+            continue
+        orbit, i = [b], perm[block[0]]
+        while block_of[i] != b:
+            orbit.append(block_of[i])
+            i = perm[i]
+        done.update(orbit)
+        delta = []
+        for i in block:
+            for _ in orbit:
+                i = perm[i]
+            delta.append(block.index(i))
+        factor = build_system(named_matrix(names[b]))
+        scale = factor.table().size ** (len(orbit) - 1)
+        table = [(l1 + l2, s1 * s2 * scale) for l1, s1 in table
+                 for l2, s2 in _table(factor, delta)]
+    return sorted(table)
+
+
+def test_criterion_11_products_under_every_twist(capsys, tmp_path):
+    assert _orbit_oracle(("G2", "G2"), (2, 3, 1, 0)) == \
+        [(0, 72), (1, 24), (3, 24), (5, 24)]  # 12 x the table of 2G2
+    assert _orbit_oracle(("A1", "A1", "A1"), (1, 2, 0)) == [(0, 4), (1, 4)]
+    cosets = 0
+    for names, num_twists in PRODUCTS:
+        matrix = _block_diagonal(*names)
+        path = tmp_path / ("x".join(names) + ".json")
+        path.write_text(json.dumps({"matrix": [list(row) for row in matrix.entries]}))
+        code, results = _verify_auto(capsys, "--matrix", str(path))
+        assert code == 0, names
+        assert {r["status"] for r in results} <= {"pass", "skip"}, names
+        system = build_system(matrix)
+        twists = enumerate_twists(matrix)
+        assert len(twists) == num_twists, names
+        for twist in twists:
+            records = enumerate_classes(system, twist)
+            assert sorted((r.min_length, r.size) for r in records) == \
+                _orbit_oracle(names, twist.perm), (names, twist.perm)
+            for rec in records:
+                assert _least_inversion_count(rec) == rec.min_length
+            cosets += 1
+    _report(11, "Reducible groups against the orbit oracle",
+            f"{len(PRODUCTS)} products, {cosets} twisted cosets")

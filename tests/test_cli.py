@@ -113,20 +113,36 @@ def test_python_m_coxmin_runs_the_cli():
     assert proc.stdout.strip() == __version__
 
 
-def test_large_seed_index_runs_in_seconds():
-    # The free regular point of a one-dimensional subspace starts at the
-    # seed-th fraction by height; drawing the first 100,000 takes a fraction
-    # of a second when each height costs only its coprime rim pairs.
+def _run_module(*argv, timeout):
+    """`python -m coxmin argv` on this checkout's source, within `timeout` s."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", "coxmin", "verify", "--type", "A2",
-                           "--checks", "good", "--seed-index", "100000"],
-                          env=env, capture_output=True, text=True, timeout=20)
+    return subprocess.run([sys.executable, "-m", "coxmin", *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def test_large_seed_index_runs_in_seconds():
+    # The free regular point of a one-dimensional subspace starts at the
+    # seed-th fraction by height; drawing the first 100,000 takes a fraction
+    # of a second when each height costs only its coprime rim pairs.
+    proc = _run_module("verify", "--type", "A2", "--checks", "good",
+                       "--seed-index", "100000", timeout=20)
     assert proc.returncode == 0, proc.stderr
     results = json.loads(proc.stdout)["results"]
     assert [r["status"] for r in results] == ["pass"] * 3
+
+
+def test_classes_bounds_the_group_before_the_build():
+    # |W(I2(600000))| = 1,200,000 is above the default bound of 10^6.  The
+    # bound must fire before the 600,000 roots over a field of degree
+    # 160,000 are built, as it does for verify.
+    proc = _run_module("classes", "--type", "I2(600000)", timeout=20)
+    assert proc.returncode == 3, proc.stderr
+    (row,) = json.loads(proc.stdout)["rows"]
+    assert row["skipped"] == "group order 1200000 exceeds bound 1000000"
+    assert row["class_id"] == -1
 
 
 def test_verify_small_all_pass(capsys):

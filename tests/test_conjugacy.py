@@ -522,7 +522,7 @@ def test_twist_keeping_factors_multiplies_classes():
 
 @pytest.mark.parametrize("name,counts", [
     ("A5", [11, 11]), ("A6", [15, 15]), ("B5", [36]), ("D5", [18, 18]),
-    ("D6", [37, 31]),
+    ("D6", [37, 31]), ("E6", [25, 25]),
 ])
 def test_rank_five_and_six_class_counts(name, counts):
     # Carter, Conjugacy classes in the Weyl group (Compositio Math. 25, 1972):

@@ -4,14 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from coxmin.coxeter import (Chamber, CoxeterMatrix, TwistedElement,
-                            build_system, compose, conjugate_by_chamber,
-                            coset_decompose, enumerate_twists, invert_perm,
+from coxmin.coxeter import (Chamber, CoxeterMatrix, CoxeterSystem,
+                            TwistedElement, build_system, compose,
+                            conjugate_by_chamber, coset_decompose,
+                            enumerate_twists, invert_perm,
                             is_minimal_double_coset_rep, named_matrix,
                             parabolic_max, untwisted)
 from coxmin.eigen import eigen_decomposition, order
 from coxmin.errors import NotFinite
-from oracles import reflect_vector
+from oracles import orbit_closure_roots, reflect_vector
 
 
 def bfs_word_lengths(system):
@@ -271,7 +272,7 @@ def test_lift_roots_match_orbit_closure(name, L):
     """Embedded roots equal the roots built by orbit closure at that level."""
     base = build_system(named_matrix(name))
     lift = base.with_field_level(L)
-    ref = build_system(named_matrix(name), L_hint=L)
+    ref = CoxeterSystem(base.matrix, *orbit_closure_roots(base.matrix, L))
     assert lift.field is ref.field
     assert lift.pos_roots == ref.pos_roots
     assert ref.reflections == base.reflections

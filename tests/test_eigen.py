@@ -26,7 +26,7 @@ from coxmin.linalg import (cone_from_constraints, cone_point_avoiding,
                            rational_tuples, vec_add, vec_is_zero, vec_scale,
                            zero_vector)
 from coxmin.scalars import get_field
-from oracles import solve_in_span
+from oracles import all_roots_chamber_cone, solve_in_span
 
 
 def identity_basis(system):
@@ -202,6 +202,36 @@ def test_regular_point_inside_chamber():
         except NoRegularPoint:
             misses += 1
     assert hits == 4 and misses == 2  # the line has two sides, four cones touch it
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3"])
+def test_chamber_cone_from_walls_matches_all_roots(name):
+    # The closed chamber is cut out by its n walls, so the cone of K from
+    # the walls that miss K is the all-roots cone: same feasibility.  The
+    # point p lies on exactly the hyperplanes through K, so I(K, A), read
+    # off the walls, is the set of i with <alpha_i, x_A^-1 p> = 0.
+    system = build_system(named_matrix(name))
+    table = system.table()
+    feasible = 0
+    for twist in enumerate_twists(system.matrix):
+        for rec in enumerate_classes(system, twist):
+            eig = eigen_decomposition(rec.representative, dft_check=False)
+            view = eig.system
+            for _, _, basis in eig.entries:
+                h_k = hyperplanes_containing(view, basis)
+                for x in range(table.size):
+                    ch = Chamber(system, table.element(x)).over(view)
+                    p = _constrained_point(view, basis, ch)
+                    assert (p is None) == (all_roots_chamber_cone(view, basis, ch) is None)
+                    if p is None:
+                        continue
+                    feasible += 1
+                    assert ch.contains_in_closure(p)
+                    assert hyperplanes_containing(view, [p]) == h_k
+                    back = ch.x.inverse().apply(p)
+                    assert [i for i, r in enumerate(ch.walls()) if r in h_k] == \
+                        [i for i in range(view.rank) if view.pair_root(i, back).is_zero()]
+    assert feasible == {"A3": 192, "B3": 320, "H3": 536}[name]
 
 
 def test_hyperplanes_containing_and_reflection_subgroup():

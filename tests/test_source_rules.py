@@ -23,8 +23,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # has a proven bound and an exact search backs the float guidance), the
 # Fraction polynomial helpers and the Fraction copy of the isolating interval
 # that the integer field layer replaced, with their references (the Euclid
-# inverse and the Sturm bisection in Fractions), and the scan of whole
-# boxes that the fractions by height replaced.
+# inverse and the Sturm bisection in Fractions), the scan of whole
+# boxes that the fractions by height replaced, and the flow-curve wrapper
+# and the field-level hint that no caller used.
 BANNED = ("ConstructionFailed", "SearchBound", "conjugate_by_index",
           "_twist_body", "conj", "pruned", "is_valid", "expand",
           "is_left_weighted_pair", "reflection_element", "reflect_vector",
@@ -36,7 +37,8 @@ BANNED = ("ConstructionFailed", "SearchBound", "conjugate_by_index",
           "_RetryWalk", "_START_ATTEMPTS", "WalkStuck", "_good_start_points",
           "_fpoly_eval", "_fpoly_divmod", "_fpoly_sub", "_poly_mul",
           "_set_dyadic", "_lo", "_hi", "euclid_inverse",
-          "fraction_sturm_intervals", "fractions_by_height_boxes")
+          "fraction_sturm_intervals", "fractions_by_height_boxes",
+          "FlowCurve", "flow_curve", "L_hint")
 
 
 def test_no_asserts_and_no_capped_construction_error():
@@ -98,6 +100,25 @@ def test_every_module_function_and_class_is_used_or_exported():
                 used |= _referenced_names(node)
     unused = [f"{module}: {name}" for module, name in defined
               if name not in used and name not in exported]
+    assert not unused, unused
+
+
+def test_every_import_is_used():
+    # A name a module imports is read in that module; __init__ re-exports
+    # and __future__ features are exempt.
+    unused = []
+    for path in sorted((SRC / "coxmin").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in read:
+                        unused.append(f"{path.name}:{node.lineno}: {name}")
     assert not unused, unused
 
 
