@@ -126,8 +126,7 @@ class TwistedCoset:
         return self._classes[self._class_id[x]]
 
     def element(self, x: int) -> TwistedElement:
-        body = GroupElement(self.system, self.table.perms[x])
-        return TwistedElement(self.system, self.twist, self.k, body)
+        return TwistedElement(self.system, self.twist, self.k, self.table.element(x))
 
     def index(self, w: TwistedElement) -> int:
         if w.k != self.k or w.twist != self.twist:

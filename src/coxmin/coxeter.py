@@ -27,8 +27,10 @@ generators on both sides, descent masks and lengths.
 from __future__ import annotations
 
 import math
+from array import array
 from fractions import Fraction
-from operator import mul
+from itertools import islice
+from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
 from .errors import NotFinite, TheoremViolation, TooLarge
@@ -578,8 +580,9 @@ def build_system(matrix: CoxeterMatrix) -> CoxeterSystem:
 
 
 def compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Permutation of the product: apply b, then a."""
-    return tuple([a[x] for x in b])
+    """Permutation of the product: apply b, then a (a root permutation has
+    at least two entries, so the getter returns a tuple)."""
+    return itemgetter(*b)(a)
 
 
 def invert_perm(p: tuple[int, ...]) -> tuple[int, ...]:
@@ -1015,6 +1018,66 @@ def parabolic_index_map(w: TwistedElement, J: Iterable[int]) -> dict[int, int]:
 # Indexed enumeration of the whole group.
 
 
+def _pick_one(r: int):
+    """itemgetter(r) with its item in a 1-tuple, as itemgetter gives for
+    two or more indices; rank-1 keys stay tuples."""
+    return lambda s: (s[r],)
+
+
+class _PackedRows:
+    """The root permutations of a table, one row of 2N entries per element
+    in one flat array; perms[x] is the tuple of element x's row."""
+
+    __slots__ = ("rows", "width", "size")
+
+    def __init__(self, rows: array, width: int):
+        self.rows = rows
+        self.width = width
+        self.size = len(rows) // width
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, x: int) -> tuple[int, ...]:
+        if not 0 <= x < self.size:
+            raise IndexError(f"element {x} is not in the table")
+        start = x * self.width
+        return tuple(self.rows[start:start + self.width])
+
+
+class _KeyIndex:
+    """Root permutation -> element index, through the BFS key.
+
+    key(x) is the positions of roots 0..n-1 in x's permutation, that is
+    x^-1 of the simple roots; it fixes x within W.  A permutation is found
+    only when the row stored under its key equals it, so one outside W is a
+    KeyError (or None from get), as in a dict keyed by permutations.
+    """
+
+    __slots__ = ("found", "perms", "rank")
+
+    def __init__(self, found: dict[tuple[int, ...], int], perms: _PackedRows,
+                 rank: int):
+        self.found = found
+        self.perms = perms
+        self.rank = rank
+
+    def get(self, perm: tuple[int, ...]) -> int | None:
+        """perm's element index, or None when perm is not an element of W."""
+        try:
+            key = tuple(map(perm.index, range(self.rank)))
+        except ValueError:          # not a permutation of the root indices
+            return None
+        x = self.found.get(key)
+        return x if x is not None and self.perms[x] == perm else None
+
+    def __getitem__(self, perm: tuple[int, ...]) -> int:
+        x = self.get(perm)
+        if x is None:
+            raise KeyError(perm)
+        return x
+
+
 class GroupTable:
     """Every element of W indexed, with generator multiplication tables.
 
@@ -1024,11 +1087,18 @@ class GroupTable:
     The search keys x by key(x) = (x^-1(alpha_1), ..., x^-1(alpha_n)), n root
     indices instead of 2N.  The key fixes x, since x^-1 is linear and the
     simple roots are a basis; and key(x s_i) = s_i applied to each entry of
-    key(x), n lookups.  Each x != 1 is found as x = y s_i with y = parent,
+    key(x), one itemgetter over key(x) applied to each generator.  Each
+    x != 1 is found as x = y s_i with y = parent[x], i = letter[x],
     l(x) = l(y) + 1, and the rest follows from that tree:
 
     * left[j][x] = right[i][left[j][y]], since s_j x = (s_j y) s_i;
-    * perms[x] = perms[y] o s_i, one compose per element;
+    * perms[x] = perms[y] o s_i, one compose per element.  The rows are
+      packed into one flat array of bytes (2N <= 256) or of 16-bit words,
+      2N entries per element, read through a sequence view (_PackedRows);
+    * index[perm] looks the permutation's key up in the search's own dict
+      and checks the stored row (_KeyIndex), so no table is keyed by 2N-tuples;
+    * the map of conjugation by d^k is tm[x] = right[d^k(i)][tm[y]], since
+      d^k x d^-k = (d^k y d^-k) s_{d^k(i)} (twist_index_map);
     * support[x] = support[y] | 1 << i is the letter set of a reduced word
       (the tree path), the same for every reduced word of x, since braid
       moves keep letter sets (Matsumoto); so x lies in W_J iff support[x]
@@ -1041,6 +1111,7 @@ class GroupTable:
         self.system = system
         n = system.rank
         gens = system.reflections
+        pick = itemgetter if n > 1 else _pick_one
         keys = [tuple(range(n))]     # the simple roots are roots 0..n-1
         found = {keys[0]: 0}
         ids, parent, letter, length = [0], [0], [0], [0]
@@ -1050,8 +1121,9 @@ class GroupTable:
         # enumerate, so every table holds the one int made for each element
         # and those ints lie packed in index order (table reads stay local).
         for x, kx in zip(ids, keys):
+            step = pick(*kx)
             for i, (g, put) in steps:
-                ky = tuple([g[r] for r in kx])
+                ky = step(g)
                 y = found.get(ky)
                 if y is None:
                     y = found[ky] = len(keys)
@@ -1061,19 +1133,23 @@ class GroupTable:
                     letter.append(i)
                     length.append(length[x] + 1)
                 put(y)
-        del keys, found             # freed before the permutations are built
+        del keys
+        self.parent = parent
+        self.letter = letter
         size = len(length)
-        tree = list(zip(parent, letter))[1:]
         left = []
         for j in range(n):
             row = [right[j][0]]
-            for y, i in tree:
+            for y, i in self._tree():
                 row.append(right[i][row[y]])
             left.append(row)
-        perms = [system._identity_perm]
+        width = system.nroots
+        typecode = "B" if width <= 256 else "H"
+        packed = array(typecode, system._identity_perm)
         support = [0]
-        for y, i in tree:
-            perms.append(compose(perms[y], gens[i]))
+        for y, i in self._tree():
+            start = y * width
+            packed += array(typecode, compose(packed[start:start + width], gens[i]))
             support.append(support[y] | 1 << i)
         # Indices run in order of length, so x s_i is shorter iff it comes first.
         rdesc, ldesc = [0] * size, [0] * size
@@ -1083,8 +1159,8 @@ class GroupTable:
                 masks[:] = [m | bit if y < x else m
                             for x, m, y in zip(range(size), masks, row)]
         self.size = size
-        self.perms = perms
-        self.index = dict(zip(perms, ids))
+        self.perms = _PackedRows(packed, width)
+        self.index = _KeyIndex(found, self.perms, n)
         self.right = right
         self.left = left
         self.length = length
@@ -1095,6 +1171,10 @@ class GroupTable:
         if length.count(length[self.w0]) != 1:
             raise TheoremViolation("the longest element is not unique")
 
+    def _tree(self):
+        """(parent, letter) of each element but the identity, in index order."""
+        return islice(zip(self.parent, self.letter), 1, None)
+
     def element(self, x: int) -> GroupElement:
         return GroupElement(self.system, self.perms[x])
 
@@ -1102,7 +1182,11 @@ class GroupTable:
         return self.index[g.perm]
 
     def twist_index_map(self, twist: DiagramTwist, k: int = 1) -> list[int]:
-        """x -> index of d^k x d^-k."""
-        twist_conj = self.system.twist_conj
-        return [self.index[twist_conj(p, twist, k)] for p in self.perms]
-
+        """x -> index of d^k x d^-k, along the BFS tree (see the class)."""
+        d = twist.power_perm(k)
+        rows = [self.right[d[i]] for i in range(self.system.rank)]
+        tm = [0]
+        put = tm.append
+        for y, i in self._tree():
+            put(rows[i][tm[y]])
+        return tm

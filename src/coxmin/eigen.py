@@ -122,12 +122,6 @@ class EigenDecomposition:
         return out
 
 
-def _matrix_plus_inverse(w: TwistedElement, system: CoxeterSystem) -> Matrix:
-    m = w.matrix()
-    mi = w.inverse().matrix()
-    return [tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(m, mi)]
-
-
 def eigen_decomposition(w: TwistedElement, dft_check: bool = True) -> EigenDecomposition:
     """Exact eigen-angle decomposition, raising the field level as needed.
 
@@ -160,7 +154,8 @@ def _decompose(w: TwistedElement) -> EigenDecomposition:
         w = w.over(system)
     field = system.field
     n = system.rank
-    s = _matrix_plus_inverse(w, system)
+    s = [tuple(a + b for a, b in zip(ra, rb))
+         for ra, rb in zip(w.matrix(), w.inverse().matrix())]
 
     entries: list[tuple[Angle, int, Matrix]] = []
     total = 0

@@ -51,6 +51,12 @@ def reference_table(system):
     return perms, index, right, left, length
 
 
+def twist_index_map_by_perms(table, twist, k=1):
+    """x -> index of d^k x d^-k, conjugating each root permutation."""
+    twist_conj = table.system.twist_conj
+    return [table.index[twist_conj(p, twist, k)] for p in table.perms]
+
+
 def orbit_closure_roots(matrix, L):
     """The positive roots over the field of level lcm(L, matrix level).
 

@@ -348,18 +348,18 @@ def test_verify_decomposes_each_input_once(capsys, monkeypatch):
     import coxmin.cli as cli
     import coxmin.eigen as eigen
     systems, computed = [], []
-    real_build, real_start = cli.build_system, eigen._matrix_plus_inverse
+    real_build, real_decompose = cli.build_system, eigen._decompose
 
     def building(*args, **kwargs):
         systems.append(real_build(*args, **kwargs))
         return systems[-1]
 
-    def starting(w, system):
+    def decomposing(w):
         computed.append(w)
-        return real_start(w, system)
+        return real_decompose(w)
 
     monkeypatch.setattr(cli, "build_system", building)
-    monkeypatch.setattr(eigen, "_matrix_plus_inverse", starting)
+    monkeypatch.setattr(eigen, "_decompose", decomposing)
     code, _, _ = run(capsys, "verify", "--type", "H3", "--twist", "auto",
                      "--checks", "good,quasi,walk,formulas")
     assert code == 0

@@ -1,6 +1,10 @@
 """GroupTable against a BFS keyed on full root permutations."""
 
 import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,9 +14,10 @@ from coxmin.coxeter import (GroupTable, build_system, enumerate_twists,
                             named_matrix)
 from coxmin.eigen import elliptic_parabolic_certificate
 from oracles import (descent_stripping_certificate, reference_table,
-                     to_word_by_descents)
+                     to_word_by_descents, twist_index_map_by_perms)
+from test_conjugacy import _block_diagonal
 
-TYPES = ["A3", "B3", "H3", "D4", "F4", "H4", "E6"]
+TYPES = ["A1", "A3", "B3", "H3", "D4", "F4", "H4", "E6", "I2(129)"]
 
 
 @functools.lru_cache(maxsize=1)
@@ -26,8 +31,8 @@ def test_table_matches_permutation_keyed_reference(name):
     system, t = _built(name)
     perms, index, right, left, length = reference_table(system)
     assert t.size == len(perms)
-    assert t.perms == perms
-    assert t.index == index
+    assert list(t.perms) == perms
+    assert all(t.index[p] == x for p, x in index.items())
     assert t.right == right
     assert t.left == left
     assert t.length == length
@@ -36,6 +41,24 @@ def test_table_matches_permutation_keyed_reference(name):
     assert t.ldesc == [sum(1 << i for i in range(n) if length[left[i][x]] < length[x])
                        for x in range(t.size)]
     assert t.w0 == max(range(t.size), key=length.__getitem__)
+
+
+@pytest.mark.parametrize("name", [name for name in TYPES if name != "A1"])
+def test_index_rejects_a_permutation_with_a_stored_key(name):
+    # Swapping two entries >= n keeps where the simple roots sit, hence the
+    # key, so only the row check tells the permutation from the element's.
+    # (A1 has a single root index >= n, so it has no such swap.)
+    system, t = _built(name)
+    n = system.rank
+    for x in range(0, t.size, max(1, t.size // 50)):
+        perm = list(t.perms[x])
+        a, b = [r for r, v in enumerate(perm) if v >= n][:2]
+        perm[a], perm[b] = perm[b], perm[a]
+        perm = tuple(perm)
+        assert t.index.get(perm) is None
+        with pytest.raises(KeyError):
+            t.index[perm]
+        assert t.index.get(t.perms[x]) == x
 
 
 @pytest.mark.parametrize("name", TYPES)
@@ -91,6 +114,25 @@ def test_support_certificate_matches_descent_stripping(name):
                     == descent_stripping_certificate(rep, els, t))
 
 
+@pytest.mark.parametrize("matrix,twists", [
+    (named_matrix("A3"), None), (named_matrix("A5"), None),
+    (named_matrix("D4"), None), (named_matrix("E6"), None),
+    (_block_diagonal("A2", "A2"), [(2, 3, 0, 1)]),
+], ids=["A3", "A5", "D4", "E6", "A2xA2"])
+def test_twist_index_map_matches_the_permutation_scan(matrix, twists):
+    # The BFS-tree map against conjugating every root permutation, for
+    # every power of each twist.
+    system = build_system(matrix)
+    t = system.table()
+    if twists is None:
+        twists = enumerate_twists(matrix)
+    else:
+        twists = [coxeter.DiagramTwist(matrix, p) for p in twists]
+    for twist in twists:
+        for k in range(twist.order):
+            assert t.twist_index_map(twist, k) == twist_index_map_by_perms(t, twist, k)
+
+
 def test_table_build_composes_once_per_element(monkeypatch):
     # The root permutations come from the BFS tree, one product each; a
     # build that multiplies permutations to find its elements would make
@@ -108,3 +150,32 @@ def test_table_build_composes_once_per_element(monkeypatch):
     t = GroupTable(system)
     assert t.size == 14400
     assert 0 < calls <= t.size - 1
+
+
+def test_e6_table_build_stays_within_its_memory_budget():
+    """The E6 table build raises the process's peak RSS by under 35 MB.
+
+    A fresh interpreter builds the E6 root system, reads its own ru_maxrss,
+    builds the table and reads it again.  With one 72-entry tuple per
+    element and a dict keyed by them the build grew the peak by 48.8 MB;
+    with packed rows indexed by the search key it grows it by 21.5 MB
+    (CPython 3.11, x86-64 Linux).
+    """
+    script = (
+        "import resource\n"
+        "from coxmin.coxeter import build_system, named_matrix\n"
+        "system = build_system(named_matrix('E6'))\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "table = system.table()\n"
+        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(table.size, after - before)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    size, grown_kb = map(int, proc.stdout.split())
+    assert size == 51840
+    assert grown_kb < 35 * 1024, f"the table build grew the peak by {grown_kb} KB"
