@@ -9,7 +9,7 @@ reads it.
 
 The key computations:
 
-* TwistedCoset.classes: the class partition of the coset, one union-find
+* TwistedCoset.classes: the class partition of the coset, one orbit scan
   over generator conjugations, computed once on first use.
   enumerate_classes reads it, and path_graph reads the class of w from it
   through TwistedCoset.class_of.
@@ -37,6 +37,7 @@ The key computations:
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 from typing import Iterator, Sequence
 
@@ -95,20 +96,32 @@ class TwistedCoset:
         return self.table.length[x]
 
     def classes(self) -> list[list[int]]:
-        """The W-classes of the coset, found once by union-find over `steps`.
+        """The W-classes of the coset, found once by one orbit scan over `steps`.
 
         Each class is its ascending list of bodies.  The classes are ordered
         by (minimal length, size, least body); the position is the class id.
+        Indices run in order of length, so a class's minimal length is that
+        of its least body.
         """
         if self._classes is None:
-            size, length = self.table.size, self.table.length
-            parent = list(range(size))
-            for rrow, lrow in self.steps:
-                for x in range(size):
-                    _union(parent, x, lrow[rrow[x]])
-            self._classes = sorted(_blocks(parent, range(size)),
-                                   key=lambda els: (min(length[x] for x in els),
-                                                    len(els), els[0]))
+            length = self.table.length
+            seen = bytearray(self.table.size)
+            classes = []
+            x = seen.find(0)
+            while x >= 0:
+                seen[x] = 1
+                els = [x]
+                for y in els:       # els grows as the scan runs: a BFS queue
+                    for rrow, lrow in self.steps:
+                        z = lrow[rrow[y]]
+                        if not seen[z]:
+                            seen[z] = 1
+                            els.append(z)
+                els.sort()
+                classes.append(els)
+                x = seen.find(0, x + 1)
+            self._classes = sorted(classes, key=lambda els: (length[els[0]],
+                                                             len(els), els[0]))
         return self._classes
 
     def class_of(self, x: int) -> list[int]:
@@ -168,8 +181,10 @@ def enumerate_classes(system: CoxeterSystem, twist: DiagramTwist | None = None,
     t = coset.table
     records = []
     for cid, els in enumerate(coset.classes()):
-        mlen = min(t.length[x] for x in els)
-        o_min = [x for x in els if t.length[x] == mlen]
+        # els ascends and indices run in order of length, so O_min is the
+        # prefix of els at the length of its first element.
+        mlen = t.length[els[0]]
+        o_min = els[:bisect_right(els, mlen, key=t.length.__getitem__)]
         rep = coset.element(o_min[0])
         ell = is_elliptic(rep)
         if elliptic_parabolic_certificate(rep, els, t) != ell:

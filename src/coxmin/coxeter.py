@@ -29,8 +29,9 @@ from __future__ import annotations
 import math
 from array import array
 from fractions import Fraction
+from functools import partial
 from itertools import islice
-from operator import itemgetter, mul
+from operator import itemgetter, methodcaller, mul
 from typing import Iterable, Sequence
 
 from .errors import NotFinite, TheoremViolation, TooLarge
@@ -1018,19 +1019,19 @@ def parabolic_index_map(w: TwistedElement, J: Iterable[int]) -> dict[int, int]:
 # Indexed enumeration of the whole group.
 
 
-def _pick_one(r: int):
-    """itemgetter(r) with its item in a 1-tuple, as itemgetter gives for
-    two or more indices; rank-1 keys stay tuples."""
-    return lambda s: (s[r],)
+def _gather(kx: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
+    """g applied to each entry of kx (kx has at least two entries)."""
+    return itemgetter(*kx)(g)
 
 
 class _PackedRows:
     """The root permutations of a table, one row of 2N entries per element
-    in one flat array; perms[x] is the tuple of element x's row."""
+    in one flat buffer (a bytearray, or an array of 16-bit words above 256
+    roots); perms[x] is the tuple of element x's row."""
 
     __slots__ = ("rows", "width", "size")
 
-    def __init__(self, rows: array, width: int):
+    def __init__(self, rows: bytearray | array, width: int):
         self.rows = rows
         self.width = width
         self.size = len(rows) // width
@@ -1049,23 +1050,24 @@ class _KeyIndex:
     """Root permutation -> element index, through the BFS key.
 
     key(x) is the positions of roots 0..n-1 in x's permutation, that is
-    x^-1 of the simple roots; it fixes x within W.  A permutation is found
-    only when the row stored under its key equals it, so one outside W is a
-    KeyError (or None from get), as in a dict keyed by permutations.
+    x^-1 of the simple roots, as bytes (a tuple above 256 roots); it fixes x
+    within W.  A permutation is found only when the row stored under its key
+    equals it, so one outside W is a KeyError (or None from get), as in a
+    dict keyed by permutations.
     """
 
-    __slots__ = ("found", "perms", "rank")
+    __slots__ = ("found", "perms", "rank", "keytype")
 
-    def __init__(self, found: dict[tuple[int, ...], int], perms: _PackedRows,
-                 rank: int):
+    def __init__(self, found: dict, perms: _PackedRows, rank: int, keytype: type):
         self.found = found
         self.perms = perms
         self.rank = rank
+        self.keytype = keytype
 
     def get(self, perm: tuple[int, ...]) -> int | None:
         """perm's element index, or None when perm is not an element of W."""
         try:
-            key = tuple(map(perm.index, range(self.rank)))
+            key = self.keytype(map(perm.index, range(self.rank)))
         except ValueError:          # not a permutation of the root indices
             return None
         x = self.found.get(key)
@@ -1087,14 +1089,14 @@ class GroupTable:
     The search keys x by key(x) = (x^-1(alpha_1), ..., x^-1(alpha_n)), n root
     indices instead of 2N.  The key fixes x, since x^-1 is linear and the
     simple roots are a basis; and key(x s_i) = s_i applied to each entry of
-    key(x), one itemgetter over key(x) applied to each generator.  Each
-    x != 1 is found as x = y s_i with y = parent[x], i = letter[x],
-    l(x) = l(y) + 1, and the rest follows from that tree:
+    key(x).  Up to 256 roots a key is bytes and s_i a 256-byte translation
+    table T_i (s_i's permutation, zero-padded), so key(x s_i) is one
+    key(x).translate(T_i); above 256 roots (I2(m), m > 128) it is a tuple,
+    gathered by an itemgetter.  Each x != 1 is found as x = y s_i with
+    y = parent[x], i = letter[x], l(x) = l(y) + 1, and the rest follows from
+    that tree:
 
     * left[j][x] = right[i][left[j][y]], since s_j x = (s_j y) s_i;
-    * perms[x] = perms[y] o s_i, one compose per element.  The rows are
-      packed into one flat array of bytes (2N <= 256) or of 16-bit words,
-      2N entries per element, read through a sequence view (_PackedRows);
     * index[perm] looks the permutation's key up in the search's own dict
       and checks the stored row (_KeyIndex), so no table is keyed by 2N-tuples;
     * the map of conjugation by d^k is tm[x] = right[d^k(i)][tm[y]], since
@@ -1105,25 +1107,41 @@ class GroupTable:
       is inside J (Bourbaki, Lie IV, §1.8);
     * i is a right (left) descent of x iff x s_i (s_i x) is shorter, that
       is, comes first in the length-ordered index.
+
+    The root permutations are packed into one flat buffer, 2N entries per
+    element, read through a sequence view (_PackedRows).  perms[x] =
+    s_j o perms[s_j x] for the least left descent j of x: s_j x comes
+    earlier in the index, and (s_j y)(r) = s_j(y(r)), so each row is s_j
+    applied to an earlier row.  Up to 256 roots the buffer is a bytearray
+    and that is one translate by T_j; above 256 roots it is an array of
+    16-bit words and one compose(s_j, row).
     """
 
     def __init__(self, system: CoxeterSystem):
         self.system = system
         n = system.rank
         gens = system.reflections
-        pick = itemgetter if n > 1 else _pick_one
-        keys = [tuple(range(n))]     # the simple roots are roots 0..n-1
+        width = system.nroots
+        if width <= 256:
+            acts = [bytes(g) + bytes(256 - width) for g in gens]
+            act, keytype = bytes.translate, bytes
+            packed = bytearray(system._identity_perm)
+            lefts = [methodcaller("translate", a) for a in acts]
+        else:
+            acts, act, keytype = gens, _gather, tuple
+            packed = array("H", system._identity_perm)
+            lefts = [partial(compose, g) for g in gens]
+        keys = [keytype(range(n))]   # the simple roots are roots 0..n-1
         found = {keys[0]: 0}
         ids, parent, letter, length = [0], [0], [0], [0]
         right: list[list[int]] = [[] for _ in range(n)]
-        steps = list(enumerate(zip(gens, [row.append for row in right])))
+        steps = list(enumerate(zip(acts, [row.append for row in right])))
         # keys grows as x runs: a BFS queue.  x comes from ids, not from
         # enumerate, so every table holds the one int made for each element
         # and those ints lie packed in index order (table reads stay local).
         for x, kx in zip(ids, keys):
-            step = pick(*kx)
-            for i, (g, put) in steps:
-                ky = step(g)
+            for i, (a, put) in steps:
+                ky = act(kx, a)
                 y = found.get(ky)
                 if y is None:
                     y = found[ky] = len(keys)
@@ -1143,13 +1161,8 @@ class GroupTable:
             for y, i in self._tree():
                 row.append(right[i][row[y]])
             left.append(row)
-        width = system.nroots
-        typecode = "B" if width <= 256 else "H"
-        packed = array(typecode, system._identity_perm)
         support = [0]
         for y, i in self._tree():
-            start = y * width
-            packed += array(typecode, compose(packed[start:start + width], gens[i]))
             support.append(support[y] | 1 << i)
         # Indices run in order of length, so x s_i is shorter iff it comes first.
         rdesc, ldesc = [0] * size, [0] * size
@@ -1158,9 +1171,15 @@ class GroupTable:
                 bit = 1 << i
                 masks[:] = [m | bit if y < x else m
                             for x, m, y in zip(range(size), masks, row)]
+        put = packed.extend
+        for x in range(1, size):
+            m = ldesc[x]
+            j = (m & -m).bit_length() - 1
+            start = left[j][x] * width
+            put(lefts[j](packed[start:start + width]))
         self.size = size
         self.perms = _PackedRows(packed, width)
-        self.index = _KeyIndex(found, self.perms, n)
+        self.index = _KeyIndex(found, self.perms, n, keytype)
         self.right = right
         self.left = left
         self.length = length

@@ -9,6 +9,7 @@ import math
 from fractions import Fraction
 
 from coxmin.braid import TwistedBraid
+from coxmin.conjugacy import _blocks, _union
 from coxmin.coxeter import GroupElement, compose, invert_perm
 from coxmin.linalg import (cone_from_constraints, cone_point_avoiding, in_span,
                            kernel_basis, rref, vec_add, vec_is_zero, vec_scale,
@@ -55,6 +56,18 @@ def twist_index_map_by_perms(table, twist, k=1):
     """x -> index of d^k x d^-k, conjugating each root permutation."""
     twist_conj = table.system.twist_conj
     return [table.index[twist_conj(p, twist, k)] for p in table.perms]
+
+
+def classes_by_union_find(coset):
+    """The class partition of the coset by one union-find over all of W,
+    ordered as TwistedCoset.classes orders it."""
+    size, length = coset.table.size, coset.table.length
+    parent = list(range(size))
+    for rrow, lrow in coset.steps:
+        for x in range(size):
+            _union(parent, x, lrow[rrow[x]])
+    return sorted(_blocks(parent, range(size)),
+                  key=lambda els: (min(length[x] for x in els), len(els), els[0]))
 
 
 def orbit_closure_roots(matrix, L):

@@ -20,7 +20,8 @@ from coxmin.coxeter import (CoxeterMatrix, DiagramTwist, build_system,
                             untwisted, is_minimal_double_coset_rep,
                             normalizes_parabolic, parabolic_max)
 from coxmin.errors import TheoremViolation, TooLarge
-from oracles import brute_strong_targets, conj, conjugate_by_index
+from oracles import (brute_strong_targets, classes_by_union_find, conj,
+                     conjugate_by_index)
 
 
 def test_class_counts():
@@ -530,3 +531,25 @@ def test_rank_five_and_six_class_counts(name, counts):
     system = build_system(named_matrix(name))
     assert [len(enumerate_classes(system, t))
             for t in enumerate_twists(system.matrix)] == counts
+
+
+@pytest.mark.parametrize("matrix,twists", [
+    *[(named_matrix(name), None)
+      for name in ("A1", "A3", "B3", "H3", "F4", "H4", "E6")],
+    (named_matrix("D4"), ["1,2,3,4", "3,2,4,1"]),
+    (_block_diagonal("A2", "A2"), ["3,4,1,2"]),
+    (_block_diagonal("A3", "A3"), ["4,5,6,3,2,1", "6,5,4,1,2,3"]),
+], ids=["A1", "A3", "B3", "H3", "F4", "H4", "E6", "D4", "A2xA2", "A3xA3"])
+def test_orbit_scan_matches_union_find(matrix, twists):
+    # The same lists in the same order, hence the same class ids, on every
+    # power of each twist (1-based, as on the command line; None: all).
+    system = build_system(matrix)
+    if twists is None:
+        twists = enumerate_twists(matrix)
+    else:
+        twists = [DiagramTwist(matrix, [int(x) - 1 for x in p.split(",")])
+                  for p in twists]
+    for d in twists:
+        for k in range(d.order):
+            coset = TwistedCoset(system, d, k)
+            assert coset.classes() == classes_by_union_find(coset)

@@ -134,10 +134,11 @@ def test_twist_index_map_matches_the_permutation_scan(matrix, twists):
 
 
 def test_table_build_composes_once_per_element(monkeypatch):
-    # The root permutations come from the BFS tree, one product each; a
-    # build that multiplies permutations to find its elements would make
-    # 2 * rank * |W| of them.
-    system = build_system(named_matrix("H4"))
+    # A build that multiplies permutations to find its elements would make
+    # 2 * rank * |W| products.  Up to 256 roots the rows are byte
+    # translations of earlier rows, so H4 makes none; above 256 roots
+    # (I2(129), the 16-bit rows) each element but the identity takes
+    # exactly one product, which also shows the counter counts.
     calls = 0
     real = coxeter.compose
 
@@ -147,9 +148,12 @@ def test_table_build_composes_once_per_element(monkeypatch):
         return real(a, b)
 
     monkeypatch.setattr(coxeter, "compose", counting)
-    t = GroupTable(system)
-    assert t.size == 14400
-    assert 0 < calls <= t.size - 1
+    for name, size, products in (("H4", 14400, 0), ("I2(129)", 258, 257)):
+        system = build_system(named_matrix(name))
+        calls = 0
+        t = GroupTable(system)
+        assert t.size == size
+        assert calls == products, (name, calls)
 
 
 def test_e6_table_build_stays_within_its_memory_budget():
@@ -158,8 +162,9 @@ def test_e6_table_build_stays_within_its_memory_budget():
     A fresh interpreter builds the E6 root system, reads its own ru_maxrss,
     builds the table and reads it again.  With one 72-entry tuple per
     element and a dict keyed by them the build grew the peak by 48.8 MB;
-    with packed rows indexed by the search key it grows it by 21.5 MB
-    (CPython 3.11, x86-64 Linux).
+    with packed rows indexed by the search key, by 22.0 MB; with the rows
+    kept in the bytearray the translations fill and the search keyed by
+    bytes, by 20.0 MB (CPython 3.11, x86-64 Linux).
     """
     script = (
         "import resource\n"

@@ -38,7 +38,7 @@ BANNED = ("ConstructionFailed", "SearchBound", "conjugate_by_index",
           "_fpoly_eval", "_fpoly_divmod", "_fpoly_sub", "_poly_mul",
           "_set_dyadic", "_lo", "_hi", "euclid_inverse",
           "fraction_sturm_intervals", "fractions_by_height_boxes",
-          "FlowCurve", "flow_curve", "L_hint")
+          "FlowCurve", "flow_curve", "L_hint", "classes_by_union_find")
 
 
 def test_no_asserts_and_no_capped_construction_error():
