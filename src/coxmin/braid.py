@@ -376,18 +376,26 @@ def good_min_element(record: ConjugacyClassRecord, angles=None,
 
     Conjugates a representative into a chamber in good position with respect
     to the full angle sequence (or a supplied admissible subsequence, e.g.
-    the nonzero angles for the quasi-elliptic divisibility corollary).
+    the nonzero angles for the quasi-elliptic divisibility corollary).  The
+    filtration of w_A = x^-1 w x is carried from w's by the chamber's x
+    (Filtration.conjugate_by).  The result is memoized on the record per
+    (angles, start_index); the class-minimum length check of the full
+    sequence runs on every call.
     """
     rep = record.representative
     eig = eigen_decomposition(rep, dft_check=False)
     rep = eig.owner  # possibly viewed over a larger field
-    use_angles = list(eig.angles) if angles is None else list(angles)
-    filt = admissible_filtration(rep, use_angles, eig=eig)
-    chamber = good_position_chamber(rep, filt, start_index)
-    w_a = conjugate_by_chamber(rep, chamber)
-    filt_a = admissible_filtration(w_a, use_angles)
-    context = BraidContext(filt_a.system, w_a.twist)
-    cert = certify_good(w_a, filt_a, context)
+    use_angles = tuple(eig.angles) if angles is None else tuple(angles)
+    key = (use_angles, start_index)
+    found = record._good.get(key)
+    if found is None:
+        filt = admissible_filtration(rep, use_angles, eig=eig)
+        chamber = good_position_chamber(rep, filt, start_index)
+        w_a = conjugate_by_chamber(rep, chamber)
+        filt_a = filt.conjugate_by(chamber.x)
+        context = BraidContext(filt_a.system, w_a.twist)
+        found = record._good[key] = (w_a, certify_good(w_a, filt_a, context))
+    w_a, cert = found
     if angles is None and w_a.length() != record.min_length:
         raise TheoremViolation(
             f"good-position conjugate has length {w_a.length()}, class minimum "

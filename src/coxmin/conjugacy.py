@@ -157,6 +157,8 @@ class ConjugacyClassRecord:
     elliptic: bool
     quasi_elliptic: bool
     _exit_cache: dict = dc_field(default_factory=dict, repr=False)
+    # braid.good_min_element's (w_A, certificate) per (angles, start_index)
+    _good: dict = dc_field(default_factory=dict, repr=False)
 
     @property
     def size(self) -> int:

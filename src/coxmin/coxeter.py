@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from array import array
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from itertools import islice
 from operator import itemgetter, methodcaller, mul
 from typing import Iterable, Sequence
@@ -305,11 +305,13 @@ class CoxeterSystem:
         self._twist_root_perms: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
         # Geometry memoized per view, since its vectors live in the view's
         # field (see eigen.eigen_decomposition, eigen.regular_point,
-        # eigen.hyperplanes_containing and eigen.reduced_basis).
+        # eigen.hyperplanes_containing, eigen.reduced_basis and
+        # walk._angle_of_invariant_subspace).
         self._eigen: dict[tuple, list] = {}
         self._regular_points: dict[tuple, Vector] = {}
         self._hyperplanes: dict[tuple, frozenset[int]] = {}
         self._reduced: dict[tuple, tuple[Matrix, list[int]]] = {}
+        self._invariant_angles: dict[tuple, Fraction] = {}
         self._weights: tuple[Matrix, Vector] | None = None
 
     # -- roots ----------------------------------------------------------------
@@ -1106,11 +1108,15 @@ class GroupTable:
       moves keep letter sets (Matsumoto); so x lies in W_J iff support[x]
       is inside J (Bourbaki, Lie IV, §1.8);
     * i is a right (left) descent of x iff x s_i (s_i x) is shorter, that
-      is, comes first in the length-ordered index.
+      is, comes first in the length-ordered index; the masks (rdesc,
+      ldesc) are built on first read, as only reduced words and braid
+      normal forms read them;
+    * first[x] = first[y] (letter[x] when y = 1) is the first letter of the
+      tree path, a reduced word, so it is a left descent of x.
 
     The root permutations are packed into one flat buffer, 2N entries per
     element, read through a sequence view (_PackedRows).  perms[x] =
-    s_j o perms[s_j x] for the least left descent j of x: s_j x comes
+    s_j o perms[s_j x] for j = first[x]: s_j x is shorter, so it comes
     earlier in the index, and (s_j y)(r) = s_j(y(r)), so each row is s_j
     applied to an earlier row.  Up to 256 roots the buffer is a bytearray
     and that is one translate by T_j; above 256 roots it is an array of
@@ -1162,19 +1168,12 @@ class GroupTable:
                 row.append(right[i][row[y]])
             left.append(row)
         support = [0]
+        first = [0]
         for y, i in self._tree():
             support.append(support[y] | 1 << i)
-        # Indices run in order of length, so x s_i is shorter iff it comes first.
-        rdesc, ldesc = [0] * size, [0] * size
-        for masks, rows in ((rdesc, right), (ldesc, left)):
-            for i, row in enumerate(rows):
-                bit = 1 << i
-                masks[:] = [m | bit if y < x else m
-                            for x, m, y in zip(range(size), masks, row)]
+            first.append(first[y] if y else i)
         put = packed.extend
-        for x in range(1, size):
-            m = ldesc[x]
-            j = (m & -m).bit_length() - 1
+        for x, j in islice(enumerate(first), 1, None):
             start = left[j][x] * width
             put(lefts[j](packed[start:start + width]))
         self.size = size
@@ -1183,8 +1182,6 @@ class GroupTable:
         self.right = right
         self.left = left
         self.length = length
-        self.rdesc = rdesc
-        self.ldesc = ldesc
         self.support = support
         self.w0 = max(range(size), key=length.__getitem__)
         if length.count(length[self.w0]) != 1:
@@ -1193,6 +1190,26 @@ class GroupTable:
     def _tree(self):
         """(parent, letter) of each element but the identity, in index order."""
         return islice(zip(self.parent, self.letter), 1, None)
+
+    @cached_property
+    def rdesc(self) -> list[int]:
+        """Right-descent bitmask of each element, built on first read."""
+        return self._descent_masks(self.right)
+
+    @cached_property
+    def ldesc(self) -> list[int]:
+        """Left-descent bitmask of each element, built on first read."""
+        return self._descent_masks(self.left)
+
+    def _descent_masks(self, rows: list[list[int]]) -> list[int]:
+        # Indices run in order of length, so x s_i (s_i x) is shorter iff
+        # it comes first.
+        masks = [0] * self.size
+        for i, row in enumerate(rows):
+            bit = 1 << i
+            masks = [m | bit if y < x else m
+                     for x, m, y in zip(range(self.size), masks, row)]
+        return masks
 
     def element(self, x: int) -> GroupElement:
         return GroupElement(self.system, self.perms[x])

@@ -39,7 +39,8 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .coxeter import Chamber, CoxeterSystem, TwistedElement
+from .coxeter import (Chamber, CoxeterSystem, GroupElement, TwistedElement,
+                      compose)
 from .errors import (FieldTooSmall, MultiplicityMismatch, NoRegularPoint,
                      NotAdmissible, TheoremViolation)
 from .linalg import (Matrix, Vector, cone_from_constraints, cone_point_avoiding,
@@ -419,6 +420,28 @@ class Filtration:
     def irredundant(self) -> tuple[Angle, ...]:
         return tuple(self.angles[i - 1] for i in self.irredundant_indices)
 
+    def conjugate_by(self, x: GroupElement) -> "Filtration":
+        """The filtration of x^-1 w x for the same angles, from this one.
+
+        x^-1 maps V^theta(w) onto V^theta(x^-1 w x), so the new F_i is
+        x^-1(F_i): each basis is mapped and reduced (the RREF of a subspace
+        is unique, so the bases are those admissible_filtration builds).
+        <alpha_r, x^-1 v> = <x alpha_r, v>, so H_r contains x^-1(F_i) iff
+        the hyperplane of x(alpha_r) contains F_i; the irredundant indices
+        and admissibility carry over unchanged.
+        """
+        system = self.system
+        npos = system.npos
+        x_inv = x.inverse()
+        f_bases = [rref([x_inv.apply(b) for b in basis])[0] for basis in self.f_bases]
+        moved = [p if p < npos else p - npos for p in x.perm[:npos]]
+        hsets = [frozenset(r for r in range(npos) if moved[r] in h)
+                 for h in self.hyperplane_sets]
+        return Filtration(owner=self.owner.conjugate_by(x), system=system,
+                          angles=self.angles, f_bases=f_bases,
+                          hyperplane_sets=hsets, admissible=self.admissible,
+                          irredundant_indices=self.irredundant_indices)
+
 
 def admissible_filtration(w: TwistedElement, angles,
                           eig: EigenDecomposition | None = None) -> Filtration:
@@ -451,14 +474,19 @@ def good_position_chamber(w: TwistedElement, filtration: Filtration,
     """A chamber whose H_{F_i}-component closures reach regular points of F_{i+1}.
 
     Built by lexicographic sign perturbation: a chamber of the point
-    x_1 + eps x_2 + eps^2 x_3 + ... for regular points x_i of F_i and a final
-    generic vector, with eps treated symbolically (first nonzero sign wins).
+    p = x_1 + eps x_2 + eps^2 x_3 + ... for regular points x_i of F_i and a
+    final generic vector, with eps treated symbolically (first nonzero sign
+    wins).  Each root's sign at p is read once, from the pairings of the
+    x_i.  The walk of p into the fundamental chamber then moves only g: the
+    sign of <alpha_i, g p> is the sign of <g^-1 alpha_i, p>, since the form
+    is W-invariant, so a step s_i composes root permutations.
     """
     if not filtration.admissible:
         raise NotAdmissible("filtration does not reach a regular point of V")
     system = filtration.system
-    n = system.rank
+    n, npos = system.rank, system.npos
     field = system.field
+    sign_of = field.sign_of
 
     points: list[Vector] = []
     for i in range(1, len(filtration.f_bases)):
@@ -468,57 +496,61 @@ def good_position_chamber(w: TwistedElement, filtration: Filtration,
     ident = [tuple(field.one if i == j else field.zero for j in range(n))
              for i in range(n)]
     points.append(regular_point(system, ident, start_index=start_index))
+    pairs = [system.root_pairings(p) for p in points]
 
-    def lex_sign(root_idx: int, pts: list[Vector]) -> int:
-        for p in pts:
-            s = field.sign_of(system.pairing(root_idx, p)[0])
-            if s:
-                return s
-        return 0
+    # The sign at p of each positive root, on first use; the last point is
+    # regular in V, so no sign is zero.
+    lex: dict[int, int] = {}
 
-    # Walk the symbolic point into the fundamental chamber; each step
-    # lowers the number of roots it pairs negatively with, so at most npos.
-    pts = list(points)
-    g = system.identity
-    guard = 0
-    while True:
-        i = next((i for i in range(n) if lex_sign(i, pts) < 0), None)
+    def lex_sign(root_idx: int) -> int:
+        r = root_idx if root_idx < npos else root_idx - npos
+        s = lex.get(r)
+        if s is None:
+            s = lex[r] = next(filter(None, (sign_of(p[r][0]) for p in pairs)), 0)
+        return s if root_idx < npos else -s
+
+    # y is g^-1 as a root permutation, and (s_i g)^-1 = g^-1 s_i.  Each step
+    # lowers the number of roots negative at g p, so at most npos steps.
+    y = system._identity_perm
+    for _ in range(npos + 1):
+        i = next((i for i in range(n) if lex_sign(y[i]) < 0), None)
         if i is None:
             break
-        pts = [system.simple_reflect(i, p) for p in pts]
-        g = system.generator(i) * g
-        guard += 1
-        if guard > system.npos:
-            raise TheoremViolation("lexicographic sign walk failed to terminate")
-    chamber = Chamber(system, g.inverse())
+        y = compose(y, system.reflections[i])
+    else:
+        raise TheoremViolation("lexicographic sign walk failed to terminate")
+    chamber = Chamber(system, GroupElement(system, y))
 
     # With regular points x_i the construction is in good position; the
     # exact witness check confirms it.
-    if not _good_position_holds(chamber, filtration, points):
+    if not _good_position_holds(chamber, filtration, pairs[:-1]):
         raise TheoremViolation("lexicographic chamber is not in good position")
     return chamber
 
 
 def _good_position_holds(chamber: Chamber, filtration: Filtration,
-                         witnesses: list[Vector]) -> bool:
-    """Exact witness check of the good-position property."""
+                         witness_pairings: list[list[tuple[tuple[int, ...], int]]]) -> bool:
+    """Exact witness check of the good-position property.
+
+    witness_pairings holds system.root_pairings of the regular point of
+    each growth level F_i (dim F_i > dim F_{i-1}), in level order.
+    """
     system = filtration.system
     sign_of = system.field.sign_of
-    pt_iter = iter(witnesses)
-    pt_of_level: dict[int, Vector] = {}
+    pairs_iter = iter(witness_pairings)
+    pairs_of_level: dict[int, list] = {}
     for i in range(1, len(filtration.f_bases)):
         if len(filtration.f_bases[i]) > len(filtration.f_bases[i - 1]):
-            pt_of_level[i] = next(pt_iter)
+            pairs_of_level[i] = next(pairs_iter)
     for i in range(len(filtration.f_bases) - 1):
         # Some regular point of F_{i+1} must lie in the closure of the
         # H_{F_i}-component of the chamber.  When F_{i+1} = F_j for the last
         # growth level j <= i, the witness x_j pairs to zero against every
         # H in H_{F_i} (those hyperplanes contain F_j), so the condition is
         # automatic and only growth levels need checking.
-        x = pt_of_level.get(i + 1)
-        if x is None:
+        pairs = pairs_of_level.get(i + 1)
+        if pairs is None:
             continue
-        pairs = system.root_pairings(x)
         for r in filtration.hyperplane_sets[i]:
             s = sign_of(pairs[r][0])
             if s != 0 and s != chamber.sign(r):

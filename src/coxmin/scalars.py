@@ -583,11 +583,6 @@ class AlgebraicScalar:
             self._float = self.field.float_of(self.num, self.den)
         return self._float
 
-    def as_fraction(self) -> Fraction:
-        if not self._is_rational():
-            raise ScalarDomainError(f"{self!r} is irrational")
-        return Fraction(self.num[0], self.den)
-
     def __repr__(self):
         terms = []
         for i, c in enumerate(self.coeffs):

@@ -323,8 +323,16 @@ def _walls_near(vals: list[float], signs: list[int],
 
 def _angle_of_invariant_subspace(w: TwistedElement, eig: EigenDecomposition,
                                  basis: Matrix) -> Fraction:
-    """The q with span(basis) inside V^{q pi}; checks w-stability."""
+    """The q with span(basis) inside V^{q pi}; checks w-stability.
+
+    eig is w's decomposition.  Answers are memoized on eig.system per
+    (w, basis); a failed check is not, and raises again.
+    """
     system = eig.system
+    key = (w.twist.perm, w.k, w.body.perm, tuple(basis))
+    q = system._invariant_angles.get(key)
+    if q is not None:
+        return q
     red, pivots = reduced_basis(system, basis)
     # w is invertible, so w(K) inside K already gives w(K) = K.
     if not all(in_span(red, pivots, w.apply(b)) for b in basis):
@@ -332,6 +340,7 @@ def _angle_of_invariant_subspace(w: TwistedElement, eig: EigenDecomposition,
     for q, _, eigbasis in eig.entries:
         eig_red, eig_pivots = reduced_basis(system, eigbasis)
         if all(in_span(eig_red, eig_pivots, b) for b in basis):
+            system._invariant_angles[key] = q
             return q
     raise HypothesisFailed("subspace lies in no single eigenspace")
 

@@ -10,7 +10,8 @@ from fractions import Fraction
 
 from coxmin.braid import TwistedBraid
 from coxmin.conjugacy import _blocks, _union
-from coxmin.coxeter import GroupElement, compose, invert_perm
+from coxmin.coxeter import Chamber, GroupElement, compose, invert_perm
+from coxmin.eigen import regular_point
 from coxmin.linalg import (cone_from_constraints, cone_point_avoiding, in_span,
                            kernel_basis, rref, vec_add, vec_is_zero, vec_scale,
                            zero_vector)
@@ -282,6 +283,40 @@ def relative_interior_point(cone):
     for r in cone.rays:
         v = vec_add(v, r)
     return v
+
+
+def lex_chamber_by_reflection(filtration, start_index=0):
+    """The good-position chamber's lexicographic walk on exact points.
+
+    The chamber of p = x_1 + eps x_2 + ... (regular points of the growth
+    levels F_i, then of V, eps symbolic): while some simple root pairs
+    negatively with p, reflect every x_i by the least such s_i, and pair
+    them all again.  Returns the chamber g^-1(C) for the product g of the
+    reflections.
+    """
+    system = filtration.system
+    field, n = system.field, system.rank
+    points = [regular_point(system, basis, start_index=start_index)
+              for prev, basis in zip(filtration.f_bases, filtration.f_bases[1:])
+              if len(basis) > len(prev)]
+    ident = [tuple(field.one if i == j else field.zero for j in range(n))
+             for i in range(n)]
+    points.append(regular_point(system, ident, start_index=start_index))
+
+    def lex_sign(i):
+        for p in points:
+            s = field.sign_of(system.pairing(i, p)[0])
+            if s:
+                return s
+        return 0
+
+    g = system.identity
+    while True:
+        i = next((i for i in range(n) if lex_sign(i) < 0), None)
+        if i is None:
+            return Chamber(system, g.inverse())
+        points = [system.simple_reflect(i, p) for p in points]
+        g = system.generator(i) * g
 
 
 def normal_form_is_valid(nf) -> bool:

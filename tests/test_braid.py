@@ -295,3 +295,61 @@ def test_certificate_json_export():
     assert back["type"] == "B2" and back["class_id"] == rec.class_id
     assert back["subsets"] and back["exponents"]
     assert back["nf_digest_lhs"] == back["nf_digest_rhs"]
+
+
+@pytest.mark.parametrize("name", ["B3", "H3", "F4"])
+def test_memoized_good_elements_match_fresh_records(name):
+    # A good element served from the class record equals one built on a
+    # fresh system and record, for the full and the nonzero angles, at two
+    # start indices (B3 class 5 and F4 classes 3, 8 and 9 have another good
+    # element at start index 5 than at 0).
+    matrix = named_matrix(name)
+    memo, fresh = build_system(matrix), build_system(matrix)
+    for twist in enumerate_twists(matrix):
+        for rec, frec in zip(enumerate_classes(memo, twist),
+                             enumerate_classes(fresh, twist)):
+            eig = eigen_decomposition(rec.representative, dft_check=False)
+            runs = [(None, 0), (None, 5)]
+            if rec.quasi_elliptic:
+                runs.append(([q for q in eig.angles if q != 0], 0))
+            for angles, start in runs:
+                first = good_min_element(rec, angles, start)
+                again = good_min_element(rec, angles, start)
+                assert again[0] is first[0] and again[1] is first[1]
+                frec._good.clear()  # computed afresh, not served
+                w_a, cert = good_min_element(frec, angles, start)
+                assert first[0] == w_a
+                assert first[1].to_json() == cert.to_json()
+
+
+def test_length_check_runs_on_a_memo_hit():
+    b3 = build_system(named_matrix("B3"))
+    rec = enumerate_classes(b3)[8]
+    good_min_element(rec)
+    rec.min_length += 2
+    with pytest.raises(TheoremViolation):
+        good_min_element(rec)
+
+
+def test_quasi_after_good_reuses_the_good_element(monkeypatch):
+    # On an elliptic class the nonzero angles are all the angles, so the
+    # quasi check, run after the good check, builds no chamber of its own.
+    import coxmin.braid as braid_mod
+    from coxmin.cli import _check_class
+    calls = []
+    real = braid_mod.good_position_chamber
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(braid_mod, "good_position_chamber", counted)
+    f4 = build_system(named_matrix("F4"))
+    elliptic = [rec for rec in enumerate_classes(f4) if rec.elliptic]
+    assert elliptic
+    for rec in elliptic:
+        assert [r["status"] for r in _check_class(rec, ["good"], 0)] == ["pass"]
+        before = len(calls)
+        assert before > 0
+        assert [r["status"] for r in _check_class(rec, ["quasi"], 0)] == ["pass"]
+        assert len(calls) == before

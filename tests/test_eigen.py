@@ -26,7 +26,10 @@ from coxmin.linalg import (cone_from_constraints, cone_point_avoiding,
                            rational_tuples, vec_add, vec_is_zero, vec_scale,
                            zero_vector)
 from coxmin.scalars import get_field
-from oracles import all_roots_chamber_cone, solve_in_span
+from oracles import (all_roots_chamber_cone, lex_chamber_by_reflection,
+                     solve_in_span)
+from test_acceptance import PRODUCTS
+from test_conjugacy import _block_diagonal
 
 
 def identity_basis(system):
@@ -335,6 +338,45 @@ def test_good_position_failure_is_a_violation(monkeypatch):
     monkeypatch.setattr(eigen_mod, "_good_position_holds", lambda *a: False)
     with pytest.raises(TheoremViolation):
         good_position_chamber(w, filt)
+
+
+# The criterion 10 and 11 sweeps: rank five and six, and the products.
+SWEEP_LABELS = ["A5", "D5", "A6", "B5", "D6", "E6"] + \
+    ["x".join(names) for names, _ in PRODUCTS]
+
+
+@pytest.mark.parametrize("label", SWEEP_LABELS)
+def test_sign_walk_and_carried_filtration_match_references(label):
+    # Every class and twist, for the full angle sequence (and the nonzero
+    # angles of a quasi-elliptic class with fixed points), at two start
+    # indices: the walk on root signs ends in the chamber of the walk that
+    # reflects and pairs its points again, and the filtration carried to
+    # w_A equals the one built from w_A's own eigenspaces, field by field.
+    names = label.split("x")
+    matrix = _block_diagonal(*names) if len(names) > 1 else named_matrix(label)
+    system = build_system(matrix)
+    for twist in enumerate_twists(matrix):
+        for rec in enumerate_classes(system, twist):
+            eig = eigen_decomposition(rec.representative, dft_check=False)
+            w = eig.owner
+            sequences = [tuple(eig.angles)]
+            if rec.quasi_elliptic and eig.angles[0] == 0:
+                sequences.append(tuple(eig.angles[1:]))
+            for angles in sequences:
+                filt = admissible_filtration(w, angles, eig=eig)
+                for start in (0, 1):
+                    chamber = good_position_chamber(w, filt, start)
+                    assert chamber == lex_chamber_by_reflection(filt, start), \
+                        (label, twist.perm, rec.class_id, angles, start)
+                    carried = filt.conjugate_by(chamber.x)
+                    own = admissible_filtration(w.conjugate_by(chamber.x), angles)
+                    assert carried.owner == own.owner
+                    assert carried.system is own.system
+                    assert carried.angles == own.angles
+                    assert carried.f_bases == own.f_bases
+                    assert carried.hyperplane_sets == own.hyperplane_sets
+                    assert carried.irredundant_indices == own.irredundant_indices
+                    assert carried.admissible == own.admissible
 
 
 def test_good_position_w0_a2():

@@ -24,8 +24,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # Fraction polynomial helpers and the Fraction copy of the isolating interval
 # that the integer field layer replaced, with their references (the Euclid
 # inverse and the Sturm bisection in Fractions), the scan of whole
-# boxes that the fractions by height replaced, and the flow-curve wrapper
-# and the field-level hint that no caller used.
+# boxes that the fractions by height replaced, the flow-curve wrapper
+# and the field-level hint that no caller used, and the good-position walk
+# that reflected and paired its points again at every step (the walk now
+# composes root permutations over signs read once).
 BANNED = ("ConstructionFailed", "SearchBound", "conjugate_by_index",
           "_twist_body", "conj", "pruned", "is_valid", "expand",
           "is_left_weighted_pair", "reflection_element", "reflect_vector",
@@ -38,7 +40,8 @@ BANNED = ("ConstructionFailed", "SearchBound", "conjugate_by_index",
           "_fpoly_eval", "_fpoly_divmod", "_fpoly_sub", "_poly_mul",
           "_set_dyadic", "_lo", "_hi", "euclid_inverse",
           "fraction_sturm_intervals", "fractions_by_height_boxes",
-          "FlowCurve", "flow_curve", "L_hint", "classes_by_union_find")
+          "FlowCurve", "flow_curve", "L_hint", "classes_by_union_find",
+          "lex_chamber_by_reflection")
 
 
 def test_no_asserts_and_no_capped_construction_error():
@@ -101,6 +104,38 @@ def test_every_module_function_and_class_is_used_or_exported():
     unused = [f"{module}: {name}" for module, name in defined
               if name not in used and name not in exported]
     assert not unused, unused
+
+
+# Public methods with no caller in the package, kept on purpose (ROADMAP.md,
+# "Loose ends"): they are the rational edges of the scalar layer, where
+# callers pass a scalar in as Fraction coefficients and read an isolating
+# interval out as Fractions.
+KEPT_METHODS = {("ScalarField", "scalar"), ("AlgebraicScalar", "interval")}
+
+
+def test_every_public_method_is_used():
+    # No unused API, one level down: each public method of a package class
+    # is referenced somewhere in the package outside its own body, or is a
+    # rational edge kept on purpose (KEPT_METHODS).
+    defined, used = [], set()
+    for path in sorted((SRC / "coxmin").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.ClassDef):
+                used |= _referenced_names(node)
+                continue
+            for deco in node.decorator_list + node.bases:
+                used |= _referenced_names(deco)
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    if not item.name.startswith("_"):
+                        defined.append((path.name, node.name, item.name))
+                    used |= _referenced_names(item) - {item.name}
+                else:
+                    used |= _referenced_names(item)
+    unused = [f"{module}: {cls}.{name}" for module, cls, name in defined
+              if name not in used and (cls, name) not in KEPT_METHODS]
+    assert not unused, unused
+    assert {(cls, name) for _, cls, name in defined} >= KEPT_METHODS
 
 
 def test_every_import_is_used():

@@ -10,12 +10,14 @@ import pytest
 
 from coxmin.conjugacy import enumerate_classes
 from coxmin.coxeter import (Chamber, CoxeterMatrix, DiagramTwist, build_system,
-                            conjugate_by_chamber, named_matrix, untwisted)
+                            conjugate_by_chamber, enumerate_twists,
+                            named_matrix, untwisted)
 from coxmin.eigen import (eigen_decomposition, fixed_space, hyperplanes_containing,
                           regular_point)
 from coxmin.errors import HypothesisFailed
 from coxmin.linalg import rref
-from coxmin.walk import (_start_point, component_length, decay_rate,
+from coxmin.walk import (_angle_of_invariant_subspace, _start_point,
+                         component_length, decay_rate,
                          decompose_at_regular, derivative_test, descent_walk,
                          special_length_formula, strongly_connected_step)
 from oracles import reflection_element
@@ -478,3 +480,25 @@ def test_walls_near_matches_two_comprehensions():
                  if abs(vals[r]) > tol and (vals[r] > 0) != (signs[r] > 0)]
         tiny = [r for r in range(n) if abs(vals[r]) <= tol]
         assert _walls_near(vals, signs, tol) == (flips, tiny)
+
+
+@pytest.mark.parametrize("name", ["B3", "H3"])
+def test_memoized_invariant_angles_match_a_fresh_system(name):
+    # Each eigenspace of each class representative: the angle served from
+    # the system's memo equals the one computed on a freshly built system,
+    # and the eigenspace's own angle.
+    matrix = named_matrix(name)
+    memo, fresh = build_system(matrix), build_system(matrix)
+    for twist in enumerate_twists(matrix):
+        for rec, frec in zip(enumerate_classes(memo, twist),
+                             enumerate_classes(fresh, twist)):
+            eig = eigen_decomposition(rec.representative, dft_check=False)
+            feig = eigen_decomposition(frec.representative, dft_check=False)
+            for (q, _, basis), (_, _, fbasis) in zip(eig.entries, feig.entries):
+                assert _angle_of_invariant_subspace(eig.owner, eig, basis) == q
+                key = (eig.owner.twist.perm, eig.owner.k, eig.owner.body.perm,
+                       tuple(basis))
+                assert eig.system._invariant_angles[key] == q
+                assert _angle_of_invariant_subspace(eig.owner, eig, basis) == q
+                feig.system._invariant_angles.clear()
+                assert _angle_of_invariant_subspace(feig.owner, feig, fbasis) == q
