@@ -60,6 +60,6 @@ print(f"\n{len(quasi)} of {len(records)} F4 classes are quasi-elliptic")
 rec = quasi[-1]
 w_a, cert = good_min_element(rec)
 ctx4 = BraidContext(w_a.system, w_a.twist)
-power = lift(w_a, ctx4).power(cert.d).normal_form()
+power = lift(w_a, ctx4).power(cert.d)
 print(f"class {rec.class_id}: (lift w)^{cert.d} has infimum {power.infimum()} "
       f"(Delta^2-divisible: {divisible_by_delta_squared(power)})")

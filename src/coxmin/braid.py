@@ -1,15 +1,21 @@
 """Positive braid monoid with Garside normal form and good-element certificates.
 
 Positive braids over a finite Coxeter system have W itself as the simple
-elements; a word is canonically a left-weighted sequence of simples (each
+elements; a braid is canonically a left-weighted sequence of simples (each
 pair (x, y) satisfying L(y) contained in R(x), identities dropped).  Equality
 of positive braids is equality of these sequences, which is the decision
 procedure behind every certificate here.  Factors are GroupTable indices, so
 the transfer step "move s from the left of y to the right of x" is two table
-lookups guided by descent bitmasks.
+lookups guided by descent bitmasks.  BraidContext.normalize is the one
+algorithm that restores left-weighting, for products and for words alike.
 
-The twisted extension <d> x| B+ keeps the twist as a prefix exponent and
-pushes it through words eagerly (d sigma_i = sigma_{d(i)} d).
+The lift of w in W is a single simple factor, so lift returns its normal
+form and powers of lifts multiply normal forms by squaring.  The twisted
+extension <d> x| B+ keeps the twist as a prefix exponent: in a product
+d^k x . d^l y every factor of x is conjugated by d^-l, one root-permutation
+conjugation and one table lookup per factor.  TwistedBraid is the word-level
+input: a twist prefix and Artin generators, pushed through words eagerly
+(d sigma_i = sigma_{d(i)} d).
 
 Goodness: for w of order d with the fundamental chamber in good position for
 an admissible angle sequence, the d-th power of the lift equals a twist times
@@ -17,12 +23,14 @@ a telescoping product of even powers of lifted parabolic longest elements
 over a strictly decreasing chain of subsets.  certify_good derives the chain
 from the filtration, validates the exponent arithmetic, and compares normal
 forms; good_min_element runs the whole construction from a conjugacy class.
+The certificate keeps the infimum of the power, which is all the
+quasi-elliptic Delta^2-divisibility corollary reads.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -44,19 +52,6 @@ class BraidContext:
         self.twist = twist if twist is not None else DiagramTwist(
             system.matrix, tuple(range(system.rank)))
         self.table = system.table()
-        self._twist_maps: dict[int, list[int]] = {}
-
-    def twist_map(self, m: int) -> list[int]:
-        """Element index map of conjugation by d^m."""
-        m %= self.twist.order
-        tm = self._twist_maps.get(m)
-        if tm is None:
-            if m == 0:
-                tm = list(range(self.table.size))
-            else:
-                tm = self.table.twist_index_map(self.twist, m)
-            self._twist_maps[m] = tm
-        return tm
 
     # -- the left-weighting transfer ---------------------------------------
 
@@ -114,30 +109,10 @@ class TwistedBraid:
         return out
 
     def normal_form(self) -> "GarsideNormalForm":
-        t = self.context.table
-        factors: list[int] = []
-        for letter in self.word:
-            g = t.right[letter][0]
-            if factors and t.length[t.right[letter][factors[-1]]] == \
-                    t.length[factors[-1]] + 1:
-                factors[-1] = t.right[letter][factors[-1]]
-            else:
-                factors.append(g)
-            # Comb backwards to restore left-weighting.
-            j = len(factors) - 1
-            while j > 0:
-                x, y, moved = self.context.transfer(factors[j - 1], factors[j])
-                if not moved:
-                    break
-                factors[j - 1] = x
-                if y == 0:
-                    del factors[j]
-                else:
-                    factors[j] = y
-                j -= 1
-        return GarsideNormalForm(self.context,
-                                 self.k % self.context.twist.order,
-                                 self.context.normalize(factors))
+        ctx = self.context
+        right = ctx.table.right  # right[i][0] is the index of s_i
+        return GarsideNormalForm(ctx, self.k % ctx.twist.order,
+                                 ctx.normalize([right[i][0] for i in self.word]))
 
     def __repr__(self):
         word = ".".join(f"s{i}" for i in self.word) or "e"
@@ -147,16 +122,9 @@ class TwistedBraid:
 @dataclass(frozen=True)
 class GarsideNormalForm:
     """Twist exponent plus the left-weighted sequence of simple factors."""
-    context: BraidContext
+    context: BraidContext = field(compare=False)
     k: int
     factors: tuple[int, ...]
-
-    def __eq__(self, other):
-        return (isinstance(other, GarsideNormalForm)
-                and self.k == other.k and self.factors == other.factors)
-
-    def __hash__(self):
-        return hash((self.k, self.factors))
 
     def infimum(self) -> int:
         w0 = self.context.table.w0
@@ -172,13 +140,17 @@ class GarsideNormalForm:
         return sum(t.length[f] for f in self.factors)
 
     def mul(self, other: "GarsideNormalForm") -> "GarsideNormalForm":
-        if other.context is not self.context:
+        ctx = self.context
+        if other.context is not ctx:
             raise ValueError("normal forms of different contexts multiplied")
-        tm = self.context.twist_map(-other.k)
-        shifted = [tm[f] for f in self.factors]
-        return GarsideNormalForm(
-            self.context, (self.k + other.k) % self.context.twist.order,
-            self.context.normalize(shifted + list(other.factors)))
+        # d^k x d^l y = d^{k+l} (d^-l x d^l) y: each factor twists by d^-l.
+        factors = self.factors
+        if other.k:
+            t, system = ctx.table, ctx.system
+            factors = [t.index[system.twist_conj(t.perms[f], ctx.twist, -other.k)]
+                       for f in factors]
+        return GarsideNormalForm(ctx, (self.k + other.k) % ctx.twist.order,
+                                 ctx.normalize([*factors, *other.factors]))
 
     def power(self, k: int) -> "GarsideNormalForm":
         if k < 0:
@@ -203,11 +175,16 @@ class GarsideNormalForm:
         return f"NF({head}{' | '.join(words) if words else 'e'})"
 
 
-def lift(w: GroupElement | TwistedElement, context: BraidContext) -> TwistedBraid:
-    """The canonical injection of W (or its twisted extension) into B+."""
-    if isinstance(w, TwistedElement):
-        return TwistedBraid(context, w.k, tuple(w.body.to_word()))
-    return TwistedBraid(context, 0, tuple(w.to_word()))
+def lift(w: GroupElement | TwistedElement,
+         context: BraidContext) -> GarsideNormalForm:
+    """The canonical injection of W (or its twisted extension) into B+.
+
+    The lift of d^k x is the one simple factor x after the twist d^k, which
+    is already its normal form (no factor when x = 1).
+    """
+    k, body = (w.k, w.body) if isinstance(w, TwistedElement) else (0, w)
+    x = context.table.index[body.perm]
+    return GarsideNormalForm(context, k % context.twist.order, (x,) if x else ())
 
 
 def delta_squared(context: BraidContext) -> GarsideNormalForm:
@@ -232,6 +209,7 @@ class GoodCertificate:
     tuples); exponents: the matching even positive powers; the identity
     (lift w)^d = sigma * prod lift(w_{S_j})^{e_j} holds at normal-form level.
     When d is even the half-power identity is verified too and recorded.
+    lhs_infimum is the number of leading Delta factors of (lift w)^d.
     """
     element: TwistedElement
     d: int
@@ -241,6 +219,7 @@ class GoodCertificate:
     lhs_digest: str
     rhs_digest: str
     very_good: bool
+    lhs_infimum: int
     half_sigma_exponent: int | None = None
     half_lhs_digest: str | None = None
 
@@ -335,7 +314,7 @@ def certify_good(w: TwistedElement, filtration: Filtration,
         raise TheoremViolation(
             f"parabolic chain {subsets} does not strictly decrease")
 
-    lhs = lift(w, context).power(d).normal_form()
+    lhs = lift(w, context).power(d)
     sigma = (w.k * d) % w.twist.order
     rhs = GarsideNormalForm(context, sigma, ())
     maxes = [context.table.index_of(parabolic_max(system, s)) for s in subsets]
@@ -353,7 +332,7 @@ def certify_good(w: TwistedElement, filtration: Filtration,
     half_sigma = None
     half_digest = None
     if d % 2 == 0:
-        half_lhs = lift(w, context).power(d // 2).normal_form()
+        half_lhs = lift(w, context).power(d // 2)
         half_sigma = (w.k * (d // 2)) % w.twist.order
         half_rhs = GarsideNormalForm(context, half_sigma, ())
         for m, e in zip(maxes, exponents):
@@ -366,7 +345,8 @@ def certify_good(w: TwistedElement, filtration: Filtration,
     return GoodCertificate(
         element=w, d=d, subsets=tuple(subsets), exponents=tuple(exponents),
         sigma_exponent=sigma, lhs_digest=lhs.digest(), rhs_digest=rhs.digest(),
-        very_good=very_good, half_sigma_exponent=half_sigma,
+        very_good=very_good, lhs_infimum=lhs.infimum(),
+        half_sigma_exponent=half_sigma,
         half_lhs_digest=half_digest)
 
 
@@ -390,7 +370,7 @@ def good_min_element(record: ConjugacyClassRecord, angles=None,
     found = record._good.get(key)
     if found is None:
         filt = admissible_filtration(rep, use_angles, eig=eig)
-        chamber = good_position_chamber(rep, filt, start_index)
+        chamber = good_position_chamber(filt, start_index)
         w_a = conjugate_by_chamber(rep, chamber)
         filt_a = filt.conjugate_by(chamber.x)
         context = BraidContext(filt_a.system, w_a.twist)
@@ -442,20 +422,18 @@ def verify_rotation_identity(w: TwistedElement, q) -> bool:
     w1 = parabolic_max(system, J)
     w0 = context.table.element(context.table.w0)
     exp = int(q * d / 2)
-    lhs = lift(w, context).power(d).normal_form()
+    lhs = lift(w, context).power(d)
     sigma = (w.k * d) % w.twist.order
-    block = lift(w1 * w0, context) * lift(w0 * w1, context)
-    rhs = (GarsideNormalForm(context, sigma, ()).mul(
-        block.normal_form().power(exp)))
+    block = lift(w1 * w0, context).mul(lift(w0 * w1, context))
+    rhs = GarsideNormalForm(context, sigma, ()).mul(block.power(exp))
     if lhs != rhs:
         raise IdentityFailed("rotation identity failed at normal form")
 
     if d % 2 == 0 and exp % 2 == 1:
-        half = lift(w, context).power(d // 2).normal_form()
+        half = lift(w, context).power(d // 2)
         half_sigma = (w.k * (d // 2)) % w.twist.order
         half_rhs = GarsideNormalForm(context, half_sigma, ()).mul(
-            lift(w0 * w1, context).normal_form()).mul(
-            block.normal_form().power((exp - 1) // 2))
+            lift(w0 * w1, context)).mul(block.power((exp - 1) // 2))
         if half != half_rhs:
             raise IdentityFailed("rotation half-power identity failed")
     return True
@@ -468,10 +446,8 @@ def verify_quasi_elliptic_divisibility(record: ConjugacyClassRecord) -> bool:
     rep = record.representative
     eig = eigen_decomposition(rep, dft_check=False)
     nonzero = [q for q in eig.angles if q != 0]
-    w_a, cert = good_min_element(record, angles=nonzero)
-    context = BraidContext(w_a.system, w_a.twist)
-    power = lift(w_a, context).power(cert.d).normal_form()
-    if power.infimum() < 2:
+    _, cert = good_min_element(record, angles=nonzero)
+    if cert.lhs_infimum < 2:
         raise TheoremViolation(
-            f"class {record.class_id}: w^d has infimum {power.infimum()} < 2")
+            f"class {record.class_id}: w^d has infimum {cert.lhs_infimum} < 2")
     return True

@@ -44,8 +44,7 @@ from typing import Iterator, Sequence
 from .coxeter import (CoxeterMatrix, CoxeterSystem, DiagramTwist, GroupElement,
                       TwistedElement, build_system, is_minimal_double_coset_rep,
                       normalizes_parabolic, parabolic_index_map)
-from .eigen import (elliptic_parabolic_certificate, is_elliptic,
-                    is_quasi_elliptic)
+from .eigen import _elliptic_kinds, elliptic_parabolic_certificate
 from .errors import TheoremViolation
 
 
@@ -188,14 +187,14 @@ def enumerate_classes(system: CoxeterSystem, twist: DiagramTwist | None = None,
         mlen = t.length[els[0]]
         o_min = els[:bisect_right(els, mlen, key=t.length.__getitem__)]
         rep = coset.element(o_min[0])
-        ell = is_elliptic(rep)
+        ell, quasi = _elliptic_kinds(rep)
         if elliptic_parabolic_certificate(rep, els, t) != ell:
             raise TheoremViolation(
                 "parabolic criterion disagrees with the fixed-space test")
         records.append(ConjugacyClassRecord(
             coset=coset, class_id=cid, elements=els, o_min=o_min,
             min_length=mlen, elliptic=ell,
-            quasi_elliptic=is_quasi_elliptic(rep)))
+            quasi_elliptic=quasi))
     return records
 
 

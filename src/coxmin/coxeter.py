@@ -639,24 +639,11 @@ class GroupElement:
         """Lexicographically smallest reduced word.
 
         Strips the least left descent i of x, x -> s_i x, until none is
-        left.  With the group table built, that is one index lookup and then
-        the table's left-descent masks and left multiplication.  Otherwise
-        y is the permutation of the current x^-1: i is a left descent iff
-        y[i] is negative, and (s_i x)^-1 = x^-1 s_i composes y with s_i.
+        left, on root permutations alone: y is the permutation of the
+        current x^-1, i is a left descent iff y[i] is negative, and
+        (s_i x)^-1 = x^-1 s_i composes y with s_i.  No group table is read.
         """
         sys = self.system
-        table = sys._base._table
-        if table is not None:
-            x = table.index[self.perm]
-            ldesc, left = table.ldesc, table.left
-            word = []
-            mask = ldesc[x]
-            while mask:
-                i = (mask & -mask).bit_length() - 1
-                word.append(i)
-                x = left[i][x]
-                mask = ldesc[x]
-            return word
         npos, rank, refl = sys.npos, sys.rank, sys.reflections
         y = self.inv_perm
         word = []
@@ -1101,16 +1088,14 @@ class GroupTable:
     * left[j][x] = right[i][left[j][y]], since s_j x = (s_j y) s_i;
     * index[perm] looks the permutation's key up in the search's own dict
       and checks the stored row (_KeyIndex), so no table is keyed by 2N-tuples;
-    * the map of conjugation by d^k is tm[x] = right[d^k(i)][tm[y]], since
-      d^k x d^-k = (d^k y d^-k) s_{d^k(i)} (twist_index_map);
     * support[x] = support[y] | 1 << i is the letter set of a reduced word
       (the tree path), the same for every reduced word of x, since braid
       moves keep letter sets (Matsumoto); so x lies in W_J iff support[x]
       is inside J (Bourbaki, Lie IV, §1.8);
     * i is a right (left) descent of x iff x s_i (s_i x) is shorter, that
       is, comes first in the length-ordered index; the masks (rdesc,
-      ldesc) are built on first read, as only reduced words and braid
-      normal forms read them;
+      ldesc) are built on first read, as only braid normal forms read
+      them;
     * first[x] = first[y] (letter[x] when y = 1) is the first letter of the
       tree path, a reduced word, so it is a left descent of x.
 
@@ -1216,13 +1201,3 @@ class GroupTable:
 
     def index_of(self, g: GroupElement) -> int:
         return self.index[g.perm]
-
-    def twist_index_map(self, twist: DiagramTwist, k: int = 1) -> list[int]:
-        """x -> index of d^k x d^-k, along the BFS tree (see the class)."""
-        d = twist.power_perm(k)
-        rows = [self.right[d[i]] for i in range(self.system.rank)]
-        tm = [0]
-        put = tm.append
-        for y, i in self._tree():
-            put(rows[i][tm[y]])
-        return tm

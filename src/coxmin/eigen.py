@@ -386,19 +386,22 @@ def elliptic_parabolic_certificate(w: TwistedElement,
 
 def is_quasi_elliptic(w: TwistedElement) -> bool:
     """(V^w)-perp contains a regular point of V."""
+    return _elliptic_kinds(w)[1]
+
+
+def _elliptic_kinds(w: TwistedElement) -> tuple[bool, bool]:
+    """(is_elliptic(w), is_quasi_elliptic(w)) from one fixed-space basis."""
     system = w.system
     field = system.field
     n = system.rank
     fix = fixed_space(w)
     if not fix:
-        return True  # complement is all of V
+        return True, True  # complement is all of V
     rows = [tuple(system.inner(f, tuple(field.one if j == i else field.zero
                                         for j in range(n))) for i in range(n))
             for f in fix]
     comp = kernel_basis([tuple(r) for r in rows], n, field)
-    if not comp:
-        return False
-    return not hyperplanes_containing(system, comp)
+    return False, bool(comp) and not hyperplanes_containing(system, comp)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +472,7 @@ def admissible_filtration(w: TwistedElement, angles,
                       admissible=admissible, irredundant_indices=irred)
 
 
-def good_position_chamber(w: TwistedElement, filtration: Filtration,
+def good_position_chamber(filtration: Filtration,
                           start_index: int = 0) -> Chamber:
     """A chamber whose H_{F_i}-component closures reach regular points of F_{i+1}.
 

@@ -53,12 +53,6 @@ def reference_table(system):
     return perms, index, right, left, length
 
 
-def twist_index_map_by_perms(table, twist, k=1):
-    """x -> index of d^k x d^-k, conjugating each root permutation."""
-    twist_conj = table.system.twist_conj
-    return [table.index[twist_conj(p, twist, k)] for p in table.perms]
-
-
 def classes_by_union_find(coset):
     """The class partition of the coset by one union-find over all of W,
     ordered as TwistedCoset.classes orders it."""

@@ -11,11 +11,12 @@ from coxmin.braid import (BraidContext, GarsideNormalForm, TwistedBraid,
                           verify_quasi_elliptic_divisibility,
                           verify_rotation_identity)
 from coxmin.conjugacy import enumerate_classes
-from coxmin.coxeter import (build_system, enumerate_twists, named_matrix,
-                            untwisted)
+from coxmin.coxeter import (DiagramTwist, TwistedElement, build_system,
+                            enumerate_twists, named_matrix, untwisted)
 from coxmin.eigen import admissible_filtration, eigen_decomposition
 from coxmin.errors import HypothesisFailed, TheoremViolation
 from oracles import expand_normal_form, normal_form_is_valid
+from test_conjugacy import _block_diagonal
 
 
 def rewrite_closure(word, matrix, cap=200000):
@@ -108,6 +109,64 @@ def test_nf_is_congruence_b2(u, v):
     assert (bu * bv).normal_form() == bu.normal_form().mul(bv.normal_form())
 
 
+@pytest.mark.parametrize("matrix,twists", [
+    (named_matrix("A3"), None), (named_matrix("A5"), None),
+    (named_matrix("D4"), None), (named_matrix("E6"), None),
+    (_block_diagonal("A2", "A2"), [(2, 3, 0, 1)]),
+], ids=["A3", "A5", "D4", "E6", "A2xA2"])
+def test_nf_is_congruence_under_twists(matrix, twists):
+    # Normal-form multiplication twists the left factors by d^-l one at a
+    # time; the word product twists letters by the power permutation of d,
+    # an independent route.  Seeded words with twist prefixes, for every
+    # power of each twist.
+    system = build_system(matrix)
+    if twists is None:
+        twists = enumerate_twists(matrix)[1:]
+    else:
+        twists = [DiagramTwist(matrix, p) for p in twists]
+    rng = random.Random(22)
+    n = system.rank
+
+    def word():
+        return tuple(rng.randrange(n) for _ in range(rng.randrange(0, 14)))
+
+    for twist in twists:
+        ctx = BraidContext(system, twist)
+        for _ in range(12 * twist.order):
+            bu = TwistedBraid(ctx, rng.randrange(twist.order), word())
+            bv = TwistedBraid(ctx, rng.randrange(twist.order), word())
+            nu, nv = bu.normal_form(), bv.normal_form()
+            assert normal_form_is_valid(nu.mul(nv))
+            assert (bu * bv).normal_form() == nu.mul(nv)
+
+
+def _lift_cases():
+    for name in ["A3", "B3", "H3"]:
+        system = build_system(named_matrix(name))
+        yield system, enumerate_twists(system.matrix)[0], [0]
+    for name in ["A3", "D4"]:
+        system = build_system(named_matrix(name))
+        for twist in enumerate_twists(system.matrix)[1:]:
+            yield system, twist, range(twist.order)
+
+
+def test_lift_is_the_normal_form_of_the_reduced_word():
+    # The one-factor lift against the word path: the normal form of a
+    # reduced word of the body after the twist prefix.  Every element of
+    # A3, B3 and H3, and every twisted coset of A3 and D4.
+    for system, twist, exponents in _lift_cases():
+        ctx = BraidContext(system, twist)
+        t = ctx.table
+        for k in exponents:
+            for x in range(t.size):
+                w = TwistedElement(system, twist, k, t.element(x))
+                nf = lift(w, ctx)
+                assert nf == TwistedBraid(ctx, w.k, tuple(w.body.to_word())).normal_form()
+                assert nf.factors == ((x,) if x else ())
+                if k == 0:
+                    assert lift(w.body, ctx) == nf
+
+
 def test_power_examples():
     b2 = build_system(named_matrix("B2"))
     ctx = BraidContext(b2)
@@ -146,8 +205,8 @@ def test_lift_length_multiplicative():
         w2 = tbl.element(rng.randrange(tbl.size))
         prod = w1 * w2
         if prod.length() == w1.length() + w2.length():
-            lhs = (lift(w1, ctx) * lift(w2, ctx)).normal_form()
-            rhs = lift(prod, ctx).normal_form()
+            lhs = lift(w1, ctx).mul(lift(w2, ctx))
+            rhs = lift(prod, ctx)
             assert lhs == rhs
             hits += 1
     assert hits > 5
@@ -333,23 +392,32 @@ def test_length_check_runs_on_a_memo_hit():
 
 def test_quasi_after_good_reuses_the_good_element(monkeypatch):
     # On an elliptic class the nonzero angles are all the angles, so the
-    # quasi check, run after the good check, builds no chamber of its own.
+    # quasi check, run after the good check, builds no chamber of its own;
+    # and it reads the infimum off the good certificate, so it builds no
+    # braid context either.
     import coxmin.braid as braid_mod
     from coxmin.cli import _check_class
-    calls = []
+    calls, contexts = [], []
     real = braid_mod.good_position_chamber
+    real_context = braid_mod.BraidContext
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
+    def counted_context(*args):
+        contexts.append(args)
+        return real_context(*args)
+
     monkeypatch.setattr(braid_mod, "good_position_chamber", counted)
+    monkeypatch.setattr(braid_mod, "BraidContext", counted_context)
     f4 = build_system(named_matrix("F4"))
     elliptic = [rec for rec in enumerate_classes(f4) if rec.elliptic]
     assert elliptic
     for rec in elliptic:
         assert [r["status"] for r in _check_class(rec, ["good"], 0)] == ["pass"]
-        before = len(calls)
-        assert before > 0
+        before, built = len(calls), len(contexts)
+        assert before > 0 and built > 0
         assert [r["status"] for r in _check_class(rec, ["quasi"], 0)] == ["pass"]
         assert len(calls) == before
+        assert len(contexts) == built

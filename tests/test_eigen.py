@@ -282,7 +282,7 @@ def test_admissible_filtration():
     filt0 = admissible_filtration(cox, [Fraction(0)])
     assert not filt0.admissible
     with pytest.raises(NotAdmissible):
-        good_position_chamber(cox, filt0)
+        good_position_chamber(filt0)
     # Nonzero angles of a quasi-elliptic element are admissible.
     b2 = build_system(named_matrix("B2"))
     w0 = untwisted(b2.element_from_word([0, 1, 0, 1]))
@@ -323,7 +323,7 @@ def test_good_position_chamber_predicate(name):
         w = untwisted(tbl.element(rng.randrange(tbl.size)))
         eig = eigen_decomposition(w, dft_check=False)
         filt = admissible_filtration(eig.owner, eig.angles, eig=eig)
-        ch = good_position_chamber(eig.owner, filt)
+        ch = good_position_chamber(filt)
         assert good_position_predicate(ch, filt)
 
 
@@ -337,7 +337,7 @@ def test_good_position_failure_is_a_violation(monkeypatch):
     filt = admissible_filtration(w, eig.angles, eig)
     monkeypatch.setattr(eigen_mod, "_good_position_holds", lambda *a: False)
     with pytest.raises(TheoremViolation):
-        good_position_chamber(w, filt)
+        good_position_chamber(filt)
 
 
 # The criterion 10 and 11 sweeps: rank five and six, and the products.
@@ -365,7 +365,7 @@ def test_sign_walk_and_carried_filtration_match_references(label):
             for angles in sequences:
                 filt = admissible_filtration(w, angles, eig=eig)
                 for start in (0, 1):
-                    chamber = good_position_chamber(w, filt, start)
+                    chamber = good_position_chamber(filt, start)
                     assert chamber == lex_chamber_by_reflection(filt, start), \
                         (label, twist.perm, rec.class_id, angles, start)
                     carried = filt.conjugate_by(chamber.x)
@@ -384,7 +384,7 @@ def test_good_position_w0_a2():
     a2 = build_system(named_matrix("A2"))
     w0 = untwisted(a2.element_from_word([0, 1, 0]))
     filt = admissible_filtration(w0, [Fraction(0), Fraction(1)])
-    ch = good_position_chamber(w0, filt)
+    ch = good_position_chamber(filt)
     fix = fixed_space(w0)
     v = regular_point(a2, fix)
     contains = ch.contains_in_closure(v) or \

@@ -14,8 +14,7 @@ from coxmin.coxeter import (GroupTable, build_system, enumerate_twists,
                             named_matrix)
 from coxmin.eigen import elliptic_parabolic_certificate
 from oracles import (descent_stripping_certificate, reference_table,
-                     to_word_by_descents, twist_index_map_by_perms)
-from test_conjugacy import _block_diagonal
+                     to_word_by_descents)
 
 TYPES = ["A1", "A3", "B3", "H3", "D4", "F4", "H4", "E6", "I2(129)"]
 
@@ -93,13 +92,18 @@ def test_to_word_matches_descent_stripping(name):
 
 @pytest.mark.parametrize("name", ["B3", "H3", "D4", "F4"])
 def test_to_word_without_a_table_matches_the_table_walk(name):
-    # A fresh system has no table, so to_word strips descents on the
-    # inverse root permutation; every element gives the table walk's word.
+    # to_word strips descents on the inverse root permutation and reads no
+    # table; every element gives the word of the walk down the table's
+    # left-descent masks and left multiplication.
     _, t = _built(name)
     fresh = build_system(named_matrix(name))
     for x in range(t.size):
-        g = t.element(x)
-        assert coxeter.GroupElement(fresh, g.perm).to_word() == g.to_word()
+        word, y = [], x
+        while t.ldesc[y]:
+            i = (t.ldesc[y] & -t.ldesc[y]).bit_length() - 1
+            word.append(i)
+            y = t.left[i][y]
+        assert coxeter.GroupElement(fresh, t.perms[x]).to_word() == word
     assert fresh._table is None
 
 
@@ -112,25 +116,6 @@ def test_support_certificate_matches_descent_stripping(name):
             rep = coset.element(els[0])
             assert (elliptic_parabolic_certificate(rep, els, t)
                     == descent_stripping_certificate(rep, els, t))
-
-
-@pytest.mark.parametrize("matrix,twists", [
-    (named_matrix("A3"), None), (named_matrix("A5"), None),
-    (named_matrix("D4"), None), (named_matrix("E6"), None),
-    (_block_diagonal("A2", "A2"), [(2, 3, 0, 1)]),
-], ids=["A3", "A5", "D4", "E6", "A2xA2"])
-def test_twist_index_map_matches_the_permutation_scan(matrix, twists):
-    # The BFS-tree map against conjugating every root permutation, for
-    # every power of each twist.
-    system = build_system(matrix)
-    t = system.table()
-    if twists is None:
-        twists = enumerate_twists(matrix)
-    else:
-        twists = [coxeter.DiagramTwist(matrix, p) for p in twists]
-    for twist in twists:
-        for k in range(twist.order):
-            assert t.twist_index_map(twist, k) == twist_index_map_by_perms(t, twist, k)
 
 
 def test_table_build_composes_once_per_element(monkeypatch):

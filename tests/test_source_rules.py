@@ -27,7 +27,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # boxes that the fractions by height replaced, the flow-curve wrapper
 # and the field-level hint that no caller used, and the good-position walk
 # that reflected and paired its points again at every step (the walk now
-# composes root permutations over signs read once).
+# composes root permutations over signs read once), and the whole-group
+# maps of conjugation by a twist power with their permutation-scan
+# reference (a product of normal forms twists its few factors one at a
+# time).
 BANNED = ("ConstructionFailed", "SearchBound", "conjugate_by_index",
           "_twist_body", "conj", "pruned", "is_valid", "expand",
           "is_left_weighted_pair", "reflection_element", "reflect_vector",
@@ -41,7 +44,8 @@ BANNED = ("ConstructionFailed", "SearchBound", "conjugate_by_index",
           "_set_dyadic", "_lo", "_hi", "euclid_inverse",
           "fraction_sturm_intervals", "fractions_by_height_boxes",
           "FlowCurve", "flow_curve", "L_hint", "classes_by_union_find",
-          "lex_chamber_by_reflection")
+          "lex_chamber_by_reflection", "twist_index_map", "twist_map",
+          "twist_index_map_by_perms")
 
 
 def test_no_asserts_and_no_capped_construction_error():
@@ -171,8 +175,8 @@ def test_preconditions_raise_under_optimize():
         "calls = [\n"
         "    lambda: walk.derivative_test(s1, 0, off_wall, a2.pos_roots[0]),\n"
         "    lambda: walk.derivative_test(s1, 0, on_wall, a2.pos_roots[1]),\n"
+        "    lambda: braid.TwistedBraid(ctx, 0, (0,)).power(-1),\n"
         "    lambda: braid.lift(s1, ctx).power(-1),\n"
-        "    lambda: braid.lift(s1, ctx).normal_form().power(-1),\n"
         "    lambda: coxeter.TwistedElement(a2, delta, 1, a2.identity) * s1,\n"
         "    lambda: rec.coset.index(coxeter.TwistedElement(a2, delta, 1, a2.identity)),\n"
         "    lambda: eigen.regular_point(a2, [off_wall], start_index=-1),\n"
