@@ -20,7 +20,8 @@ from .coxeter import (CoxeterMatrix, CoxeterSystem, DiagramTwist, GroupElement,
                       build_system, enumerate_twists, untwisted,
                       parabolic_max, coset_decompose, conjugate_by_chamber)
 from .eigen import (Angle, EigenDecomposition, Filtration, order,
-                    eigen_decomposition, regular_point, hyperplanes_containing,
+                    eigen_decomposition, regular_point,
+                    closure_holds_regular_point, hyperplanes_containing,
                     reflection_subgroup, fixed_space, is_elliptic,
                     is_quasi_elliptic, admissible_filtration,
                     good_position_chamber)

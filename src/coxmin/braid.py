@@ -37,11 +37,11 @@ from typing import Sequence
 from .conjugacy import ConjugacyClassRecord
 from .coxeter import (Chamber, CoxeterSystem, DiagramTwist, GroupElement,
                       TwistedElement, conjugate_by_chamber, parabolic_max)
-from .eigen import (Filtration, admissible_filtration, eigen_decomposition,
-                    good_position_chamber, hyperplanes_containing, order,
-                    regular_point)
-from .errors import (HypothesisFailed, IdentityFailed, NoRegularPoint,
-                     NotGoodPosition, TheoremViolation)
+from .eigen import (Filtration, admissible_filtration,
+                    closure_holds_regular_point, eigen_decomposition,
+                    good_position_chamber, hyperplanes_containing, order)
+from .errors import (HypothesisFailed, IdentityFailed, NotGoodPosition,
+                     TheoremViolation)
 
 
 class BraidContext:
@@ -153,16 +153,20 @@ class GarsideNormalForm:
                                  ctx.normalize([*factors, *other.factors]))
 
     def power(self, k: int) -> "GarsideNormalForm":
+        """self^k by squaring: bit_length(k) - 1 squarings and popcount(k) - 1
+        products, starting from the base."""
         if k < 0:
             raise ValueError(f"negative normal form power {k}")
-        out = GarsideNormalForm(self.context, 0, ())
-        base = self
-        while k:
+        if not k:
+            return GarsideNormalForm(self.context, 0, ())
+        base, out = self, None
+        while True:
             if k & 1:
-                out = out.mul(base)
-            base = base.mul(base)
+                out = base if out is None else out.mul(base)
             k >>= 1
-        return out
+            if not k:
+                return out
+            base = base.mul(base)
 
     def digest(self) -> str:
         payload = f"{self.k}|" + ",".join(map(str, self.factors))
@@ -411,10 +415,8 @@ def verify_rotation_identity(w: TwistedElement, q) -> bool:
     fund = Chamber.fundamental(system)
     if fund.separating_set(fund.image_under(w)) & h_k:
         raise HypothesisFailed("C and w(C) lie in different H_K-components")
-    try:
-        regular_point(system, basis, inside=fund)
-    except NoRegularPoint as exc:
-        raise HypothesisFailed("no regular point of K in the closed chamber") from exc
+    if not closure_holds_regular_point(system, basis, fund):
+        raise HypothesisFailed("no regular point of K in the closed chamber")
     J = tuple(i for i in range(system.rank) if i in h_k)
     if _parabolic_positive_roots(system, J) != h_k:
         raise HypothesisFailed("W_K is not the standard parabolic on I(K, C)")

@@ -16,18 +16,19 @@ tr(M^j), exactly in the same field: every 2cos(2*pi*jk/d) is a polynomial
 in 2cos(2*pi/d).  A disagreement signals an arithmetic bug, not a property
 of the input.
 
-Also here: deterministic regular points of subspaces (with or without a
-chamber constraint), the reflection subgroup of a subspace, the elliptic and
-quasi-elliptic predicates, admissible filtrations and good-position chambers.
+Also here: deterministic regular points of subspaces, the test whether a
+closed chamber holds one, the reflection subgroup of a subspace, the
+elliptic and quasi-elliptic predicates, admissible filtrations and
+good-position chambers.
 
 The pure geometric constructions are memoized on the system view they are
 called with, in plain dicts set up by CoxeterSystem.__init__: the
 decomposition of an element (with a flag recording whether its DFT check
 has run, so a later call that asks for the check still runs it once), the
-regular point of a basis, start index and chamber constraint (successes
-only), the hyperplanes containing a basis, and the reduced basis (RREF) of
-a basis that span tests reduce against (linalg.in_span).  A lift has its
-own dicts, as its vectors live in another field.
+regular point of a basis and start index, the closed-chamber verdict of a
+basis and chamber, the hyperplanes containing a basis, and the reduced
+basis (RREF) of a basis that span tests reduce against (linalg.in_span).
+A lift has its own dicts, as its vectors live in another field.
 """
 
 from __future__ import annotations
@@ -43,9 +44,9 @@ from .coxeter import (Chamber, CoxeterSystem, GroupElement, TwistedElement,
                       compose)
 from .errors import (FieldTooSmall, MultiplicityMismatch, NoRegularPoint,
                      NotAdmissible, TheoremViolation)
-from .linalg import (Matrix, Vector, cone_from_constraints, cone_point_avoiding,
-                     kernel_basis, mat_inverse, mat_mul, rational_tuples, rref,
-                     vec_add, vec_dot, vec_is_zero, vec_scale, zero_vector)
+from .linalg import (Cone, Matrix, Vector, cone_from_constraints, kernel_basis,
+                     mat_inverse, mat_mul, rational_tuples, rref, vec_add,
+                     vec_dot, vec_is_zero, vec_scale, zero_vector)
 from .scalars import _normal
 
 Angle = Fraction  # q in [0, 1], theta = q*pi
@@ -255,32 +256,26 @@ def reflection_subgroup(system: CoxeterSystem, basis: Matrix) -> list[int]:
 
 
 def regular_point(system: CoxeterSystem, basis: Matrix,
-                  inside: Chamber | None = None,
                   start_index: int = 0) -> Vector:
     """A deterministic regular point of K = span(basis).
 
-    For each hyperplane H either K lies inside H or the point avoids H.
-    Without `inside` it is sum_i c_i b_i for the first tuple c of
-    rational_tuples(m, start_index) that avoids every H missing K.  Rings
-    0..R of the enumerator form an (R+1)^m grid, on which each avoided
-    root's nonzero form c -> <alpha_r, sum c_i b_i> vanishes at most
-    (R+1)^(m-1) times; the roots span V, so #avoid > 0 and
-    R + 1 = #avoid + start_index + 1 leaves more than start_index good grid
-    points.  So (R+1)^m - start_index tuples suffice.  With `inside`, the
-    point lies in the closed chamber too, from linalg.cone_point_avoiding on
-    the cone the chamber's walls cut out of K (the closed chamber is the
-    meet of its wall half-spaces; `start_index` does not apply);
-    NoRegularPoint is raised exactly when that is infeasible.  Running past
-    either proven bound raises TheoremViolation; a negative `start_index`
-    raises ValueError, as the count above needs start_index >= 0.  Points
-    found are memoized per (basis, start_index, chamber).
+    For each hyperplane H either K lies inside H or the point avoids H.  It
+    is sum_i c_i b_i for the first tuple c of rational_tuples(m,
+    start_index) that avoids every H missing K.  Rings 0..R of the
+    enumerator form an (R+1)^m grid, on which each avoided root's nonzero
+    form c -> <alpha_r, sum c_i b_i> vanishes at most (R+1)^(m-1) times; the
+    roots span V, so #avoid > 0 and R + 1 = #avoid + start_index + 1 leaves
+    more than start_index good grid points.  So (R+1)^m - start_index
+    tuples suffice.  Running past that bound raises TheoremViolation; a
+    negative `start_index` raises ValueError, as the count needs
+    start_index >= 0.  Points are memoized per (basis, start_index).
     """
     if start_index < 0:
         raise ValueError(f"start_index must be >= 0, got {start_index}")
     field = system.field
     if not basis or all(vec_is_zero(b) for b in basis):
         raise NoRegularPoint("the zero subspace has no regular points")
-    key = (tuple(basis), start_index, inside.x.perm if inside is not None else None)
+    key = (tuple(basis), start_index)
     cached = system._regular_points.get(key)
     if cached is not None:
         return cached
@@ -288,33 +283,78 @@ def regular_point(system: CoxeterSystem, basis: Matrix,
     # rows[r][i] = <alpha_r, b_i> as (num, den); H_K is the set of roots
     # with a zero row.
     rows = list(zip(*[system.root_pairings(b) for b in basis]))
-    avoid_roots = [r for r in range(system.npos)
-                   if any(any(num) for num, _ in rows[r])]
+    forms = [_integer_forms(row) for row in rows if any(any(num) for num, _ in row)]
+    count = (len(forms) + start_index + 1) ** m - start_index
+    tuples = itertools.islice(rational_tuples(m, start_index), count)
+    found = next((c for c in tuples
+                  if not _meets_a_hyperplane(_cleared(c), forms)), None)
+    if found is None:
+        raise TheoremViolation(f"no regular point among {count} tuples")
+    v = _combination(field, [field.from_rational(c) for c in found], basis)
+    system._regular_points[key] = v
+    return v
 
-    if inside is None:
-        forms = [_integer_forms(rows[r]) for r in avoid_roots]
-        count = (len(avoid_roots) + start_index + 1) ** m - start_index
-        tuples = itertools.islice(rational_tuples(m, start_index), count)
-        found = next((c for c in tuples
-                      if not _meets_a_hyperplane(_cleared(c), forms)), None)
-        if found is None:
-            raise TheoremViolation(f"no regular point among {count} tuples")
-        coeffs = [field.from_rational(c) for c in found]
-    else:
-        # Basis coordinates, and the cone of the walls that miss K.
-        avoid = {r: tuple(_normal(field, num, den) for num, den in rows[r])
-                 for r in avoid_roots}
-        constraints = [avoid[r] if inside.sign(r) > 0 else tuple(-x for x in avoid[r])
-                       for r in inside.walls() if r in avoid]
-        cone = cone_from_constraints(field, m, constraints)
-        coeffs = cone_point_avoiding(cone, list(avoid.values()), constraints)
-        if coeffs is None:
-            raise NoRegularPoint("no regular point of K in the closed chamber")
-    v = zero_vector(field, system.rank)
+
+def closure_holds_regular_point(system: CoxeterSystem, basis: Matrix,
+                                chamber: Chamber) -> bool:
+    """Whether the closed chamber holds a regular point of K = span(basis).
+
+    K & closure(A) is the cone that the walls of A missing K cut out of K
+    (_chamber_cone).  The sum p of its lines and rays lies in its relative
+    interior, so in one open facet of closure(A); each reflecting
+    hyperplane leaves closure(A) on one side, so one through p holds the
+    whole cone (Bourbaki, Lie V, §1.4-1.6).  The answer is therefore
+    whether p avoids every hyperplane missing K, read off one pass of
+    integer pairings.  A p outside the closed chamber means a wrong double
+    description: TheoremViolation.  The zero subspace has no regular point.
+    Verdicts are memoized per (basis, chamber).
+    """
+    if not basis or all(vec_is_zero(b) for b in basis):
+        return False
+    key = (tuple(basis), chamber.x.perm)
+    cached = system._closure_verdicts.get(key)
+    if cached is not None:
+        return cached
+    cone = _chamber_cone(system, basis, [chamber])
+    coords = zero_vector(system.field, len(basis))
+    for g in [*cone.lines, *cone.rays]:
+        coords = vec_add(coords, g)
+    pairs = system.root_pairings(_combination(system.field, coords, basis))
+    sign_of = system.field.sign_of
+    if any(sign_of(pairs[r][0]) * chamber.sign(r) < 0 for r in chamber.walls()):
+        raise TheoremViolation("the sum of the cone's generators leaves "
+                               "the closed chamber")
+    h_k = hyperplanes_containing(system, basis)
+    holds = system._closure_verdicts[key] = all(
+        any(pairs[r][0]) for r in range(system.npos) if r not in h_k)
+    return holds
+
+
+def _chamber_cone(system: CoxeterSystem, basis: Matrix,
+                  chambers: Sequence[Chamber]) -> Cone:
+    """K & the closures of the chambers, in basis coordinates of K.
+
+    A closed chamber is the meet of its n wall half-spaces, and a wall that
+    contains K constrains nothing on K, so the walls that miss K, each with
+    its sign on its chamber, cut out the cone.
+    """
+    field = system.field
+    rows = list(zip(*[system.root_pairings(b) for b in basis]))
+    walls = dict.fromkeys((r, ch.sign(r)) for ch in chambers for r in ch.walls())
+    constraints = []
+    for r, s in walls:
+        if any(any(num) for num, _ in rows[r]):
+            row = tuple(_normal(field, num, den) for num, den in rows[r])
+            constraints.append(row if s > 0 else tuple(-x for x in row))
+    return cone_from_constraints(field, len(basis), constraints)
+
+
+def _combination(field, coeffs: Sequence, basis: Matrix) -> Vector:
+    """sum_i coeffs[i] basis[i]."""
+    v = zero_vector(field, len(basis[0]))
     for c, bvec in zip(coeffs, basis):
         if not c.is_zero():
             v = vec_add(v, vec_scale(c, bvec))
-    system._regular_points[key] = v
     return v
 
 
@@ -477,9 +517,11 @@ def good_position_chamber(filtration: Filtration,
     """A chamber whose H_{F_i}-component closures reach regular points of F_{i+1}.
 
     Built by lexicographic sign perturbation: a chamber of the point
-    p = x_1 + eps x_2 + eps^2 x_3 + ... for regular points x_i of F_i and a
-    final generic vector, with eps treated symbolically (first nonzero sign
-    wins).  Each root's sign at p is read once, from the pairings of the
+    p = x_1 + eps x_2 + eps^2 x_3 + ... for regular points x_i of the growth
+    levels F_i (dim F_i > dim F_{i-1}), with eps treated symbolically (first
+    nonzero sign wins).  The filtration is admissible, so no hyperplane
+    holds the last level and its point is regular in V: no root's sign at p
+    is zero.  Each root's sign at p is read once, from the pairings of the
     x_i.  The walk of p into the fundamental chamber then moves only g: the
     sign of <alpha_i, g p> is the sign of <g^-1 alpha_i, p>, since the form
     is W-invariant, so a step s_i composes root permutations.
@@ -488,28 +530,25 @@ def good_position_chamber(filtration: Filtration,
         raise NotAdmissible("filtration does not reach a regular point of V")
     system = filtration.system
     n, npos = system.rank, system.npos
-    field = system.field
-    sign_of = field.sign_of
+    sign_of = system.field.sign_of
 
-    points: list[Vector] = []
-    for i in range(1, len(filtration.f_bases)):
-        if len(filtration.f_bases[i]) > len(filtration.f_bases[i - 1]):
-            points.append(regular_point(system, filtration.f_bases[i],
-                                        start_index=start_index))
-    ident = [tuple(field.one if i == j else field.zero for j in range(n))
-             for i in range(n)]
-    points.append(regular_point(system, ident, start_index=start_index))
+    f_bases = filtration.f_bases
+    points = [regular_point(system, basis, start_index=start_index)
+              for prev, basis in zip(f_bases, f_bases[1:]) if len(basis) > len(prev)]
     pairs = [system.root_pairings(p) for p in points]
 
-    # The sign at p of each positive root, on first use; the last point is
-    # regular in V, so no sign is zero.
+    # The sign at p of each positive root, on first use.
     lex: dict[int, int] = {}
 
     def lex_sign(root_idx: int) -> int:
         r = root_idx if root_idx < npos else root_idx - npos
         s = lex.get(r)
         if s is None:
-            s = lex[r] = next(filter(None, (sign_of(p[r][0]) for p in pairs)), 0)
+            s = next(filter(None, (sign_of(p[r][0]) for p in pairs)), 0)
+            if not s:
+                raise TheoremViolation(f"root {r} has no nonzero sign at the "
+                                       "growth levels' regular points")
+            lex[r] = s
         return s if root_idx < npos else -s
 
     # y is g^-1 as a root permutation, and (s_i g)^-1 = g^-1 s_i.  Each step
@@ -526,7 +565,7 @@ def good_position_chamber(filtration: Filtration,
 
     # With regular points x_i the construction is in good position; the
     # exact witness check confirms it.
-    if not _good_position_holds(chamber, filtration, pairs[:-1]):
+    if not _good_position_holds(chamber, filtration, pairs):
         raise TheoremViolation("lexicographic chamber is not in good position")
     return chamber
 

@@ -22,16 +22,9 @@ lies in the span iff v - sum_k v[p_k] R_k is zero (in_span).  eigen
 memoizes the RREF of the bases it tests against (eigen.reduced_basis).
 
 The double description machinery converts a cone {v : a_i . v >= 0} into a
-generator form (lineality basis + extreme rays).  It is used to decide
-exactly whether a closed chamber (or a face of one) contains a regular point
-of a subspace, and to produce such a point deterministically when it does.
-
-The point is a construction with a proven bound.  With g_0, ..., g_{G-1}
-the cone's lines and then its rays, p(t) = sum_j t^j g_j lies in the cone
-for t > 0, and <h, p(t)> is a polynomial in t of degree below G.  It is zero
-exactly when h contains span(cone), and otherwise vanishes at no more than
-G - 1 values of t.  So some t <= (G - 1) * #avoid + 1 avoids every hyperplane
-that misses span(cone).
+generator form (lineality basis + extreme rays).  eigen uses it to decide
+exactly whether a closed chamber contains a regular point of a subspace,
+and walk to find the span of a face's meet with a subspace.
 """
 
 from __future__ import annotations
@@ -41,7 +34,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .errors import FieldMismatch, TheoremViolation
+from .errors import FieldMismatch
 from .scalars import AlgebraicScalar, ScalarField, _normal, _primitive
 
 Vector = tuple[AlgebraicScalar, ...]
@@ -358,45 +351,3 @@ def cone_from_constraints(field: ScalarField, dim: int, constraints: Sequence[Ve
         rays, tight = new_rays, new_tight
 
     return Cone(field, dim, lines, rays)
-
-
-def cone_point_avoiding(cone: Cone, avoid: Sequence[Vector],
-                        constraints: Sequence[Vector]) -> Vector | None:
-    """A point of the cone on none of the `avoid` hyperplanes.
-
-    None exactly when the cone's span lies in one of them; otherwise p(t) for
-    the least t = 1, 2, ... that avoids them all (see the module docstring).
-    p(1) is tried first with one dot product per hyperplane; the table of
-    <h, g_j> is built only when p(1) lies on one of them.
-    A run past the bound, or a point failing the exact check against the
-    cone's `constraints`, means a wrong double description: TheoremViolation.
-    """
-    field = cone.field
-    gens = list(cone.lines) + list(cone.rays)
-    if not gens:
-        return None
-
-    def point(t: int) -> Vector:
-        p = zero_vector(field, cone.dim)
-        for j, g in enumerate(gens):
-            p = vec_add(p, vec_scale(field.from_rational(t ** j), g))
-        return p
-
-    p = point(1)
-    if any(vec_dot(h, p).is_zero() for h in avoid):
-        # t = 1 fails; polys[i][j] = <avoid_i, g_j> are the coefficients of
-        # <avoid_i, p(t)>.
-        polys = [[vec_dot(h, g) for g in gens] for h in avoid]
-        if any(all(c.is_zero() for c in poly) for poly in polys):
-            return None
-        bound = (len(gens) - 1) * len(avoid) + 1
-        t = next((t for t in range(2, bound + 1) if not any(
-            sum((c * t ** j for j, c in enumerate(poly)), field.zero).is_zero()
-            for poly in polys)), None)
-        if t is None:
-            raise TheoremViolation(f"no t <= {bound} avoids every hyperplane")
-        p = point(t)
-    if any(vec_dot(a, p).sign() < 0 for a in constraints):
-        raise TheoremViolation("a positive combination of the generators "
-                               "leaves the cone")
-    return p

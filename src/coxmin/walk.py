@@ -36,12 +36,12 @@ from .conjugacy import ReductionChain, parabolic_subsystem
 from .coxeter import (Chamber, GroupElement, TwistedElement,
                       conjugate_by_chamber, coset_decompose,
                       normalizes_parabolic)
-from .eigen import (EigenDecomposition, eigen_decomposition,
-                    hyperplanes_containing, reduced_basis, regular_point)
-from .errors import HypothesisFailed, NoRegularPoint, TheoremViolation
-from .linalg import (Matrix, Vector, cone_from_constraints, in_span, kernel_basis,
-                     rref, subspace_equal, vec_add, vec_is_zero, vec_scale,
-                     vec_sub, zero_vector)
+from .eigen import (EigenDecomposition, _chamber_cone, _combination,
+                    closure_holds_regular_point, eigen_decomposition,
+                    hyperplanes_containing, reduced_basis)
+from .errors import HypothesisFailed, TheoremViolation
+from .linalg import (Matrix, Vector, in_span, kernel_basis, rref, subspace_equal,
+                     vec_is_zero, vec_sub)
 from .scalars import _normal
 
 
@@ -349,9 +349,9 @@ def special_length_formula(w: TwistedElement, basis: Matrix, chamber: Chamber) -
     """l(w_A) = (theta/pi) #(H - H_K) for K inside V^theta meeting the chamber.
 
     Hypotheses verified exactly: A and w(A) in one H_K-component, and the
-    closure of A contains a regular point of K (eigen.regular_point with
-    `inside`, NoRegularPoint turned into HypothesisFailed).  The basis is
-    over eigen_decomposition(w).system.field.
+    closure of A contains a regular point of K
+    (eigen.closure_holds_regular_point).  The basis is over
+    eigen_decomposition(w).system.field.
     """
     eig = eigen_decomposition(w, dft_check=False)
     system, w = eig.system, eig.owner
@@ -361,10 +361,8 @@ def special_length_formula(w: TwistedElement, basis: Matrix, chamber: Chamber) -
     image = chamber.image_under(w)
     if chamber.separating_set(image) & h_k:
         raise HypothesisFailed("A and w(A) lie in different H_K-components")
-    try:
-        regular_point(system, list(basis), inside=chamber)
-    except NoRegularPoint as exc:
-        raise HypothesisFailed("no regular point of K in the closed chamber") from exc
+    if not closure_holds_regular_point(system, list(basis), chamber):
+        raise HypothesisFailed("no regular point of K in the closed chamber")
 
     value = q * (system.npos - len(h_k))
     if value.denominator != 1:
@@ -393,10 +391,8 @@ def decompose_at_regular(w: TwistedElement, chamber: Chamber, basis: Matrix
     chamber = chamber.over(system)
     q = _angle_of_invariant_subspace(w, eig, basis)
     h_k = hyperplanes_containing(system, basis)
-    try:
-        regular_point(system, list(basis), inside=chamber)
-    except NoRegularPoint as exc:
-        raise HypothesisFailed("closure of A contains no regular point of K") from exc
+    if not closure_holds_regular_point(system, list(basis), chamber):
+        raise HypothesisFailed("closure of A contains no regular point of K")
 
     J = tuple(i for i, r in enumerate(chamber.walls()) if r in h_k)
     w_a = conjugate_by_chamber(w, chamber)
@@ -496,13 +492,7 @@ def strongly_connected_step(w: TwistedElement, a: Chamber, a2: Chamber) -> int:
     # P = H_0 & K, its w-image must differ.
     prow = tuple(system.pair_root(h0, b) for b in k_basis)
     ker = kernel_basis([prow], len(k_basis), field)
-    p_basis = []
-    for kv in ker:
-        vec = zero_vector(field, system.rank)
-        for c, b in zip(kv, k_basis):
-            vec = vec_add(vec, vec_scale(c, b))
-        p_basis.append(vec)
-    p_basis, p_pivots = rref(p_basis)
+    p_basis, p_pivots = rref([_combination(field, kv, k_basis) for kv in ker])
     if not p_basis:
         raise HypothesisFailed("H_0 meets V_w trivially")
     # w is invertible, so w(P) inside P already gives w(P) = P.
@@ -510,27 +500,10 @@ def strongly_connected_step(w: TwistedElement, a: Chamber, a2: Chamber) -> int:
         raise HypothesisFailed("w fixes H_0 & V_w; the strong-connection "
                                "hypothesis fails")
 
-    # The common face closure must meet K in a set spanning P: build the cone
-    # {v in K : both chambers' closed sign constraints} and compare spans.
-    m = len(k_basis)
-    constraints = []
-    for r in range(system.npos):
-        rrow = tuple(system.pair_root(r, b) for b in k_basis)
-        if all(x.is_zero() for x in rrow):
-            continue
-        sa = a.sign(r)
-        s2 = a2.sign(r)
-        constraints.append(tuple(x if sa > 0 else -x for x in rrow))
-        if s2 != sa:
-            constraints.append(tuple(x if s2 > 0 else -x for x in rrow))
-    cone = cone_from_constraints(field, m, constraints)
-    span_coords = cone.span()
-    span_vecs = []
-    for sc in span_coords:
-        vec = zero_vector(field, system.rank)
-        for c, b in zip(sc, k_basis):
-            vec = vec_add(vec, vec_scale(c, b))
-        span_vecs.append(vec)
+    # The common face closure must meet K in a set spanning P: compare the
+    # span of the cone K & closure(A) & closure(A') with P.
+    cone = _chamber_cone(system, k_basis, [a, a2])
+    span_vecs = [_combination(field, sc, k_basis) for sc in cone.span()]
     if not subspace_equal(span_vecs, p_basis):
         raise HypothesisFailed("closure intersection does not span H_0 & V_w")
 

@@ -12,8 +12,9 @@ from coxmin.braid import TwistedBraid
 from coxmin.conjugacy import _blocks, _union
 from coxmin.coxeter import Chamber, GroupElement, compose, invert_perm
 from coxmin.eigen import regular_point
-from coxmin.linalg import (cone_from_constraints, cone_point_avoiding, in_span,
-                           kernel_basis, rref, vec_add, vec_is_zero, vec_scale,
+from coxmin.errors import TheoremViolation
+from coxmin.linalg import (cone_from_constraints, in_span, kernel_basis, rref,
+                           vec_add, vec_dot, vec_is_zero, vec_scale,
                            zero_vector)
 from coxmin.scalars import _normal, get_field
 
@@ -202,6 +203,52 @@ def all_roots_chamber_cone(system, basis, chamber):
                    for r, row in avoid.items()]
     cone = cone_from_constraints(field, len(basis), constraints)
     return cone_point_avoiding(cone, list(avoid.values()), constraints)
+
+
+def cone_point_avoiding(cone, avoid, constraints):
+    """A point of the cone on none of the `avoid` hyperplanes.
+
+    None exactly when the cone's span lies in one of them; otherwise p(t) for
+    the least t = 1, 2, ... that avoids them all.  With g_0, ..., g_{G-1}
+    the cone's lines and then its rays, p(t) = sum_j t^j g_j lies in the
+    cone for t > 0, and <h, p(t)> is a polynomial in t of degree below G.
+    It is zero exactly when h contains span(cone), and otherwise vanishes at
+    no more than G - 1 values of t.  So some t <= (G - 1) * #avoid + 1
+    avoids every hyperplane that misses span(cone).
+    p(1) is tried first with one dot product per hyperplane; the table of
+    <h, g_j> is built only when p(1) lies on one of them.
+    A run past the bound, or a point failing the exact check against the
+    cone's `constraints`, means a wrong double description: TheoremViolation.
+    """
+    field = cone.field
+    gens = list(cone.lines) + list(cone.rays)
+    if not gens:
+        return None
+
+    def point(t):
+        p = zero_vector(field, cone.dim)
+        for j, g in enumerate(gens):
+            p = vec_add(p, vec_scale(field.from_rational(t ** j), g))
+        return p
+
+    p = point(1)
+    if any(vec_dot(h, p).is_zero() for h in avoid):
+        # t = 1 fails; polys[i][j] = <avoid_i, g_j> are the coefficients of
+        # <avoid_i, p(t)>.
+        polys = [[vec_dot(h, g) for g in gens] for h in avoid]
+        if any(all(c.is_zero() for c in poly) for poly in polys):
+            return None
+        bound = (len(gens) - 1) * len(avoid) + 1
+        t = next((t for t in range(2, bound + 1) if not any(
+            sum((c * t ** j for j, c in enumerate(poly)), field.zero).is_zero()
+            for poly in polys)), None)
+        if t is None:
+            raise TheoremViolation(f"no t <= {bound} avoids every hyperplane")
+        p = point(t)
+    if any(vec_dot(a, p).sign() < 0 for a in constraints):
+        raise TheoremViolation("a positive combination of the generators "
+                               "leaves the cone")
+    return p
 
 
 def intersect_subspaces(b1, b2, field):

@@ -183,6 +183,31 @@ def test_power_examples():
     assert sq.normal_form() == GarsideNormalForm(ctx2, 0, ())
 
 
+def test_normal_form_power_squares_from_the_base(monkeypatch):
+    # self^k takes bit_length(k) - 1 squarings and popcount(k) - 1 products,
+    # and equals k - 1 repeated products; k = 0 is the identity.
+    a3 = build_system(named_matrix("A3"))
+    tw = enumerate_twists(a3.matrix)[1]
+    ctx = BraidContext(a3, tw)
+    b = lift(TwistedElement(a3, tw, 1, a3.element_from_word([0, 1, 2])), ctx)
+    repeated = [GarsideNormalForm(ctx, 0, ()), b]
+    for _ in range(15):
+        repeated.append(repeated[-1].mul(b))
+    calls = []
+    real = GarsideNormalForm.mul
+
+    def counted(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(GarsideNormalForm, "mul", counted)
+    for k in range(17):
+        del calls[:]
+        assert b.power(k) == repeated[k]
+        expected = k.bit_length() + bin(k).count("1") - 2 if k else 0
+        assert len(calls) == expected, k
+
+
 def test_twisted_letter_pushing():
     a2 = build_system(named_matrix("A2"))
     tw = enumerate_twists(a2.matrix)[1]

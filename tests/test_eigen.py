@@ -14,7 +14,8 @@ from coxmin.conjugacy import enumerate_classes
 from coxmin.coxeter import (Chamber, CoxeterMatrix, build_system,
                             enumerate_twists, named_matrix, untwisted,
                             TwistedElement)
-from coxmin.eigen import (admissible_filtration, eigen_decomposition,
+from coxmin.eigen import (_combination, admissible_filtration,
+                          closure_holds_regular_point, eigen_decomposition,
                           elliptic_parabolic_certificate, fixed_space,
                           good_position_chamber, hyperplanes_containing,
                           is_elliptic, is_quasi_elliptic, order,
@@ -22,12 +23,11 @@ from coxmin.eigen import (admissible_filtration, eigen_decomposition,
                           _integer_forms, _meets_a_hyperplane)
 from coxmin.errors import (MultiplicityMismatch, NoRegularPoint, NotAdmissible,
                            TheoremViolation)
-from coxmin.linalg import (cone_from_constraints, cone_point_avoiding,
-                           rational_tuples, vec_add, vec_is_zero, vec_scale,
-                           zero_vector)
+from coxmin.linalg import (cone_from_constraints, rational_tuples, vec_add,
+                           vec_is_zero, vec_scale, zero_vector)
 from coxmin.scalars import get_field
-from oracles import (all_roots_chamber_cone, lex_chamber_by_reflection,
-                     solve_in_span)
+from oracles import (all_roots_chamber_cone, cone_point_avoiding,
+                     lex_chamber_by_reflection, solve_in_span)
 from test_acceptance import PRODUCTS
 from test_conjugacy import _block_diagonal
 
@@ -189,30 +189,49 @@ def test_regular_point_examples_and_determinism():
 def test_regular_point_inside_chamber():
     a2 = build_system(named_matrix("A2"))
     C = Chamber.fundamental(a2)
-    v = regular_point(a2, identity_basis(a2), inside=C)
-    assert C.contains_in_closure(v)
-    # Constrained infeasibility is an exact negative: the fixed line of s1
-    # meets the closed chamber s2(C)... pick a chamber whose closure misses it.
+    assert closure_holds_regular_point(a2, identity_basis(a2), C)
+    # The fixed line of s1 has a regular point in four closed chambers, the
+    # two beside each of its half-lines; the other two meet it only at 0.
     K = fixed_space(untwisted(a2.generator(0)))
     hits, misses = 0, 0
     tbl = a2.table()
     for i in range(tbl.size):
         ch = Chamber(a2, tbl.element(i))
-        try:
-            w = regular_point(a2, K, inside=ch)
-            assert ch.contains_in_closure(w)
+        if closure_holds_regular_point(a2, K, ch):
+            assert ch.contains_in_closure(
+                _combination(a2.field, all_roots_chamber_cone(a2, K, ch), K))
             hits += 1
-        except NoRegularPoint:
+        else:
             misses += 1
-    assert hits == 4 and misses == 2  # the line has two sides, four cones touch it
+    assert hits == 4 and misses == 2
+    # The zero subspace has no regular point.
+    assert not closure_holds_regular_point(a2, [], C)
+
+
+def test_closure_predicate_catches_a_corrupt_cone(monkeypatch):
+    # A ray moved outside the closed chamber: the exact check of the sum of
+    # the generators raises instead of answering.
+    import coxmin.eigen as eigen_mod
+    a2 = build_system(named_matrix("A2"))
+    real = eigen_mod._chamber_cone
+
+    def corrupt(*args):
+        cone = real(*args)
+        cone.rays[0] = tuple(-x for x in cone.rays[0])
+        return cone
+
+    monkeypatch.setattr(eigen_mod, "_chamber_cone", corrupt)
+    with pytest.raises(TheoremViolation):
+        closure_holds_regular_point(a2, identity_basis(a2), Chamber.fundamental(a2))
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
 def test_chamber_cone_from_walls_matches_all_roots(name):
-    # The closed chamber is cut out by its n walls, so the cone of K from
-    # the walls that miss K is the all-roots cone: same feasibility.  The
-    # point p lies on exactly the hyperplanes through K, so I(K, A), read
-    # off the walls, is the set of i with <alpha_i, x_A^-1 p> = 0.
+    # The closed chamber is cut out by its n walls, so the predicate on the
+    # cone of K from the walls that miss K agrees with the all-roots cone's
+    # feasibility.  The oracle's point p lies on exactly the hyperplanes
+    # through K, so I(K, A), read off the walls, is the set of i with
+    # <alpha_i, x_A^-1 p> = 0.
     system = build_system(named_matrix(name))
     table = system.table()
     feasible = 0
@@ -224,11 +243,13 @@ def test_chamber_cone_from_walls_matches_all_roots(name):
                 h_k = hyperplanes_containing(view, basis)
                 for x in range(table.size):
                     ch = Chamber(system, table.element(x)).over(view)
-                    p = _constrained_point(view, basis, ch)
-                    assert (p is None) == (all_roots_chamber_cone(view, basis, ch) is None)
-                    if p is None:
+                    coords = all_roots_chamber_cone(view, basis, ch)
+                    assert closure_holds_regular_point(view, basis, ch) == \
+                        (coords is not None)
+                    if coords is None:
                         continue
                     feasible += 1
+                    p = _combination(view.field, coords, basis)
                     assert ch.contains_in_closure(p)
                     assert hyperplanes_containing(view, [p]) == h_k
                     back = ch.x.inverse().apply(p)
@@ -336,6 +357,50 @@ def test_good_position_failure_is_a_violation(monkeypatch):
     eig = eigen_decomposition(w, dft_check=False)
     filt = admissible_filtration(w, eig.angles, eig)
     monkeypatch.setattr(eigen_mod, "_good_position_holds", lambda *a: False)
+    with pytest.raises(TheoremViolation):
+        good_position_chamber(filt)
+
+
+@pytest.mark.parametrize("name", ["B3", "H3", "D4"])
+def test_good_position_chamber_reads_one_point_per_growth_level(monkeypatch, name):
+    # The last growth level of an admissible filtration lies on no
+    # hyperplane, so its point is regular in V and no further generic
+    # vector is read: one regular_point call per level whose dimension grows.
+    import coxmin.eigen as eigen_mod
+    calls = []
+    real = eigen_mod.regular_point
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(eigen_mod, "regular_point", counted)
+    system = build_system(named_matrix(name))
+    for twist in enumerate_twists(system.matrix):
+        for rec in enumerate_classes(system, twist):
+            eig = eigen_decomposition(rec.representative, dft_check=False)
+            sequences = [tuple(eig.angles)]
+            if rec.quasi_elliptic and eig.angles[0] == 0:
+                sequences.append(tuple(eig.angles[1:]))
+            for angles in sequences:
+                filt = admissible_filtration(eig.owner, angles, eig=eig)
+                growth = sum(len(b) > len(prev) for prev, b in
+                             zip(filt.f_bases, filt.f_bases[1:]))
+                del calls[:]
+                good_position_chamber(filt)
+                assert len(calls) == growth
+
+
+def test_zero_lexicographic_sign_is_a_violation(monkeypatch):
+    # A growth point on a hyperplane of V leaves that root with no sign:
+    # the walk raises instead of reading the sign as 0.
+    import coxmin.eigen as eigen_mod
+    a2 = build_system(named_matrix("A2"))
+    w = untwisted(a2.element_from_word([0, 1]))
+    eig = eigen_decomposition(w, dft_check=False)
+    filt = admissible_filtration(w, eig.angles, eig)
+    on_wall = regular_point(a2, fixed_space(untwisted(a2.generator(0))))
+    monkeypatch.setattr(eigen_mod, "regular_point", lambda *a, **k: on_wall)
     with pytest.raises(TheoremViolation):
         good_position_chamber(filt)
 
@@ -482,19 +547,12 @@ def test_hyperplane_memo_is_per_view():
     assert {c.field.L for key in lift._hyperplanes for row in key for c in row} == {12}
 
 
-def _constrained_point(system, basis, inside):
-    """regular_point inside a chamber, or None when it has none."""
-    try:
-        return regular_point(system, basis, inside=inside)
-    except NoRegularPoint:
-        return None
-
-
 def _forget_geometry(system):
     """Empty the memo dicts of a system and all its lifts."""
     for view in (system, *system._lifts.values()):
         view._eigen.clear()
         view._regular_points.clear()
+        view._closure_verdicts.clear()
         view._hyperplanes.clear()
 
 
@@ -524,15 +582,16 @@ def test_memoized_geometry_matches_fresh_system(name):
                     _forget_geometry(fresh)
                     assert regular_point(eig.system, basis, start_index=start) == \
                         regular_point(feig.system, basis, start_index=start)
-                # The constrained point, once from the memo and once fresh.
+                # The closed-chamber verdict, once from the memo and once fresh.
                 for body in chamber_bodies:
                     inside = Chamber(eig.system, rec.coset.table.element(body))
                     finside = Chamber(feig.system, frec.coset.table.element(body))
-                    first = _constrained_point(eig.system, basis, inside)
-                    again = _constrained_point(eig.system, basis, inside)
-                    assert again is first or first is None
+                    first = closure_holds_regular_point(eig.system, basis, inside)
+                    key = (tuple(basis), inside.x.perm)
+                    assert eig.system._closure_verdicts[key] is first
+                    assert closure_holds_regular_point(eig.system, basis, inside) is first
                     _forget_geometry(fresh)
-                    assert _constrained_point(feig.system, basis, finside) == first
+                    assert closure_holds_regular_point(feig.system, basis, finside) is first
             w_a, cert = good_min_element(rec)
             _forget_geometry(fresh)
             fw_a, fcert = good_min_element(frec)

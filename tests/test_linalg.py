@@ -6,13 +6,13 @@ import pytest
 
 from coxmin import linalg
 from coxmin.errors import FieldMismatch, TheoremViolation
-from coxmin.linalg import (cone_from_constraints, cone_point_avoiding, in_span,
-                           kernel_basis, rank, rational_tuples, rref,
-                           subspace_equal, vec_add, vec_dot, vec_scale)
+from coxmin.linalg import (cone_from_constraints, in_span, kernel_basis, rank,
+                           rational_tuples, rref, subspace_equal, vec_add,
+                           vec_dot, vec_scale)
 from coxmin.scalars import get_field
-from oracles import (fractions_by_height_boxes, intersect_subspaces,
-                     relative_interior_point, rref_by_inverses, solve_in_span,
-                     subspace_contains)
+from oracles import (cone_point_avoiding, fractions_by_height_boxes,
+                     intersect_subspaces, relative_interior_point,
+                     rref_by_inverses, solve_in_span, subspace_contains)
 
 LEVELS = (1, 4, 5, 6, 12, 30)
 

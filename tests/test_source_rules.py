@@ -30,7 +30,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # composes root permutations over signs read once), and the whole-group
 # maps of conjugation by a twist power with their permutation-scan
 # reference (a product of normal forms twists its few factors one at a
-# time).
+# time), and the moment-curve cone point (whether a closed chamber holds a
+# regular point is read off the sum of the cone's generators; the oracles
+# keep the search for arbitrary hyperplanes).
 BANNED = ("ConstructionFailed", "SearchBound", "conjugate_by_index",
           "_twist_body", "conj", "pruned", "is_valid", "expand",
           "is_left_weighted_pair", "reflection_element", "reflect_vector",
@@ -45,7 +47,7 @@ BANNED = ("ConstructionFailed", "SearchBound", "conjugate_by_index",
           "fraction_sturm_intervals", "fractions_by_height_boxes",
           "FlowCurve", "flow_curve", "L_hint", "classes_by_union_find",
           "lex_chamber_by_reflection", "twist_index_map", "twist_map",
-          "twist_index_map_by_perms")
+          "twist_index_map_by_perms", "cone_point_avoiding")
 
 
 def test_no_asserts_and_no_capped_construction_error():

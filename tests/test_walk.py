@@ -12,15 +12,15 @@ from coxmin.conjugacy import enumerate_classes
 from coxmin.coxeter import (Chamber, CoxeterMatrix, DiagramTwist, build_system,
                             conjugate_by_chamber, enumerate_twists,
                             named_matrix, untwisted)
-from coxmin.eigen import (eigen_decomposition, fixed_space, hyperplanes_containing,
-                          regular_point)
+from coxmin.eigen import (_combination, eigen_decomposition, fixed_space,
+                          hyperplanes_containing, regular_point)
 from coxmin.errors import HypothesisFailed
 from coxmin.linalg import rref
 from coxmin.walk import (_angle_of_invariant_subspace, _start_point,
                          component_length, decay_rate,
                          decompose_at_regular, derivative_test, descent_walk,
                          special_length_formula, strongly_connected_step)
-from oracles import reflection_element
+from oracles import all_roots_chamber_cone, reflection_element
 
 
 def test_flow_curve_components():
@@ -76,10 +76,10 @@ def test_derivative_lemma_property(name):
         wall = A.walls()[i]
         # h: a regular point of the wall hyperplane inside the closed chamber.
         basis = fixed_space(untwisted(reflection_element(system, wall)))
-        try:
-            h = regular_point(system, basis, inside=A)
-        except Exception:
+        coords = all_roots_chamber_cone(system, basis, A)
+        if coords is None:
             continue
+        h = _combination(system.field, coords, basis)
         v = system.root_vector(wall)
         if system.inner(v, A.interior_point()).sign() > 0:
             v = tuple(-c for c in v)  # point out of A
