@@ -360,12 +360,12 @@ class CoxeterSystem:
                 e = math.lcm(*[a.den for a in row])
                 cols = []
                 for a in row:
-                    # Denominator 1 throughout: products stay unreduced
-                    # integer polynomials.
-                    p = AlgebraicScalar(field, tuple([x * (e // a.den) for x in a.num]))
+                    # The numerators of p_rj(c) c^l, l < m: integer shifts
+                    # reduced by the minimal polynomial.
+                    p = tuple([x * (e // a.den) for x in a.num])
                     for _ in range(field.degree):
-                        cols.append(p.num)
-                        p = p * field.gen
+                        cols.append(p)
+                        p = field.times_gen(p)
                 kernel.append((tuple(zip(*cols)), e))
             self._kernel = kernel
         return self._kernel

@@ -2,9 +2,19 @@
 
 Angles are rationals q in [0, 1] standing for theta = q*pi.  The eigenspace
 V^theta = ker(M + M^-1 - 2cos(theta) I) is computed by exact Gaussian
-elimination; expressing 2cos(2*pi*k/d) may require a larger field, in which
-case the element is carried over to the system's view at level lcm(L, e),
-e the denominator of 2/d (d/2 for even d: 2cos(2*pi*k/d) lies in the real
+elimination at the angles 2k/d, d the order of w.  A float DFT of the trace
+sequence tr(M^j) guides the order: the angles where it finds eigenvalues
+are solved first, and the scan stops as soon as the kernel dimensions sum
+to n, since eigenspaces of distinct angles are independent and that sum
+proves no other angle has a kernel.  A wrong guide only makes the scan go
+on over the other angles, so exactness never rests on floats.  The guide
+evaluates the traces from their numerators with math.cos, never by float()
+of a scalar, which would refine the field's shared isolating interval that
+the walk's guidance floats read.
+
+Expressing 2cos(2*pi*k/d) may require a larger field, in which case the
+element is carried over to the system's view at level lcm(L, e), e the
+denominator of 2/d (d/2 for even d: 2cos(2*pi*k/d) lies in the real
 subfield of the d-th cyclotomic field, of degree phi(d)/2)
 (CoxeterSystem.with_field_level: the same roots embedded in the larger field,
 the same root indices and group table).  Every vector the decomposition
@@ -14,7 +24,10 @@ The kernel ranks are the primary multiplicities.  A redundant cross-check
 recomputes them as the discrete Fourier transform of the trace sequence
 tr(M^j), exactly in the same field: every 2cos(2*pi*jk/d) is a polynomial
 in 2cos(2*pi/d).  A disagreement signals an arithmetic bug, not a property
-of the input.
+of the input.  The traces, for the check and the guide alike, are read off
+root-permutation powers: column i of M^j is the root w^j(alpha_i), so
+tr(M^j) is n field additions (Springer, Regular elements of finite
+reflection groups, Invent. Math. 1974, for the eigenvalues of w).
 
 Also here: deterministic regular points of subspaces, the test whether a
 closed chamber holds one, the reflection subgroup of a subspace, the
@@ -45,9 +58,9 @@ from .coxeter import (Chamber, CoxeterSystem, GroupElement, TwistedElement,
 from .errors import (FieldTooSmall, MultiplicityMismatch, NoRegularPoint,
                      NotAdmissible, TheoremViolation)
 from .linalg import (Cone, Matrix, Vector, cone_from_constraints, kernel_basis,
-                     mat_inverse, mat_mul, rational_tuples, rref, vec_add,
+                     mat_inverse, rational_tuples, rref, vec_add,
                      vec_dot, vec_is_zero, vec_scale, zero_vector)
-from .scalars import _normal
+from .scalars import AlgebraicScalar, _normal
 
 Angle = Fraction  # q in [0, 1], theta = q*pi
 
@@ -159,11 +172,15 @@ def _decompose(w: TwistedElement) -> EigenDecomposition:
     s = [tuple(a + b for a, b in zip(ra, rb))
          for ra, rb in zip(w.matrix(), w.inverse().matrix())]
 
+    # The guided angles first, then the rest, each group ascending.  The
+    # eigenspaces of distinct angles are independent, so once the
+    # dimensions sum to n no other angle has a kernel.
+    angles = [Fraction(2 * k, d) for k in range(d // 2 + 1)]
+    guided = set(_angle_guide(_traces(w, d), d))
     entries: list[tuple[Angle, int, Matrix]] = []
     total = 0
-    for k in range(d // 2 + 1):
-        q = Fraction(2 * k, d)
-        if q > 1:
+    for q in sorted(angles, key=lambda q: q not in guided):
+        if total == n:
             break
         c2 = field.two_cos(q)
         rows = [tuple(s[i][j] - (c2 if i == j else field.zero) for j in range(n))
@@ -175,11 +192,51 @@ def _decompose(w: TwistedElement) -> EigenDecomposition:
     if total != n:
         raise MultiplicityMismatch(
             f"eigenspace dimensions sum to {total}, expected {n}")
+    entries.sort(key=lambda entry: entry[0])
 
     theta0 = entries[0][0]
     v_wt = entries[0][2]
     return EigenDecomposition(owner=w, system=system, entries=entries,
                               theta0=theta0, v_wt=v_wt)
+
+
+def _traces(w: TwistedElement, d: int) -> list[AlgebraicScalar]:
+    """tr(M^j) for j = 0..d-1, read off root permutations.
+
+    Column i of M^j is the root w^j(alpha_i), so the trace is the sum of
+    coordinate i of root perm_j[i] over i: n field additions per power.
+    """
+    system = w.system
+    n, npos, roots = system.rank, system.npos, system.pos_roots
+    perm = w.root_perm()
+    acc = system._identity_perm
+    traces = []
+    for _ in range(d):
+        tr = system.field.zero
+        for i, r in enumerate(acc[:n]):
+            if r < npos:
+                tr = tr + roots[r][i]
+            else:
+                tr = tr - roots[r - npos][i]
+        traces.append(tr)
+        acc = compose(perm, acc)
+    return traces
+
+
+def _angle_guide(traces: list[AlgebraicScalar], d: int) -> list[Angle]:
+    """The angles 2k/d at which a float DFT of the traces finds eigenvalues.
+
+    A guide only: it orders the exact kernel solves, and a wrong answer
+    makes the scan go on over the other angles.  Each trace is evaluated
+    from its numerator at c = 2cos(pi/L) by math.cos, never by float() of
+    the scalar, which would refine the field's shared isolating interval.
+    """
+    field = traces[0].field
+    c = 2.0 * math.cos(math.pi / field.L)
+    vals = [sum(x * c ** i for i, x in enumerate(t.num)) / t.den for t in traces]
+    return [Fraction(2 * k, d) for k in range(d // 2 + 1)
+            if sum(t * math.cos(2.0 * math.pi * j * k / d)
+                   for j, t in enumerate(vals)) > d / 2]
 
 
 def _dft_crosscheck(w: TwistedElement, system: CoxeterSystem, d: int,
@@ -193,18 +250,7 @@ def _dft_crosscheck(w: TwistedElement, system: CoxeterSystem, d: int,
     2cos(2 pi jk/d).
     """
     field = system.field
-    n = system.rank
-    traces = []
-    m = w.matrix()
-    acc = [tuple(field.one if i == j else field.zero for j in range(n))
-           for i in range(n)]
-    for _ in range(d):
-        tr = acc[0][0]
-        for i in range(1, n):
-            tr = tr + acc[i][i]
-        traces.append(tr)
-        acc = mat_mul(acc, m)
-
+    traces = _traces(w, d)
     by_angle = {q: dim for q, dim, _ in entries}
     for k in range(d // 2 + 1):
         q = Fraction(2 * k, d)

@@ -68,11 +68,6 @@ def zero_vector(field: ScalarField, n: int) -> Vector:
     return (field.zero,) * n
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = list(zip(*b))
-    return [tuple(vec_dot(row, col) for col in bt) for row in a]
-
-
 def rref(rows: Iterable[Vector]) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns).
 

@@ -34,7 +34,9 @@ Introduction to Cyclotomic Fields), which is Q(2cos(pi/(d/2))) for even d.
 
 Fields of different levels nest: L | L' gives Q(c_L) into Q(c_L') via
 c_L = D_{L'/L}(c_L'), where D_k is the degree-k Dickson polynomial with
-D_k(2cos t) = 2cos(kt).
+D_k(2cos t) = 2cos(kt).  The target field keeps, per source level, the
+integer numerators of the images of c_L^i, so an embedding is an integer
+combination of them.
 """
 
 from __future__ import annotations
@@ -209,6 +211,8 @@ class ScalarField:
             self.gen = AlgebraicScalar(self, (0, 1) + (0,) * (m - 2))
             self._isolate_generator()
         self._two_cos_cache: dict[Fraction, AlgebraicScalar] = {}
+        # Per source level L' | L: the numerators of c_L'^i here, i < deg.
+        self._embed_powers: dict[int, list[tuple[int, ...]]] = {}
 
     def __repr__(self) -> str:
         return f"ScalarField(L={self.L})"
@@ -303,13 +307,23 @@ class ScalarField:
         if self.L % src.L:
             raise FieldMismatch(
                 f"cannot embed level {src.L} into level {self.L}: {src.L} does not divide {self.L}")
-        # c_src is an algebraic integer of this field, so the image of num
-        # is integral and the denominator carries over.
-        image = self.two_cos(Fraction(1, src.L))
-        acc = self.zero
-        for coef in reversed(s.num):
-            acc = acc * image + coef
-        return _normal(self, acc.num, s.den)
+        # c_src is an algebraic integer of this field, so the images of its
+        # powers are integral: the image of num is an integer combination
+        # of them, and the denominator carries over.
+        powers = self._embed_powers.get(src.L)
+        if powers is None:
+            image = self.two_cos(Fraction(1, src.L))
+            p = self.one
+            powers = self._embed_powers[src.L] = [p.num]
+            for _ in range(src.degree - 1):
+                p = p * image
+                powers.append(p.num)
+        acc = [0] * self.degree
+        for coef, power in zip(s.num, powers):
+            if coef:
+                for i, x in enumerate(power):
+                    acc[i] += coef * x
+        return _normal(self, tuple(acc), s.den)
 
     def mul_num(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
         """Numerators of (sum a[i] c^i)(sum b[j] c^j), degree >= 2: an integer
@@ -329,6 +343,12 @@ class ScalarField:
                     out[i] += ck * r
         return tuple(out)
 
+    def times_gen(self, num: Sequence[int]) -> tuple[int, ...]:
+        """Numerators of c * (sum num[i] c^i): a shift up, with c^m =
+        -(mp[0] + ... + mp[m-1] c^(m-1)) by the monic minimal polynomial."""
+        mp, top = self._mp, num[-1]
+        return tuple([-top * mp[0]] + [a - top * b for a, b in zip(num, mp[1:-1])])
+
     def cofactor(self, num: Sequence[int]) -> tuple[tuple[int, ...], int]:
         """(u, N) with (sum num[i] c^i)(sum u[j] c^j) = N, a nonzero integer;
         num is not zero.
@@ -346,11 +366,9 @@ class ScalarField:
             # a1^2 p0.  Most inverses are over H3, B3, F4 and G2.
             a0, a1 = num
             return (a0 - a1 * mp[1], -a1), a0 * a0 - a0 * a1 * mp[1] + a1 * a1 * mp[0]
-        cols = [list(num)]
+        cols = [num]
         for _ in range(m - 1):
-            col = cols[-1]
-            top = col[-1]  # c * col, with c^m = -(mp[0] + ... + mp[m-1] c^(m-1))
-            cols.append([-top * mp[0]] + [a - top * b for a, b in zip(col, mp[1:-1])])
+            cols.append(self.times_gen(cols[-1]))
         # Row i holds columns k .. m of [M | e_0] at step k: the columns
         # before k are cleared and not read again.
         rows = [[col[i] for col in cols] + [int(i == 0)] for i in range(m)]

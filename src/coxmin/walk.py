@@ -11,11 +11,18 @@ contains a regular point of V_w.
 The curve itself is transcendental, so wall selection is guided by floats
 only, while every accepted step and the end condition are certified in
 exact arithmetic: a step is kept only if the group-side length comparison
-l(w_{A'}) <= l(w_A) holds, and the end test evaluates the exact signs of
-the limit direction against the chamber.  When float bisection cannot
-isolate a single wall the walk tries the flipped walls directly.  Where the
-guidance gives out, an exact search over the crossings that do not raise
-the conjugate length takes over, so a walk cannot get stuck.  The start
+l(w_{A'}) <= l(w_A) holds, and the end test compares the exact signs of
+the limit direction with the chamber's.  The guidance floats are read off
+the integer pairing kernel's numerators (ScalarField.float_of does not
+depend on their scale), and the walk carries the chamber's root signs
+across crossings, with the count of roots where they disagree with the
+limit direction: crossing wall H_r flips the sign of r alone.  The
+eigen-angles themselves come from eigen_decomposition, whose float trace
+DFT only orders the exact kernel solves and whose scan stops when the
+dimensions sum to n.  When float bisection cannot isolate a single wall
+the walk tries the flipped walls directly.  Where the guidance gives out,
+an exact search over the crossings that do not raise the conjugate length
+takes over, so a walk cannot get stuck.  The start
 point is a construction with a proven bound, so walks are reproducible.
 
 The length-formula operations verify their hypotheses exactly before
@@ -42,7 +49,6 @@ from .eigen import (EigenDecomposition, _chamber_cone, _combination,
 from .errors import HypothesisFailed, TheoremViolation
 from .linalg import (Matrix, Vector, in_span, kernel_basis, rref, subspace_equal,
                      vec_is_zero, vec_sub)
-from .scalars import _normal
 
 
 def decay_rate(q: Fraction) -> float:
@@ -126,22 +132,23 @@ def descent_walk(w: TwistedElement, chamber: Chamber,
     """
     eig = eigen_decomposition(w, dft_check=False)
     w, chamber = eig.owner, chamber.over(eig.system)
-    pairings, x_dir, sgn_x = _start_point(eig, chamber, start_index)
-    result = _walk_once(w, eig, chamber, pairings, x_dir, sgn_x)
+    cols, x_dir, sgn_x = _start_point(eig, chamber, start_index)
+    result = _walk_once(w, eig, chamber, cols, x_dir, sgn_x)
     return result if result is not None else _exact_walk(w, chamber, x_dir, sgn_x)
 
 
 def _start_point(eig: EigenDecomposition, chamber: Chamber,
                  start_index: int) -> tuple[dict, Vector, list[int]]:
-    """(pairings, x, signs) of y(t) = chamber.interior_point(t) for the
+    """(cols, x, signs) of y(t) = chamber.interior_point(t) for the
     least t > start_index whose theta_0-component x is regular in V_w.
 
-    pairings[q][r] = <alpha_r, component q of y> for each nonzero component;
-    signs[r] is the sign of <alpha_r, x>.  If H_r misses V_w, <alpha_r, x(t)>
-    is a nonzero polynomial in t of degree < n (the projection onto V_w is
-    orthogonal and the x_A omega_j span V), so each such root rules out at
-    most n - 1 values: t <= start_index + (n - 1) #avoid + 1, and running
-    past that is a TheoremViolation.
+    cols[q][r] is the float of <alpha_r, component q of y> for each nonzero
+    component, keyed in ascending q; signs[r] is the sign of <alpha_r, x>.
+    If H_r misses V_w, <alpha_r, x(t)> is a nonzero polynomial in t of
+    degree < n (the projection onto V_w is orthogonal and the x_A omega_j
+    span V), so each such root rules out at most n - 1 values: t <=
+    start_index + (n - 1) #avoid + 1, and running past that is a
+    TheoremViolation.
     """
     system = eig.system
     field = system.field
@@ -149,9 +156,11 @@ def _start_point(eig: EigenDecomposition, chamber: Chamber,
     h_vwt = hyperplanes_containing(system, eig.v_wt)
     bound = (system.rank - 1) * (system.npos - len(h_vwt)) + 1
 
-    # Signs come from the integer kernel's numerators one root at a time, in
-    # root order, as each refines the isolating interval that later floats
-    # read; scalars are built only for the pairings the walk keeps.
+    # Signs and floats come from the integer kernel's numerators one root
+    # at a time, the signs of x in root order first, then the floats by
+    # ascending angle, each in root order: each may refine the isolating
+    # interval that later floats read.  float_of does not depend on the
+    # scale of (num, den), so no scalar is built.
     for t in range(start_index + 1, start_index + bound + 1):
         comps = {q: c for q, c in eig.project(chamber.interior_point(t)).items()
                  if not vec_is_zero(c)}
@@ -166,10 +175,11 @@ def _start_point(eig: EigenDecomposition, chamber: Chamber,
                 break  # x(t) is not regular in V_w
             sgn_x.append(s)
         else:
-            pairings = {q: [_normal(field, num, den) for num, den in
-                            (x_pairs if q == eig.theta0 else system.root_pairings(c))]
-                        for q, c in comps.items()}
-            return pairings, x_dir, sgn_x
+            float_of = field.float_of
+            cols = {q: [float_of(num, den) for num, den in
+                        (x_pairs if q == eig.theta0 else system.root_pairings(c))]
+                    for q, c in sorted(comps.items())}
+            return cols, x_dir, sgn_x
     raise TheoremViolation(f"no t in {start_index + 1}..{start_index + bound} "
                            "gives a start point regular in V_w")
 
@@ -208,25 +218,25 @@ def _exact_walk(w: TwistedElement, start: Chamber, x_dir: Vector,
 
 
 def _walk_once(w: TwistedElement, eig: EigenDecomposition, start: Chamber,
-               pairings: dict, x_dir: Vector,
+               cols: dict, x_dir: Vector,
                sgn_x: list[int]) -> WalkResult | None:
     """The float-guided flow, or None where its guidance gives out."""
     system = eig.system
     npos = system.npos
-    theta0 = eig.theta0
 
-    # Float guidance, decay rates shifted so the theta_0 term is constant.
-    angles = sorted(pairings)
-    lam0 = decay_rate(theta0)
-    rates = [decay_rate(q) - lam0 for q in angles]
-    cols = [[float(p) for p in pairings[q]] for q in angles]
-    scale_ref = max(max(abs(c) for c in col) for col in cols) or 1.0
+    # Float guidance, decay rates shifted so the theta_0 term, the first
+    # column, is constant: the sums start from that column itself.
+    angles = sorted(cols)
+    lam0 = decay_rate(eig.theta0)
+    rates = [decay_rate(q) - lam0 for q in angles[1:]]
+    x_col, rest = cols[angles[0]], [cols[q] for q in angles[1:]]
+    scale_ref = max(max(abs(c) for c in cols[q]) for q in angles) or 1.0
 
     def float_vals(s: float) -> list[float]:
         # Column by column in angle order: each root's sum takes the same
         # float operations in the same order as a left-to-right sum.
-        vals = [0.0] * npos
-        for rt, col in zip(rates, cols):
+        vals = x_col
+        for rt, col in zip(rates, rest):
             d = math.exp(-rt * s)
             vals = [v + c * d for v, c in zip(vals, col)]
         return vals
@@ -237,9 +247,13 @@ def _walk_once(w: TwistedElement, eig: EigenDecomposition, start: Chamber,
     visited = {cur_ch.x.perm}
     s_anchor = 0.0
     step_cap = 16 * npos + 64
+    # The chamber's root signs and the number of roots at which they
+    # disagree with a nonzero sign of x; a crossing flips one sign.
+    cur_signs = [start.sign(r) for r in range(npos)]
+    off = sum(1 for s, c in zip(sgn_x, cur_signs) if s and s != c)
 
     def try_cross(root: int) -> bool:
-        nonlocal cur_ch, cur_wt
+        nonlocal cur_ch, cur_wt, off
         i = cur_ch.wall_simple_index(root)
         if i is None:
             return False
@@ -254,17 +268,19 @@ def _walk_once(w: TwistedElement, eig: EigenDecomposition, start: Chamber,
                               length_after=nxt_wt.length()))
         visited.add(nxt_ch.x.perm)
         cur_ch, cur_wt = nxt_ch, nxt_wt
+        cur_signs[root] = -cur_signs[root]
+        if sgn_x[root]:
+            off += 1 if sgn_x[root] != cur_signs[root] else -1
         return True
 
     while True:
-        if _holds_point(cur_ch, sgn_x):
+        if not off:
             return WalkResult(start_chamber=start, end_chamber=cur_ch,
                               steps=steps, regular_point=x_dir,
                               end_element=cur_wt)
         if len(steps) > step_cap:
             return None
 
-        cur_signs = [cur_ch.sign(r) for r in range(npos)]
         tol = 1e-11 * scale_ref
         h = 0.25
         s0 = s_anchor
@@ -329,10 +345,17 @@ def _angle_of_invariant_subspace(w: TwistedElement, eig: EigenDecomposition,
     (w, basis); a failed check is not, and raises again.
     """
     system = eig.system
-    key = (w.twist.perm, w.k, w.body.perm, tuple(basis))
+    vectors = tuple(basis)
+    key = (w.twist.perm, w.k, w.body.perm, vectors)
     q = system._invariant_angles.get(key)
     if q is not None:
         return q
+    # An eigenspace of w + w^-1 is w-stable, as w commutes with it: a basis
+    # that is one of eig's own needs no check.
+    for q, _, eigbasis in eig.entries:
+        if vectors == tuple(eigbasis):
+            system._invariant_angles[key] = q
+            return q
     red, pivots = reduced_basis(system, basis)
     # w is invertible, so w(K) inside K already gives w(K) = K.
     if not all(in_span(red, pivots, w.apply(b)) for b in basis):

@@ -11,12 +11,12 @@ from fractions import Fraction
 from coxmin.braid import TwistedBraid
 from coxmin.conjugacy import _blocks, _union
 from coxmin.coxeter import Chamber, GroupElement, compose, invert_perm
-from coxmin.eigen import regular_point
-from coxmin.errors import TheoremViolation
+from coxmin.eigen import order, regular_point
+from coxmin.errors import FieldTooSmall, TheoremViolation
 from coxmin.linalg import (cone_from_constraints, in_span, kernel_basis, rref,
                            vec_add, vec_dot, vec_is_zero, vec_scale,
                            zero_vector)
-from coxmin.scalars import _normal, get_field
+from coxmin.scalars import AlgebraicScalar, _normal, get_field
 
 
 def reference_table(system):
@@ -493,3 +493,65 @@ def fractions_by_height_boxes():
                     seen.add(f)
                     batch.append(f)
         yield from sorted(batch)
+
+
+def mat_mul(a, b):
+    """The matrix product a b over the scalars."""
+    bt = list(zip(*b))
+    return [tuple(vec_dot(row, col) for col in bt) for row in a]
+
+
+def traces_by_matrix_powers(w, d):
+    """tr(M^j) for j = 0..d-1 from d products of n x n matrices."""
+    field, n = w.system.field, w.system.rank
+    m = w.matrix()
+    acc = [tuple(field.one if i == j else field.zero for j in range(n))
+           for i in range(n)]
+    traces = []
+    for _ in range(d):
+        tr = acc[0][0]
+        for i in range(1, n):
+            tr = tr + acc[i][i]
+        traces.append(tr)
+        acc = mat_mul(acc, m)
+    return traces
+
+
+def decompose_by_full_scan(w):
+    """(owner, entries) of w's eigen-angle decomposition from a kernel solve
+    at every angle 2k/d, ascending, in the field view that holds them."""
+    d = order(w)
+    system = w.system
+    try:
+        system.field.two_cos(Fraction(2, d))
+    except FieldTooSmall:
+        system = system.with_field_level(Fraction(2, d).denominator)
+        w = w.over(system)
+    field, n = system.field, system.rank
+    s = [tuple(a + b for a, b in zip(ra, rb))
+         for ra, rb in zip(w.matrix(), w.inverse().matrix())]
+    entries = []
+    for k in range(d // 2 + 1):
+        q = Fraction(2 * k, d)
+        c2 = field.two_cos(q)
+        rows = [tuple(s[i][j] - (c2 if i == j else field.zero) for j in range(n))
+                for i in range(n)]
+        basis = kernel_basis(rows, n, field)
+        if basis:
+            entries.append((q, len(basis), basis))
+    return w, entries
+
+
+def embed_by_horner(field, s):
+    """s re-expressed at the level of `field` by Horner's rule in field
+    products at c_src = 2cos(pi/L_src)."""
+    image = field.two_cos(Fraction(1, s.field.L))
+    acc = field.zero
+    for coef in reversed(s.num):
+        acc = acc * image + coef
+    return _normal(field, acc.num, s.den)
+
+
+def times_gen_by_product(field, num):
+    """The numerators of c * num by a field product with the generator."""
+    return (AlgebraicScalar(field, tuple(num)) * field.gen).num

@@ -20,14 +20,16 @@ from coxmin.eigen import (_combination, admissible_filtration,
                           good_position_chamber, hyperplanes_containing,
                           is_elliptic, is_quasi_elliptic, order,
                           reflection_subgroup, regular_point, _cleared,
-                          _integer_forms, _meets_a_hyperplane)
+                          _decompose, _integer_forms, _meets_a_hyperplane,
+                          _traces)
 from coxmin.errors import (MultiplicityMismatch, NoRegularPoint, NotAdmissible,
                            TheoremViolation)
 from coxmin.linalg import (cone_from_constraints, rational_tuples, vec_add,
                            vec_is_zero, vec_scale, zero_vector)
 from coxmin.scalars import get_field
 from oracles import (all_roots_chamber_cone, cone_point_avoiding,
-                     lex_chamber_by_reflection, solve_in_span)
+                     decompose_by_full_scan, lex_chamber_by_reflection,
+                     solve_in_span, traces_by_matrix_powers)
 from test_acceptance import PRODUCTS
 from test_conjugacy import _block_diagonal
 
@@ -442,6 +444,42 @@ def test_sign_walk_and_carried_filtration_match_references(label):
                     assert carried.hyperplane_sets == own.hyperplane_sets
                     assert carried.irredundant_indices == own.irredundant_indices
                     assert carried.admissible == own.admissible
+
+
+@pytest.mark.parametrize("label", SWEEP_LABELS + ["H4"])
+def test_decompose_matches_the_full_angle_scan(label, monkeypatch):
+    # Every class and twist: the decomposition that solves the guided
+    # angles first and stops at n dimensions equals the kernel solve at
+    # every angle, and so does it with no guide or a wrong one; the guide
+    # names exactly the eigen-angles; the traces read off root permutations
+    # equal those of matrix powers.
+    import coxmin.eigen as eigen_mod
+    names = label.split("x")
+    matrix = _block_diagonal(*names) if len(names) > 1 else named_matrix(label)
+    system = build_system(matrix)
+    real_guide = eigen_mod._angle_guide
+
+    def wrong_guide(traces, d):
+        # The angles with no kernel, and one that is no angle 2k/d.
+        named = real_guide(traces, d)
+        return [Fraction(2 * k, d) for k in range(d // 2 + 1)
+                if Fraction(2 * k, d) not in named] + [Fraction(1, 2 * d + 1)]
+    guides = {"none": lambda traces, d: [], "wrong": wrong_guide}
+    for twist in enumerate_twists(matrix):
+        for rec in enumerate_classes(system, twist):
+            w = rec.representative
+            owner, entries = decompose_by_full_scan(w)
+            d = order(w)
+            traces = _traces(owner, d)
+            assert traces == traces_by_matrix_powers(owner, d)
+            assert set(real_guide(traces, d)) == {q for q, _, _ in entries}
+            for name, guide in [("real", real_guide), *guides.items()]:
+                monkeypatch.setattr(eigen_mod, "_angle_guide", guide)
+                eig = _decompose(w)
+                assert eig.owner == owner and eig.system is owner.system
+                assert eig.entries == entries, (label, twist.perm, rec.class_id, name)
+                assert eig.theta0 == entries[0][0] and eig.v_wt == entries[0][2]
+            monkeypatch.setattr(eigen_mod, "_angle_guide", real_guide)
 
 
 def test_good_position_w0_a2():

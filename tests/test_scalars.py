@@ -10,10 +10,11 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coxmin.scalars import (ScalarField, cyclotomic, get_field,
+from coxmin.scalars import (ScalarField, _normal, cyclotomic, get_field,
                             minpoly_two_cos_pi_over)
 from coxmin.errors import FieldMismatch, FieldTooSmall, ScalarDomainError
-from oracles import euclid_inverse, fraction_sturm_intervals
+from oracles import (embed_by_horner, euclid_inverse, fraction_sturm_intervals,
+                     times_gen_by_product)
 
 
 def test_cyclotomic_small():
@@ -88,6 +89,59 @@ def test_embedding_compatible_with_arithmetic():
     img = f15.embed_from(a * a)
     img2 = f15.embed_from(a) * f15.embed_from(a)
     assert img == img2
+
+
+def test_times_gen_and_embedding_match_field_products():
+    # At every level up to 30: multiplying by c on integers equals the field
+    # product with the generator, and the embedding of scalars of every
+    # dividing level, read off the table of powers, equals Horner's rule in
+    # field products (twice, so the table is served from memory too).
+    rng = random.Random(24)
+    for L in range(1, 31):
+        f = get_field(L)
+        for _ in range(8):
+            num = tuple(rng.randint(-50, 50) for _ in range(f.degree))
+            assert f.times_gen(num) == times_gen_by_product(f, num), L
+        for level in [k for k in range(1, L + 1) if L % k == 0]:
+            src = get_field(level)
+            scalars = [src.zero, src.one, src.gen] + [
+                src.scalar([Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+                            for _ in range(src.degree)]) for _ in range(4)]
+            for _ in range(2):
+                for s in scalars:
+                    assert f.embed_from(s) == embed_by_horner(f, s), (level, L)
+
+
+def _counting_refines(field):
+    """Count field.refine calls from here on, in a one-element list."""
+    calls, refine = [0], field.refine
+
+    def counted():
+        calls[0] += 1
+        refine()
+    field.refine = counted
+    return calls
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([5, 8, 15, 30]),
+       st.lists(st.tuples(st.lists(st.integers(-10**6, 10**6), min_size=8, max_size=8),
+                          st.integers(1, 10**6), st.integers(1, 10**4)),
+                min_size=1, max_size=6))
+def test_float_of_does_not_depend_on_scale(L, values):
+    # Two fresh fields read the same values in step: float_of on (g num,
+    # g den) gives the same float, after the same refinements, as float()
+    # of the normalized scalar num / den.
+    scaled, normal = ScalarField(L), ScalarField(L)
+    calls_scaled, calls_normal = _counting_refines(scaled), _counting_refines(normal)
+    for num, den, g in values:
+        num = tuple(num[:scaled.degree])
+        a = scaled.float_of(tuple(g * x for x in num), g * den)
+        b = float(_normal(normal, num, den))
+        assert a == b
+        assert calls_scaled == calls_normal
+        assert (scaled._ilo, scaled._ihi, scaled._k) == \
+            (normal._ilo, normal._ihi, normal._k)
 
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=6)

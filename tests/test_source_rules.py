@@ -32,7 +32,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # reference (a product of normal forms twists its few factors one at a
 # time), and the moment-curve cone point (whether a closed chamber holds a
 # regular point is read off the sum of the cone's generators; the oracles
-# keep the search for arbitrary hyperplanes).
+# keep the search for arbitrary hyperplanes), and the references of the
+# eigen layer's fast paths: the kernel solve at every angle, the traces of
+# matrix powers with the matrix product they used, the embedding by Horner's
+# rule and the multiplication by c as a field product.
 BANNED = ("ConstructionFailed", "SearchBound", "conjugate_by_index",
           "_twist_body", "conj", "pruned", "is_valid", "expand",
           "is_left_weighted_pair", "reflection_element", "reflect_vector",
@@ -47,7 +50,9 @@ BANNED = ("ConstructionFailed", "SearchBound", "conjugate_by_index",
           "fraction_sturm_intervals", "fractions_by_height_boxes",
           "FlowCurve", "flow_curve", "L_hint", "classes_by_union_find",
           "lex_chamber_by_reflection", "twist_index_map", "twist_map",
-          "twist_index_map_by_perms", "cone_point_avoiding")
+          "twist_index_map_by_perms", "cone_point_avoiding",
+          "decompose_by_full_scan", "traces_by_matrix_powers", "mat_mul",
+          "embed_by_horner", "times_gen_by_product")
 
 
 def test_no_asserts_and_no_capped_construction_error():

@@ -502,3 +502,60 @@ def test_memoized_invariant_angles_match_a_fresh_system(name):
                 assert _angle_of_invariant_subspace(eig.owner, eig, basis) == q
                 feig.system._invariant_angles.clear()
                 assert _angle_of_invariant_subspace(feig.owner, feig, fbasis) == q
+
+
+# sha256 over the walk-v1 JSON (sorted keys, one line each) of the three
+# walks per H4 class from the chambers of `coxmin verify --checks walk` at
+# --seed-index 0, captured before the guidance floats were read off the
+# pairing kernel's numerators: every float the walk reads, so every path,
+# must stay the same.
+H4_WALKS_DIGEST = "324b401e90187ad20fd66a13392bd7437ece139f8e1f5a5a222efc2574476e98"
+
+
+def test_h4_cli_walks_pinned():
+    # A fresh interpreter, as the CLI has: the guidance floats depend on
+    # how far earlier work refined each field's isolating interval.
+    script = (
+        "import hashlib, json\n"
+        "from coxmin.conjugacy import enumerate_classes\n"
+        "from coxmin.coxeter import Chamber, build_system, enumerate_twists, named_matrix\n"
+        "from coxmin.walk import descent_walk\n"
+        "system = build_system(named_matrix('H4'))\n"
+        "table = system.table()\n"
+        "(twist,) = enumerate_twists(system.matrix)\n"
+        "h = hashlib.sha256()\n"
+        "for rec in enumerate_classes(system, twist):\n"
+        "    for j in range(3):\n"
+        "        idx = (rec.class_id * 7919 + j * 104729) % table.size\n"
+        "        res = descent_walk(rec.representative, Chamber(system, table.element(idx)))\n"
+        "        h.update(json.dumps(res.to_json(), sort_keys=True).encode() + b'\\n')\n"
+        "print(h.hexdigest())\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == H4_WALKS_DIGEST
+
+
+def test_eigenspace_angle_needs_no_span_check(monkeypatch):
+    # A basis that is one of the decomposition's own is w-stable and lies
+    # in its eigenspace: its angle is read off with no reduction.  Any
+    # other basis still goes through the checks.
+    import coxmin.walk as walk_mod
+    h3 = build_system(named_matrix("H3"))
+    w = untwisted(h3.element_from_word([0, 1, 2]))
+    eig = eigen_decomposition(w, dft_check=False)
+
+    class Reduced(Exception):
+        pass
+
+    def no_reduction(*args):
+        raise Reduced
+    monkeypatch.setattr(walk_mod, "reduced_basis", no_reduction)
+    for q, _, basis in eig.entries:
+        assert _angle_of_invariant_subspace(eig.owner, eig, list(basis)) == q
+    with pytest.raises(Reduced):
+        _angle_of_invariant_subspace(eig.owner, eig, eig.v_wt[:1])
