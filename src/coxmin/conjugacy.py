@@ -7,24 +7,32 @@ s_j w s_i with j = d^{-k}(i), two table lookups.  TwistedCoset.steps holds
 the two rows of each generator, built once; every class-scale loop below
 reads it.
 
-The key computations:
+s_i (s_i x s_i) s_i = x, so the step graph is undirected, and each relation
+on a class is a connected component of it.  One search, _reach, walks the
+steps whose length change lies in a given window:
 
 * TwistedCoset.classes: the class partition of the coset, one orbit scan
-  over generator conjugations, computed once on first use.
-  enumerate_classes reads it, and path_graph reads the class of w from it
-  through TwistedCoset.class_of.
+  over generator conjugations (all steps, on a byte array), computed once
+  on first use.  enumerate_classes reads it, and path_graph reads the class
+  of w from it through TwistedCoset.class_of.
+* verify_arrow_reduction / arrow_reachable_set: the search from O_min by
+  non-decreasing steps must cover the class; the arrow reach of w is the
+  search from w by non-increasing steps.
 * arrow_reduce: non-increasing conjugation by simple reflections down to an
   element with no strict descent reachable through its equal-length plateau.
   Within a class sweep the plateau searches share an exit-pointer cache, so
   reducing every element of a class costs about one traversal of the class.
-* approx_partition / strong_partition: connected components of O_min under
-  equal-length simple conjugation, respectively under elementary strong
-  conjugation.  The witness search grows length-additive conjugators letter
-  by letter, once on the left and once on the right; each of the two
+* approx_partition / strong_partition: the blocks of O_min under
+  equal-length simple conjugation (a level search from each block's least
+  element), respectively under elementary strong conjugation.  Elementary
+  strong conjugation is symmetric, so a strong block is a search from its
+  least element that grows by approx blocks and by the targets of the
+  witness search.  The witness search grows length-additive conjugators
+  letter by letter, once on the left and once on the right; each of the two
   families admits a conjugator only the first time it meets it, so one
   search admits at most 2(|W| - 1) and needs no cap.  The search yields
   targets as it meets them, and strong_partition stops drawing the moment
-  O_min is one block (the theorem says it always ends there).
+  every element of O_min is placed (the theorem says one block holds them).
 * path_graph: the graph on W_w = {x : l(x^-1 w x) = l(w)} walked by paths of
   equal-length simple conjugations, with the centralizer coverage report.
   Orbit-stabilizer counts the targets from the class C of w alone:
@@ -46,33 +54,6 @@ from .coxeter import (CoxeterMatrix, CoxeterSystem, DiagramTwist, GroupElement,
                       normalizes_parabolic, parabolic_index_map)
 from .eigen import _elliptic_kinds, elliptic_parabolic_certificate
 from .errors import TheoremViolation
-
-
-def _find(parent, x: int) -> int:
-    """Root of x in a union-find forest (a list or a dict), compressing the path."""
-    root = x
-    while parent[root] != root:
-        root = parent[root]
-    while parent[x] != root:
-        parent[x], x = root, parent[x]
-    return root
-
-
-def _union(parent, a: int, b: int) -> bool:
-    """Join the sets of a and b under the smaller root; False if already one."""
-    ra, rb = _find(parent, a), _find(parent, b)
-    if ra == rb:
-        return False
-    parent[max(ra, rb)] = min(ra, rb)
-    return True
-
-
-def _blocks(parent, items: Sequence[int]) -> list[list[int]]:
-    """The sets of the forest, each listed in the order of `items`."""
-    buckets: dict[int, list[int]] = {}
-    for x in items:
-        buckets.setdefault(_find(parent, x), []).append(x)
-    return list(buckets.values())
 
 
 class TwistedCoset:
@@ -144,6 +125,26 @@ class TwistedCoset:
         if w.k != self.k or w.twist != self.twist:
             raise ValueError("element lies outside this twisted coset")
         return self.table.index_of(w.body)
+
+
+def _reach(coset: TwistedCoset, starts: Sequence[int], lo: int, hi: int) -> list[int]:
+    """Bodies reached from `starts` by steps x -> y = lrow[rrow[x]] with
+    lo <= l(y) - l(x) <= hi, in BFS order, `starts` first.
+
+    s_i (s_i x s_i) s_i = x, so every step can be taken back: with lo = -hi
+    the search is a connected component.
+    """
+    length = coset.table.length
+    reached = list(starts)
+    seen = set(reached)
+    for x in reached:       # reached grows as the search runs: a BFS queue
+        lx = length[x]
+        for rrow, lrow in coset.steps:
+            y = lrow[rrow[x]]
+            if y not in seen and lo <= length[y] - lx <= hi:
+                seen.add(y)
+                reached.append(y)
+    return reached
 
 
 @dataclass
@@ -306,23 +307,12 @@ def arrow_reduce(w: TwistedElement, record: ConjugacyClassRecord | None = None
 
 
 def verify_arrow_reduction(record: ConjugacyClassRecord) -> bool:
-    """Reverse-reachability check that every class element reaches O_min."""
-    coset = record.coset
-    reach = set(record.o_min)
-    frontier = list(record.o_min)
-    while frontier:
-        nxt = []
-        for y in frontier:
-            ly = coset.length(y)
-            for rrow, lrow in coset.steps:
-                x = lrow[rrow[y]]
-                if x not in reach and coset.length(x) >= ly:
-                    reach.add(x)
-                    nxt.append(x)
-        frontier = nxt
-    if len(reach) != record.size:
+    """Every class element reaches O_min: O_min's reach by non-decreasing
+    steps (non-increasing ones, taken back) covers the class."""
+    reached = _reach(record.coset, record.o_min, 0, record.coset.system.npos)
+    if len(reached) != record.size:
         raise TheoremViolation(
-            f"class {record.class_id}: {record.size - len(reach)} elements "
+            f"class {record.class_id}: {record.size - len(reached)} elements "
             "cannot reach O_min")
     return True
 
@@ -332,15 +322,19 @@ def verify_arrow_reduction(record: ConjugacyClassRecord) -> bool:
 
 
 def approx_partition(record: ConjugacyClassRecord) -> list[list[int]]:
-    """Blocks of O_min (body indices) under equal-length simple conjugation."""
-    members = set(record.o_min)
-    parent = {x: x for x in record.o_min}
+    """Blocks of O_min (body indices) under equal-length simple conjugation.
+
+    An equal-length step from O_min stays in O_min, so a block is the
+    level search from its least element.
+    """
+    placed: set[int] = set()
+    blocks = []
     for x in record.o_min:
-        for rrow, lrow in record.coset.steps:
-            y = lrow[rrow[x]]
-            if y in members:
-                _union(parent, x, y)
-    return sorted(_blocks(parent, record.o_min))
+        if x not in placed:
+            block = _reach(record.coset, [x], 0, 0)
+            placed.update(block)
+            blocks.append(sorted(block))
+    return blocks
 
 
 def elementary_strong_targets(coset: TwistedCoset, x: int) -> Iterator[int]:
@@ -388,34 +382,42 @@ def elementary_strong_targets(coset: TwistedCoset, x: int) -> Iterator[int]:
             frontier = nxt
 
 
-def strong_partition(record: ConjugacyClassRecord) -> list[list[int]]:
-    """Blocks of O_min under strong conjugation.
+def _strong_block(coset: TwistedCoset, x: int, members: set[int],
+                  placed: set[int]) -> list[int]:
+    """The strong block of x among `members`, ascending; adds it to `placed`.
 
-    Seeds with the approx blocks (equal-length simple conjugations satisfy
-    the elementary witness condition unless the step is trivial), then joins
-    blocks with witnesses from the elementary search, as they are found.
-    One block is the final answer, so the search stops the moment a single
-    block remains, even partway through a search; every merge is backed by
-    a witnessed conjugator.  Otherwise every x in O_min is searched in full.
+    Elementary strong conjugation is symmetric (a left-additive conjugator,
+    inverted, is right-additive for the target), so the block is a search
+    from x.  It grows by approx blocks (equal-length simple conjugations
+    satisfy the elementary witness condition unless the step is trivial)
+    and by the targets of the elementary search.  Once `placed` holds every
+    member, the rest of `members` is in this block and the search stops,
+    even partway through drawing targets; every element added is backed by
+    a witnessed conjugator.
     """
-    items = record.o_min
-    parent = {x: x for x in items}
-    nblocks = len(items)
-    for block in approx_partition(record):
-        for other in block[1:]:
-            if _union(parent, block[0], other):
-                nblocks -= 1
-
-    members = set(items)
-    for x in items:
-        if nblocks == 1:
+    block = _reach(coset, [x], 0, 0)
+    placed.update(block)
+    for z in block:         # block grows as the search runs
+        if len(placed) == len(members):
             break
-        for y in elementary_strong_targets(record.coset, x):
-            if y in members and _union(parent, x, y):
-                nblocks -= 1
-                if nblocks == 1:
+        for y in elementary_strong_targets(coset, z):
+            if y in members and y not in placed:
+                level = _reach(coset, [y], 0, 0)
+                placed.update(level)
+                block.extend(level)
+                if len(placed) == len(members):
                     break
-    return sorted(_blocks(parent, items))
+    return sorted(block)
+
+
+def strong_partition(record: ConjugacyClassRecord) -> list[list[int]]:
+    """Blocks of O_min under strong conjugation, each searched from its
+    least element.  The theorem says O_min is one block, so one search
+    places every element and the rest of it is skipped."""
+    members = set(record.o_min)
+    placed: set[int] = set()
+    return [_strong_block(record.coset, x, members, placed)
+            for x in record.o_min if x not in placed]
 
 
 def verify_elliptic_approx(record: ConjugacyClassRecord) -> bool:
@@ -531,44 +533,16 @@ def arrow_reachable_set(w: TwistedElement, coset: TwistedCoset | None = None) ->
     """Bodies reachable from w by non-increasing simple conjugations."""
     if coset is None:
         coset = TwistedCoset(w.system, w.twist, w.k)
-    start = coset.index(w)
-    reach = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            lx = coset.length(x)
-            for rrow, lrow in coset.steps:
-                y = lrow[rrow[x]]
-                if y not in reach and coset.length(y) <= lx:
-                    reach.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return reach
+    return set(_reach(coset, [coset.index(w)], -coset.system.npos, 0))
 
 
 def _strong_related(coset: TwistedCoset, a: int, b: int) -> bool:
-    """Whether d^k a ~ d^k b (transitive closure of elementary strong).
-
-    Returns as soon as a search yields b.
-    """
-    if coset.length(a) != coset.length(b):
-        return False
-    if a == b:
-        return True
-    comp = {a}
-    frontier = [a]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in elementary_strong_targets(coset, x):
-                if y == b:
-                    return True
-                if y not in comp:
-                    comp.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return False
+    """Whether d^k a ~ d^k b (transitive closure of elementary strong):
+    b in the strong block of a among the elements of a's class at a's
+    length."""
+    length, npos = coset.table.length, coset.system.npos
+    members = {u for u in _reach(coset, [a], -npos, npos) if length[u] == length[a]}
+    return b in _strong_block(coset, a, members, set())
 
 
 def parabolic_subsystem(w_prime: TwistedElement, J: Sequence[int]):
@@ -628,10 +602,9 @@ def partial_conjugation_transfer(J: Sequence[int], w_prime: TwistedElement,
     if arrow_full != arrow_sub:
         raise TheoremViolation("partial conjugation: arrow relation does not transfer")
 
-    approx_full = (wx.length() == wy.length() and arrow_full
-                   and full_coset.index(wx) in arrow_reachable_set(wy, full_coset))
-    approx_sub = (dx.length() == dy.length() and arrow_sub
-                  and sub_coset.index(dx) in arrow_reachable_set(dy, sub_coset))
+    # x -> y and y -> x means one length throughout: y in x's level search.
+    approx_full = full_coset.index(wy) in _reach(full_coset, [full_coset.index(wx)], 0, 0)
+    approx_sub = sub_coset.index(dy) in _reach(sub_coset, [sub_coset.index(dx)], 0, 0)
     if approx_full != approx_sub:
         raise TheoremViolation("partial conjugation: approx relation does not transfer")
 

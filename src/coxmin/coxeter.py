@@ -276,9 +276,7 @@ class CoxeterSystem:
     """A finite Coxeter group in its exact geometric representation."""
 
     def __init__(self, matrix: CoxeterMatrix, field: ScalarField,
-                 pos_roots: Matrix,
-                 reflections: list[tuple[int, ...]] | None = None):
-        """Without `reflections`, the tables are derived from the roots."""
+                 pos_roots: Matrix, reflections: list[tuple[int, ...]]):
         self.matrix = matrix
         self.rank = matrix.rank
         self.field = field
@@ -292,10 +290,6 @@ class CoxeterSystem:
         for idx, v in enumerate(pos_roots):
             self._root_lookup[v] = idx
             self._root_lookup[tuple(-c for c in v)] = idx + self.npos
-        if reflections is None:
-            reflections = [tuple(self.root_index(self.simple_reflect(i, self.root_vector(r)))
-                                 for r in range(self.nroots))
-                           for i in range(self.rank)]
         self.reflections = reflections      # generator i -> permutation of all roots
         # Field-independent data lives on the base system and is shared by
         # every lift of it to a larger field (see with_field_level).
@@ -393,13 +387,6 @@ class CoxeterSystem:
     def pair_root(self, r: int, v: Vector) -> AlgebraicScalar:
         """<alpha_r, v> for a positive root, through the pairing kernel."""
         return _normal(self.field, *self.pairing(r, v))
-
-    def simple_reflect(self, i: int, v: Vector) -> Vector:
-        """s_i(v) in coordinates: only entry i changes."""
-        c = self.pair_root(i, v)
-        out = list(v)
-        out[i] = out[i] - (c + c)
-        return tuple(out)
 
     def root_index(self, v: Vector) -> int:
         key = tuple(v)
@@ -554,7 +541,10 @@ def build_system(matrix: CoxeterMatrix) -> CoxeterSystem:
         return 1 if signs == {1} else -1
 
     # Track positive roots only; a reflection image landing on the negative
-    # side is recorded through its positive counterpart.
+    # side is recorded through its positive counterpart.  Roots are reflected
+    # in index order, so images[i][r] is s_i(alpha_r): its index, or ~index
+    # for the negative of a positive root.
+    images: list[list[int]] = [[] for _ in range(n)]
     frontier = []
     for i in range(n):
         lookup[tuple(simple[i])] = i
@@ -565,18 +555,27 @@ def build_system(matrix: CoxeterMatrix) -> CoxeterSystem:
         for v in frontier:
             for i in range(n):
                 img = refl(i, v)
-                if root_sign(img) < 0:
+                negative = root_sign(img) < 0
+                if negative:
                     img = tuple(-c for c in img)
-                key = tuple(img)
-                if key in lookup:
-                    continue
-                if len(pos) >= ROOT_BOUND_DEFAULT:
-                    raise NotFinite(f"orbit closure exceeded {ROOT_BOUND_DEFAULT} roots")
-                lookup[key] = len(pos)
-                pos.append(img)
-                nxt.append(img)
+                idx = lookup.get(img)
+                if idx is None:
+                    if len(pos) >= ROOT_BOUND_DEFAULT:
+                        raise NotFinite(f"orbit closure exceeded {ROOT_BOUND_DEFAULT} roots")
+                    idx = lookup[img] = len(pos)
+                    pos.append(img)
+                    nxt.append(img)
+                images[i].append(~idx if negative else idx)
         frontier = nxt
-    return CoxeterSystem(matrix, field, pos)
+    # Index the negative roots after the positive ones: -alpha_r is r + N,
+    # and s_i(-alpha_r) = -s_i(alpha_r).
+    npos = len(pos)
+    reflections = []
+    for row in images:
+        perm = [r if r >= 0 else ~r + npos for r in row]
+        reflections.append(tuple(perm + [r + npos if r < npos else r - npos
+                                         for r in perm]))
+    return CoxeterSystem(matrix, field, pos, reflections)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ import math
 from fractions import Fraction
 
 from coxmin.braid import TwistedBraid
-from coxmin.conjugacy import _blocks, _union
 from coxmin.coxeter import Chamber, GroupElement, compose, invert_perm
 from coxmin.eigen import order, regular_point
 from coxmin.errors import FieldTooSmall, TheoremViolation
@@ -54,6 +53,33 @@ def reference_table(system):
     return perms, index, right, left, length
 
 
+def _find(parent, x: int) -> int:
+    """Root of x in a union-find forest (a list or a dict), compressing the path."""
+    root = x
+    while parent[root] != root:
+        root = parent[root]
+    while parent[x] != root:
+        parent[x], x = root, parent[x]
+    return root
+
+
+def _union(parent, a: int, b: int) -> bool:
+    """Join the sets of a and b under the smaller root; False if already one."""
+    ra, rb = _find(parent, a), _find(parent, b)
+    if ra == rb:
+        return False
+    parent[max(ra, rb)] = min(ra, rb)
+    return True
+
+
+def _blocks(parent, items):
+    """The sets of the forest, each listed in the order of `items`."""
+    buckets = {}
+    for x in items:
+        buckets.setdefault(_find(parent, x), []).append(x)
+    return list(buckets.values())
+
+
 def classes_by_union_find(coset):
     """The class partition of the coset by one union-find over all of W,
     ordered as TwistedCoset.classes orders it."""
@@ -66,6 +92,76 @@ def classes_by_union_find(coset):
                   key=lambda els: (min(length[x] for x in els), len(els), els[0]))
 
 
+def approx_blocks_by_union_find(record):
+    """Blocks of O_min under equal-length simple conjugation: every edge
+    inside O_min joined in one union-find, blocks sorted."""
+    members = set(record.o_min)
+    parent = {x: x for x in record.o_min}
+    for x in record.o_min:
+        for rrow, lrow in record.coset.steps:
+            y = lrow[rrow[x]]
+            if y in members:
+                _union(parent, x, y)
+    return sorted(_blocks(parent, record.o_min))
+
+
+def reverse_arrow_reach_by_frontier(record):
+    """The class elements that reach O_min by non-increasing steps, by a
+    frontier search upward from O_min."""
+    coset = record.coset
+    reach = set(record.o_min)
+    frontier = list(record.o_min)
+    while frontier:
+        nxt = []
+        for y in frontier:
+            ly = coset.length(y)
+            for rrow, lrow in coset.steps:
+                x = lrow[rrow[y]]
+                if x not in reach and coset.length(x) >= ly:
+                    reach.add(x)
+                    nxt.append(x)
+        frontier = nxt
+    return reach
+
+
+def arrow_reach_by_frontier(coset, start: int):
+    """Bodies reachable from `start` by non-increasing steps, by a frontier
+    search."""
+    reach = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            lx = coset.length(x)
+            for rrow, lrow in coset.steps:
+                y = lrow[rrow[x]]
+                if y not in reach and coset.length(y) <= lx:
+                    reach.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return reach
+
+
+def _simple_reflection(matrix, field, i: int, v):
+    """s_i(v) = v - 2B(alpha_i, v) alpha_i with B_ij = -cos(pi/m_ij)."""
+    c = field.zero
+    for j, vj in enumerate(v):
+        c = c + (vj if i == j else -(field.two_cos(Fraction(1, matrix[i, j])) / 2) * vj)
+    img = list(v)
+    img[i] = img[i] - (c + c)
+    return tuple(img)
+
+
+def reflections_from_roots(matrix, field, roots):
+    """The simple reflections as permutations of the roots (the negative of
+    root r at index r + N), each image reflected by the bilinear form and
+    looked up."""
+    signed = list(roots) + [tuple(-x for x in v) for v in roots]
+    index = {v: r for r, v in enumerate(signed)}
+    return [tuple(index[_simple_reflection(matrix, field, i, v)] for v in signed)
+            for i in range(matrix.rank)]
+
+
 def orbit_closure_roots(matrix, L):
     """The positive roots over the field of level lcm(L, matrix level).
 
@@ -76,8 +172,6 @@ def orbit_closure_roots(matrix, L):
     """
     field = get_field(math.lcm(matrix.field_level(), L))
     n = matrix.rank
-    b = [[field.one if i == j else -(field.two_cos(Fraction(1, matrix[i, j])) / 2)
-          for j in range(n)] for i in range(n)]
     simple = [tuple(field.one if i == j else field.zero for j in range(n))
               for i in range(n)]
     roots, seen, frontier = list(simple), set(simple), list(simple)
@@ -85,9 +179,7 @@ def orbit_closure_roots(matrix, L):
         nxt = []
         for v in frontier:
             for i in range(n):
-                c = sum((b[i][j] * v[j] for j in range(n)), field.zero)
-                img = list(v)
-                img[i] = img[i] - (c + c)
+                img = _simple_reflection(matrix, field, i, v)
                 if any(x.sign() < 0 for x in img):
                     img = [-x for x in img]
                 img = tuple(img)
@@ -356,7 +448,7 @@ def lex_chamber_by_reflection(filtration, start_index=0):
         i = next((i for i in range(n) if lex_sign(i) < 0), None)
         if i is None:
             return Chamber(system, g.inverse())
-        points = [system.simple_reflect(i, p) for p in points]
+        points = [reflect_vector(system, i, p) for p in points]
         g = system.generator(i) * g
 
 

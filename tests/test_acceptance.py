@@ -16,7 +16,8 @@ import pytest
 
 from coxmin.braid import (BraidContext, TwistedBraid, good_min_element,
                           verify_quasi_elliptic_divisibility)
-from coxmin.conjugacy import (arrow_reduce, elementary_strong_targets,
+from coxmin.conjugacy import (_reach, approx_partition, arrow_reachable_set,
+                              arrow_reduce, elementary_strong_targets,
                               enumerate_classes, strong_partition,
                               verify_arrow_reduction, verify_elliptic_approx,
                               verify_tau_surjective)
@@ -28,7 +29,8 @@ from coxmin.eigen import eigen_decomposition, hyperplanes_containing
 from coxmin.errors import HypothesisFailed
 from coxmin.walk import (decompose_at_regular, descent_walk,
                          special_length_formula, strongly_connected_step)
-from oracles import brute_strong_targets
+from oracles import (approx_blocks_by_union_find, arrow_reach_by_frontier,
+                     brute_strong_targets, reverse_arrow_reach_by_frontier)
 from test_conjugacy import _block_diagonal, _table
 
 RANK_LE_4 = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "D4", "F4", "G2",
@@ -328,6 +330,20 @@ def _least_inversion_count(rec):
     return min(sum(r >= npos for r in perms[x][:npos]) for x in rec.elements)
 
 
+def _searches_match_oracles(rec):
+    """The class layer's searches against the union-find and frontier
+    oracles: the approx blocks, gp1's reach from O_min, and the arrow reach
+    of the class's longest element (its last body)."""
+    coset, npos = rec.coset, rec.coset.system.npos
+    assert approx_partition(rec) == approx_blocks_by_union_find(rec)
+    assert set(_reach(coset, rec.o_min, 0, npos)) == \
+        reverse_arrow_reach_by_frontier(rec) == set(rec.elements)
+    assert verify_arrow_reduction(rec)
+    x = rec.elements[-1]
+    assert arrow_reachable_set(coset.element(x), coset) == \
+        arrow_reach_by_frontier(coset, x)
+
+
 def test_criterion_10_rank_five_and_six(capsys):
     classes = 0
     for name in ["A5", "D5", "A6", "B5", "D6", "E6"]:
@@ -342,6 +358,7 @@ def test_criterion_10_rank_five_and_six(capsys):
                 set(range(len(records)))
             for rec in records:
                 assert _least_inversion_count(rec) == rec.min_length
+                _searches_match_oracles(rec)
                 classes += 1
     _report(10, "Theorems past rank 4", f"{classes} classes")
 
@@ -417,6 +434,7 @@ def test_criterion_11_products_under_every_twist(capsys, tmp_path):
                 _orbit_oracle(names, twist.perm), (names, twist.perm)
             for rec in records:
                 assert _least_inversion_count(rec) == rec.min_length
+                _searches_match_oracles(rec)
             cosets += 1
     _report(11, "Reducible groups against the orbit oracle",
             f"{len(PRODUCTS)} products, {cosets} twisted cosets")

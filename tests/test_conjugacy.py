@@ -223,13 +223,51 @@ def test_strong_search_stops_at_one_block(monkeypatch, name, draws_fewer):
     assert (fewer > 0) == draws_fewer
 
 
-def test_strong_related_matches_closure():
-    # The transfer oracle returns on meeting b; its verdicts still equal the
-    # components of the full closure, and it says False for an element of
-    # the same length in another class, or of another length.
-    b3 = build_system(named_matrix("B3"))
-    for tw in enumerate_twists(b3.matrix):
-        records = enumerate_classes(b3, tw)
+# (calls, targets drawn) of the elementary strong search over
+# strong_partition of every class under every twist.
+STRONG_WORK = {"A3": (2, 6), "A4": (5, 20), "B3": (1, 2), "H3": (1, 3),
+               "F4": (3, 7), "G2": (0, 0), "I2(5)": (1, 2), "I2(8)": (0, 0),
+               "D4": (5, 14), "H4": (3, 10), "E6": (16, 190), "A5": (8, 54),
+               "D5": (10, 49)}
+
+
+@pytest.mark.parametrize("name", list(STRONG_WORK))
+def test_strong_partition_search_work(monkeypatch, name):
+    # A block is searched from its least element, through approx blocks
+    # first, and the search ends once every element of O_min is placed.
+    real = conjugacy.elementary_strong_targets
+    counts = [0, 0]
+
+    def counting(coset, x):
+        counts[0] += 1
+        for y in real(coset, x):
+            counts[1] += 1
+            yield y
+
+    monkeypatch.setattr(conjugacy, "elementary_strong_targets", counting)
+    system = build_system(named_matrix(name))
+    for tw in enumerate_twists(system.matrix):
+        for rec in enumerate_classes(system, tw):
+            assert len(strong_partition(rec)) == 1
+    assert tuple(counts) == STRONG_WORK[name]
+
+
+@pytest.mark.parametrize("name,twist", [("B3", None), ("D4", None), ("F4", None),
+                                        ("A2xA2", "3,4,1,2")],
+                         ids=["B3", "D4", "F4", "A2xA2"])
+def test_strong_related_matches_closure(name, twist):
+    # The transfer oracle's verdicts equal the components of the full
+    # closure, and it says False for an element of the same length in
+    # another class, or of another length.  The twist is 1-based, as on the
+    # command line; None: every twist.
+    matrix = _block_diagonal(*name.split("x")) if "x" in name else named_matrix(name)
+    system = build_system(matrix)
+    if twist is None:
+        twists = enumerate_twists(matrix)
+    else:
+        twists = [DiagramTwist(matrix, [int(x) - 1 for x in twist.split(",")])]
+    for tw in twists:
+        records = enumerate_classes(system, tw)
         coset = records[0].coset
         unrelated = 0
         for rec in records:

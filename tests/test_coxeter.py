@@ -12,7 +12,7 @@ from coxmin.coxeter import (Chamber, CoxeterMatrix, CoxeterSystem,
                             parabolic_max, untwisted)
 from coxmin.eigen import eigen_decomposition, order
 from coxmin.errors import NotFinite
-from oracles import orbit_closure_roots, reflect_vector
+from oracles import orbit_closure_roots, reflect_vector, reflections_from_roots
 
 
 def bfs_word_lengths(system):
@@ -272,7 +272,9 @@ def test_lift_roots_match_orbit_closure(name, L):
     """Embedded roots equal the roots built by orbit closure at that level."""
     base = build_system(named_matrix(name))
     lift = base.with_field_level(L)
-    ref = CoxeterSystem(base.matrix, *orbit_closure_roots(base.matrix, L))
+    field, roots = orbit_closure_roots(base.matrix, L)
+    ref = CoxeterSystem(base.matrix, field, roots,
+                        reflections_from_roots(base.matrix, field, roots))
     assert lift.field is ref.field
     assert lift.pos_roots == ref.pos_roots
     assert ref.reflections == base.reflections

@@ -35,7 +35,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # keep the search for arbitrary hyperplanes), and the references of the
 # eigen layer's fast paths: the kernel solve at every angle, the traces of
 # matrix powers with the matrix product they used, the embedding by Horner's
-# rule and the multiplication by c as a field product.
+# rule and the multiplication by c as a field product, and the union-find
+# and frontier searches of the class layer (every relation there is one
+# length-filtered search) with the reflection tables derived from the roots
+# (the orbit closure records them as it reflects).
 BANNED = ("ConstructionFailed", "SearchBound", "conjugate_by_index",
           "_twist_body", "conj", "pruned", "is_valid", "expand",
           "is_left_weighted_pair", "reflection_element", "reflect_vector",
@@ -52,7 +55,10 @@ BANNED = ("ConstructionFailed", "SearchBound", "conjugate_by_index",
           "lex_chamber_by_reflection", "twist_index_map", "twist_map",
           "twist_index_map_by_perms", "cone_point_avoiding",
           "decompose_by_full_scan", "traces_by_matrix_powers", "mat_mul",
-          "embed_by_horner", "times_gen_by_product")
+          "embed_by_horner", "times_gen_by_product", "_find", "_union",
+          "_blocks", "simple_reflect", "reflections_from_roots",
+          "approx_blocks_by_union_find", "reverse_arrow_reach_by_frontier",
+          "arrow_reach_by_frontier")
 
 
 def test_no_asserts_and_no_capped_construction_error():
