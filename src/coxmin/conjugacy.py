@@ -3,9 +3,12 @@
 A twisted class is a W-conjugacy orbit inside the coset W d^k of the
 extended group.  All class-scale work runs over the GroupTable index space:
 conjugation of d^k w by a simple reflection s_i sends the body w to
-s_j w s_i with j = d^{-k}(i), two table lookups.  TwistedCoset.steps holds
-the two rows of each generator, built once; every class-scale loop below
-reads it.
+s_j w s_i with j = d^{-k}(i).  TwistedCoset.steps holds the two table rows
+of each generator (x -> x s_i and u -> s_j u), and TwistedCoset.step_rows
+their composite, one typed row per generator built once per coset.  Every
+class-scale loop below reads one step_rows entry per simple conjugation;
+path_graph also reads the right rows, and the witness search the growth
+rows.
 
 s_i (s_i x s_i) s_i = x, so the step graph is undirected, and each relation
 on a class is a connected component of it.  One search, _reach, walks the
@@ -47,6 +50,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .coxeter import (CoxeterMatrix, CoxeterSystem, DiagramTwist, GroupElement,
@@ -69,6 +73,12 @@ class TwistedCoset:
         # s_i (d^k x) s_i has body lrow[rrow[x]].
         self.steps = [(t.right[i], t.left[twist.apply_index(i, -self.k)])
                       for i in range(system.rank)]
+        # step_rows[i][x] = lrow[rrow[x]], composed once: one read per step.
+        # Entries are 16-bit up to 2^16 elements and 32-bit above, as the
+        # table widens its packed rows.
+        code = "H" if t.size <= 1 << 16 else "I"
+        self.step_rows = [array(code, itemgetter(*rrow)(lrow))
+                          for rrow, lrow in self.steps]
         self._classes: list[list[int]] | None = None
         self._class_id = array("i")
 
@@ -76,7 +86,8 @@ class TwistedCoset:
         return self.table.length[x]
 
     def classes(self) -> list[list[int]]:
-        """The W-classes of the coset, found once by one orbit scan over `steps`.
+        """The W-classes of the coset, found once by one orbit scan over
+        `step_rows`.
 
         Each class is its ascending list of bodies.  The classes are ordered
         by (minimal length, size, least body); the position is the class id.
@@ -86,15 +97,18 @@ class TwistedCoset:
         if self._classes is None:
             length = self.table.length
             seen = bytearray(self.table.size)
+            rows = list(zip(self.step_rows, self.steps))
             classes = []
             x = seen.find(0)
             while x >= 0:
                 seen[x] = 1
                 els = [x]
                 for y in els:       # els grows as the scan runs: a BFS queue
-                    for rrow, lrow in self.steps:
-                        z = lrow[rrow[y]]
-                        if not seen[z]:
+                    for row, (rrow, lrow) in rows:
+                        if not seen[row[y]]:
+                            # Keep the table's own int, not the new one an
+                            # array read makes.
+                            z = lrow[rrow[y]]
                             seen[z] = 1
                             els.append(z)
                 els.sort()
@@ -128,8 +142,9 @@ class TwistedCoset:
 
 
 def _reach(coset: TwistedCoset, starts: Sequence[int], lo: int, hi: int) -> list[int]:
-    """Bodies reached from `starts` by steps x -> y = lrow[rrow[x]] with
-    lo <= l(y) - l(x) <= hi, in BFS order, `starts` first.
+    """Bodies reached from `starts` by steps x -> y = step_rows[i][x], one
+    row read each, with lo <= l(y) - l(x) <= hi, in BFS order, `starts`
+    first.
 
     s_i (s_i x s_i) s_i = x, so every step can be taken back: with lo = -hi
     the search is a connected component.
@@ -139,8 +154,8 @@ def _reach(coset: TwistedCoset, starts: Sequence[int], lo: int, hi: int) -> list
     seen = set(reached)
     for x in reached:       # reached grows as the search runs: a BFS queue
         lx = length[x]
-        for rrow, lrow in coset.steps:
-            y = lrow[rrow[x]]
+        for row in coset.step_rows:
+            y = row[x]
             if y not in seen and lo <= length[y] - lx <= hi:
                 seen.add(y)
                 reached.append(y)
@@ -248,8 +263,8 @@ def _plateau_exit(coset: TwistedCoset, x: int, cache: dict) -> tuple[int, int] |
             exit_node, exit_step = cur, step
             break
         found = None
-        for i, (rrow, lrow) in enumerate(coset.steps):
-            y = lrow[rrow[cur]]
+        for i, row in enumerate(coset.step_rows):
+            y = row[cur]
             ly = coset.length(y)
             if ly < lx:
                 found = (i, y)
@@ -357,10 +372,11 @@ def elementary_strong_targets(coset: TwistedCoset, x: int) -> Iterator[int]:
 
     # State (g, b, c): b is the body of the additive product (g d^k x on the
     # left, d^k x h on the right) and c that of the conjugate.  The letter i
-    # moves g and b by the rows grow[i] and c by coset.steps[i]; on the left
-    # b grows by d^-k(s_i), on the right both grow by s_i.
+    # moves g and b by the rows grow[i] and c by coset.step_rows[i]; on the
+    # left b grows by d^-k(s_i), on the right both grow by s_i.
     left_growth = [(t.left[i], lrow) for i, (_, lrow) in enumerate(coset.steps)]
     right_growth = [(rrow, rrow) for rrow, _ in coset.steps]
+    step_rows = coset.step_rows
     for grow in (left_growth, right_growth):
         seen = {0}
         frontier = [(0, x, x)]
@@ -370,7 +386,7 @@ def elementary_strong_targets(coset: TwistedCoset, x: int) -> Iterator[int]:
                 if length[c] == lw and c not in targets:
                     targets.add(c)
                     yield c
-                for (grow_g, grow_b), (rrow, lrow) in zip(grow, coset.steps):
+                for (grow_g, grow_b), row in zip(grow, step_rows):
                     g2 = grow_g[g]
                     if length[g2] != length[g] + 1 or g2 in seen:
                         continue
@@ -378,7 +394,7 @@ def elementary_strong_targets(coset: TwistedCoset, x: int) -> Iterator[int]:
                     if length[b2] != length[b] + 1:
                         continue
                     seen.add(g2)
-                    nxt.append((g2, b2, lrow[rrow[c]]))
+                    nxt.append((g2, b2, row[c]))
             frontier = nxt
 
 
@@ -467,7 +483,10 @@ def path_graph(w: TwistedElement, coset: TwistedCoset | None = None) -> PathGrap
     x^-1 w x whose tau-image is x; reaching x in Z_W(w) therefore exhibits a
     closed path at w with tau-image x.  The walk carries c(x) = x^-1 w x,
     with c(x s_i) = s_i c(x) s_i, and keeps x s_i only when l(c(x s_i)) = l(w),
-    so it touches no element outside the reached part of W_w.
+    so it touches no element outside the reached part of W_w.  Each step
+    reads two row entries: x s_i from the right row, and c(x s_i) from
+    step_rows[i], one read.  c is a list over the table's index space, -1
+    where x is not reached, and the reached list is the BFS queue.
 
     The targets are counted from the class C of w instead of swept over W:
     x -> x^-1 w x maps W onto C and the fibre over each u is a coset Z_W(w) x.
@@ -481,7 +500,6 @@ def path_graph(w: TwistedElement, coset: TwistedCoset | None = None) -> PathGrap
         coset = TwistedCoset(w.system, w.twist, w.k)
     t = coset.table
     length = t.length
-    steps = coset.steps
     wbody = coset.index(w)
     lw = length[wbody]
 
@@ -493,24 +511,25 @@ def path_graph(w: TwistedElement, coset: TwistedCoset | None = None) -> PathGrap
             f"class of size {len(cls)} does not divide |W| = {t.size}")
     z_order = t.size // len(cls)
 
-    # The reached part of W_w, with cm[x] = body of x^-1 (d^k w) x.
-    cm = {0: wbody}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            cx = cm[x]
-            for rrow, lrow in steps:
-                y = rrow[x]
-                if y not in cm:
-                    cy = lrow[rrow[cx]]
-                    if length[cy] == lw:
-                        cm[y] = cy
-                        nxt.append(y)
-        frontier = nxt
+    # The reached part of W_w, with cm[x] = body of x^-1 (d^k w) x, or -1
+    # while x is not reached.
+    rows = list(zip(t.right, coset.step_rows))
+    cm = [-1] * t.size
+    cm[0] = wbody
+    reached = [0]
+    for x in reached:       # reached grows as the search runs: a BFS queue
+        cx = cm[x]
+        for rrow, row in rows:
+            y = rrow[x]
+            if cm[y] < 0:
+                cy = row[cx]
+                if length[cy] == lw:
+                    cm[y] = cy
+                    reached.append(y)
+    reached.sort()
     return PathGraph(coset=coset, start_body=wbody, num_vertices=z_order * level,
-                     reached=sorted(cm),
-                     centralizer=sorted(x for x, cx in cm.items() if cx == wbody),
+                     reached=reached,
+                     centralizer=[x for x in reached if cm[x] == wbody],
                      centralizer_order=z_order)
 
 

@@ -16,7 +16,10 @@ the limit direction with the chamber's.  The guidance floats are read off
 the integer pairing kernel's numerators (ScalarField.float_of does not
 depend on their scale), and the walk carries the chamber's root signs
 across crossings, with the count of roots where they disagree with the
-limit direction: crossing wall H_r flips the sign of r alone.  The
+limit direction: crossing wall H_r flips the sign of r alone.  A root's
+guidance value is a convex combination of the partial sums of its columns,
+so the bisection probes read only the roots whose partial sums do not all
+keep one sign clear of the tolerance (_live_roots).  The
 eigen-angles themselves come from eigen_decomposition, whose float trace
 DFT only orders the exact kernel solves and whose scan stops when the
 dimensions sum to n.  When float bisection cannot isolate a single wall
@@ -231,6 +234,12 @@ def _walk_once(w: TwistedElement, eig: EigenDecomposition, start: Chamber,
     rates = [decay_rate(q) - lam0 for q in angles[1:]]
     x_col, rest = cols[angles[0]], [cols[q] for q in angles[1:]]
     scale_ref = max(max(abs(c) for c in cols[q]) for q in angles) or 1.0
+    tol = 1e-11 * scale_ref
+    # The probes read the live roots alone, by position: no other root is
+    # ever flipped or tiny (_live_roots), so it is never crossed either.
+    live = _live_roots(x_col, rest, tol)
+    x_col = [x_col[r] for r in live]
+    rest = [[col[r] for r in live] for col in rest]
 
     def float_vals(s: float) -> list[float]:
         # Column by column in angle order: each root's sum takes the same
@@ -247,13 +256,16 @@ def _walk_once(w: TwistedElement, eig: EigenDecomposition, start: Chamber,
     visited = {cur_ch.x.perm}
     s_anchor = 0.0
     step_cap = 16 * npos + 64
-    # The chamber's root signs and the number of roots at which they
-    # disagree with a nonzero sign of x; a crossing flips one sign.
-    cur_signs = [start.sign(r) for r in range(npos)]
-    off = sum(1 for s, c in zip(sgn_x, cur_signs) if s and s != c)
+    # The chamber's signs at the live roots, and the number of roots at
+    # which its signs disagree with a nonzero sign of x; a crossing flips
+    # one sign.
+    start_signs = [start.sign(r) for r in range(npos)]
+    off = sum(1 for s, c in zip(sgn_x, start_signs) if s and s != c)
+    cur_signs = [start_signs[r] for r in live]
 
-    def try_cross(root: int) -> bool:
+    def try_cross(p: int) -> bool:
         nonlocal cur_ch, cur_wt, off
+        root = live[p]
         i = cur_ch.wall_simple_index(root)
         if i is None:
             return False
@@ -268,9 +280,9 @@ def _walk_once(w: TwistedElement, eig: EigenDecomposition, start: Chamber,
                               length_after=nxt_wt.length()))
         visited.add(nxt_ch.x.perm)
         cur_ch, cur_wt = nxt_ch, nxt_wt
-        cur_signs[root] = -cur_signs[root]
+        cur_signs[p] = -cur_signs[p]
         if sgn_x[root]:
-            off += 1 if sgn_x[root] != cur_signs[root] else -1
+            off += 1 if sgn_x[root] != cur_signs[p] else -1
         return True
 
     while True:
@@ -281,7 +293,6 @@ def _walk_once(w: TwistedElement, eig: EigenDecomposition, start: Chamber,
         if len(steps) > step_cap:
             return None
 
-        tol = 1e-11 * scale_ref
         h = 0.25
         s0 = s_anchor
         while h < 1e6:
@@ -304,13 +315,37 @@ def _walk_once(w: TwistedElement, eig: EigenDecomposition, start: Chamber,
                 else:
                     s1, flips, tiny = mid, flips_m, tiny_m
             # The isolated wall, or else every flipped or near-zero wall in
-            # turn: the exact length comparison certifies the crossing.
-            if not any(try_cross(r) for r in sorted(flips + tiny)):
+            # turn, in root order (live ascends): the exact length
+            # comparison certifies the crossing.
+            if not any(try_cross(p) for p in sorted(flips + tiny)):
                 return None
             s_anchor = s1
             break
         else:
             return None  # the guidance found no further crossing
+
+
+def _live_roots(x_col: list[float], rest: list[list[float]],
+                tol: float) -> list[int]:
+    """The roots whose guidance value may be flipped or tiny at tolerance
+    tol somewhere along the flow, ascending.
+
+    The decay rates ascend from 0, so the column weights are
+    1 = e_0 >= e_1(s) >= ... >= e_m(s) >= e_{m+1} = 0, and Abel summation
+    gives y_r(s) = sum_k S_rk (e_k(s) - e_{k+1}(s)) with S_rk the sum of
+    root r's first k + 1 columns: y_r(s) is a convex combination of the
+    partial sums.  A root whose partial sums all exceed 2 tol, or all lie
+    below -2 tol, keeps the sign of y_r(0) = S_rm, the chamber's, and stays
+    farther than 2 tol from 0 up to a rounding error far below tol; so it
+    is never flipped and never tiny.
+    """
+    margin = 2 * tol
+    sums = lo = hi = x_col
+    for col in rest:
+        sums = [a + c for a, c in zip(sums, col)]
+        lo = list(map(min, lo, sums))
+        hi = list(map(max, hi, sums))
+    return [r for r, (a, b) in enumerate(zip(lo, hi)) if a <= margin and b >= -margin]
 
 
 def _walls_near(vals: list[float], signs: list[int],

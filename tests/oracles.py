@@ -6,6 +6,7 @@ the package computes over its tables; the tests compare the two.
 
 import itertools
 import math
+import weakref
 from fractions import Fraction
 
 from coxmin.braid import TwistedBraid
@@ -221,11 +222,21 @@ def twist_body(coset, perm):
     return coset.system.twist_conj(perm, coset.twist, -coset.k)
 
 
+_TWISTED_INVERSES = weakref.WeakKeyDictionary()
+
+
 def conjugate_by_index(coset, x: int, g: int) -> int:
-    """Body index of (g^-1) (d^k x) g for an arbitrary g."""
+    """Body index of (g^-1) (d^k x) g for an arbitrary g.
+
+    d^-k g^-1 d^k depends on g alone, so it is kept per coset and g (for
+    as long as the coset lives) for sweeps that conjugate every x by one g.
+    """
     t = coset.table
     pg = t.perms[g]
-    twisted_inv = twist_body(coset, invert_perm(pg))
+    memo = _TWISTED_INVERSES.setdefault(coset, {})
+    twisted_inv = memo.get(g)
+    if twisted_inv is None:
+        twisted_inv = memo[g] = twist_body(coset, invert_perm(pg))
     return t.index[compose(twisted_inv, compose(t.perms[x], pg))]
 
 

@@ -10,13 +10,15 @@ per-criterion lines.
 
 import itertools
 import json
+import math
 import random
 
 import pytest
 
 from coxmin.braid import (BraidContext, TwistedBraid, good_min_element,
                           verify_quasi_elliptic_divisibility)
-from coxmin.conjugacy import (_reach, approx_partition, arrow_reachable_set,
+from coxmin.conjugacy import (TwistedCoset, _reach, approx_partition,
+                              arrow_reachable_set,
                               arrow_reduce, elementary_strong_targets,
                               enumerate_classes, strong_partition,
                               verify_arrow_reduction, verify_elliptic_approx,
@@ -30,7 +32,8 @@ from coxmin.errors import HypothesisFailed
 from coxmin.walk import (decompose_at_regular, descent_walk,
                          special_length_formula, strongly_connected_step)
 from oracles import (approx_blocks_by_union_find, arrow_reach_by_frontier,
-                     brute_strong_targets, reverse_arrow_reach_by_frontier)
+                     brute_strong_targets, conjugate_by_index,
+                     reverse_arrow_reach_by_frontier)
 from test_conjugacy import _block_diagonal, _table
 
 RANK_LE_4 = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "D4", "F4", "G2",
@@ -126,9 +129,8 @@ def test_criterion_5_quasi_elliptic_divisibility(sweep):
             f"{checked} quasi-elliptic classes")
 
 
-def test_criterion_6_walks(sweep):
-    per_type = 100
-    total = 0
+def _criterion_6_inputs(per_type=100):
+    """(w, start chamber) of criterion 6's walks, seeded per type."""
     for name in RANK_LE_4:
         system = build_system(named_matrix(name))
         twists = enumerate_twists(system.matrix)
@@ -139,24 +141,102 @@ def test_criterion_6_walks(sweep):
             k = 1 if not twist.is_identity() else 0
             w = TwistedElement(system, twist, k,
                                table.element(rng.randrange(table.size)))
-            chamber = Chamber(system, table.element(rng.randrange(table.size)))
-            result = descent_walk(w, chamber)
-            # Every step certified exactly; end point certified regular.
-            for s in result.steps:
-                assert s.length_after <= s.length_before
-                assert s.length_before - s.length_after in (0, 2)
-            wa = conjugate_by_chamber(w, chamber)
-            assert result.chain.apply(wa) == result.end_element
-            assert result.end_chamber.contains_in_closure(result.regular_point)
-            # The end point is a regular point of V_w for the walked element.
-            eig = eigen_decomposition(w, dft_check=False)
-            h_vwt = hyperplanes_containing(eig.system, eig.v_wt)
-            sys2 = eig.system
-            for r in range(sys2.npos):
-                if sys2.pair_root(r, result.regular_point).is_zero():
-                    assert r in h_vwt
-            total += 1
+            yield w, Chamber(system, table.element(rng.randrange(table.size)))
+
+
+def test_criterion_6_walks(sweep):
+    total = 0
+    for w, chamber in _criterion_6_inputs():
+        result = descent_walk(w, chamber)
+        # Every step certified exactly; end point certified regular.
+        for s in result.steps:
+            assert s.length_after <= s.length_before
+            assert s.length_before - s.length_after in (0, 2)
+        wa = conjugate_by_chamber(w, chamber)
+        assert result.chain.apply(wa) == result.end_element
+        assert result.end_chamber.contains_in_closure(result.regular_point)
+        # The end point is a regular point of V_w for the walked element.
+        eig = eigen_decomposition(w, dft_check=False)
+        h_vwt = hyperplanes_containing(eig.system, eig.v_wt)
+        sys2 = eig.system
+        for r in range(sys2.npos):
+            if sys2.pair_root(r, result.regular_point).is_zero():
+                assert r in h_vwt
+        total += 1
     _report(6, "Prop 1.7 descent walks", f"{total} walks")
+
+
+def _h4_cli_walk_inputs():
+    """(w, start chamber) of the three walks per H4 class that
+    `coxmin verify --checks walk` takes at --seed-index 0."""
+    system = build_system(named_matrix("H4"))
+    table = system.table()
+    (twist,) = enumerate_twists(system.matrix)
+    for rec in enumerate_classes(system, twist):
+        for j in range(3):
+            idx = (rec.class_id * 7919 + j * 104729) % table.size
+            yield rec.representative, Chamber(system, table.element(idx))
+
+
+def test_live_root_filter_is_sound(monkeypatch):
+    """At every probe of criterion 6's walks and the 102 H4 CLI walks, the
+    live roots alone give the flips and tiny walls that all roots give.
+
+    The walks run over all roots here, so each probe sees every value; the
+    filter's own list is checked against it, and must drop some roots.
+    Synthetic flows with values near the tolerance, where the filter's
+    margin decides, are checked the same way."""
+    import coxmin.walk as walk_mod
+    live_roots, walls_near = walk_mod._live_roots, walk_mod._walls_near
+    seen = {"live": None, "probes": 0, "dropped": 0}
+
+    def agree(vals, signs, live, tol):
+        flips, tiny = walls_near(vals, signs, tol)
+        f, t = walls_near([vals[r] for r in live], [signs[r] for r in live], tol)
+        assert ([live[p] for p in f], [live[p] for p in t]) == (flips, tiny)
+        return flips, tiny
+
+    def every_root(x_col, rest, tol):
+        seen["live"] = live_roots(x_col, rest, tol)
+        return list(range(len(x_col)))
+
+    def both_ways(vals, signs, tol):
+        seen["probes"] += 1
+        seen["dropped"] += len(vals) - len(seen["live"])
+        return agree(vals, signs, seen["live"], tol)
+
+    monkeypatch.setattr(walk_mod, "_live_roots", every_root)
+    monkeypatch.setattr(walk_mod, "_walls_near", both_ways)
+    walks = 0
+    for w, chamber in itertools.chain(_criterion_6_inputs(), _h4_cli_walk_inputs()):
+        descent_walk(w, chamber)
+        walks += 1
+    assert walks == 19 * 100 + 102
+    assert seen["probes"] > 0 and seen["dropped"] > 0
+
+    # A root with x-value tol / 2 is tiny as s grows; the random flows mix
+    # values within a few tol of 0 with values of order 1.
+    tol = 1e-11
+    rng = random.Random(7)
+
+    def draw(npos):
+        return [rng.choice((rng.uniform(-5 * tol, 5 * tol), rng.uniform(-1, 1)))
+                for _ in range(npos)]
+
+    flows = [([tol / 2], [[10.0]], [1.0])]
+    for _ in range(200):
+        npos, m = rng.randint(1, 8), rng.randint(1, 3)
+        flows.append((draw(npos), [draw(npos) for _ in range(m)],
+                      sorted(rng.uniform(0.1, 8.0) for _ in range(m))))
+    for x_col, rest, rates in flows:
+        live = live_roots(x_col, rest, tol)
+        signs = [1 if sum(col) >= 0 else -1 for col in zip(x_col, *rest)]
+        for s in [0.0] + [2.0 ** e for e in range(-6, 12)]:
+            vals = x_col
+            for rt, col in zip(rates, rest):
+                d = math.exp(-rt * s)
+                vals = [v + c * d for v, c in zip(vals, col)]
+            agree(vals, signs, live, tol)
 
 
 def test_criterion_7_length_formulas(sweep):
@@ -344,9 +424,12 @@ def _searches_match_oracles(rec):
         arrow_reach_by_frontier(coset, x)
 
 
+RANK_5_AND_6 = ["A5", "D5", "A6", "B5", "D6", "E6"]
+
+
 def test_criterion_10_rank_five_and_six(capsys):
     classes = 0
-    for name in ["A5", "D5", "A6", "B5", "D6", "E6"]:
+    for name in RANK_5_AND_6:
         code, results = _verify_auto(capsys, "--type", name)
         assert code == 0, name
         assert {r["status"] for r in results} <= {"pass", "skip"}, name
@@ -438,3 +521,22 @@ def test_criterion_11_products_under_every_twist(capsys, tmp_path):
             cosets += 1
     _report(11, "Reducible groups against the orbit oracle",
             f"{len(PRODUCTS)} products, {cosets} twisted cosets")
+
+
+@pytest.mark.parametrize("names", [(name,) for name in RANK_5_AND_6] +
+                         [names for names, _ in PRODUCTS],
+                         ids="x".join)
+def test_step_rows_match_the_permutation_oracle(names):
+    """Every entry of every step row, over the cosets of criteria 10 and 11
+    (E6 under both twists among them), against conjugate_by_index: the body
+    of s_i (d^k x) s_i from root permutations alone, with no table row."""
+    matrix = named_matrix(names[0]) if len(names) == 1 else _block_diagonal(*names)
+    system = build_system(matrix)
+    table = system.table()
+    for twist in enumerate_twists(matrix):
+        coset = TwistedCoset(system, twist)
+        assert len(coset.step_rows) == system.rank
+        for i, row in enumerate(coset.step_rows):
+            s_i = table.index[system.reflections[i]]
+            assert list(row) == [conjugate_by_index(coset, x, s_i)
+                                 for x in range(table.size)], (twist.perm, i)

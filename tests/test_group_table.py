@@ -141,6 +141,27 @@ def test_table_build_composes_once_per_element(monkeypatch):
         assert calls == products, (name, calls)
 
 
+# A child exec'd from this process starts with this process's peak RSS in
+# its ru_maxrss (Linux keeps the peak across exec), which hides any growth
+# below it.  The child runs under a small launcher instead, so its peak
+# starts from the launcher's.
+_LAUNCH = ("import subprocess, sys\n"
+           "sys.exit(subprocess.call([sys.executable, '-c', sys.argv[1]]))\n")
+
+
+def _run_fresh(script: str) -> list[int]:
+    """The integers `script` prints, run in a fresh interpreter under the
+    launcher."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _LAUNCH, script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return [int(v) for v in proc.stdout.split()]
+
+
 def test_e6_table_build_stays_within_its_memory_budget():
     """The E6 table build raises the process's peak RSS by under 35 MB.
 
@@ -151,7 +172,7 @@ def test_e6_table_build_stays_within_its_memory_budget():
     kept in the bytearray the translations fill and the search keyed by
     bytes, by 20.0 MB (CPython 3.11, x86-64 Linux).
     """
-    script = (
+    size, grown_kb = _run_fresh(
         "import resource\n"
         "from coxmin.coxeter import build_system, named_matrix\n"
         "system = build_system(named_matrix('E6'))\n"
@@ -159,13 +180,34 @@ def test_e6_table_build_stays_within_its_memory_budget():
         "table = system.table()\n"
         "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
         "print(table.size, after - before)\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    size, grown_kb = map(int, proc.stdout.split())
     assert size == 51840
     assert grown_kb < 35 * 1024, f"the table build grew the peak by {grown_kb} KB"
+
+
+def test_e6_class_layer_stays_within_its_memory_budget():
+    """The E6 table, both class enumerations and path_graph on the identity
+    class (W_w is all of W) raise the peak RSS by under 21.5 MB.
+
+    A fresh interpreter builds the E6 root system, reads its own ru_maxrss,
+    runs the class layer and reads it again.  With one 16-bit step row per
+    generator, class lists that hold the table's own ints and a dense list
+    of path_graph's conjugates, the peak grew by 20.4 MB (20,892 KB).  With
+    a dict of the conjugates and no step rows it grew by 22.0 MB, and with
+    step rows as lists and class lists of the ints the row reads make, by
+    23.6 MB (CPython 3.11, x86-64 Linux).
+    """
+    twists, size, reached, grown_kb = _run_fresh(
+        "import resource\n"
+        "from coxmin.conjugacy import enumerate_classes, path_graph\n"
+        "from coxmin.coxeter import build_system, enumerate_twists, named_matrix\n"
+        "system = build_system(named_matrix('E6'))\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "system.table()\n"
+        "records = [enumerate_classes(system, twist)\n"
+        "           for twist in enumerate_twists(system.matrix)]\n"
+        "identity = records[0][0]\n"
+        "graph = path_graph(identity.representative, identity.coset)\n"
+        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(len(records), identity.size, len(graph.reached), after - before)\n")
+    assert (twists, size, reached) == (2, 1, 51840)
+    assert grown_kb < 21.5 * 1024, f"the class layer grew the peak by {grown_kb} KB"
