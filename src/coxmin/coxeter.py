@@ -285,7 +285,6 @@ class CoxeterSystem:
         self.nroots = 2 * self.npos
         self.bilinear = _bilinear_matrix(matrix, field)
         self._identity_perm = tuple(range(self.nroots))
-        self._kernel: list[tuple[tuple[tuple[int, ...], ...], int]] | None = None
         self._root_lookup: dict[Vector, int] = {}
         for idx, v in enumerate(pos_roots):
             self._root_lookup[v] = idx
@@ -296,6 +295,8 @@ class CoxeterSystem:
         self._base = self
         self._lifts: dict[int, CoxeterSystem] = {}
         self._table: GroupTable | None = None
+        self._kernel: list[tuple[tuple[int, ...], int]] | None = None
+        self._float_rows: list[tuple[float, ...]] | None = None
         self._twist_root_perms: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
         # Geometry memoized per view, since its vectors live in the view's
         # field (see eigen.eigen_decomposition, eigen.regular_point,
@@ -328,61 +329,88 @@ class CoxeterSystem:
 
     # -- root pairings -----------------------------------------------------------
     #
-    # <alpha_r, v> = sum_j a_rj v_j with a_rj = (B alpha_r)_j.  Over one
-    # denominator per root and per vector, a_rj = p_rj(c) / e_r and
-    # v_j = q_j(c) / D with integer polynomials p_rj, q_j, and multiplying
-    # by the fixed p_rj is an integer-linear map on the coefficients of q_j
-    # (c is an algebraic integer, so the reduction table is integral).  So
-    # the kernel keeps per root an integer matrix M_r, m rows by n*m columns
-    # (m the field degree): column (j, l) holds the reduced coefficients of
-    # p_rj(c) c^l.  With `flat` the coefficients of q_0, ..., q_{n-1}, the
-    # numerator of <alpha_r, v> over e_r D is M_r . flat: integer dot
-    # products, no field arithmetic.  e_r D > 0, so the numerator alone
-    # decides zero and sign tests; the numerator need not be in lowest
-    # terms, as a positive factor scales field.sign_of's intervals and
-    # leaves its refinements unchanged.
+    # <alpha_r, v> = sum_j a_rj v_j with a_rj = (B alpha_r)_j, which lies in
+    # the base field in every view.  Over one denominator per root and per
+    # vector, a_rj = p_rj(b) / e_r with b the base field's generator, and
+    # v_j = q_j(c) / D with c this view's generator, p_rj and q_j integer
+    # polynomials.  b is an algebraic integer of every field that holds it,
+    # so the images of its powers b^k here are integral
+    # (ScalarField.embed_powers: the powers of c itself on the base).  With
+    # P_rjk the coefficients of p_rj, the numerator of <alpha_r, v> over
+    # e_r D is sum_{j,k} P_rjk (q_j b^k)(c): the n m_b products q_j b^k
+    # (m_b the base degree) are computed once per vector, and each root
+    # then costs m integer dot products of length n m_b against its row
+    # P_r (m this view's degree), no field arithmetic.  The rows, the
+    # pairing kernel, are built on the base system alone and shared by
+    # every lift.  e_r D > 0, so the numerator alone decides zero and sign
+    # tests; the numerator need not be in lowest terms, as a positive
+    # factor scales field.sign_of's intervals and leaves its refinements
+    # unchanged.  The walk's guidance reads the same rows as floats
+    # (float_pairings).
 
-    def _pairing_kernel(self) -> list[tuple[tuple[tuple[int, ...], ...], int]]:
-        """(M_r, e_r) per positive root, built on first use in this view."""
-        if self._kernel is None:
-            field, n = self.field, self.rank
+    def _pairing_kernel(self) -> list[tuple[tuple[int, ...], int]]:
+        """(P_r, e_r) per positive root, P_r j-major, built on the base
+        system on first use and shared by its lifts."""
+        base = self._base
+        if base._kernel is None:
+            field, n = base.field, base.rank
             kernel = []
-            for alpha in self.pos_roots:
-                row = [sum((alpha[i] * self.bilinear[i][j] for i in range(n)
+            for alpha in base.pos_roots:
+                row = [sum((alpha[i] * base.bilinear[i][j] for i in range(n)
                             if not alpha[i].is_zero()), field.zero)
                        for j in range(n)]
                 e = math.lcm(*[a.den for a in row])
-                cols = []
-                for a in row:
-                    # The numerators of p_rj(c) c^l, l < m: integer shifts
-                    # reduced by the minimal polynomial.
-                    p = tuple([x * (e // a.den) for x in a.num])
-                    for _ in range(field.degree):
-                        cols.append(p)
-                        p = field.times_gen(p)
-                kernel.append((tuple(zip(*cols)), e))
-            self._kernel = kernel
-        return self._kernel
+                kernel.append((tuple([x * (e // a.den) for a in row for x in a.num]), e))
+            base._kernel = kernel
+        return base._kernel
 
-    @staticmethod
-    def _lower(v: Vector) -> tuple[list[int], int]:
-        """(flat, D): the coefficients of D v_j, j-major, D the lcm of v's
-        denominators."""
+    def _spread(self, v: Vector) -> tuple[list[tuple[int, ...]], int]:
+        """(cols, D): cols[l][j m_b + k] is coefficient l of (q_j b^k)(c),
+        with D v_j = q_j(c) and D the lcm of v's denominators."""
+        field = self.field
+        powers = field.embed_powers(self._base.field)
         D = math.lcm(*[x.den for x in v])
-        return [c * (D // x.den) for x in v for c in x.num], D
+        prods = []
+        for x in v:
+            q = tuple([c * (D // x.den) for c in x.num])
+            prods.append(q)
+            # powers[0] is one; any other power means degree >= 2 here.
+            prods.extend([field.mul_num(q, p) for p in powers[1:]])
+        return list(zip(*prods)), D
 
     def root_pairings(self, v: Vector) -> list[tuple[tuple[int, ...], int]]:
         """(num, den) with <alpha_r, v> = num / den, den > 0, for every
         positive root r in index order; num need not be in lowest terms."""
-        flat, D = self._lower(v)
-        return [(tuple([sum(map(mul, row, flat)) for row in rows]), e * D)
-                for rows, e in self._pairing_kernel()]
+        cols, D = self._spread(v)
+        return [(tuple([sum(map(mul, row, col)) for col in cols]), e * D)
+                for row, e in self._pairing_kernel()]
 
     def pairing(self, r: int, v: Vector) -> tuple[tuple[int, ...], int]:
         """(num, den) of <alpha_r, v> for one positive root, as root_pairings."""
-        rows, e = self._pairing_kernel()[r]
-        flat, D = self._lower(v)
-        return tuple([sum(map(mul, row, flat)) for row in rows]), e * D
+        row, e = self._pairing_kernel()[r]
+        cols, D = self._spread(v)
+        return tuple([sum(map(mul, row, col)) for col in cols]), e * D
+
+    def float_pairings(self, v: Vector) -> list[float]:
+        """Floats of <alpha_r, v> for every positive root, a guide only.
+
+        The float rows a_rj are the kernel's numerators evaluated at
+        2cos(pi/L) by math.cos, built once on the base system; the n
+        coordinates of v are read by field.float_of.  Only those n calls
+        may refine the field's isolating interval.
+        """
+        base = self._base
+        if base._float_rows is None:
+            m = base.field.degree
+            c = 2.0 * math.cos(math.pi / base.field.L)
+            powers = [c ** k for k in range(m)]
+            base._float_rows = [
+                tuple([sum(map(mul, row[j:j + m], powers)) / e
+                       for j in range(0, len(row), m)])
+                for row, e in base._pairing_kernel()]
+        float_of = self.field.float_of
+        fv = [float_of(x.num, x.den) for x in v]
+        return [sum(map(mul, row, fv)) for row in base._float_rows]
 
     def pair_root(self, r: int, v: Vector) -> AlgebraicScalar:
         """<alpha_r, v> for a positive root, through the pairing kernel."""

@@ -211,7 +211,8 @@ class ScalarField:
             self.gen = AlgebraicScalar(self, (0, 1) + (0,) * (m - 2))
             self._isolate_generator()
         self._two_cos_cache: dict[Fraction, AlgebraicScalar] = {}
-        # Per source level L' | L: the numerators of c_L'^i here, i < deg.
+        # Per source level L' | L: the numerators of c_L'^i here, i < deg
+        # (embed_powers).
         self._embed_powers: dict[int, list[tuple[int, ...]]] = {}
 
     def __repr__(self) -> str:
@@ -310,6 +311,17 @@ class ScalarField:
         # c_src is an algebraic integer of this field, so the images of its
         # powers are integral: the image of num is an integer combination
         # of them, and the denominator carries over.
+        acc = [0] * self.degree
+        for coef, power in zip(s.num, self.embed_powers(src)):
+            if coef:
+                for i, x in enumerate(power):
+                    acc[i] += coef * x
+        return _normal(self, tuple(acc), s.den)
+
+    def embed_powers(self, src: "ScalarField") -> list[tuple[int, ...]]:
+        """The numerators here of the images of c_src^i, i < src.degree,
+        for a field src of level dividing self.L; the first is always one.
+        Over src = self they are the powers of c itself."""
         powers = self._embed_powers.get(src.L)
         if powers is None:
             image = self.two_cos(Fraction(1, src.L))
@@ -318,12 +330,7 @@ class ScalarField:
             for _ in range(src.degree - 1):
                 p = p * image
                 powers.append(p.num)
-        acc = [0] * self.degree
-        for coef, power in zip(s.num, powers):
-            if coef:
-                for i, x in enumerate(power):
-                    acc[i] += coef * x
-        return _normal(self, tuple(acc), s.den)
+        return powers
 
     def mul_num(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
         """Numerators of (sum a[i] c^i)(sum b[j] c^j), degree >= 2: an integer

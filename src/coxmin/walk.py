@@ -12,11 +12,12 @@ The curve itself is transcendental, so wall selection is guided by floats
 only, while every accepted step and the end condition are certified in
 exact arithmetic: a step is kept only if the group-side length comparison
 l(w_{A'}) <= l(w_A) holds, and the end test compares the exact signs of
-the limit direction with the chamber's.  The guidance floats are read off
-the integer pairing kernel's numerators (ScalarField.float_of does not
-depend on their scale), and the walk carries the chamber's root signs
-across crossings, with the count of roots where they disagree with the
-limit direction: crossing wall H_r flips the sign of r alone.  A root's
+the limit direction with the chamber's.  Only that direction x is paired
+exactly; the guidance columns are the system's float pairing rows applied
+to the floats of each component's coordinates
+(CoxeterSystem.float_pairings).  The walk carries the chamber's root
+signs across crossings, with the count of roots where they disagree with
+the limit direction: crossing wall H_r flips the sign of r alone.  A root's
 guidance value is a convex combination of the partial sums of its columns,
 so the bisection probes read only the roots whose partial sums do not all
 keep one sign clear of the tolerance (_live_roots).  The
@@ -147,6 +148,9 @@ def _start_point(eig: EigenDecomposition, chamber: Chamber,
 
     cols[q][r] is the float of <alpha_r, component q of y> for each nonzero
     component, keyed in ascending q; signs[r] is the sign of <alpha_r, x>.
+    Only x is paired exactly, for its signs and the regularity test; the
+    columns are floats from the system's float pairing rows
+    (CoxeterSystem.float_pairings), a guide only.
     If H_r misses V_w, <alpha_r, x(t)> is a nonzero polynomial in t of
     degree < n (the projection onto V_w is orthogonal and the x_A omega_j
     span V), so each such root rules out at most n - 1 values: t <=
@@ -154,34 +158,24 @@ def _start_point(eig: EigenDecomposition, chamber: Chamber,
     TheoremViolation.
     """
     system = eig.system
-    field = system.field
-    sign_of = field.sign_of
+    sign_of = system.field.sign_of
     h_vwt = hyperplanes_containing(system, eig.v_wt)
     bound = (system.rank - 1) * (system.npos - len(h_vwt)) + 1
 
-    # Signs and floats come from the integer kernel's numerators one root
-    # at a time, the signs of x in root order first, then the floats by
-    # ascending angle, each in root order: each may refine the isolating
-    # interval that later floats read.  float_of does not depend on the
-    # scale of (num, den), so no scalar is built.
     for t in range(start_index + 1, start_index + bound + 1):
         comps = {q: c for q, c in eig.project(chamber.interior_point(t)).items()
                  if not vec_is_zero(c)}
         x_dir = comps.get(eig.theta0)
         if x_dir is None:
             continue
-        x_pairs = system.root_pairings(x_dir)
         sgn_x = []
-        for r, (num, _) in enumerate(x_pairs):
+        for r, (num, _) in enumerate(system.root_pairings(x_dir)):
             s = sign_of(num)
             if s == 0 and r not in h_vwt:
                 break  # x(t) is not regular in V_w
             sgn_x.append(s)
         else:
-            float_of = field.float_of
-            cols = {q: [float_of(num, den) for num, den in
-                        (x_pairs if q == eig.theta0 else system.root_pairings(c))]
-                    for q, c in sorted(comps.items())}
+            cols = {q: system.float_pairings(c) for q, c in sorted(comps.items())}
             return cols, x_dir, sgn_x
     raise TheoremViolation(f"no t in {start_index + 1}..{start_index + bound} "
                            "gives a start point regular in V_w")

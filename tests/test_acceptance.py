@@ -239,6 +239,57 @@ def test_live_root_filter_is_sound(monkeypatch):
             agree(vals, signs, live, tol)
 
 
+def test_guidance_floats_within_budget(monkeypatch):
+    """At the start points of criterion 6's walks and the 102 H4 CLI walks,
+    each float guidance column lies within 1e-13 scale_ref of float_of of
+    the exact pairings of its component, the nonzero angles are the exact
+    projection's, and the start index t is the least one whose exact
+    theta_0-component is regular in V_w."""
+    import coxmin.walk as walk_mod
+    interior_point = Chamber.interior_point
+    used = []
+
+    def recording(chamber, t):
+        used.append(t)
+        return interior_point(chamber, t)
+
+    monkeypatch.setattr(Chamber, "interior_point", recording)
+    walks = 0
+    worst = 0.0
+    for w, chamber in itertools.chain(_criterion_6_inputs(), _h4_cli_walk_inputs()):
+        eig = eigen_decomposition(w, dft_check=False)
+        system = eig.system
+        chamber = chamber.over(system)
+        used.clear()
+        cols, x_dir, sgn_x = walk_mod._start_point(eig, chamber, 0)
+        h_vwt = hyperplanes_containing(system, eig.v_wt)
+        for t in itertools.count(1):
+            comps = {q: c for q, c in eig.project(interior_point(chamber, t)).items()
+                     if any(c)}
+            x = comps.get(eig.theta0)
+            if x is None:
+                continue
+            x_pairs = system.root_pairings(x)
+            if all(any(num) or r in h_vwt for r, (num, _) in enumerate(x_pairs)):
+                break
+        assert used[-1] == t
+        assert x_dir == x
+        assert sgn_x == [system.field.sign_of(num) for num, _ in x_pairs]
+        assert list(cols) == sorted(comps)
+        float_of = system.field.float_of
+        exact = {q: [float_of(num, den) for num, den in system.root_pairings(c)]
+                 for q, c in comps.items()}
+        scale_ref = max(abs(f) for col in exact.values() for f in col)
+        for q, col in cols.items():
+            err = max(abs(a - b) for a, b in zip(col, exact[q])) / scale_ref
+            assert err <= 1e-13, (w, chamber, q, err)
+            worst = max(worst, err)
+        walks += 1
+    assert walks == 19 * 100 + 102
+    _report(6, "guidance floats against exact pairings",
+            f"{walks} start points, worst error {worst:.1e} scale")
+
+
 def test_criterion_7_length_formulas(sweep):
     accepted = 0
     # (a) special_length_formula over eigenspaces of class representatives.

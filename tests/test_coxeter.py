@@ -308,10 +308,14 @@ def _random_scalar(field, rng):
 
 @pytest.mark.parametrize("name,lift,L", [
     ("A3", None, 1), ("B3", None, 4), ("H3", None, 5), ("G2", None, 6),
-    ("B3", 3, 12), ("H3", 6, 30), ("A3", 4, 4), ("G2", 4, 12)])
+    ("B3", 3, 12), ("H3", 6, 30), ("A3", 4, 4), ("G2", 4, 12),
+    ("H4", 10, 10), ("H4", 15, 15), ("H4", 30, 30), ("A3", 3, 3)])
 def test_pairing_kernel_matches_scalar_sum(name, lift, L):
     # num / den from the integer kernel against sum_j a_j v_j in field
     # arithmetic, a = B alpha_r, on random vectors, roots and zero vectors.
+    # A lift pairs through its base system's kernel: the H4 views are the
+    # walk's, and A3 at level 3 is a lift of degree 1 over a base of
+    # degree 1.
     system = build_system(named_matrix(name))
     if lift is not None:
         system = system.with_field_level(lift)

@@ -540,6 +540,36 @@ def test_h4_cli_walks_pinned():
     assert proc.stdout.strip() == H4_WALKS_DIGEST
 
 
+def test_h4_lifts_build_no_pairing_kernel():
+    # The 102 H4 CLI walks in a fresh interpreter raise the field to levels
+    # 10, 15 and 30; those views pair through the base system's kernel and
+    # float rows and build none of their own.
+    script = (
+        "from coxmin.conjugacy import enumerate_classes\n"
+        "from coxmin.coxeter import Chamber, build_system, enumerate_twists, named_matrix\n"
+        "from coxmin.walk import descent_walk\n"
+        "system = build_system(named_matrix('H4'))\n"
+        "table = system.table()\n"
+        "(twist,) = enumerate_twists(system.matrix)\n"
+        "for rec in enumerate_classes(system, twist):\n"
+        "    for j in range(3):\n"
+        "        idx = (rec.class_id * 7919 + j * 104729) % table.size\n"
+        "        descent_walk(rec.representative, Chamber(system, table.element(idx)))\n"
+        "print(system._kernel is not None, system._float_rows is not None)\n"
+        "print(sorted(system._lifts))\n"
+        "print([v._kernel is None and v._float_rows is None\n"
+        "       for v in system._lifts.values()])\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["True True", "[10, 15, 30]",
+                                        "[True, True, True]"]
+
+
 def test_eigenspace_angle_needs_no_span_check(monkeypatch):
     # A basis that is one of the decomposition's own is w-stable and lies
     # in its eigenspace: its angle is read off with no reduction.  Any
