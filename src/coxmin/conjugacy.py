@@ -19,12 +19,14 @@ steps whose length change lies in a given window:
   on first use.  enumerate_classes reads it, and path_graph reads the class
   of w from it through TwistedCoset.class_of.
 * verify_arrow_reduction / arrow_reachable_set: the search from O_min by
-  non-decreasing steps must cover the class; the arrow reach of w is the
-  search from w by non-increasing steps.
-* arrow_reduce: non-increasing conjugation by simple reflections down to an
-  element with no strict descent reachable through its equal-length plateau.
-  Within a class sweep the plateau searches share an exit-pointer cache, so
-  reducing every element of a class costs about one traversal of the class.
+  non-decreasing steps (gp1's search) must cover the class; the arrow reach
+  of w is the search from w by non-increasing steps.
+* arrow_reduce: the chain is read off gp1's search, kept on the record as
+  body -> BFS position.  Each step goes to the neighbour of no greater
+  length with the least position, which is the BFS parent, so a chain is a
+  shortest non-increasing path into O_min and depends on w alone.  A class
+  costs one search, whichever of its elements are reduced and in which
+  order.
 * approx_partition / strong_partition: the blocks of O_min under
   equal-length simple conjugation (a level search from each block's least
   element), respectively under elementary strong conjugation.  Elementary
@@ -48,7 +50,7 @@ steps whose length change lies in a given window:
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field as dc_field
 from operator import itemgetter
 from typing import Iterator, Sequence
@@ -162,6 +164,12 @@ def _reach(coset: TwistedCoset, starts: Sequence[int], lo: int, hi: int) -> list
     return reached
 
 
+def _least_length_prefix(els: list[int], length) -> list[int]:
+    """O_min of an ascending class list: indices run in order of length, so
+    it is the prefix of els at the length of its first element."""
+    return els[:bisect_right(els, length[els[0]], key=length.__getitem__)]
+
+
 @dataclass
 class ConjugacyClassRecord:
     coset: TwistedCoset
@@ -171,7 +179,8 @@ class ConjugacyClassRecord:
     min_length: int
     elliptic: bool
     quasi_elliptic: bool
-    _exit_cache: dict = dc_field(default_factory=dict, repr=False)
+    # arrow_reduce's body -> position in gp1's search, built on first use
+    _positions: dict | None = dc_field(default=None, repr=False)
     # braid.good_min_element's (w_A, certificate) per (angles, start_index)
     _good: dict = dc_field(default_factory=dict, repr=False)
 
@@ -198,10 +207,8 @@ def enumerate_classes(system: CoxeterSystem, twist: DiagramTwist | None = None,
     t = coset.table
     records = []
     for cid, els in enumerate(coset.classes()):
-        # els ascends and indices run in order of length, so O_min is the
-        # prefix of els at the length of its first element.
+        o_min = _least_length_prefix(els, t.length)
         mlen = t.length[els[0]]
-        o_min = els[:bisect_right(els, mlen, key=t.length.__getitem__)]
         rep = coset.element(o_min[0])
         ell, quasi = _elliptic_kinds(rep)
         if elliptic_parabolic_certificate(rep, els, t) != ell:
@@ -238,87 +245,64 @@ class ReductionChain:
         return cur
 
 
-def _plateau_exit(coset: TwistedCoset, x: int, cache: dict) -> tuple[int, int] | None:
-    """Next step from x: None if no strict descent is plateau-reachable.
-
-    Explores the equal-length component of x, following cached pointers as
-    soon as it touches one.  On success the discovered path is written into
-    the cache so sibling searches stay near-linear per class.
-    """
-    if x in cache:
-        return cache[x]
-    lx = coset.length(x)
-    parent: dict[int, tuple[int, int] | None] = {x: None}
-    queue = [x]
-    qi = 0
-    exit_node = None
-    exit_step = None
-    while qi < len(queue):
-        cur = queue[qi]
-        qi += 1
-        if cur in cache and cur != x:
-            step = cache[cur]
-            if step is None:
-                continue  # known terminal; keep searching elsewhere
-            exit_node, exit_step = cur, step
-            break
-        found = None
-        for i, row in enumerate(coset.step_rows):
-            y = row[cur]
-            ly = coset.length(y)
-            if ly < lx:
-                found = (i, y)
-                break
-            if ly == lx and y not in parent:
-                parent[y] = (cur, i)
-                queue.append(y)
-        if found is not None:
-            exit_node, exit_step = cur, found
-            break
-    if exit_node is None:
-        # The whole plateau component has no strict descent: terminal.
-        for node in parent:
-            cache[node] = None
-        return None
-    # Reverse the parent pointers along the path x -> exit_node.
-    cache[exit_node] = exit_step
-    node = exit_node
-    while parent[node] is not None:
-        prev, letter = parent[node]
-        cache[prev] = (letter, node)
-        node = prev
-    return cache[x]
+def _positions(coset: TwistedCoset, o_min: list[int],
+               size: int) -> dict[int, int]:
+    """Body -> position in gp1's search, O_min's reach by non-decreasing
+    steps (O_min first), for a class of `size` bodies; TheoremViolation if
+    the search does not cover the class."""
+    reached = _reach(coset, o_min, 0, coset.system.npos)
+    if len(reached) != size:
+        raise TheoremViolation(
+            f"{size - len(reached)} class elements cannot reach O_min")
+    return {x: p for p, x in enumerate(reached)}
 
 
 def arrow_reduce(w: TwistedElement, record: ConjugacyClassRecord | None = None
                  ) -> tuple[TwistedElement, ReductionChain]:
-    """Follow non-increasing simple conjugations until no descent is reachable.
+    """A shortest chain of non-increasing simple conjugations from w into
+    O_min, read off gp1's search (the search of verify_arrow_reduction).
 
-    With a class record the plateau searches share the record's cache and the
-    end length is checked against the class minimum (TheoremViolation on
-    mismatch; the theorem says it never happens).
+    Each step goes to the neighbour of no greater length with the least
+    position in the search.  That is the BFS parent, so the chain depends
+    on w alone, not on which elements were reduced before.  With a record
+    the search runs once per class and is kept on the record; ValueError if
+    w lies outside the record's class.  Without one, w's class is searched
+    first and its least-length bodies taken as O_min.  TheoremViolation if
+    the search from O_min does not cover the class (the theorem says it
+    does).
     """
     if record is not None:
         coset = record.coset
-        cache = record._exit_cache
+        x = coset.index(w)
+        els = record.elements
+        i = bisect_left(els, x)
+        if i == len(els) or els[i] != x:
+            raise ValueError("element lies outside this class")
+        if record._positions is None:
+            record._positions = _positions(coset, record.o_min, record.size)
+        position, n_min = record._positions, len(record.o_min)
     else:
         coset = TwistedCoset(w.system, w.twist, w.k)
-        cache = {}
-    x = coset.index(w)
-    steps: list[tuple[int, int]] = []
-    while True:
-        step = _plateau_exit(coset, x, cache)
-        if step is None:
-            break
-        i, y = step
-        steps.append((i, coset.length(y) - coset.length(x)))
-        x = y
-    end = coset.element(x)
-    if record is not None and end.length() != record.min_length:
-        raise TheoremViolation(
-            f"arrow reduction stopped at length {end.length()}, class minimum "
-            f"is {record.min_length}")
-    return end, ReductionChain(steps)
+        x = coset.index(w)
+        npos = coset.system.npos
+        els = sorted(_reach(coset, [x], -npos, npos))
+        o_min = _least_length_prefix(els, coset.table.length)
+        position, n_min = _positions(coset, o_min, len(els)), len(o_min)
+    length = coset.table.length
+    rows = list(enumerate(coset.step_rows))
+    steps = []
+    px = position[x]
+    while px >= n_min:      # O_min holds the first n_min positions
+        # The parent was met before x, so its position is below px.
+        lx, parent = length[x], px
+        for i, row in rows:
+            y = row[x]
+            py = position[y]
+            if py < parent and length[y] <= lx:
+                parent, step, nxt = py, i, y
+        steps.append((step, length[nxt] - lx))
+        x, px = nxt, parent
+    return coset.element(x), ReductionChain(steps)
 
 
 def verify_arrow_reduction(record: ConjugacyClassRecord) -> bool:

@@ -503,7 +503,7 @@ def geometric_min_length(w: TwistedElement, start_index: int = 0) -> int:
     Walk to a chamber whose closure meets V_w, split w_A = w_{K,A} u at the
     regular point, and recurse on the strictly smaller twisted parabolic
     acting on W_J.  This is the geometric route to O_min; it is independent
-    of the combinatorial plateau search and serves as its oracle twin.
+    of the combinatorial arrow reduction and serves as its oracle twin.
     """
     eig = eigen_decomposition(w, dft_check=False)
     system, w = eig.system, eig.owner

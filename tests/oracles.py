@@ -106,11 +106,11 @@ def approx_blocks_by_union_find(record):
     return sorted(_blocks(parent, record.o_min))
 
 
-def reverse_arrow_reach_by_frontier(record):
-    """The class elements that reach O_min by non-increasing steps, by a
-    frontier search upward from O_min."""
+def arrow_depths_by_frontier(record):
+    """Class element -> the fewest non-increasing steps from it into O_min,
+    by a frontier search upward from O_min."""
     coset = record.coset
-    reach = set(record.o_min)
+    depth = dict.fromkeys(record.o_min, 0)
     frontier = list(record.o_min)
     while frontier:
         nxt = []
@@ -118,11 +118,16 @@ def reverse_arrow_reach_by_frontier(record):
             ly = coset.length(y)
             for rrow, lrow in coset.steps:
                 x = lrow[rrow[y]]
-                if x not in reach and coset.length(x) >= ly:
-                    reach.add(x)
+                if x not in depth and coset.length(x) >= ly:
+                    depth[x] = depth[y] + 1
                     nxt.append(x)
         frontier = nxt
-    return reach
+    return depth
+
+
+def reverse_arrow_reach_by_frontier(record):
+    """The class elements that reach O_min by non-increasing steps."""
+    return set(arrow_depths_by_frontier(record))
 
 
 def arrow_reach_by_frontier(coset, start: int):

@@ -31,9 +31,9 @@ from coxmin.eigen import eigen_decomposition, hyperplanes_containing
 from coxmin.errors import HypothesisFailed
 from coxmin.walk import (decompose_at_regular, descent_walk,
                          special_length_formula, strongly_connected_step)
-from oracles import (approx_blocks_by_union_find, arrow_reach_by_frontier,
-                     brute_strong_targets, conjugate_by_index,
-                     reverse_arrow_reach_by_frontier)
+from oracles import (approx_blocks_by_union_find, arrow_depths_by_frontier,
+                     arrow_reach_by_frontier, brute_strong_targets,
+                     conjugate_by_index, reverse_arrow_reach_by_frontier)
 from test_conjugacy import _block_diagonal, _table
 
 RANK_LE_4 = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "D4", "F4", "G2",
@@ -66,11 +66,13 @@ def test_criterion_1_arrow_reduce_reaches_min(sweep):
         for rec in records:
             verify_arrow_reduction(rec)  # reverse-reachability, whole class
             o_min = set(rec.o_min)
+            depth = arrow_depths_by_frontier(rec)
             for x in rec.elements:
                 end, chain = arrow_reduce(rec.coset.element(x), record=rec)
                 assert end.length() == rec.min_length
                 assert rec.coset.index(end) in o_min
                 assert all(delta in (0, -2) for _, delta in chain.steps)
+                assert len(chain) == depth[x]   # a shortest chain
                 elements += 1
     _report(1, "Theorem 3.2(1) arrow reduction", f"{elements} elements")
 
@@ -399,8 +401,13 @@ def test_criterion_8_oracle_equivalences(sweep):
             for rec in sweep[(name, twist.perm)]:
                 brute_min = min(rec.coset.length(x) for x in rec.elements)
                 for x in rec.elements:
-                    end, _ = arrow_reduce(rec.coset.element(x), record=rec)
+                    w = rec.coset.element(x)
+                    end, chain = arrow_reduce(w, record=rec)
                     assert end.length() == brute_min
+                    # The record-free call searches w's class itself and
+                    # finds the same chain.
+                    assert arrow_reduce(w) == (end, chain)
+                    assert chain.apply(w) == end
                     ends_checked += 1
     # (c) pruned witness search == unpruned exhaustive search, rank <= 3.
     witnesses_checked = 0

@@ -98,6 +98,43 @@ def test_arrow_reduce_standalone():
     assert chain.apply(w) == end
 
 
+def test_arrow_reduce_rejects_an_element_of_another_class():
+    b3 = build_system(named_matrix("B3"))
+    recs = enumerate_classes(b3)
+    # B3's two reflection classes share the minimal length 1.
+    rec, other = [r for r in recs if r.min_length == 1]
+    with pytest.raises(ValueError):
+        arrow_reduce(rec.coset.element(other.o_min[0]), record=rec)
+    # An element of a class with another minimal length.
+    assert recs[-1].min_length != 1
+    with pytest.raises(ValueError):
+        arrow_reduce(rec.coset.element(recs[-1].elements[-1]), record=rec)
+
+
+def _chains(records, order):
+    """(class id, body) -> (end body, chain steps), reducing each class's
+    bodies in `order`."""
+    chains = {}
+    for rec in records:
+        for x in order(rec.elements):
+            end, chain = arrow_reduce(rec.coset.element(x), record=rec)
+            chains[rec.class_id, x] = (rec.coset.index(end), chain.steps)
+    return chains
+
+
+def test_arrow_chains_do_not_depend_on_call_order():
+    # Ascending on one set of records, descending on fresh ones.
+    compared = 0
+    for name in ["A3", "B3", "H3", "A4", "D4", "F4"]:
+        system = build_system(named_matrix(name))
+        for tw in enumerate_twists(system.matrix):
+            up = _chains(enumerate_classes(system, tw), list)
+            down = _chains(enumerate_classes(system, tw), reversed)
+            assert up == down, (name, tw.perm)
+            compared += len(up)
+    assert compared == 3912
+
+
 def test_arrow_monotone_and_reachability():
     b3 = build_system(named_matrix("B3"))
     w = untwisted(b3.element_from_word([0, 1, 2, 0, 1]))

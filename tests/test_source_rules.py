@@ -38,7 +38,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # rule and the multiplication by c as a field product, and the union-find
 # and frontier searches of the class layer (every relation there is one
 # length-filtered search) with the reflection tables derived from the roots
-# (the orbit closure records them as it reflects).
+# (the orbit closure records them as it reflects), and the plateau-exit
+# search with its pointer cache, whose chains hung on the order of the
+# calls (arrow chains are read off gp1's search) and the depth oracle that
+# checks them.
 BANNED = ("ConstructionFailed", "SearchBound", "conjugate_by_index",
           "_twist_body", "conj", "pruned", "is_valid", "expand",
           "is_left_weighted_pair", "reflection_element", "reflect_vector",
@@ -58,7 +61,8 @@ BANNED = ("ConstructionFailed", "SearchBound", "conjugate_by_index",
           "embed_by_horner", "times_gen_by_product", "_find", "_union",
           "_blocks", "simple_reflect", "reflections_from_roots",
           "approx_blocks_by_union_find", "reverse_arrow_reach_by_frontier",
-          "arrow_reach_by_frontier")
+          "arrow_reach_by_frontier", "_plateau_exit", "_exit_cache",
+          "arrow_depths_by_frontier")
 
 
 def test_no_asserts_and_no_capped_construction_error():
@@ -194,6 +198,7 @@ def test_preconditions_raise_under_optimize():
         "    lambda: rec.coset.index(coxeter.TwistedElement(a2, delta, 1, a2.identity)),\n"
         "    lambda: eigen.regular_point(a2, [off_wall], start_index=-1),\n"
         "    lambda: conjugacy.verify_elliptic_approx(conjugacy.enumerate_classes(a2)[0]),\n"
+        "    lambda: conjugacy.arrow_reduce(coxeter.untwisted(a2.identity), rec),\n"
         "    lambda: conjugacy.partial_conjugation_transfer(\n"
         "        [], coxeter.untwisted(a2.identity), a2.generator(0), a2.identity),\n"
         "]\n"
@@ -209,4 +214,4 @@ def test_preconditions_raise_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["ValueError"] * 9
+    assert proc.stdout.split() == ["ValueError"] * 10
