@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .errors import (CoxminError, NotFinite, TooLarge, FieldTooSmall,
                      FieldMismatch, ScalarDomainError, MultiplicityMismatch,
-                     NoRegularPoint,
                      NotAdmissible, HypothesisFailed,
                      IdentityFailed, TheoremViolation)
 from .scalars import AlgebraicScalar, ScalarField, get_field, minpoly_two_cos_pi_over
@@ -20,9 +19,9 @@ from .coxeter import (CoxeterMatrix, CoxeterSystem, DiagramTwist, GroupElement,
                       build_system, enumerate_twists, untwisted,
                       parabolic_max, coset_decompose, conjugate_by_chamber)
 from .eigen import (Angle, EigenDecomposition, Filtration, order,
-                    eigen_decomposition, regular_point,
-                    closure_holds_regular_point, hyperplanes_containing,
-                    reflection_subgroup, fixed_space, is_elliptic,
+                    eigen_decomposition, closure_holds_regular_point,
+                    hyperplanes_containing, reflection_subgroup,
+                    fixed_space, is_elliptic,
                     is_quasi_elliptic, admissible_filtration,
                     good_position_chamber)
 from .conjugacy import (TwistedCoset, ConjugacyClassRecord, ReductionChain,

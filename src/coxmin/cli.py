@@ -6,8 +6,8 @@ configuration error, 3 a resource bound was hit (group too large for the
 configured enumeration limit).
 
 Reports are deterministic byte for byte for a fixed invocation: iteration
-orders are fixed, walk start points and the tuple enumerator are offset by
---seed-index, and JSON is emitted with sorted keys.
+orders are fixed, walk start points and the good elements' symbolic regular
+points are offset by --seed-index, and JSON is emitted with sorted keys.
 """
 
 from __future__ import annotations
@@ -377,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (p_verify, p_walk):
         p.add_argument("--seed-index", type=int, default=0,
                        help="offset (>= 0): a walk starts from the least t above "
-                            "it; good elements skip that many enumerator tuples")
+                            "it; good elements read their regular points at it")
     p_verify.add_argument("--checks", default="",
                           help=f"comma separated subset of {','.join(CHECK_NAMES)}")
     p_walk.add_argument("--word", default="", help="element word, 1-indexed: 1,2,1")

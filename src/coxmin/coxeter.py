@@ -299,11 +299,11 @@ class CoxeterSystem:
         self._float_rows: list[tuple[float, ...]] | None = None
         self._twist_root_perms: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
         # Geometry memoized per view, since its vectors live in the view's
-        # field (see eigen.eigen_decomposition, eigen.regular_point,
+        # field (see eigen.eigen_decomposition, eigen._pairing_tables,
         # eigen.closure_holds_regular_point, eigen.hyperplanes_containing,
         # eigen.reduced_basis and walk._angle_of_invariant_subspace).
         self._eigen: dict[tuple, list] = {}
-        self._regular_points: dict[tuple, Vector] = {}
+        self._pairing_tables: dict[Vector, list] = {}
         self._closure_verdicts: dict[tuple, bool] = {}
         self._hyperplanes: dict[tuple, frozenset[int]] = {}
         self._reduced: dict[tuple, tuple[Matrix, list[int]]] = {}

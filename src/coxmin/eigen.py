@@ -29,37 +29,39 @@ root-permutation powers: column i of M^j is the root w^j(alpha_i), so
 tr(M^j) is n field additions (Springer, Regular elements of finite
 reflection groups, Invent. Math. 1974, for the eigenvalues of w).
 
-Also here: deterministic regular points of subspaces, the test whether a
-closed chamber holds one, the reflection subgroup of a subspace, the
-elliptic and quasi-elliptic predicates, admissible filtrations and
-good-position chambers.
+Also here: the test whether a closed chamber holds a regular point of a
+subspace, the reflection subgroup of a subspace, the elliptic and
+quasi-elliptic predicates, admissible filtrations and good-position
+chambers.  A good-position chamber needs no exact regular point: each
+level's point is symbolic, x_i(s + delta) = sum_j (s + delta)^j b_j over
+the eigenbases, and a root's sign there is read off the pairing tables of
+the b_j (_level_signs).
 
 The pure geometric constructions are memoized on the system view they are
 called with, in plain dicts set up by CoxeterSystem.__init__: the
 decomposition of an element (with a flag recording whether its DFT check
 has run, so a later call that asks for the check still runs it once), the
-regular point of a basis and start index, the closed-chamber verdict of a
-basis and chamber, the hyperplanes containing a basis, and the reduced
-basis (RREF) of a basis that span tests reduce against (linalg.in_span).
-A lift has its own dicts, as its vectors live in another field.
+pairing table of each eigenbasis vector a filtration reads, the
+closed-chamber verdict of a basis and chamber, the hyperplanes containing
+a basis, and the reduced basis (RREF) of a basis that span tests reduce
+against (linalg.in_span).  A lift has its own dicts, as its vectors live
+in another field.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from operator import mul
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .coxeter import (Chamber, CoxeterSystem, GroupElement, TwistedElement,
                       compose)
-from .errors import (FieldTooSmall, MultiplicityMismatch, NoRegularPoint,
-                     NotAdmissible, TheoremViolation)
+from .errors import (FieldTooSmall, MultiplicityMismatch, NotAdmissible,
+                     TheoremViolation)
 from .linalg import (Cone, Matrix, Vector, cone_from_constraints, kernel_basis,
-                     mat_inverse, rational_tuples, rref, vec_add,
-                     vec_dot, vec_is_zero, vec_scale, zero_vector)
+                     mat_inverse, rref, vec_add, vec_dot, vec_is_zero,
+                     vec_scale, vec_sub, zero_vector)
 from .scalars import AlgebraicScalar, _normal
 
 Angle = Fraction  # q in [0, 1], theta = q*pi
@@ -113,9 +115,11 @@ class EigenDecomposition:
     def project(self, v: Vector) -> dict[Angle, Vector]:
         """Exact eigencomponents of v, indexed by angle.
 
-        The coordinates of v in full_basis() are one matrix-vector product
-        with the inverse of the basis matrix, computed once per
-        decomposition; a basis that does not span V raises TheoremViolation.
+        The coordinates of v in full_basis() are rows of the inverse of the
+        basis matrix, computed once per decomposition, times v; a basis
+        that does not span V raises TheoremViolation.  The components sum
+        to v, so the last angle's is v minus the others, and its coordinate
+        rows are never read.
         """
         field = self.system.field
         basis = self.full_basis()
@@ -125,15 +129,17 @@ class EigenDecomposition:
                 self._inverse = mat_inverse(list(zip(*basis)), field)
             if self._inverse is None:
                 raise TheoremViolation("the eigenspaces do not span V")
-        coords = [vec_dot(row, v) for row in self._inverse]
         out: dict[Angle, Vector] = {}
+        last = v
         pos = 0
-        for q, dim, _ in self.entries:
+        for q, dim, _ in self.entries[:-1]:
             comp = zero_vector(field, self.system.rank)
             for j in range(pos, pos + dim):
-                comp = vec_add(comp, vec_scale(coords[j], basis[j]))
+                comp = vec_add(comp, vec_scale(vec_dot(self._inverse[j], v), basis[j]))
             pos += dim
             out[q] = comp
+            last = vec_sub(last, comp)
+        out[self.entries[-1][0]] = last
         return out
 
 
@@ -266,7 +272,33 @@ def _dft_crosscheck(w: TwistedElement, system: CoxeterSystem, d: int,
 
 
 # ---------------------------------------------------------------------------
-# Regular points and reflection subgroups.
+# Pairing tables, hyperplane sets, regular points and reflection subgroups.
+
+
+# A pairing table is root_pairings(v): (num, den) with <alpha_r, v> =
+# num / den for each positive root r.
+PairingTable = list[tuple[tuple[int, ...], int]]
+
+
+def _pairing_tables(system: CoxeterSystem, basis: Matrix) -> list[PairingTable]:
+    """The pairing table of each basis vector, kept or fresh.
+
+    The memo on `system` holds only the eigenbasis vectors of filtrations
+    (_eigenbasis_tables), so the good-position signs, hyperplanes_containing
+    and the chamber cones pair each such vector once per view, while walks
+    and class scans keep no tables.
+    """
+    kept = system._pairing_tables
+    return [kept.get(b) or system.root_pairings(b) for b in basis]
+
+
+def _eigenbasis_tables(system: CoxeterSystem, basis: Matrix) -> list[PairingTable]:
+    """_pairing_tables of an eigenbasis, memoized on `system` per vector."""
+    kept = system._pairing_tables
+    for b in basis:
+        if b not in kept:
+            kept[b] = system.root_pairings(b)
+    return [kept[b] for b in basis]
 
 
 def hyperplanes_containing(system: CoxeterSystem, basis: Matrix) -> frozenset[int]:
@@ -277,10 +309,10 @@ def hyperplanes_containing(system: CoxeterSystem, basis: Matrix) -> frozenset[in
     key = tuple(basis)
     cached = system._hyperplanes.get(key)
     if cached is None:
-        pairs = [system.root_pairings(b) for b in basis]
+        tables = _pairing_tables(system, basis)
         cached = system._hyperplanes[key] = frozenset(
             r for r in range(system.npos)
-            if not any(any(p[r][0]) for p in pairs))
+            if not any(any(t[r][0]) for t in tables))
     return cached
 
 
@@ -299,46 +331,6 @@ def reduced_basis(system: CoxeterSystem, basis: Matrix) -> tuple[Matrix, list[in
 def reflection_subgroup(system: CoxeterSystem, basis: Matrix) -> list[int]:
     """Generating reflections of W_K as sorted positive-root indices."""
     return sorted(hyperplanes_containing(system, basis))
-
-
-def regular_point(system: CoxeterSystem, basis: Matrix,
-                  start_index: int = 0) -> Vector:
-    """A deterministic regular point of K = span(basis).
-
-    For each hyperplane H either K lies inside H or the point avoids H.  It
-    is sum_i c_i b_i for the first tuple c of rational_tuples(m,
-    start_index) that avoids every H missing K.  Rings 0..R of the
-    enumerator form an (R+1)^m grid, on which each avoided root's nonzero
-    form c -> <alpha_r, sum c_i b_i> vanishes at most (R+1)^(m-1) times; the
-    roots span V, so #avoid > 0 and R + 1 = #avoid + start_index + 1 leaves
-    more than start_index good grid points.  So (R+1)^m - start_index
-    tuples suffice.  Running past that bound raises TheoremViolation; a
-    negative `start_index` raises ValueError, as the count needs
-    start_index >= 0.  Points are memoized per (basis, start_index).
-    """
-    if start_index < 0:
-        raise ValueError(f"start_index must be >= 0, got {start_index}")
-    field = system.field
-    if not basis or all(vec_is_zero(b) for b in basis):
-        raise NoRegularPoint("the zero subspace has no regular points")
-    key = (tuple(basis), start_index)
-    cached = system._regular_points.get(key)
-    if cached is not None:
-        return cached
-    m = len(basis)
-    # rows[r][i] = <alpha_r, b_i> as (num, den); H_K is the set of roots
-    # with a zero row.
-    rows = list(zip(*[system.root_pairings(b) for b in basis]))
-    forms = [_integer_forms(row) for row in rows if any(any(num) for num, _ in row)]
-    count = (len(forms) + start_index + 1) ** m - start_index
-    tuples = itertools.islice(rational_tuples(m, start_index), count)
-    found = next((c for c in tuples
-                  if not _meets_a_hyperplane(_cleared(c), forms)), None)
-    if found is None:
-        raise TheoremViolation(f"no regular point among {count} tuples")
-    v = _combination(field, [field.from_rational(c) for c in found], basis)
-    system._regular_points[key] = v
-    return v
 
 
 def closure_holds_regular_point(system: CoxeterSystem, basis: Matrix,
@@ -385,12 +377,12 @@ def _chamber_cone(system: CoxeterSystem, basis: Matrix,
     its sign on its chamber, cut out the cone.
     """
     field = system.field
-    rows = list(zip(*[system.root_pairings(b) for b in basis]))
+    tables = _pairing_tables(system, basis)
     walls = dict.fromkeys((r, ch.sign(r)) for ch in chambers for r in ch.walls())
     constraints = []
     for r, s in walls:
-        if any(any(num) for num, _ in rows[r]):
-            row = tuple(_normal(field, num, den) for num, den in rows[r])
+        if any(any(t[r][0]) for t in tables):
+            row = tuple(_normal(field, *t[r]) for t in tables)
             constraints.append(row if s > 0 else tuple(-x for x in row))
     return cone_from_constraints(field, len(basis), constraints)
 
@@ -402,31 +394,6 @@ def _combination(field, coeffs: Sequence, basis: Matrix) -> Vector:
         if not c.is_zero():
             v = vec_add(v, vec_scale(c, bvec))
     return v
-
-
-# The free regular point's zero test.  <alpha_r, sum c_i b_i> vanishes iff
-# each of its power-basis coefficients does.  Over E_r, the lcm of the row's
-# denominators, these are the integer forms c -> sum_i c_i num_ri[k] E_r /
-# den_ri; clearing the tuple's denominators keeps every zero.  So each test
-# is a few integer dot products, exact as the field sum is.
-
-
-def _integer_forms(row: Sequence[tuple[tuple[int, ...], int]]) -> list[tuple[int, ...]]:
-    """The nonzero integer forms of a row of (num, den) pairings."""
-    e = math.lcm(*[den for _, den in row])
-    scaled = [[x * (e // den) for x in num] for num, den in row]
-    return [f for f in zip(*scaled) if any(f)]
-
-
-def _cleared(coeffs: Sequence[Fraction]) -> list[int]:
-    """The tuple times the lcm of its denominators."""
-    q = math.lcm(*[c.denominator for c in coeffs])
-    return [c.numerator * (q // c.denominator) for c in coeffs]
-
-
-def _meets_a_hyperplane(ints: list[int], forms: list[list[tuple[int, ...]]]) -> bool:
-    """Whether every form of some row vanishes at the cleared tuple."""
-    return any(not any(sum(map(mul, ints, f)) for f in row) for row in forms)
 
 
 def fixed_space(w: TwistedElement) -> Matrix:
@@ -496,14 +463,22 @@ def _elliptic_kinds(w: TwistedElement) -> tuple[bool, bool]:
 
 @dataclass
 class Filtration:
-    """Cumulative eigenspace filtration of an increasing angle sequence."""
+    """Cumulative eigenspace filtration of an increasing angle sequence.
+
+    F_i is the sum of the eigenspaces of the first i angles.  A hyperplane
+    contains F_i iff it contains each of them, so H_{F_i} is the meet of
+    their hyperplane sets.  `bases` holds each angle's eigenbasis (empty
+    for an angle that is no eigen-angle), which good_position_chamber
+    reads; a filtration carried by conjugate_by has none, since only
+    certify_good reads it.
+    """
     owner: TwistedElement
     system: CoxeterSystem
     angles: tuple[Angle, ...]
-    f_bases: list[Matrix]              # F_0 = 0, F_1, ..., F_r
-    hyperplane_sets: list[frozenset[int]]  # H_{F_i} as positive root indices
+    hyperplane_sets: list[frozenset[int]]  # H_{F_0} = all roots, H_{F_1}, ...
     admissible: bool
     irredundant_indices: tuple[int, ...]   # i with W_{F_i} != W_{F_{i-1}}
+    bases: tuple[Matrix, ...] | None = None
 
     @property
     def irredundant(self) -> tuple[Angle, ...]:
@@ -513,88 +488,72 @@ class Filtration:
         """The filtration of x^-1 w x for the same angles, from this one.
 
         x^-1 maps V^theta(w) onto V^theta(x^-1 w x), so the new F_i is
-        x^-1(F_i): each basis is mapped and reduced (the RREF of a subspace
-        is unique, so the bases are those admissible_filtration builds).
-        <alpha_r, x^-1 v> = <x alpha_r, v>, so H_r contains x^-1(F_i) iff
-        the hyperplane of x(alpha_r) contains F_i; the irredundant indices
-        and admissibility carry over unchanged.
+        x^-1(F_i).  <alpha_r, x^-1 v> = <x alpha_r, v>, so H_r contains
+        x^-1(F_i) iff the hyperplane of x(alpha_r) contains F_i: the
+        hyperplane sets move by x's root permutation, and the irredundant
+        indices and admissibility carry over unchanged.  No vector is
+        mapped, so the result has no bases.
         """
-        system = self.system
-        npos = system.npos
-        x_inv = x.inverse()
-        f_bases = [rref([x_inv.apply(b) for b in basis])[0] for basis in self.f_bases]
+        npos = self.system.npos
         moved = [p if p < npos else p - npos for p in x.perm[:npos]]
         hsets = [frozenset(r for r in range(npos) if moved[r] in h)
                  for h in self.hyperplane_sets]
-        return Filtration(owner=self.owner.conjugate_by(x), system=system,
-                          angles=self.angles, f_bases=f_bases,
-                          hyperplane_sets=hsets, admissible=self.admissible,
+        return Filtration(owner=self.owner.conjugate_by(x), system=self.system,
+                          angles=self.angles, hyperplane_sets=hsets,
+                          admissible=self.admissible,
                           irredundant_indices=self.irredundant_indices)
 
 
 def admissible_filtration(w: TwistedElement, angles,
                           eig: EigenDecomposition | None = None) -> Filtration:
-    """Build F_i = sum of V^theta_j for j <= i and the W_{F_i} chain."""
+    """The eigenbases of the angles and the H_{F_i} chain, with no elimination."""
     qs = tuple(Fraction(q) for q in angles)
     if not all(a < b for a, b in zip(qs, qs[1:])):
         raise ValueError(f"angles {qs} must strictly increase")
     if eig is None or eig.owner != w:
         eig = eigen_decomposition(w, dft_check=False)
     system = eig.system
-    f_bases: list[Matrix] = [[]]
-    cur: Matrix = []
-    for q in qs:
-        cur = cur + [v for v in eig.basis_of(q)]
-        red, _ = rref(cur)
-        cur = list(red)
-        f_bases.append(list(cur))
-    hsets = [hyperplanes_containing(system, b) if b else
-             frozenset(range(system.npos)) for b in f_bases]
-    admissible = not hsets[-1]
-    irred = tuple(i for i in range(1, len(f_bases))
-                  if hsets[i] != hsets[i - 1])
+    bases = tuple(eig.basis_of(q) for q in qs)
+    hsets = [frozenset(range(system.npos))]
+    for basis in bases:
+        # Keep the tables first, so hyperplanes_containing reads them too.
+        _eigenbasis_tables(system, basis)
+        hsets.append(hsets[-1] & hyperplanes_containing(system, basis))
+    irred = tuple(i for i in range(1, len(hsets)) if hsets[i] != hsets[i - 1])
     return Filtration(owner=eig.owner, system=system, angles=qs,
-                      f_bases=f_bases, hyperplane_sets=hsets,
-                      admissible=admissible, irredundant_indices=irred)
+                      hyperplane_sets=hsets, admissible=not hsets[-1],
+                      irredundant_indices=irred, bases=bases)
 
 
 def good_position_chamber(filtration: Filtration,
                           start_index: int = 0) -> Chamber:
     """A chamber whose H_{F_i}-component closures reach regular points of F_{i+1}.
 
-    Built by lexicographic sign perturbation: a chamber of the point
-    p = x_1 + eps x_2 + eps^2 x_3 + ... for regular points x_i of the growth
-    levels F_i (dim F_i > dim F_{i-1}), with eps treated symbolically (first
-    nonzero sign wins).  The filtration is admissible, so no hyperplane
-    holds the last level and its point is regular in V: no root's sign at p
-    is zero.  Each root's sign at p is read once, from the pairings of the
-    x_i.  The walk of p into the fundamental chamber then moves only g: the
-    sign of <alpha_i, g p> is the sign of <g^-1 alpha_i, p>, since the form
-    is W-invariant, so a step s_i composes root permutations.
+    The chamber of p = x_1 + eps x_2 + eps^2 x_3 + ..., eps symbolic (the
+    first nonzero sign wins), for symbolic regular points x_i of the levels
+    F_i (_level_signs): root r's sign at p is its sign at x_i for the first
+    level i whose F_i its hyperplane misses.  The filtration is admissible,
+    so every root has such a level and no sign at p is zero.  The walk of p
+    into the fundamental chamber then moves only g: the sign of
+    <alpha_i, g p> is the sign of <g^-1 alpha_i, p>, since the form is
+    W-invariant, so a step s_i composes root permutations.
     """
     if not filtration.admissible:
         raise NotAdmissible("filtration does not reach a regular point of V")
+    if filtration.bases is None:
+        raise ValueError("a carried filtration has no eigenbases")
     system = filtration.system
     n, npos = system.rank, system.npos
-    sign_of = system.field.sign_of
-
-    f_bases = filtration.f_bases
-    points = [regular_point(system, basis, start_index=start_index)
-              for prev, basis in zip(f_bases, f_bases[1:]) if len(basis) > len(prev)]
-    pairs = [system.root_pairings(p) for p in points]
-
-    # The sign at p of each positive root, on first use.
-    lex: dict[int, int] = {}
+    hsets = filtration.hyperplane_sets
+    sign = _level_signs(filtration, start_index)
 
     def lex_sign(root_idx: int) -> int:
+        """The sign at p of a root, read at its first level."""
         r = root_idx if root_idx < npos else root_idx - npos
-        s = lex.get(r)
-        if s is None:
-            s = next(filter(None, (sign_of(p[r][0]) for p in pairs)), 0)
-            if not s:
-                raise TheoremViolation(f"root {r} has no nonzero sign at the "
-                                       "growth levels' regular points")
-            lex[r] = s
+        s = sign(r, next(i for i, h in enumerate(hsets) if r not in h))
+        if not s:
+            raise TheoremViolation(f"root {r} has no nonzero sign at the "
+                                   "levels' symbolic regular points")
         return s if root_idx < npos else -s
 
     # y is g^-1 as a root permutation, and (s_i g)^-1 = g^-1 s_i.  Each step
@@ -611,36 +570,71 @@ def good_position_chamber(filtration: Filtration,
 
     # With regular points x_i the construction is in good position; the
     # exact witness check confirms it.
-    if not _good_position_holds(chamber, filtration, pairs):
+    if not _good_position_holds(chamber, filtration, sign):
         raise TheoremViolation("lexicographic chamber is not in good position")
     return chamber
 
 
-def _good_position_holds(chamber: Chamber, filtration: Filtration,
-                         witness_pairings: list[list[tuple[tuple[int, ...], int]]]) -> bool:
-    """Exact witness check of the good-position property.
+def _level_signs(filtration: Filtration,
+                 start_index: int) -> Callable[[int, int], int]:
+    """sign(r, i): the sign of <alpha_r, x_i(s + delta)>, delta > 0 small.
 
-    witness_pairings holds system.root_pairings of the regular point of
-    each growth level F_i (dim F_i > dim F_{i-1}), in level order.
+    With b_0, b_1, ... the angles' eigenbases in order and m_i = dim F_i,
+    level i's symbolic point is x_i(t) = sum_{j < m_i} t^j b_j at t = s +
+    delta, s = start_index (Simulation of Simplicity: Edelsbrunner and
+    Muecke, ACM TOG 9, 1990).  <alpha_r, x_i(t)> vanishes identically iff
+    H_r holds F_i; otherwise, for every small enough delta, its sign is
+    that of its first nonzero Taylor coefficient at s, sum_{j >= k}
+    C(j, k) s^(j-k) <alpha_r, b_j> (for s = 0, the first nonzero pairing),
+    an integer combination of the tables' numerators over their lcm
+    denominator.  Fixing such a delta makes every x_i a real point of F_i
+    on exactly the hyperplanes of H_{F_i}.  Signs are kept per (r, i).
     """
     system = filtration.system
     sign_of = system.field.sign_of
-    pairs_iter = iter(witness_pairings)
-    pairs_of_level: dict[int, list] = {}
-    for i in range(1, len(filtration.f_bases)):
-        if len(filtration.f_bases[i]) > len(filtration.f_bases[i - 1]):
-            pairs_of_level[i] = next(pairs_iter)
-    for i in range(len(filtration.f_bases) - 1):
-        # Some regular point of F_{i+1} must lie in the closure of the
-        # H_{F_i}-component of the chamber.  When F_{i+1} = F_j for the last
-        # growth level j <= i, the witness x_j pairs to zero against every
-        # H in H_{F_i} (those hyperplanes contain F_j), so the condition is
-        # automatic and only growth levels need checking.
-        pairs = pairs_of_level.get(i + 1)
-        if pairs is None:
-            continue
-        for r in filtration.hyperplane_sets[i]:
-            s = sign_of(pairs[r][0])
-            if s != 0 and s != chamber.sign(r):
-                return False
-    return True
+    s = start_index
+    tables = [t for basis in filtration.bases
+              for t in _eigenbasis_tables(system, basis)]
+    ends = [0]
+    for basis in filtration.bases:
+        ends.append(ends[-1] + len(basis))
+    known: dict[tuple[int, int], int] = {}
+
+    def sign(r: int, i: int) -> int:
+        out = known.get((r, i))
+        if out is not None:
+            return out
+        column = [t[r] for t in tables[:ends[i]]]
+        if s == 0:
+            out = next((sign_of(num) for num, _ in column if any(num)), 0)
+        else:
+            e = math.lcm(*[den for _, den in column])
+            nums = [[x * (e // den) for x in num] for num, den in column]
+            out = 0
+            for k in range(len(nums)):
+                coeff = [sum(math.comb(j, k) * s ** (j - k) * num[c]
+                             for j, num in enumerate(nums[k:], k))
+                         for c in range(len(nums[k]))]
+                if any(coeff):
+                    out = sign_of(coeff)
+                    break
+        known[(r, i)] = out
+        return out
+
+    return sign
+
+
+def _good_position_holds(chamber: Chamber, filtration: Filtration,
+                         sign: Callable[[int, int], int]) -> bool:
+    """Exact witness check of the good-position property.
+
+    For each i some regular point of F_{i+1} must lie in the closure of the
+    H_{F_i}-component of the chamber.  The witness x_{i+1} (_level_signs's
+    sign(r, i + 1)) pairs to zero against H_{F_{i+1}}, so it must have the
+    chamber's sign at every root of H_{F_i} outside H_{F_{i+1}}.  When
+    F_{i+1} = F_i those sets are equal and there is nothing to check.
+    """
+    hsets = filtration.hyperplane_sets
+    return all(sign(r, i + 1) == chamber.sign(r)
+               for i in range(len(hsets) - 1)
+               for r in hsets[i] - hsets[i + 1])

@@ -37,10 +37,6 @@ class MultiplicityMismatch(CoxminError):
     """Trace-DFT multiplicities disagree with exact kernel ranks."""
 
 
-class NoRegularPoint(CoxminError):
-    """The requested constrained regular point does not exist."""
-
-
 class NotAdmissible(CoxminError):
     """The angle sequence does not span a regular point of V."""
 

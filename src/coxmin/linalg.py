@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import FieldMismatch
 from .scalars import AlgebraicScalar, ScalarField, _normal, _primitive
@@ -212,62 +211,6 @@ def subspace_equal(b1: Matrix, b2: Matrix) -> bool:
     # The RREF of a row space is unique and the scalars' normal form is
     # canonical, so equal spans have equal reduced bases.
     return rref(b1) == rref(b2)
-
-
-# ---------------------------------------------------------------------------
-# Deterministic rational tuple enumeration.
-
-
-def _fractions_by_height() -> Iterator[Fraction]:
-    """Q ordered by height max(|a|, b) of a/b in lowest terms, ties by value.
-
-    The fractions of height h are the coprime pairs on the rim of the box
-    [-h, h] x [1, h]: a = +-h with b <= h, or b = h with 0 < |a| < h.
-    """
-    yield Fraction(0)
-    for h in itertools.count(1):
-        rim = [(a, b) for b in range(1, h + 1) for a in (-h, h)]
-        rim += [(a, h) for a in range(1 - h, h) if a]
-        yield from sorted(Fraction(a, b) for a, b in rim if math.gcd(a, b) == 1)
-
-
-def rational_tuples(m: int, start_index: int = 0) -> Iterator[tuple[Fraction, ...]]:
-    """Deterministic enumeration of Q^m, ordered by entry height.
-
-    The same (m, start_index) always yields the same stream; downstream
-    constructions that take "the first tuple that works" are therefore
-    reproducible run to run.
-    """
-    if m == 0:
-        yield ()
-        return
-    fracs: list[Fraction] = []
-    gen = _fractions_by_height()
-
-    def frac(i: int) -> Fraction:
-        while len(fracs) <= i:
-            fracs.append(next(gen))
-        return fracs[i]
-
-    idx = 0
-    for total in itertools.count(0):
-        for split in _ring(m, total):
-            if idx >= start_index:
-                yield tuple(frac(i) for i in split)
-            idx += 1
-
-
-def _ring(m: int, top: int) -> Iterator[tuple[int, ...]]:
-    """The tuples in range(top + 1)^m with largest entry top, in lexicographic
-    order: first those led by a < top (with top in the rest), then by top."""
-    if m == 1:
-        yield (top,)
-        return
-    for a in range(top):
-        for rest in _ring(m - 1, top):
-            yield (a,) + rest
-    for rest in itertools.product(range(top + 1), repeat=m - 1):
-        yield (top,) + rest
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,11 @@ import itertools
 import math
 import weakref
 from fractions import Fraction
+from operator import mul
 
 from coxmin.braid import TwistedBraid
 from coxmin.coxeter import Chamber, GroupElement, compose, invert_perm
-from coxmin.eigen import order, regular_point
+from coxmin.eigen import _combination, order
 from coxmin.errors import FieldTooSmall, TheoremViolation
 from coxmin.linalg import (cone_from_constraints, in_span, kernel_basis, rref,
                            vec_add, vec_dot, vec_is_zero, vec_scale,
@@ -437,26 +438,34 @@ def relative_interior_point(cone):
 def lex_chamber_by_reflection(filtration, start_index=0):
     """The good-position chamber's lexicographic walk on exact points.
 
-    The chamber of p = x_1 + eps x_2 + ... (regular points of the growth
-    levels F_i, then of V, eps symbolic): while some simple root pairs
-    negatively with p, reflect every x_i by the least such s_i, and pair
-    them all again.  Returns the chamber g^-1(C) for the product g of the
-    reflections.
+    Level i's symbolic point x_i(s + delta) = sum_j (s + delta)^j b_j over
+    the eigenbases of the first i angles is the polynomial sum_k delta^k
+    y_ik with y_ik = sum_j C(j, k) s^(j-k) b_j, built here as exact
+    vectors.  The chamber is that of p = x_1 + eps x_2 + ... with eps
+    infinitesimal beside delta, so a root's sign at p is its first nonzero
+    pairing along y_10, y_11, ..., y_20, ....  While some simple root pairs
+    negatively with p, reflect every y_ik by the least such s_i and pair
+    them all again, by the bilinear form.  Returns the chamber g^-1(C) for
+    the product g of the reflections.
     """
     system = filtration.system
-    field, n = system.field, system.rank
-    points = [regular_point(system, basis, start_index=start_index)
-              for prev, basis in zip(filtration.f_bases, filtration.f_bases[1:])
-              if len(basis) > len(prev)]
-    ident = [tuple(field.one if i == j else field.zero for j in range(n))
-             for i in range(n)]
-    points.append(regular_point(system, ident, start_index=start_index))
+    field, n, s = system.field, system.rank, start_index
+    points, cur = [], []
+    for basis in filtration.bases:
+        if not basis:
+            continue
+        cur = cur + list(basis)
+        for k in range(len(cur)):
+            coeffs = [field.from_rational(math.comb(j, k) * s ** (j - k)) if j >= k
+                      else field.zero for j in range(len(cur))]
+            points.append(_combination(field, coeffs, cur))
 
     def lex_sign(i):
+        alpha = system.root_vector(i)
         for p in points:
-            s = field.sign_of(system.pairing(i, p)[0])
-            if s:
-                return s
+            sign = system.inner(alpha, p).sign()
+            if sign:
+                return sign
         return 0
 
     g = system.identity
@@ -466,6 +475,109 @@ def lex_chamber_by_reflection(filtration, start_index=0):
             return Chamber(system, g.inverse())
         points = [reflect_vector(system, i, p) for p in points]
         g = system.generator(i) * g
+
+
+# ---------------------------------------------------------------------------
+# Regular points by the tuple scan: the first tuple of a deterministic
+# enumeration of Q^m that avoids every hyperplane missing the subspace.
+
+
+def _fractions_by_height():
+    """Q ordered by height max(|a|, b) of a/b in lowest terms, ties by value.
+
+    The fractions of height h are the coprime pairs on the rim of the box
+    [-h, h] x [1, h]: a = +-h with b <= h, or b = h with 0 < |a| < h.
+    """
+    yield Fraction(0)
+    for h in itertools.count(1):
+        rim = [(a, b) for b in range(1, h + 1) for a in (-h, h)]
+        rim += [(a, h) for a in range(1 - h, h) if a]
+        yield from sorted(Fraction(a, b) for a, b in rim if math.gcd(a, b) == 1)
+
+
+def rational_tuples(m, start_index=0):
+    """Deterministic enumeration of Q^m, ordered by entry height."""
+    if m == 0:
+        yield ()
+        return
+    fracs = []
+    gen = _fractions_by_height()
+
+    def frac(i):
+        while len(fracs) <= i:
+            fracs.append(next(gen))
+        return fracs[i]
+
+    idx = 0
+    for total in itertools.count(0):
+        for split in _ring(m, total):
+            if idx >= start_index:
+                yield tuple(frac(i) for i in split)
+            idx += 1
+
+
+def _ring(m, top):
+    """The tuples in range(top + 1)^m with largest entry top, in lexicographic
+    order: first those led by a < top (with top in the rest), then by top."""
+    if m == 1:
+        yield (top,)
+        return
+    for a in range(top):
+        for rest in _ring(m - 1, top):
+            yield (a,) + rest
+    for rest in itertools.product(range(top + 1), repeat=m - 1):
+        yield (top,) + rest
+
+
+def regular_point(system, basis, start_index=0):
+    """A deterministic regular point of K = span(basis).
+
+    sum_i c_i b_i for the first tuple c of rational_tuples(m, start_index)
+    that avoids every hyperplane missing K.  Rings 0..R of the enumerator
+    form an (R+1)^m grid, on which each avoided root's nonzero form
+    vanishes at most (R+1)^(m-1) times, so (R+1)^m - start_index tuples
+    suffice for R + 1 = #avoid + start_index + 1; running past that bound
+    raises TheoremViolation.  The zero subspace and a negative start index
+    raise ValueError.
+    """
+    if start_index < 0:
+        raise ValueError(f"start_index must be >= 0, got {start_index}")
+    if not basis or all(vec_is_zero(b) for b in basis):
+        raise ValueError("the zero subspace has no regular points")
+    field, m = system.field, len(basis)
+    rows = list(zip(*[system.root_pairings(b) for b in basis]))
+    forms = [_integer_forms(row) for row in rows if any(any(num) for num, _ in row)]
+    count = (len(forms) + start_index + 1) ** m - start_index
+    tuples = itertools.islice(rational_tuples(m, start_index), count)
+    found = next((c for c in tuples
+                  if not _meets_a_hyperplane(_cleared(c), forms)), None)
+    if found is None:
+        raise TheoremViolation(f"no regular point among {count} tuples")
+    return _combination(field, [field.from_rational(c) for c in found], basis)
+
+
+# The scan's zero test.  <alpha_r, sum c_i b_i> vanishes iff each of its
+# power-basis coefficients does.  Over E_r, the lcm of the row's
+# denominators, these are the integer forms c -> sum_i c_i num_ri[k] E_r /
+# den_ri; clearing the tuple's denominators keeps every zero.
+
+
+def _integer_forms(row):
+    """The nonzero integer forms of a row of (num, den) pairings."""
+    e = math.lcm(*[den for _, den in row])
+    scaled = [[x * (e // den) for x in num] for num, den in row]
+    return [f for f in zip(*scaled) if any(f)]
+
+
+def _cleared(coeffs):
+    """The tuple times the lcm of its denominators."""
+    q = math.lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (q // c.denominator) for c in coeffs]
+
+
+def _meets_a_hyperplane(ints, forms):
+    """Whether every form of some row vanishes at the cleared tuple."""
+    return any(not any(sum(map(mul, ints, f)) for f in row) for row in forms)
 
 
 def normal_form_is_valid(nf) -> bool:

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -14,22 +15,23 @@ from coxmin.conjugacy import enumerate_classes
 from coxmin.coxeter import (Chamber, CoxeterMatrix, build_system,
                             enumerate_twists, named_matrix, untwisted,
                             TwistedElement)
-from coxmin.eigen import (_combination, admissible_filtration,
+from coxmin.eigen import (_combination, _eigenbasis_tables,
+                          _pairing_tables, admissible_filtration,
                           closure_holds_regular_point, eigen_decomposition,
                           elliptic_parabolic_certificate, fixed_space,
                           good_position_chamber, hyperplanes_containing,
                           is_elliptic, is_quasi_elliptic, order,
-                          reflection_subgroup, regular_point, _cleared,
-                          _decompose, _integer_forms, _meets_a_hyperplane,
-                          _traces)
-from coxmin.errors import (MultiplicityMismatch, NoRegularPoint, NotAdmissible,
+                          reflection_subgroup, _decompose, _traces)
+from coxmin.errors import (MultiplicityMismatch, NotAdmissible,
                            TheoremViolation)
-from coxmin.linalg import (cone_from_constraints, rational_tuples, vec_add,
-                           vec_is_zero, vec_scale, zero_vector)
+from coxmin.linalg import (cone_from_constraints, vec_add, vec_is_zero,
+                           vec_scale, zero_vector)
 from coxmin.scalars import get_field
-from oracles import (all_roots_chamber_cone, cone_point_avoiding,
+from oracles import (_cleared, _integer_forms, _meets_a_hyperplane,
+                     all_roots_chamber_cone, cone_point_avoiding,
                      decompose_by_full_scan, lex_chamber_by_reflection,
-                     solve_in_span, traces_by_matrix_powers)
+                     rational_tuples, regular_point, solve_in_span,
+                     traces_by_matrix_powers)
 from test_acceptance import PRODUCTS
 from test_conjugacy import _block_diagonal
 
@@ -184,7 +186,7 @@ def test_regular_point_examples_and_determinism():
     assert not a2.pair_root(1, vk).is_zero()
     assert not a2.pair_root(2, vk).is_zero()
     # The zero subspace has no regular point.
-    with pytest.raises(NoRegularPoint):
+    with pytest.raises(ValueError):
         regular_point(a2, [])
 
 
@@ -313,11 +315,19 @@ def test_admissible_filtration():
     assert filtpi.admissible
 
 
+def level_bases(filt):
+    """Bases of F_1, F_2, ...: the angles' eigenbases, concatenated."""
+    out, cur = [], []
+    for basis in filt.bases:
+        cur = cur + list(basis)
+        out.append(cur)
+    return out
+
+
 def good_position_predicate(chamber, filt):
     """Independent from-scratch check of the good-position property."""
     system = filt.system
-    for i in range(len(filt.f_bases) - 1):
-        basis = filt.f_bases[i + 1]
+    for i, basis in enumerate(level_bases(filt)):
         if not basis:
             return False
         m = len(basis)
@@ -365,18 +375,23 @@ def test_good_position_failure_is_a_violation(monkeypatch):
 
 @pytest.mark.parametrize("name", ["B3", "H3", "D4"])
 def test_good_position_chamber_reads_one_point_per_growth_level(monkeypatch, name):
-    # The last growth level of an admissible filtration lies on no
-    # hyperplane, so its point is regular in V and no further generic
-    # vector is read: one regular_point call per level whose dimension grows.
+    # A root's sign at p is read at the first level whose F_i its
+    # hyperplane misses, so the levels read are the irredundant ones, each
+    # a growth level; the last of them already lies on no hyperplane, so
+    # no point of V beyond the filtration is read.
     import coxmin.eigen as eigen_mod
-    calls = []
-    real = eigen_mod.regular_point
+    levels = set()
+    real = eigen_mod._level_signs
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counted(filtration, start_index):
+        sign = real(filtration, start_index)
 
-    monkeypatch.setattr(eigen_mod, "regular_point", counted)
+        def read(r, i):
+            levels.add(i)
+            return sign(r, i)
+        return read
+
+    monkeypatch.setattr(eigen_mod, "_level_signs", counted)
     system = build_system(named_matrix(name))
     for twist in enumerate_twists(system.matrix):
         for rec in enumerate_classes(system, twist):
@@ -386,25 +401,84 @@ def test_good_position_chamber_reads_one_point_per_growth_level(monkeypatch, nam
                 sequences.append(tuple(eig.angles[1:]))
             for angles in sequences:
                 filt = admissible_filtration(eig.owner, angles, eig=eig)
-                growth = sum(len(b) > len(prev) for prev, b in
-                             zip(filt.f_bases, filt.f_bases[1:]))
-                del calls[:]
+                growth = {i + 1 for i, b in enumerate(filt.bases) if b}
+                levels.clear()
                 good_position_chamber(filt)
-                assert len(calls) == growth
+                assert levels == set(filt.irredundant_indices)
+                assert levels <= growth
 
 
-def test_zero_lexicographic_sign_is_a_violation(monkeypatch):
-    # A growth point on a hyperplane of V leaves that root with no sign:
-    # the walk raises instead of reading the sign as 0.
-    import coxmin.eigen as eigen_mod
+def test_zero_lexicographic_sign_is_a_violation():
+    # A level basis that lies on a hyperplane its level's H_{F_i} misses
+    # leaves that root with no sign: the walk raises instead of reading
+    # the sign as 0.
     a2 = build_system(named_matrix("A2"))
     w = untwisted(a2.element_from_word([0, 1]))
     eig = eigen_decomposition(w, dft_check=False)
     filt = admissible_filtration(w, eig.angles, eig)
-    on_wall = regular_point(a2, fixed_space(untwisted(a2.generator(0))))
-    monkeypatch.setattr(eigen_mod, "regular_point", lambda *a, **k: on_wall)
+    on_wall = fixed_space(untwisted(a2.generator(0)))
+    corrupted = dataclasses.replace(filt, bases=(on_wall,))
     with pytest.raises(TheoremViolation):
-        good_position_chamber(filt)
+        good_position_chamber(corrupted)
+    # A carried filtration has no bases to read.
+    carried = filt.conjugate_by(a2.generator(0))
+    assert carried.bases is None
+    with pytest.raises(ValueError):
+        good_position_chamber(carried)
+
+
+def test_good_elements_do_no_elimination_and_pair_each_eigenvector_once():
+    # In a fresh interpreter, over every class of H4 and F4 (the good
+    # element and, for a quasi-elliptic class, the corollary's nonzero
+    # angles): once the decompositions exist, good_min_element runs no rref
+    # and maps no vector, and pairs only eigenbasis vectors, each at most
+    # once per view.
+    script = (
+        "import sys\n"
+        "from collections import Counter\n"
+        "from coxmin import braid, conjugacy, coxeter, eigen, linalg\n"
+        "counts, paired, eigvecs, records = Counter(), Counter(), set(), []\n"
+        "real_rref = linalg.rref\n"
+        "real_apply = coxeter.GroupElement.apply\n"
+        "real_pairings = coxeter.CoxeterSystem.root_pairings\n"
+        "def counted_rref(*args):\n"
+        "    counts['rref'] += 1\n"
+        "    return real_rref(*args)\n"
+        "def counted_apply(self, v):\n"
+        "    counts['apply'] += 1\n"
+        "    return real_apply(self, v)\n"
+        "def counted_pairings(self, v):\n"
+        "    paired[(id(self), v)] += 1\n"
+        "    return real_pairings(self, v)\n"
+        "for name in ('H4', 'F4'):\n"
+        "    system = coxeter.build_system(coxeter.named_matrix(name))\n"
+        "    for twist in coxeter.enumerate_twists(system.matrix):\n"
+        "        records += conjugacy.enumerate_classes(system, twist)\n"
+        "for rec in records:\n"
+        "    eig = eigen.eigen_decomposition(rec.representative, dft_check=False)\n"
+        "    eigvecs.update((id(eig.system), v) for _, _, b in eig.entries for v in b)\n"
+        "for name, module in list(sys.modules.items()):\n"
+        "    if name.startswith('coxmin') and getattr(module, 'rref', None) is real_rref:\n"
+        "        module.rref = counted_rref\n"
+        "coxeter.GroupElement.apply = counted_apply\n"
+        "coxeter.CoxeterSystem.root_pairings = counted_pairings\n"
+        "for rec in records:\n"
+        "    braid.good_min_element(rec)\n"
+        "    if rec.quasi_elliptic:\n"
+        "        braid.verify_quasi_elliptic_divisibility(rec)\n"
+        "print(len(records), counts['rref'], counts['apply'])\n"
+        "print(max(paired.values()), set(paired) <= eigvecs, len(paired))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    classes, rrefs, applies = map(int, proc.stdout.split()[:3])
+    most, only_eigenvectors, vectors = proc.stdout.split()[3:]
+    assert (classes, rrefs, applies) == (70, 0, 0)
+    assert (most, only_eigenvectors) == ("1", "True") and int(vectors) > classes
 
 
 # The criterion 10 and 11 sweeps: rank five and six, and the products.
@@ -417,8 +491,10 @@ def test_sign_walk_and_carried_filtration_match_references(label):
     # Every class and twist, for the full angle sequence (and the nonzero
     # angles of a quasi-elliptic class with fixed points), at two start
     # indices: the walk on root signs ends in the chamber of the walk that
-    # reflects and pairs its points again, and the filtration carried to
-    # w_A equals the one built from w_A's own eigenspaces, field by field.
+    # reflects and pairs the symbolic points' coefficient vectors again,
+    # the filtration carried to w_A equals the one built from w_A's own
+    # eigenspaces, field by field, and each H_{F_i}, a meet of the
+    # eigenspaces' hyperplane sets, is the set of F_i's basis itself.
     names = label.split("x")
     matrix = _block_diagonal(*names) if len(names) > 1 else named_matrix(label)
     system = build_system(matrix)
@@ -431,6 +507,9 @@ def test_sign_walk_and_carried_filtration_match_references(label):
                 sequences.append(tuple(eig.angles[1:]))
             for angles in sequences:
                 filt = admissible_filtration(w, angles, eig=eig)
+                assert filt.hyperplane_sets[1:] == [
+                    hyperplanes_containing(eig.system, b) if b else
+                    frozenset(range(system.npos)) for b in level_bases(filt)]
                 for start in (0, 1):
                     chamber = good_position_chamber(filt, start)
                     assert chamber == lex_chamber_by_reflection(filt, start), \
@@ -440,10 +519,96 @@ def test_sign_walk_and_carried_filtration_match_references(label):
                     assert carried.owner == own.owner
                     assert carried.system is own.system
                     assert carried.angles == own.angles
-                    assert carried.f_bases == own.f_bases
                     assert carried.hyperplane_sets == own.hyperplane_sets
                     assert carried.irredundant_indices == own.irredundant_indices
                     assert carried.admissible == own.admissible
+
+
+def _abs_bounds(field, num, den):
+    """Rationals 0 < lo <= |num / den| <= hi for a nonzero value."""
+    eps = Fraction(1)
+    while True:
+        lo, hi = field.interval_of(num, eps, den)
+        if lo > 0 or hi < 0:
+            return min(abs(lo), abs(hi)), max(abs(lo), abs(hi))
+        eps /= 16
+
+
+def real_level_points(filt, start):
+    """Exact points x_i(s + delta) = sum_j (s + delta)^j b_j of the growth
+    levels (None for a level that does not grow), for one rational delta.
+
+    <alpha_r, x_i(s + delta)> = sum_k delta^k a_k with a_k the pairing of
+    y_k = sum_j C(j, k) s^(j-k) b_j.  With a_k0 its lowest nonzero
+    coefficient, every nonzero root of the polynomial has |delta| >=
+    |a_k0| / (|a_k0| + max_k |a_k|) (Cauchy's bound on the reversed
+    polynomial), so below that bound, for every root and level, the sign at
+    delta is the sign of a_k0.  delta is the largest power of 1/2 strictly
+    below it.
+    """
+    system, field = filt.system, filt.system.field
+    levels, cur = [], []
+    for basis in filt.bases:
+        cur = cur + list(basis)
+        levels.append(list(cur) if basis else None)
+    bound = Fraction(1)
+    for cur in filter(None, levels):
+        ys = [_combination(field, [field.from_rational(math.comb(j, k) * start ** (j - k))
+                                   if j >= k else field.zero for j in range(len(cur))], cur)
+              for k in range(len(cur))]
+        pairs = [system.root_pairings(y) for y in ys]
+        for r in range(system.npos):
+            coeffs = [p[r] for p in pairs if any(p[r][0])]
+            if coeffs:
+                lead, _ = _abs_bounds(field, *coeffs[0])
+                top = max((_abs_bounds(field, *c)[1] for c in coeffs[1:]), default=0)
+                bound = min(bound, lead / (lead + top))
+    delta = Fraction(1)
+    while delta >= bound:
+        delta /= 2
+    t = start + delta
+    return [cur and _combination(field, [field.from_rational(t ** j)
+                                         for j in range(len(cur))], cur)
+            for cur in levels]
+
+
+@pytest.mark.parametrize("label", SWEEP_LABELS)
+def test_symbolic_chamber_is_in_good_position_at_real_points(label):
+    # Every class and twist of the criterion 10 and 11 sweeps, at start
+    # indices 0 and 1: at the real points x_i(s + delta) of one rational
+    # delta below every root's Cauchy bound, x_i lies on exactly the
+    # hyperplanes of H_{F_i}, and x_{i+1} lies in the closure of the
+    # chamber's H_{F_i}-component: its sign is the chamber's at every root
+    # of H_{F_i} that misses F_{i+1}.
+    names = label.split("x")
+    matrix = _block_diagonal(*names) if len(names) > 1 else named_matrix(label)
+    system = build_system(matrix)
+    checked = 0
+    for twist in enumerate_twists(matrix):
+        for rec in enumerate_classes(system, twist):
+            eig = eigen_decomposition(rec.representative, dft_check=False)
+            view = eig.system
+            sequences = [tuple(eig.angles)]
+            if rec.quasi_elliptic and eig.angles[0] == 0:
+                sequences.append(tuple(eig.angles[1:]))
+            for angles in sequences:
+                filt = admissible_filtration(eig.owner, angles, eig=eig)
+                hsets = filt.hyperplane_sets
+                for start in (0, 1):
+                    chamber = good_position_chamber(filt, start)
+                    points = real_level_points(filt, start)
+                    for i, x in enumerate(points):
+                        if x is None:
+                            continue
+                        pairs = view.root_pairings(x)
+                        for r in range(view.npos):
+                            sign = view.field.sign_of(pairs[r][0])
+                            assert (sign == 0) == (r in hsets[i + 1])
+                            if r in hsets[i] and sign:
+                                assert sign == chamber.sign(r), \
+                                    (label, twist.perm, rec.class_id, angles, start, i, r)
+                                checked += 1
+    assert checked >= view.npos
 
 
 @pytest.mark.parametrize("label", SWEEP_LABELS + ["H4"])
@@ -514,8 +679,10 @@ def test_memoized_results_are_shared():
     eig = eigen_decomposition(w, dft_check=False)
     assert eigen_decomposition(w) is eig
     assert eigen_decomposition(untwisted(h3.element_from_word([0, 1, 2]))) is eig
-    V = identity_basis(h3)
-    assert regular_point(h3, V) is regular_point(h3, list(V))
+    basis = eig.entries[0][2]
+    tables = _eigenbasis_tables(h3, basis)
+    assert all(a is b for a, b in zip(_eigenbasis_tables(h3, list(basis)), tables))
+    assert all(a is b for a, b in zip(_pairing_tables(h3, tuple(basis)), tables))
 
 
 def test_memoized_decomposition_still_runs_requested_dft_check():
@@ -545,16 +712,19 @@ def test_memo_entries_are_per_view_and_start_index():
     assert on_base.system is b3 and on_lift.system is lift
     assert on_base is not on_lift
     assert on_base.angles == on_lift.angles
-    p_base = regular_point(b3, identity_basis(b3))
-    p_lift = regular_point(lift, identity_basis(lift))
-    assert {c.field.L for c in p_base} == {4}
-    assert {c.field.L for c in p_lift} == {12}
-    # Two start indices give two different points, each memoized.
-    V = identity_basis(b3)
-    p21 = regular_point(b3, V, start_index=21)
-    assert p21 != p_base
-    assert regular_point(b3, V, start_index=21) is p21
-    assert regular_point(b3, V) is p_base
+    # Each view keeps the tables of its own filtrations' eigenbases.
+    f_base = admissible_filtration(on_base.owner, on_base.angles, on_base)
+    f_lift = admissible_filtration(on_lift.owner, on_lift.angles, on_lift)
+    assert set(b3._pairing_tables) == {v for b in f_base.bases for v in b}
+    assert set(lift._pairing_tables) == {v for b in f_lift.bases for v in b}
+    assert all(a is not b for a in b3._pairing_tables.values()
+               for b in lift._pairing_tables.values())
+    # Every start index reads the same tables: nothing is kept per index.
+    kept = dict(b3._pairing_tables)
+    for start in (0, 1, 21):
+        good_position_chamber(f_base, start)
+    assert b3._pairing_tables == kept
+    assert all(b3._pairing_tables[k] is v for k, v in kept.items())
     # The same body under two powers of one twist: two elements.
     a2 = build_system(named_matrix("A2"))
     delta = enumerate_twists(a2.matrix)[1]
@@ -589,7 +759,7 @@ def _forget_geometry(system):
     """Empty the memo dicts of a system and all its lifts."""
     for view in (system, *system._lifts.values()):
         view._eigen.clear()
-        view._regular_points.clear()
+        view._pairing_tables.clear()
         view._closure_verdicts.clear()
         view._hyperplanes.clear()
 
@@ -615,11 +785,17 @@ def test_memoized_geometry_matches_fresh_system(name):
             assert eig.entries == feig.entries and eig.v_wt == feig.v_wt
             bases = [b for _, _, b in eig.entries] + [identity_basis(eig.system)]
             chamber_bodies = (0, (rec.class_id * 7919) % rec.coset.table.size)
+            filt = admissible_filtration(eig.owner, eig.angles, eig)
+            for start in (0, 21):
+                _forget_geometry(fresh)
+                feig = eigen_decomposition(frec.representative, dft_check=False)
+                ffilt = admissible_filtration(feig.owner, feig.angles, feig)
+                assert good_position_chamber(filt, start).x.perm == \
+                    good_position_chamber(ffilt, start).x.perm
             for basis in bases:
-                for start in (0, 21):
-                    _forget_geometry(fresh)
-                    assert regular_point(eig.system, basis, start_index=start) == \
-                        regular_point(feig.system, basis, start_index=start)
+                _forget_geometry(fresh)
+                assert _pairing_tables(eig.system, basis) == \
+                    _pairing_tables(feig.system, basis)
                 # The closed-chamber verdict, once from the memo and once fresh.
                 for body in chamber_bodies:
                     inside = Chamber(eig.system, rec.coset.table.element(body))
@@ -713,13 +889,12 @@ def test_regular_point_equals_uncapped_search(name):
         for rec in enumerate_classes(system, twist):
             eig = eigen_decomposition(rec.representative, dft_check=False)
             filt = admissible_filtration(eig.owner, eig.angles, eig=eig)
-            for basis in ([b for _, _, b in eig.entries] + filt.f_bases[1:]
+            for basis in ([b for _, _, b in eig.entries] + level_bases(filt)
                           + [identity_basis(eig.system)]):
                 bases.add((eig.system, tuple(basis)))
     assert len(bases) > 10
     for view, basis in sorted(bases, key=repr):
         for start in (0, 21):
-            view._regular_points.clear()
             assert regular_point(view, list(basis), start_index=start) == \
                 _first_regular_tuple(view, list(basis), start)
 
@@ -727,7 +902,7 @@ def test_regular_point_equals_uncapped_search(name):
 def test_regular_point_past_its_bound_is_a_violation(monkeypatch):
     # A stream that never yields a usable tuple must stop at the proven
     # count and raise, not loop or return a point.
-    import coxmin.eigen as eigen_mod
+    import oracles
     drawn = []
 
     def zeros(m, start_index=0):
@@ -736,7 +911,7 @@ def test_regular_point_past_its_bound_is_a_violation(monkeypatch):
             yield (Fraction(0),) * m
 
     a2 = build_system(named_matrix("A2"))
-    monkeypatch.setattr(eigen_mod, "rational_tuples", zeros)
+    monkeypatch.setattr(oracles, "rational_tuples", zeros)
     with pytest.raises(TheoremViolation):
         regular_point(a2, identity_basis(a2), start_index=2)
     # Three hyperplanes to avoid, start index 2: (3 + 2 + 1)^2 - 2 tuples.

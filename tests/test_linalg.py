@@ -4,15 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from coxmin import linalg
+import oracles
 from coxmin.errors import FieldMismatch, TheoremViolation
 from coxmin.linalg import (cone_from_constraints, in_span, kernel_basis, rank,
-                           rational_tuples, rref, subspace_equal, vec_add,
-                           vec_dot, vec_scale)
+                           rref, subspace_equal, vec_add, vec_dot, vec_scale)
 from coxmin.scalars import get_field
 from oracles import (cone_point_avoiding, fractions_by_height_boxes,
-                     intersect_subspaces, relative_interior_point,
-                     rref_by_inverses, solve_in_span, subspace_contains)
+                     intersect_subspaces, rational_tuples,
+                     relative_interior_point, rref_by_inverses, solve_in_span,
+                     subspace_contains)
 
 LEVELS = (1, 4, 5, 6, 12, 30)
 
@@ -158,7 +158,7 @@ def _rational_tuples_filtered(m, start_index=0):
     """The generator before rings were built directly: it walks the whole
     box range(R + 1)^m of each ring R and drops the tuples with max < R."""
     fracs = []
-    gen = linalg._fractions_by_height()
+    gen = oracles._fractions_by_height()
 
     def frac(i):
         while len(fracs) <= i:
@@ -177,7 +177,7 @@ def _rational_tuples_filtered(m, start_index=0):
 
 def test_fractions_by_height_match_the_box_scan():
     # The rim of each height's box against the scan of the whole box.
-    assert (list(itertools.islice(linalg._fractions_by_height(), 20000))
+    assert (list(itertools.islice(oracles._fractions_by_height(), 20000))
             == list(itertools.islice(fractions_by_height_boxes(), 20000)))
 
 

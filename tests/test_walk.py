@@ -13,14 +13,14 @@ from coxmin.coxeter import (Chamber, CoxeterMatrix, DiagramTwist, build_system,
                             conjugate_by_chamber, enumerate_twists,
                             named_matrix, untwisted)
 from coxmin.eigen import (_combination, eigen_decomposition, fixed_space,
-                          hyperplanes_containing, regular_point)
+                          hyperplanes_containing)
 from coxmin.errors import HypothesisFailed
 from coxmin.linalg import rref
 from coxmin.walk import (_angle_of_invariant_subspace, _start_point,
                          component_length, decay_rate,
                          decompose_at_regular, derivative_test, descent_walk,
                          special_length_formula, strongly_connected_step)
-from oracles import all_roots_chamber_cone, reflection_element
+from oracles import all_roots_chamber_cone, reflection_element, regular_point
 
 
 def test_flow_curve_components():
