@@ -48,6 +48,8 @@ class BraidContext:
     """Normal-form machinery bound to one system's group table."""
 
     def __init__(self, system: CoxeterSystem, twist: DiagramTwist | None = None):
+        if twist is not None and twist.matrix != system.matrix:
+            raise ValueError(f"{twist!r} is a twist of another Coxeter matrix")
         self.system = system
         self.twist = twist if twist is not None else DiagramTwist(
             system.matrix, tuple(range(system.rank)))

@@ -58,7 +58,8 @@ from typing import Iterator, Sequence
 from .coxeter import (CoxeterMatrix, CoxeterSystem, DiagramTwist, GroupElement,
                       TwistedElement, build_system, is_minimal_double_coset_rep,
                       normalizes_parabolic, parabolic_index_map)
-from .eigen import _elliptic_kinds, elliptic_parabolic_certificate
+from .eigen import (elliptic_parabolic_certificate, is_elliptic,
+                    is_quasi_elliptic)
 from .errors import TheoremViolation
 
 
@@ -67,6 +68,8 @@ class TwistedCoset:
 
     def __init__(self, system: CoxeterSystem, twist: DiagramTwist, k: int = 1,
                  max_order: int = 10 ** 6):
+        if twist.matrix != system.matrix:
+            raise ValueError(f"{twist!r} is a twist of another Coxeter matrix")
         self.system = system
         self.twist = twist
         self.k = k % twist.order
@@ -210,14 +213,14 @@ def enumerate_classes(system: CoxeterSystem, twist: DiagramTwist | None = None,
         o_min = _least_length_prefix(els, t.length)
         mlen = t.length[els[0]]
         rep = coset.element(o_min[0])
-        ell, quasi = _elliptic_kinds(rep)
+        ell = is_elliptic(rep)
         if elliptic_parabolic_certificate(rep, els, t) != ell:
             raise TheoremViolation(
                 "parabolic criterion disagrees with the fixed-space test")
         records.append(ConjugacyClassRecord(
             coset=coset, class_id=cid, elements=els, o_min=o_min,
             min_length=mlen, elliptic=ell,
-            quasi_elliptic=quasi))
+            quasi_elliptic=is_quasi_elliptic(rep)))
     return records
 
 

@@ -300,14 +300,11 @@ class CoxeterSystem:
         self._twist_root_perms: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
         # Geometry memoized per view, since its vectors live in the view's
         # field (see eigen.eigen_decomposition, eigen._pairing_tables,
-        # eigen.closure_holds_regular_point, eigen.hyperplanes_containing,
-        # eigen.reduced_basis and walk._angle_of_invariant_subspace).
+        # eigen.closure_holds_regular_point and eigen.hyperplanes_containing).
         self._eigen: dict[tuple, list] = {}
         self._pairing_tables: dict[Vector, list] = {}
         self._closure_verdicts: dict[tuple, bool] = {}
         self._hyperplanes: dict[tuple, frozenset[int]] = {}
-        self._reduced: dict[tuple, tuple[Matrix, list[int]]] = {}
-        self._invariant_angles: dict[tuple, Fraction] = {}
         self._weights: tuple[Matrix, Vector] | None = None
 
     # -- roots ----------------------------------------------------------------
@@ -477,6 +474,8 @@ class CoxeterSystem:
         cache = self._base._twist_root_perms
         cached = cache.get(key)
         if cached is None:
+            if twist.matrix != self.matrix:
+                raise ValueError(f"{twist!r} is a twist of another Coxeter matrix")
             if m == 0:
                 cached = self._identity_perm
             elif m == 1:

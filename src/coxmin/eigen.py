@@ -42,10 +42,9 @@ called with, in plain dicts set up by CoxeterSystem.__init__: the
 decomposition of an element (with a flag recording whether its DFT check
 has run, so a later call that asks for the check still runs it once), the
 pairing table of each eigenbasis vector a filtration reads, the
-closed-chamber verdict of a basis and chamber, the hyperplanes containing
-a basis, and the reduced basis (RREF) of a basis that span tests reduce
-against (linalg.in_span).  A lift has its own dicts, as its vectors live
-in another field.
+closed-chamber verdict of a basis and chamber, and the hyperplanes
+containing a basis.  A lift has its own dicts, as its vectors live in
+another field.
 """
 
 from __future__ import annotations
@@ -60,8 +59,8 @@ from .coxeter import (Chamber, CoxeterSystem, GroupElement, TwistedElement,
 from .errors import (FieldTooSmall, MultiplicityMismatch, NotAdmissible,
                      TheoremViolation)
 from .linalg import (Cone, Matrix, Vector, cone_from_constraints, kernel_basis,
-                     mat_inverse, rref, vec_add, vec_dot, vec_is_zero,
-                     vec_scale, vec_sub, zero_vector)
+                     mat_inverse, vec_add, vec_dot, vec_is_zero, vec_scale,
+                     vec_sub, zero_vector)
 from .scalars import AlgebraicScalar, _normal
 
 Angle = Fraction  # q in [0, 1], theta = q*pi
@@ -316,18 +315,6 @@ def hyperplanes_containing(system: CoxeterSystem, basis: Matrix) -> frozenset[in
     return cached
 
 
-def reduced_basis(system: CoxeterSystem, basis: Matrix) -> tuple[Matrix, list[int]]:
-    """rref(basis), the form linalg.in_span tests against.
-
-    Memoized on `system` per basis; callers must not mutate the result.
-    """
-    key = tuple(basis)
-    cached = system._reduced.get(key)
-    if cached is None:
-        cached = system._reduced[key] = rref(basis)
-    return cached
-
-
 def reflection_subgroup(system: CoxeterSystem, basis: Matrix) -> list[int]:
     """Generating reflections of W_K as sorted positive-root indices."""
     return sorted(hyperplanes_containing(system, basis))
@@ -346,6 +333,15 @@ def closure_holds_regular_point(system: CoxeterSystem, basis: Matrix,
     integer pairings.  A p outside the closed chamber means a wrong double
     description: TheoremViolation.  The zero subspace has no regular point.
     Verdicts are memoized per (basis, chamber).
+
+    The same test answers whether K & closure(A) spans K, which is what
+    walk.strongly_connected_step asks of P = H_0 & K.  A cone that spans K
+    is full-dimensional in K, and a full-dimensional piece of K minus the
+    finitely many proper subspaces H_r & K, r outside H_K, is not empty.
+    Conversely a regular point x of K in closure(A) lies on exactly the
+    hyperplanes of H_K, so the points of their meet near x keep x's sign
+    at every other root and lie in closure(A) too; that meet holds K, so
+    the cone holds a neighbourhood of x in K and spans K.
     """
     if not basis or all(vec_is_zero(b) for b in basis):
         return False
@@ -353,7 +349,7 @@ def closure_holds_regular_point(system: CoxeterSystem, basis: Matrix,
     cached = system._closure_verdicts.get(key)
     if cached is not None:
         return cached
-    cone = _chamber_cone(system, basis, [chamber])
+    cone = _chamber_cone(system, basis, chamber)
     coords = zero_vector(system.field, len(basis))
     for g in [*cone.lines, *cone.rays]:
         coords = vec_add(coords, g)
@@ -368,22 +364,21 @@ def closure_holds_regular_point(system: CoxeterSystem, basis: Matrix,
     return holds
 
 
-def _chamber_cone(system: CoxeterSystem, basis: Matrix,
-                  chambers: Sequence[Chamber]) -> Cone:
-    """K & the closures of the chambers, in basis coordinates of K.
+def _chamber_cone(system: CoxeterSystem, basis: Matrix, chamber: Chamber) -> Cone:
+    """K & the closure of the chamber, in basis coordinates of K.
 
     A closed chamber is the meet of its n wall half-spaces, and a wall that
     contains K constrains nothing on K, so the walls that miss K, each with
-    its sign on its chamber, cut out the cone.
+    its sign on the chamber, cut out the cone.
     """
     field = system.field
     tables = _pairing_tables(system, basis)
-    walls = dict.fromkeys((r, ch.sign(r)) for ch in chambers for r in ch.walls())
     constraints = []
-    for r, s in walls:
+    for r in chamber.walls():
         if any(any(t[r][0]) for t in tables):
             row = tuple(_normal(field, *t[r]) for t in tables)
-            constraints.append(row if s > 0 else tuple(-x for x in row))
+            constraints.append(row if chamber.sign(r) > 0
+                               else tuple(-x for x in row))
     return cone_from_constraints(field, len(basis), constraints)
 
 
@@ -438,23 +433,15 @@ def elliptic_parabolic_certificate(w: TwistedElement,
 
 
 def is_quasi_elliptic(w: TwistedElement) -> bool:
-    """(V^w)-perp contains a regular point of V."""
-    return _elliptic_kinds(w)[1]
+    """(V^w)-perp contains a regular point of V: w fixes no root.
 
-
-def _elliptic_kinds(w: TwistedElement) -> tuple[bool, bool]:
-    """(is_elliptic(w), is_quasi_elliptic(w)) from one fixed-space basis."""
-    system = w.system
-    field = system.field
-    n = system.rank
-    fix = fixed_space(w)
-    if not fix:
-        return True, True  # complement is all of V
-    rows = [tuple(system.inner(f, tuple(field.one if j == i else field.zero
-                                        for j in range(n))) for i in range(n))
-            for f in fix]
-    comp = kernel_basis([tuple(r) for r in rows], n, field)
-    return False, bool(comp) and not hyperplanes_containing(system, comp)
+    A subspace holds a regular point iff it lies in no reflecting
+    hyperplane, and (V^w)-perp lies in H_r iff alpha_r lies in
+    ((V^w)-perp)-perp = V^w, that is iff w fixes alpha_r.  The identity
+    fixes every root, matching its zero complement.
+    """
+    perm = w.root_perm()
+    return all(perm[r] != r for r in range(w.system.npos))
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,11 @@ canonical, so the result is the one an elimination over the scalars
 themselves gives.
 
 A span test needs no new elimination: with (R, p) the RREF of a basis, v
-lies in the span iff v - sum_k v[p_k] R_k is zero (in_span).  eigen
-memoizes the RREF of the bases it tests against (eigen.reduced_basis).
+lies in the span iff v - sum_k v[p_k] R_k is zero (in_span).
 
 The double description machinery converts a cone {v : a_i . v >= 0} into a
 generator form (lineality basis + extreme rays).  eigen uses it to decide
-exactly whether a closed chamber contains a regular point of a subspace,
-and walk to find the span of a face's meet with a subspace.
+exactly whether a closed chamber contains a regular point of a subspace.
 """
 
 from __future__ import annotations
@@ -207,12 +205,6 @@ def in_span(red: Matrix, pivots: Sequence[int], v: Vector) -> bool:
     return vec_is_zero(v)
 
 
-def subspace_equal(b1: Matrix, b2: Matrix) -> bool:
-    # The RREF of a row space is unique and the scalars' normal form is
-    # canonical, so equal spans have equal reduced bases.
-    return rref(b1) == rref(b2)
-
-
 # ---------------------------------------------------------------------------
 # Double description: cone {v : a . v >= 0 for all constraints}.
 
@@ -225,10 +217,6 @@ class Cone:
         self.dim = dim
         self.lines = lines
         self.rays = rays
-
-    def span(self) -> Matrix:
-        red, _ = rref(list(self.lines) + list(self.rays))
-        return red
 
 
 def cone_from_constraints(field: ScalarField, dim: int, constraints: Sequence[Vector]) -> Cone:

@@ -47,12 +47,12 @@ from .conjugacy import ReductionChain, parabolic_subsystem
 from .coxeter import (Chamber, GroupElement, TwistedElement,
                       conjugate_by_chamber, coset_decompose,
                       normalizes_parabolic)
-from .eigen import (EigenDecomposition, _chamber_cone, _combination,
+from .eigen import (EigenDecomposition, _combination,
                     closure_holds_regular_point, eigen_decomposition,
-                    hyperplanes_containing, reduced_basis)
+                    hyperplanes_containing)
 from .errors import HypothesisFailed, TheoremViolation
-from .linalg import (Matrix, Vector, in_span, kernel_basis, rref, subspace_equal,
-                     vec_is_zero, vec_sub)
+from .linalg import (Matrix, Vector, in_span, kernel_basis, rref, vec_is_zero,
+                     vec_sub)
 
 
 def decay_rate(q: Fraction) -> float:
@@ -370,29 +370,22 @@ def _angle_of_invariant_subspace(w: TwistedElement, eig: EigenDecomposition,
                                  basis: Matrix) -> Fraction:
     """The q with span(basis) inside V^{q pi}; checks w-stability.
 
-    eig is w's decomposition.  Answers are memoized on eig.system per
-    (w, basis); a failed check is not, and raises again.
+    eig is w's decomposition.  A basis that is one of eig's own is read off
+    its entries; any other is reduced and tested against each eigenspace.
     """
-    system = eig.system
     vectors = tuple(basis)
-    key = (w.twist.perm, w.k, w.body.perm, vectors)
-    q = system._invariant_angles.get(key)
-    if q is not None:
-        return q
     # An eigenspace of w + w^-1 is w-stable, as w commutes with it: a basis
     # that is one of eig's own needs no check.
     for q, _, eigbasis in eig.entries:
         if vectors == tuple(eigbasis):
-            system._invariant_angles[key] = q
             return q
-    red, pivots = reduced_basis(system, basis)
+    red, pivots = rref(basis)
     # w is invertible, so w(K) inside K already gives w(K) = K.
     if not all(in_span(red, pivots, w.apply(b)) for b in basis):
         raise HypothesisFailed("subspace is not w-stable")
     for q, _, eigbasis in eig.entries:
-        eig_red, eig_pivots = reduced_basis(system, eigbasis)
+        eig_red, eig_pivots = rref(eigbasis)
         if all(in_span(eig_red, eig_pivots, b) for b in basis):
-            system._invariant_angles[key] = q
             return q
     raise HypothesisFailed("subspace lies in no single eigenspace")
 
@@ -552,11 +545,10 @@ def strongly_connected_step(w: TwistedElement, a: Chamber, a2: Chamber) -> int:
         raise HypothesisFailed("w fixes H_0 & V_w; the strong-connection "
                                "hypothesis fails")
 
-    # The common face closure must meet K in a set spanning P: compare the
-    # span of the cone K & closure(A) & closure(A') with P.
-    cone = _chamber_cone(system, k_basis, [a, a2])
-    span_vecs = [_combination(field, sc, k_basis) for sc in cone.span()]
-    if not subspace_equal(span_vecs, p_basis):
+    # The common face closure must meet K in a set spanning P.  It is
+    # closure(A) & H_0, so its meet with K is closure(A) & P, which spans P
+    # iff closure(A) holds a regular point of P.
+    if not closure_holds_regular_point(system, p_basis, a):
         raise HypothesisFailed("closure intersection does not span H_0 & V_w")
 
     theta0 = eig.theta0

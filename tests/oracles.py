@@ -11,9 +11,11 @@ from fractions import Fraction
 from operator import mul
 
 from coxmin.braid import TwistedBraid
-from coxmin.coxeter import Chamber, GroupElement, compose, invert_perm
-from coxmin.eigen import _combination, order
-from coxmin.errors import FieldTooSmall, TheoremViolation
+from coxmin.coxeter import (Chamber, GroupElement, compose,
+                            conjugate_by_chamber, invert_perm)
+from coxmin.eigen import (_combination, eigen_decomposition, fixed_space,
+                          hyperplanes_containing, order)
+from coxmin.errors import FieldTooSmall, HypothesisFailed, TheoremViolation
 from coxmin.linalg import (cone_from_constraints, in_span, kernel_basis, rref,
                            vec_add, vec_dot, vec_is_zero, vec_scale,
                            zero_vector)
@@ -382,6 +384,102 @@ def intersect_subspaces(b1, b2, field):
 def subspace_contains(basis, v) -> bool:
     """Whether v lies in span(basis), by a fresh RREF of the basis."""
     return in_span(*rref(basis), v)
+
+
+def subspace_equal(b1, b2) -> bool:
+    """Whether two bases span one subspace: the RREF of a row space is
+    unique and the scalars' normal form canonical, so equal spans have
+    equal reduced bases."""
+    return rref(b1) == rref(b2)
+
+
+def cone_span(cone):
+    """A reduced basis of the span of the cone's lines and rays."""
+    return rref(list(cone.lines) + list(cone.rays))[0]
+
+
+def quasi_elliptic_by_complement(w) -> bool:
+    """Whether the B-orthogonal complement of w's fixed space holds a
+    regular point of V.
+
+    The complement is the kernel of the form's rows at a basis of the fixed
+    space, and it holds a regular point iff no root pairs to zero with all
+    of its basis, read off fresh pairings.
+    """
+    system = w.system
+    field, n = system.field, system.rank
+    fix = fixed_space(w)
+    if not fix:
+        return True  # the complement is all of V
+    units = [tuple(field.one if j == i else field.zero for j in range(n))
+             for i in range(n)]
+    comp = kernel_basis([tuple(system.inner(f, e) for e in units) for f in fix],
+                        n, field)
+    tables = [system.root_pairings(b) for b in comp]
+    return bool(comp) and all(any(any(t[r][0]) for t in tables)
+                              for r in range(system.npos))
+
+
+def chambers_cone(system, basis, chambers):
+    """K & the closures of the chambers, in basis coordinates of K, from
+    the walls of each chamber that miss K."""
+    field = system.field
+    tables = [system.root_pairings(b) for b in basis]
+    walls = dict.fromkeys((r, ch.sign(r)) for ch in chambers for r in ch.walls())
+    constraints = []
+    for r, s in walls:
+        if any(any(t[r][0]) for t in tables):
+            row = tuple(_normal(field, *t[r]) for t in tables)
+            constraints.append(row if s > 0 else tuple(-x for x in row))
+    return cone_from_constraints(field, len(basis), constraints)
+
+
+def strongly_connected_by_span(w, a, a2) -> int:
+    """walk.strongly_connected_step with the face test as a span comparison.
+
+    The cone K & closure(A) & closure(A') is built from both chambers'
+    walls, and the span of its lines and rays is compared with
+    P = H_0 & K.  Every other hypothesis, its order and message, and the
+    conclusion are the package's.
+    """
+    eig = eigen_decomposition(w, dft_check=False)
+    system, w = eig.system, eig.owner
+    field = system.field
+    a, a2 = a.over(system), a2.over(system)
+    sep = a.separating_set(a2)
+    if len(sep) != 1:
+        raise HypothesisFailed("chambers do not share a common wall")
+    h0 = next(iter(sep))
+    k_basis = eig.v_wt
+    h_k = hyperplanes_containing(system, k_basis)
+    if h0 in h_k:
+        raise HypothesisFailed("the common wall contains V_w")
+    if a.separating_set(a.image_under(w)) & h_k:
+        raise HypothesisFailed("A and w(A) lie in different H_K-components")
+    if a2.separating_set(a2.image_under(w)) & h_k:
+        raise HypothesisFailed("A' and w(A') lie in different H_K-components")
+    prow = tuple(system.pair_root(h0, b) for b in k_basis)
+    ker = kernel_basis([prow], len(k_basis), field)
+    p_basis, p_pivots = rref([_combination(field, kv, k_basis) for kv in ker])
+    if not p_basis:
+        raise HypothesisFailed("H_0 meets V_w trivially")
+    if all(in_span(p_basis, p_pivots, w.apply(b)) for b in p_basis):
+        raise HypothesisFailed("w fixes H_0 & V_w; the strong-connection "
+                               "hypothesis fails")
+    cone = chambers_cone(system, k_basis, [a, a2])
+    span_vecs = [_combination(field, sc, k_basis) for sc in cone_span(cone)]
+    if not subspace_equal(span_vecs, p_basis):
+        raise HypothesisFailed("closure intersection does not span H_0 & V_w")
+    predicted = eig.theta0 * (system.npos - len(h_k))
+    if predicted.denominator != 1:
+        raise TheoremViolation("(theta/pi)#(H - H_K) is not an integer")
+    expected = len(a.separating_set(a.image_under(w)) & h_k) + int(predicted)
+    la = conjugate_by_chamber(w, a).length()
+    la2 = conjugate_by_chamber(w, a2).length()
+    if not (la == la2 == expected):
+        raise TheoremViolation(
+            f"strong connection: lengths {la}, {la2}, formula {expected}")
+    return expected
 
 
 def rref_by_inverses(rows):

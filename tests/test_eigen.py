@@ -30,9 +30,9 @@ from coxmin.scalars import get_field
 from oracles import (_cleared, _integer_forms, _meets_a_hyperplane,
                      all_roots_chamber_cone, cone_point_avoiding,
                      decompose_by_full_scan, lex_chamber_by_reflection,
-                     rational_tuples, regular_point, solve_in_span,
-                     traces_by_matrix_powers)
-from test_acceptance import PRODUCTS
+                     quasi_elliptic_by_complement, rational_tuples,
+                     regular_point, solve_in_span, traces_by_matrix_powers)
+from test_acceptance import PRODUCTS, RANK_LE_4
 from test_conjugacy import _block_diagonal
 
 
@@ -285,6 +285,37 @@ def test_quasi_elliptic_examples():
     assert not is_quasi_elliptic(untwisted(a2.identity))
     a1a1 = build_system(CoxeterMatrix([[1, 2], [2, 1]]))
     assert not is_quasi_elliptic(untwisted(a1a1.generator(0)))
+
+
+def test_quasi_ellipticity_reads_fixed_roots():
+    # w is quasi-elliptic iff it fixes no root: against the regular-point
+    # test on the complement of the fixed space, on every element of each
+    # rank <= 4 type under every twist (H4 by its class representatives),
+    # and on the class representatives of the criterion 10 and 11 sweeps.
+    elements = []
+    for name in RANK_LE_4:
+        system = build_system(named_matrix(name))
+        table = system.table()
+        for twist in enumerate_twists(system.matrix):
+            if name == "H4":
+                elements += [rec.representative
+                             for rec in enumerate_classes(system, twist)]
+            else:
+                elements += [TwistedElement(system, twist, 1, table.element(x))
+                             for x in range(table.size)]
+    for label in SWEEP_LABELS:
+        names = label.split("x")
+        matrix = _block_diagonal(*names) if len(names) > 1 else named_matrix(label)
+        system = build_system(matrix)
+        for twist in enumerate_twists(matrix):
+            elements += [rec.representative
+                         for rec in enumerate_classes(system, twist)]
+    verdicts = {True: 0, False: 0}
+    for w in elements:
+        quasi = is_quasi_elliptic(w)
+        assert quasi == quasi_elliptic_by_complement(w), (w.system, w.twist, w.body)
+        verdicts[quasi] += 1
+    assert min(verdicts.values()) > 1000
 
 
 def test_parabolic_criterion_certificate():

@@ -43,7 +43,12 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # calls (arrow chains are read off gp1's search) and the depth oracle that
 # checks them, and the regular points' tuple scan with its enumerator, its
 # integer zero test and its memo (good-position chambers read symbolic
-# points off the eigenbases' pairing tables).
+# points off the eigenbases' pairing tables), and the subspace tests that
+# one exact test answers, with their references: quasi-ellipticity by the
+# complement of the fixed space (w is quasi-elliptic iff it fixes no root),
+# the face-span comparison with its two-chamber cone (a closed chamber's
+# meet with H_0 & K spans it iff it holds a regular point of it), and the
+# RREF and invariant-angle memos that no workload re-read.
 BANNED = ("ConstructionFailed", "SearchBound", "conjugate_by_index",
           "_twist_body", "conj", "pruned", "is_valid", "expand",
           "is_left_weighted_pair", "reflection_element", "reflect_vector",
@@ -66,7 +71,10 @@ BANNED = ("ConstructionFailed", "SearchBound", "conjugate_by_index",
           "arrow_reach_by_frontier", "_plateau_exit", "_exit_cache",
           "arrow_depths_by_frontier", "rational_tuples", "_ring",
           "_fractions_by_height", "_integer_forms", "_cleared",
-          "_meets_a_hyperplane", "_regular_points", "NoRegularPoint")
+          "_meets_a_hyperplane", "_regular_points", "NoRegularPoint",
+          "_elliptic_kinds", "quasi_elliptic_by_complement", "subspace_equal",
+          "span", "cone_span", "chambers_cone", "strongly_connected_by_span",
+          "reduced_basis", "_reduced", "_invariant_angles")
 
 # Names that no package function, class or import may take, though a field
 # may: the tuple scan's regular point is gone, while WalkResult.regular_point
@@ -196,7 +204,8 @@ def test_every_import_is_used():
 
 
 def test_preconditions_raise_under_optimize():
-    # Each former assert is a typed raise that python -O keeps.
+    # Each former assert, and each check that a twist is of the system's
+    # own Coxeter matrix, is a typed raise that python -O keeps.
     script = (
         "from coxmin import braid, conjugacy, coxeter, eigen, walk\n"
         "a2 = coxeter.build_system(coxeter.named_matrix('A2'))\n"
@@ -206,6 +215,8 @@ def test_preconditions_raise_under_optimize():
         "off_wall = coxeter.Chamber.fundamental(a2).interior_point()\n"
         "ctx = braid.BraidContext(a2)\n"
         "rec = conjugacy.enumerate_classes(a2)[1]\n"
+        "b3 = coxeter.build_system(coxeter.named_matrix('B3'))\n"
+        "flip = coxeter.enumerate_twists(coxeter.named_matrix('A3'))[1]\n"
         "calls = [\n"
         "    lambda: walk.derivative_test(s1, 0, off_wall, a2.pos_roots[0]),\n"
         "    lambda: walk.derivative_test(s1, 0, on_wall, a2.pos_roots[1]),\n"
@@ -219,6 +230,9 @@ def test_preconditions_raise_under_optimize():
         "    lambda: conjugacy.arrow_reduce(coxeter.untwisted(a2.identity), rec),\n"
         "    lambda: conjugacy.partial_conjugation_transfer(\n"
         "        [], coxeter.untwisted(a2.identity), a2.generator(0), a2.identity),\n"
+        "    lambda: conjugacy.TwistedCoset(b3, flip),\n"
+        "    lambda: braid.BraidContext(b3, flip),\n"
+        "    lambda: coxeter.TwistedElement(b3, flip, 1, b3.identity).root_perm(),\n"
         "]\n"
         "for call in calls:\n"
         "    try:\n"
@@ -232,4 +246,4 @@ def test_preconditions_raise_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["ValueError"] * 10
+    assert proc.stdout.split() == ["ValueError"] * 13

@@ -9,10 +9,12 @@ from pathlib import Path
 import pytest
 
 from coxmin.conjugacy import enumerate_classes
-from coxmin.coxeter import (Chamber, CoxeterMatrix, DiagramTwist, build_system,
+from coxmin.coxeter import (Chamber, CoxeterMatrix, DiagramTwist,
+                            TwistedElement, build_system,
                             conjugate_by_chamber, enumerate_twists,
                             named_matrix, untwisted)
-from coxmin.eigen import (_combination, eigen_decomposition, fixed_space,
+from coxmin.eigen import (_combination, closure_holds_regular_point,
+                          eigen_decomposition, fixed_space,
                           hyperplanes_containing)
 from coxmin.errors import HypothesisFailed
 from coxmin.linalg import rref
@@ -20,7 +22,9 @@ from coxmin.walk import (_angle_of_invariant_subspace, _start_point,
                          component_length, decay_rate,
                          decompose_at_regular, derivative_test, descent_walk,
                          special_length_formula, strongly_connected_step)
-from oracles import all_roots_chamber_cone, reflection_element, regular_point
+from oracles import (all_roots_chamber_cone, chambers_cone, cone_span,
+                     reflection_element, regular_point,
+                     strongly_connected_by_span)
 
 
 def test_flow_curve_components():
@@ -396,6 +400,54 @@ def test_strongly_connected_step_search():
     assert qualifying > 0
 
 
+def test_strong_connection_matches_the_span_comparison():
+    # Seeded (element, chamber, wall) triples under every twist: the face
+    # test through closure_holds_regular_point gives the value or the
+    # HypothesisFailed message of the span comparison with the two-chamber
+    # cone.  Then the lemma behind it: on every eigenspace of every class
+    # representative and every chamber, a regular point of K lies in the
+    # closed chamber iff the cone K & closure(A) has rank dim K.
+    outcomes = {"pass": 0, "span": 0}
+    for name in ["A3", "B3", "H3", "A4", "D4", "F4"]:
+        system = build_system(named_matrix(name))
+        table = system.table()
+        rng = random.Random(name)
+        for twist in enumerate_twists(system.matrix):
+            for _ in range(150):
+                w = TwistedElement(system, twist, 1,
+                                   table.element(rng.randrange(table.size)))
+                a = Chamber(system, table.element(rng.randrange(table.size)))
+                a2 = a.cross(rng.randrange(system.rank))
+                results = []
+                for step in (strongly_connected_step, strongly_connected_by_span):
+                    try:
+                        results.append(step(w, a, a2))
+                    except HypothesisFailed as exc:
+                        results.append(str(exc))
+                assert results[0] == results[1], (name, twist.perm, w.body, a.x)
+                if isinstance(results[0], int):
+                    outcomes["pass"] += 1
+                elif "does not span" in results[0]:
+                    outcomes["span"] += 1
+    assert min(outcomes.values()) > 100
+    verdicts = {True: 0, False: 0}
+    for name in ["A3", "B3", "H3"]:
+        system = build_system(named_matrix(name))
+        table = system.table()
+        for twist in enumerate_twists(system.matrix):
+            for rec in enumerate_classes(system, twist):
+                eig = eigen_decomposition(rec.representative, dft_check=False)
+                for _, dim, basis in eig.entries:
+                    for x in range(table.size):
+                        chamber = Chamber(system, table.element(x)).over(eig.system)
+                        cone = chambers_cone(eig.system, basis, [chamber])
+                        holds = closure_holds_regular_point(eig.system, basis,
+                                                            chamber)
+                        assert holds == (len(cone_span(cone)) == dim)
+                        verdicts[holds] += 1
+    assert min(verdicts.values()) > 1000
+
+
 def test_strongly_connected_hypothesis_gate():
     # w fixes H_0 & V_w: must raise HypothesisFailed (precondition gate).
     a2 = build_system(named_matrix("A2"))
@@ -484,9 +536,9 @@ def test_walls_near_matches_two_comprehensions():
 
 @pytest.mark.parametrize("name", ["B3", "H3"])
 def test_memoized_invariant_angles_match_a_fresh_system(name):
-    # Each eigenspace of each class representative: the angle served from
-    # the system's memo equals the one computed on a freshly built system,
-    # and the eigenspace's own angle.
+    # Each eigenspace of each class representative: the angle on a system
+    # that has served every class before equals the one on a freshly built
+    # system, and the eigenspace's own angle.
     matrix = named_matrix(name)
     memo, fresh = build_system(matrix), build_system(matrix)
     for twist in enumerate_twists(matrix):
@@ -496,11 +548,6 @@ def test_memoized_invariant_angles_match_a_fresh_system(name):
             feig = eigen_decomposition(frec.representative, dft_check=False)
             for (q, _, basis), (_, _, fbasis) in zip(eig.entries, feig.entries):
                 assert _angle_of_invariant_subspace(eig.owner, eig, basis) == q
-                key = (eig.owner.twist.perm, eig.owner.k, eig.owner.body.perm,
-                       tuple(basis))
-                assert eig.system._invariant_angles[key] == q
-                assert _angle_of_invariant_subspace(eig.owner, eig, basis) == q
-                feig.system._invariant_angles.clear()
                 assert _angle_of_invariant_subspace(feig.owner, feig, fbasis) == q
 
 
@@ -584,7 +631,7 @@ def test_eigenspace_angle_needs_no_span_check(monkeypatch):
 
     def no_reduction(*args):
         raise Reduced
-    monkeypatch.setattr(walk_mod, "reduced_basis", no_reduction)
+    monkeypatch.setattr(walk_mod, "rref", no_reduction)
     for q, _, basis in eig.entries:
         assert _angle_of_invariant_subspace(eig.owner, eig, list(basis)) == q
     with pytest.raises(Reduced):
