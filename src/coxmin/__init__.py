@@ -20,8 +20,7 @@ from .coxeter import (CoxeterMatrix, CoxeterSystem, DiagramTwist, GroupElement,
                       parabolic_max, coset_decompose, conjugate_by_chamber)
 from .eigen import (Angle, EigenDecomposition, Filtration, order,
                     eigen_decomposition, closure_holds_regular_point,
-                    hyperplanes_containing, reflection_subgroup,
-                    fixed_space, is_elliptic,
+                    hyperplanes_containing, fixed_space, is_elliptic,
                     is_quasi_elliptic, admissible_filtration,
                     good_position_chamber)
 from .conjugacy import (TwistedCoset, ConjugacyClassRecord, ReductionChain,

@@ -38,13 +38,17 @@ steps whose length change lies in a given window:
   search admits at most 2(|W| - 1) and needs no cap.  The search yields
   targets as it meets them, and strong_partition stops drawing the moment
   every element of O_min is placed (the theorem says one block holds them).
-* path_graph: the graph on W_w = {x : l(x^-1 w x) = l(w)} walked by paths of
-  equal-length simple conjugations, with the centralizer coverage report.
+* path_graph: the part of W_w = {x : l(x^-1 w x) = l(w)} that tau reaches
+  by paths of equal-length simple conjugations, with the centralizer
+  coverage report, counted by covering.  The x -> x s_i graph on it covers
+  the step graph on the approx block B(w) of w, with fibre Z_R, the group
+  of tau-images of closed paths at w.  A level search over B(w) lifts each
+  element to W, its non-tree edges give generators of Z_R (Schreier's
+  lemma), and one subgroup closure with a Lagrange stop counts Z_R.
   Orbit-stabilizer counts the targets from the class C of w alone:
   |Z_W(w)| = |W| / |C| and |W_w| = |Z_W(w)| * #{u in C : l(u) = l(w)}, with
-  C read from the coset's class partition.  So a class costs one scan of C
-  plus the reached part of W_w.  Without a coset, path_graph builds one,
-  and with it the whole partition.
+  C read from the coset's class partition.  So a class costs one scan of C,
+  |B(w)| * n steps and one closure inside Z_W(w), not a walk over W_w.
 """
 
 from __future__ import annotations
@@ -56,8 +60,9 @@ from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .coxeter import (CoxeterMatrix, CoxeterSystem, DiagramTwist, GroupElement,
-                      TwistedElement, build_system, is_minimal_double_coset_rep,
-                      normalizes_parabolic, parabolic_index_map)
+                      GroupTable, TwistedElement, build_system,
+                      is_minimal_double_coset_rep, normalizes_parabolic,
+                      parabolic_index_map)
 from .eigen import (elliptic_parabolic_certificate, is_elliptic,
                     is_quasi_elliptic)
 from .errors import TheoremViolation
@@ -441,52 +446,113 @@ def verify_elliptic_approx(record: ConjugacyClassRecord) -> bool:
 
 @dataclass
 class PathGraph:
-    """W_w counted, the tau-reachable part of it, and Z_W(w).
+    """The part of W_w that tau reaches, counted through the approx block of w.
 
-    `num_vertices` is |W_w| and `centralizer_order` is |Z_W(w)|, both exact
-    counts from orbit-stabilizer; `reached` and `centralizer` (= Z_W(w) met
-    inside `reached`) are element indices.
+    c(x) = x^-1 (d^k w) x, W_w = {x : l(c(x)) = l(w)}, and tau sends a path
+    of equal-length simple conjugations from w to the product of its
+    letters.  `num_vertices` is |W_w| and `centralizer_order` is |Z_W(w)|,
+    both exact counts from orbit-stabilizer.  `lifts` maps each element u of
+    the approx block B(w) to x_u, the tau-image of its path in the search
+    tree, so c(x_u) = u and x_w = 1.  `generators` are tau-images of closed
+    paths at w, each outside the group the ones before it generate; they
+    generate Z_R = tau(closed paths at w), of order `closed_order`.
+
+    c(zx) = c(x) for z in Z_W(w), so the fibres of c are cosets Z_W(w) x,
+    and the x -> x s_i graph on the reached part R of W_w covers the step
+    graph on B(w) with fibre Z_R: R is the disjoint union of the cosets
+    Z_R x_u over u in B(w), and |R| = |B(w)| * |Z_R| (`num_reached`).
+    R lies inside W_w and Z_R inside Z_W(w), so equal counts prove
+    surjectivity and coverage.
     """
     coset: TwistedCoset
-    start_body: int
     num_vertices: int
-    reached: list[int]
-    centralizer: list[int]
     centralizer_order: int
+    lifts: dict[int, int]
+    generators: list[int]
+    closed_order: int
+
+    @property
+    def num_reached(self) -> int:
+        return len(self.lifts) * self.closed_order
 
     @property
     def surjective(self) -> bool:
-        return len(self.reached) == self.num_vertices
+        return self.num_reached == self.num_vertices
 
     @property
     def centralizer_covered(self) -> bool:
-        return len(self.centralizer) == self.centralizer_order
+        return self.closed_order == self.centralizer_order
 
 
-def path_graph(w: TwistedElement, coset: TwistedCoset | None = None) -> PathGraph:
-    """BFS over x -> x s_i inside W_w, recording tau-image reachability.
+def _tree_word(t: GroupTable, x: int) -> list[int]:
+    """The letters of x's path in the table's search tree, a reduced word."""
+    word = []
+    while x:
+        word.append(t.letter[x])
+        x = t.parent[x]
+    return word[::-1]
 
-    Walking to x exhibits a path of equal-length conjugations from w to
-    x^-1 w x whose tau-image is x; reaching x in Z_W(w) therefore exhibits a
-    closed path at w with tau-image x.  The walk carries c(x) = x^-1 w x,
-    with c(x s_i) = s_i c(x) s_i, and keeps x s_i only when l(c(x s_i)) = l(w),
-    so it touches no element outside the reached part of W_w.  Each step
-    reads two row entries: x s_i from the right row, and c(x s_i) from
-    step_rows[i], one read.  c is a list over the table's index space, -1
-    where x is not reached, and the reached list is the BFS queue.
+
+def _adjoin(t: GroupTable, group: list[int], mask: bytearray,
+            generators: list[int], z_order: int) -> bool:
+    """Grow the group H listed in `group` and marked in `mask` to the group
+    `generators` generate, H's generators and one more, g, by Dimino's
+    algorithm.
+
+    <H, g> is the union of the right cosets H r it meets, and H r s is
+    (H r) s, so each new coset is a listed one times a generator's tree
+    word, by right rows; `group` holds the cosets in order, one block of
+    |H| per representative.  Lagrange stop: <H, g> <= Z_W(w), so |<H, g>|
+    divides z_order, and once more than z_order / 2 elements are listed it
+    is z_order.  The closure stops there and returns True: <H, g> = Z_W(w),
+    with `group` only partly listed.
+    """
+    right = t.right
+    words = [_tree_word(t, g) for g in generators]
+    size = len(group)
+    reps = [0]
+    for j, r in enumerate(reps):    # reps grows as the closure runs: a queue
+        for wd in words:
+            y = r
+            for i in wd:
+                y = right[i][y]
+            if not mask[y]:
+                block = group[j * size:(j + 1) * size]
+                for i in wd:
+                    block = list(map(right[i].__getitem__, block))
+                for x in block:
+                    mask[x] = 1
+                group += block
+                reps.append(y)
+                if 2 * len(group) > z_order:
+                    return True
+    return False
+
+
+def path_graph(w: TwistedElement, coset: TwistedCoset) -> PathGraph:
+    """The tau-reachable part of W_w, counted as |B(w)| * |Z_R|.
+
+    A level search from w over step_rows finds the approx block B(w), and
+    lifts each element along the search tree: x_v = x_u s_i on a tree edge
+    u -> v, one right-row read.  By Schreier's lemma (Seress, Permutation
+    Group Algorithms, Lemma 4.2.1), the closed paths at w are generated by
+    the tree's fundamental cycles, so Z_R is generated by the images
+    z = x_u s_i x_v^-1 of the non-tree edges u -> v, read by right rows up
+    x_v's tree chain in the table.  A generator is kept only when it lies
+    outside the group H the kept ones generate (a byte mask over W), and H
+    is closed at once (_adjoin); each kept one at least doubles |H|, so at
+    most log2 |Z_R| are kept.  Once H = Z_W(w), by the Lagrange stop, the
+    remaining edges need no image.  A class costs |B(w)| * n steps plus one
+    subgroup closure, not a walk over W_w.
 
     The targets are counted from the class C of w instead of swept over W:
     x -> x^-1 w x maps W onto C and the fibre over each u is a coset Z_W(w) x.
     So |Z_W(w)| = |W| / |C| and |W_w| = |Z_W(w)| * #{u in C : l(u) = l(w)}.
-    C is read from the coset's class partition (computed on first use).
-    Since reached is inside W_w and its centralizer part inside Z_W(w),
-    equal counts prove surjectivity and coverage.  A class whose size does
-    not divide |W| raises TheoremViolation.
+    C is read from the coset's class partition (computed on first use).  A
+    class whose size does not divide |W| raises TheoremViolation.
     """
-    if coset is None:
-        coset = TwistedCoset(w.system, w.twist, w.k)
     t = coset.table
-    length = t.length
+    length, right = t.length, t.right
     wbody = coset.index(w)
     lw = length[wbody]
 
@@ -498,34 +564,39 @@ def path_graph(w: TwistedElement, coset: TwistedCoset | None = None) -> PathGrap
             f"class of size {len(cls)} does not divide |W| = {t.size}")
     z_order = t.size // len(cls)
 
-    # The reached part of W_w, with cm[x] = body of x^-1 (d^k w) x, or -1
-    # while x is not reached.
-    rows = list(zip(t.right, coset.step_rows))
-    cm = [-1] * t.size
-    cm[0] = wbody
-    reached = [0]
-    for x in reached:       # reached grows as the search runs: a BFS queue
-        cx = cm[x]
-        for rrow, row in rows:
-            y = rrow[x]
-            if cm[y] < 0:
-                cy = row[cx]
-                if length[cy] == lw:
-                    cm[y] = cy
-                    reached.append(y)
-    reached.sort()
-    return PathGraph(coset=coset, start_body=wbody, num_vertices=z_order * level,
-                     reached=reached,
-                     centralizer=[x for x in reached if cm[x] == wbody],
-                     centralizer_order=z_order)
+    steps = list(zip(coset.step_rows, right))
+    lifts = {wbody: 0}
+    block = [wbody]
+    group, mask, generators = [0], bytearray(t.size), []
+    mask[0] = 1
+    full = z_order == 1
+    for u in block:         # block grows as the search runs: a BFS queue
+        xu = lifts[u]
+        for row, rrow in steps:
+            v = row[u]
+            if length[v] != lw:
+                continue
+            z = rrow[xu]
+            xv = lifts.get(v)
+            if xv is None:
+                lifts[v] = z
+                block.append(v)
+            elif z != xv and not full:
+                for i in reversed(_tree_word(t, xv)):   # z = x_u s_i x_v^-1
+                    z = right[i][z]
+                if not mask[z]:
+                    generators.append(z)
+                    full = _adjoin(t, group, mask, generators, z_order)
+    return PathGraph(coset=coset, num_vertices=z_order * level,
+                     centralizer_order=z_order, lifts=lifts, generators=generators,
+                     closed_order=z_order if full else len(group))
 
 
-def verify_tau_surjective(w: TwistedElement,
-                          coset: TwistedCoset | None = None) -> PathGraph:
+def verify_tau_surjective(w: TwistedElement, coset: TwistedCoset) -> PathGraph:
     graph = path_graph(w, coset)
     if not graph.surjective:
         raise TheoremViolation(
-            f"tau not surjective: {len(graph.reached)} of {graph.num_vertices} reached")
+            f"tau not surjective: {graph.num_reached} of {graph.num_vertices} reached")
     if not graph.centralizer_covered:
         raise TheoremViolation("some centralizer element has no closed path")
     return graph
@@ -535,10 +606,8 @@ def verify_tau_surjective(w: TwistedElement,
 # Arrow reachability and the partial conjugation transfer oracle.
 
 
-def arrow_reachable_set(w: TwistedElement, coset: TwistedCoset | None = None) -> set[int]:
+def arrow_reachable_set(w: TwistedElement, coset: TwistedCoset) -> set[int]:
     """Bodies reachable from w by non-increasing simple conjugations."""
-    if coset is None:
-        coset = TwistedCoset(w.system, w.twist, w.k)
     return set(_reach(coset, [coset.index(w)], -coset.system.npos, 0))
 
 

@@ -315,11 +315,6 @@ def hyperplanes_containing(system: CoxeterSystem, basis: Matrix) -> frozenset[in
     return cached
 
 
-def reflection_subgroup(system: CoxeterSystem, basis: Matrix) -> list[int]:
-    """Generating reflections of W_K as sorted positive-root indices."""
-    return sorted(hyperplanes_containing(system, basis))
-
-
 def closure_holds_regular_point(system: CoxeterSystem, basis: Matrix,
                                 chamber: Chamber) -> bool:
     """Whether the closed chamber holds a regular point of K = span(basis).

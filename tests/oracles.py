@@ -248,6 +248,54 @@ def conjugate_by_index(coset, x: int, g: int) -> int:
     return t.index[compose(twisted_inv, compose(t.perms[x], pg))]
 
 
+def path_graph_by_bfs(w, coset):
+    """The tau-reachable part of W_w by a BFS over x -> x s_i inside W_w.
+
+    The walk carries c(x) = x^-1 (d^k w) x, with c(x s_i) = s_i c(x) s_i,
+    and keeps x s_i only when l(c(x s_i)) = l(w).  Returns (|W_w|, reached,
+    centralizer, |Z_W(w)|): the reached set, its part inside Z_W(w), and
+    the two orders by orbit-stabilizer from the class of w.  The reference
+    for conjugacy.path_graph, which counts the same sets by covering the
+    approx block of w.
+    """
+    t = coset.table
+    length = t.length
+    wbody = coset.index(w)
+    lw = length[wbody]
+    cls = coset.class_of(wbody)
+    z_order = t.size // len(cls)
+    rows = list(zip(t.right, coset.step_rows))
+    cm = {0: wbody}
+    reached = [0]
+    for x in reached:       # reached grows as the search runs: a BFS queue
+        cx = cm[x]
+        for rrow, row in rows:
+            y = rrow[x]
+            if y not in cm:
+                cy = row[cx]
+                if length[cy] == lw:
+                    cm[y] = cy
+                    reached.append(y)
+    level = sum(1 for u in cls if length[u] == lw)
+    return (z_order * level, set(reached),
+            {x for x in reached if cm[x] == wbody}, z_order)
+
+
+def closure_by_perms(table, gens):
+    """The subgroup of W that the elements `gens` generate, as element
+    indices, closed by composing root permutations (no table row)."""
+    perms = [table.perms[g] for g in gens]
+    found = {table.perms[0]}
+    queue = list(found)
+    for p in queue:         # queue grows as the closure runs
+        for g in perms:
+            q = compose(p, g)
+            if q not in found:
+                found.add(q)
+                queue.append(q)
+    return {table.index[p] for p in found}
+
+
 def conj(coset, x: int, i: int) -> int:
     """Body index of s_i (d^k x) s_i."""
     rrow, lrow = coset.steps[i]

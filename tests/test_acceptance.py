@@ -20,7 +20,7 @@ from coxmin.braid import (BraidContext, TwistedBraid, good_min_element,
 from coxmin.conjugacy import (TwistedCoset, _reach, approx_partition,
                               arrow_reachable_set,
                               arrow_reduce, elementary_strong_targets,
-                              enumerate_classes, strong_partition,
+                              enumerate_classes, path_graph, strong_partition,
                               verify_arrow_reduction, verify_elliptic_approx,
                               verify_tau_surjective)
 from coxmin.coxeter import (Chamber, build_system, conjugate_by_chamber,
@@ -33,7 +33,8 @@ from coxmin.walk import (decompose_at_regular, descent_walk,
                          special_length_formula, strongly_connected_step)
 from oracles import (approx_blocks_by_union_find, arrow_depths_by_frontier,
                      arrow_reach_by_frontier, brute_strong_targets,
-                     conjugate_by_index, reverse_arrow_reach_by_frontier)
+                     closure_by_perms, conjugate_by_index, path_graph_by_bfs,
+                     reverse_arrow_reach_by_frontier)
 from test_conjugacy import _block_diagonal, _table
 
 RANK_LE_4 = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "D4", "F4", "G2",
@@ -96,7 +97,7 @@ def test_criterion_3_elliptic_classes(sweep):
             verify_elliptic_approx(rec)
             graph = verify_tau_surjective(rec.representative, rec.coset)
             assert graph.centralizer_covered
-            assert len(graph.centralizer) == rec.coset.table.size // rec.size
+            assert graph.closed_order == rec.coset.table.size // rec.size
             checked += 1
     _report(3, "Corollary 4.3 + Theorem 4.2 + Corollary 4.5",
             f"{checked} elliptic classes")
@@ -581,20 +582,62 @@ def test_criterion_11_products_under_every_twist(capsys, tmp_path):
             f"{len(PRODUCTS)} products, {cosets} twisted cosets")
 
 
-@pytest.mark.parametrize("names", [(name,) for name in RANK_5_AND_6] +
-                         [names for names, _ in PRODUCTS],
-                         ids="x".join)
+# The groups of criteria 10 and 11, one factor name each (E6 among them).
+CRITERIA_10_AND_11 = ([(name,) for name in RANK_5_AND_6] +
+                      [names for names, _ in PRODUCTS])
+
+
+def _product_system(names):
+    matrix = named_matrix(names[0]) if len(names) == 1 else _block_diagonal(*names)
+    return build_system(matrix)
+
+
+@pytest.mark.parametrize("names", CRITERIA_10_AND_11, ids="x".join)
 def test_step_rows_match_the_permutation_oracle(names):
     """Every entry of every step row, over the cosets of criteria 10 and 11
     (E6 under both twists among them), against conjugate_by_index: the body
     of s_i (d^k x) s_i from root permutations alone, with no table row."""
-    matrix = named_matrix(names[0]) if len(names) == 1 else _block_diagonal(*names)
-    system = build_system(matrix)
+    system = _product_system(names)
     table = system.table()
-    for twist in enumerate_twists(matrix):
+    for twist in enumerate_twists(system.matrix):
         coset = TwistedCoset(system, twist)
         assert len(coset.step_rows) == system.rank
         for i, row in enumerate(coset.step_rows):
             s_i = table.index[system.reflections[i]]
             assert list(row) == [conjugate_by_index(coset, x, s_i)
                                  for x in range(table.size)], (twist.perm, i)
+
+
+def _class_graphs(names):
+    """(record, path_graph of its representative) over every class of every
+    twisted coset of the group."""
+    system = _product_system(names)
+    for twist in enumerate_twists(system.matrix):
+        for rec in enumerate_classes(system, twist):
+            yield rec, path_graph(rec.representative, rec.coset)
+
+
+@pytest.mark.parametrize("names", CRITERIA_10_AND_11, ids="x".join)
+def test_path_graph_matches_the_bfs_oracle(names):
+    """The covering count of every class of the criterion 10 and 11 cosets
+    against the BFS over the reached part of W_w."""
+    for rec, graph in _class_graphs(names):
+        vertices, reached, centralizer, z_order = path_graph_by_bfs(
+            rec.representative, rec.coset)
+        assert (graph.num_vertices, graph.num_reached, graph.closed_order,
+                graph.centralizer_order) == (
+            vertices, len(reached), len(centralizer), z_order), rec.class_id
+        assert graph.surjective == (len(reached) == vertices)
+        assert graph.centralizer_covered == (len(centralizer) == z_order)
+
+
+@pytest.mark.parametrize("names", CRITERIA_10_AND_11, ids="x".join)
+def test_path_graph_keeps_at_most_log2_generators(names):
+    """Each kept generator lies outside the group the ones before it
+    generate (closed over root permutations), so it at least doubles the
+    group, and at most log2 |Z_R| are kept."""
+    for rec, graph in _class_graphs(names):
+        table = rec.coset.table
+        assert 2 ** len(graph.generators) <= graph.closed_order, rec.class_id
+        for k, g in enumerate(graph.generators):
+            assert g not in closure_by_perms(table, graph.generators[:k])

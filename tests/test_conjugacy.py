@@ -16,12 +16,12 @@ from coxmin.conjugacy import (ReductionChain, TwistedCoset, _strong_related,
                               verify_arrow_reduction, verify_elliptic_approx,
                               verify_tau_surjective)
 from coxmin.coxeter import (CoxeterMatrix, DiagramTwist, build_system,
-                            enumerate_twists, named_matrix,
+                            compose, enumerate_twists, named_matrix,
                             untwisted, is_minimal_double_coset_rep,
                             normalizes_parabolic, parabolic_max)
 from coxmin.errors import TheoremViolation, TooLarge
-from oracles import (brute_strong_targets, classes_by_union_find, conj,
-                     conjugate_by_index)
+from oracles import (brute_strong_targets, classes_by_union_find,
+                     closure_by_perms, conj, conjugate_by_index)
 
 
 def test_class_counts():
@@ -348,7 +348,7 @@ def test_path_graph_a2_coxeter():
     assert graph.num_vertices == 6  # all of W preserves the length
     assert graph.surjective
     assert graph.centralizer_covered
-    assert len(graph.centralizer) == cox.coset.table.size // cox.size
+    assert graph.closed_order == cox.coset.table.size // cox.size
 
 
 def test_path_graph_identity():
@@ -394,13 +394,26 @@ def _full_sweep_path_graph(w, coset):
 
 
 def _check_against_sweep(w, coset):
+    """path_graph against a sweep over W: the lifts conjugate w onto the
+    approx block, and R = {h x_u} and H, rebuilt from the lifts and the kept
+    generators by closing root permutations, are the sweep's reached set
+    and its part in Z_W(w)."""
     graph = path_graph(w, coset)
     vertices, reached, centralizer = _full_sweep_path_graph(w, coset)
+    t = coset.table
+    wbody = coset.index(w)
+    assert all(conjugate_by_index(coset, wbody, x) == u
+               for u, x in graph.lifts.items())
+    closed = closure_by_perms(t, graph.generators)
+    lifted = {t.index[compose(t.perms[h], t.perms[x])]
+              for h in closed for x in graph.lifts.values()}
     assert graph.num_vertices == len(vertices)
-    assert graph.reached == sorted(reached)
+    assert lifted == reached
+    assert graph.num_reached == len(reached)
     assert graph.surjective == (reached == vertices)
     assert graph.centralizer_order == len(centralizer)
-    assert graph.centralizer == sorted(centralizer & reached)
+    assert closed == centralizer & reached
+    assert graph.closed_order == len(closed)
     assert graph.centralizer_covered == (centralizer <= reached)
     return graph
 
@@ -432,23 +445,24 @@ def test_path_graph_on_bare_coset(name):
         assert coset.classes() is partition
         assert partition == [rec.elements for rec in enumerate_classes(system, tw)]
         w = coset.element(coset.table.size - 1)
-        alone, shared = path_graph(w), path_graph(w, coset)
-        assert (alone.num_vertices, alone.reached, alone.centralizer,
-                alone.centralizer_order) == (
-            shared.num_vertices, shared.reached, shared.centralizer,
-            shared.centralizer_order)
+        fresh, shared = path_graph(w, TwistedCoset(system, tw)), path_graph(w, coset)
+        assert (fresh.num_vertices, fresh.lifts, fresh.generators,
+                fresh.closed_order, fresh.centralizer_order) == (
+            shared.num_vertices, shared.lifts, shared.generators,
+            shared.closed_order, shared.centralizer_order)
 
 
 def test_path_graph_uncovered_centralizer():
     # A3, identity twist, class 2 is not elliptic: tau misses part of W_w
-    # and part of Z_W(w), and the counts say so.
+    # and part of Z_W(w), and the counts say so.  The closure runs to the
+    # end, since H < Z_W(w) never passes the Lagrange stop.
     a3 = build_system(named_matrix("A3"))
     rec = enumerate_classes(a3)[2]
     assert not rec.elliptic
     graph = _check_against_sweep(rec.representative, rec.coset)
     assert not graph.surjective and not graph.centralizer_covered
     assert graph.centralizer_order == rec.coset.table.size // rec.size
-    assert len(graph.centralizer) < graph.centralizer_order
+    assert graph.closed_order < graph.centralizer_order
 
 
 def test_path_graph_rejects_class_not_dividing_w():

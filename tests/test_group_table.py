@@ -190,11 +190,15 @@ def test_e6_class_layer_stays_within_its_memory_budget():
 
     A fresh interpreter builds the E6 root system, reads its own ru_maxrss,
     runs the class layer and reads it again.  With one 16-bit step row per
-    generator, class lists that hold the table's own ints and a dense list
-    of path_graph's conjugates, the peak grew by 20.4 MB (20,892 KB).  With
-    a dict of the conjugates and no step rows it grew by 22.0 MB, and with
-    step rows as lists and class lists of the ints the row reads make, by
-    23.6 MB (CPython 3.11, x86-64 Linux).
+    generator and class lists that hold the table's own ints, the peak grew
+    by 19.7 MB (20,152 KB), all of it before path_graph: its byte mask over
+    W and its list of more than half of Z_W(w) = W left the peak where the
+    class scan had set it.  When path_graph kept a dense list of conjugates
+    over W (a BFS over all of W_w), the peak grew by 20,208 KB on the same
+    host and day, and 20,892 KB on an earlier one; with a dict of the
+    conjugates and no step rows by 22.0 MB, and with step rows as lists and
+    class lists of the ints the row reads make, by 23.6 MB (CPython 3.11,
+    x86-64 Linux).
     """
     twists, size, reached, grown_kb = _run_fresh(
         "import resource\n"
@@ -208,6 +212,6 @@ def test_e6_class_layer_stays_within_its_memory_budget():
         "identity = records[0][0]\n"
         "graph = path_graph(identity.representative, identity.coset)\n"
         "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-        "print(len(records), identity.size, len(graph.reached), after - before)\n")
+        "print(len(records), identity.size, graph.num_reached, after - before)\n")
     assert (twists, size, reached) == (2, 1, 51840)
     assert grown_kb < 21.5 * 1024, f"the class layer grew the peak by {grown_kb} KB"

@@ -74,7 +74,8 @@ BANNED = ("ConstructionFailed", "SearchBound", "conjugate_by_index",
           "_meets_a_hyperplane", "_regular_points", "NoRegularPoint",
           "_elliptic_kinds", "quasi_elliptic_by_complement", "subspace_equal",
           "span", "cone_span", "chambers_cone", "strongly_connected_by_span",
-          "reduced_basis", "_reduced", "_invariant_angles")
+          "reduced_basis", "_reduced", "_invariant_angles",
+          "reflection_subgroup", "path_graph_by_bfs", "closure_by_perms")
 
 # Names that no package function, class or import may take, though a field
 # may: the tuple scan's regular point is gone, while WalkResult.regular_point
